@@ -25,6 +25,7 @@ from .errors import (
     FieldMismatch,
     NotInImage,
     NonUnitDivisor,
+    ParseError,
     PrecisionExhausted,
     UnsupportedQ,
 )
@@ -45,7 +46,15 @@ DEFAULT_TERM_BOUND = 10 ** 6
 
 def term_bound() -> int:
     env = os.environ.get("FROBDML_TERM_BOUND")
-    return int(env) if env else DEFAULT_TERM_BOUND
+    if not env:
+        return DEFAULT_TERM_BOUND
+    try:
+        bound = int(env)
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise ParseError(f"FROBDML_TERM_BOUND={env!r} is not a positive integer")
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -199,24 +208,106 @@ AnyMap = Union[DmlMap, GeneralMap]
 # ---------------------------------------------------------------------------
 
 def series_det(A: Sequence[Sequence[TruncSeries]]) -> TruncSeries:
-    """Cofactor expansion; exact, no divisions (desk-scale sizes)."""
+    """Determinant of the exact zero-padded lifts of the entries, at the
+    precision ``_cofactor_prec`` assigns it."""
+    return _eliminate(A, _cofactor_prec(A))[0]
+
+
+def _cofactor_prec(A: Sequence[Sequence[TruncSeries]]) -> int:
+    """Precision of det(A) under first-row cofactor expansion of the entries:
+    sums and products keep the least precision, and an entry zero at its
+    precision is skipped, so the result carries the least precision over the
+    entries the expansion reaches.  States are the column sets left after
+    the rows above; a row with no live entry ends its path at the least
+    precision of its whole block."""
+    precs = {s.prec for row in A for s in row}
+    if len(precs) == 1:
+        return precs.pop()
     n = len(A)
-    if n == 1:
-        return A[0][0]
-    out: Optional[TruncSeries] = None
-    for j in range(n):
-        entry = A[0][j]
-        if entry.is_zero_at_precision():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in A[1:]]
-        term = entry * series_det(minor)
-        if j % 2:
-            term = -term
-        out = term if out is None else out + term
-    if out is None:
-        prec = min(s.prec for row in A for s in row)
-        return TruncSeries.zeros(A[0][0].field, prec)
+    out = max(precs)
+    frontier = {tuple(range(n))}
+    for r in range(n):
+        nxt = set()
+        for cols in frontier:
+            live = [j for j in cols if not A[r][j].is_zero_at_precision()]
+            if r == n - 1:
+                reached = [A[r][cols[0]]]
+            elif live:
+                reached = [A[r][j] for j in live]
+                nxt.update(tuple(c for c in cols if c != j) for j in live)
+            else:
+                reached = [A[i][j] for i in range(r, n) for j in cols]
+            out = min(out, min(s.prec for s in reached))
+        frontier = nxt
     return out
+
+
+def _eliminate(A: Sequence[Sequence[TruncSeries]], prec: int,
+               inverse: bool = False
+               ) -> Tuple[TruncSeries, Optional[List[List[TruncSeries]]]]:
+    """Gaussian elimination over k[[t]] on the exact zero-padded lifts of the
+    entries, column by column with the pivot of least valuation in its column
+    (precision over a DVR as in X. Caruso, D. Roe, T. Vaccon, "Tracking
+    p-adic precision", ANTS XI, 2014).
+
+    Returns (det mod t^prec, inverse mod t^prec or None).  Clearing a column
+    under a pivot of valuation v costs the rows below v digits, so the first
+    non-unit pivot restarts the work at 2*prec, and once the pivot
+    valuations reach prec the determinant is 0 mod t^prec.  With ``inverse``
+    every pivot must be a unit: Gauss-Jordan then loses nothing and works at
+    prec, and a column without a unit pivot raises NonUnitDivisor."""
+    n = len(A)
+    field = A[0][0].field
+    work = prec
+    while True:
+        a = [[s if s.prec == work else s.change_precision(work) for s in row] for row in A]
+        inv = [[TruncSeries.one(field, work) if i == j else TruncSeries.zeros(field, work)
+                for j in range(n)] for i in range(n)] if inverse else None
+        det = TruncSeries.one(field, work)
+        lost = 0
+        for col in range(n):
+            # an entry zero at its precision counts as valuation prec
+            vals = [x.prec if isinstance(x, AtPrecisionZero) else x
+                    for x in (a[r][col].valuation() for r in range(col, n))]
+            v = min(vals)
+            if v:
+                if inverse:
+                    raise NonUnitDivisor(
+                        f"no unit pivot in column {col}; matrix not invertible over O_K")
+                lost += v
+                if lost >= prec:
+                    return TruncSeries.zeros(field, prec), None
+                if work == prec:
+                    break
+            piv = col + vals.index(v)
+            if piv != col:
+                a[col], a[piv] = a[piv], a[col]
+                det = -det
+                if inv is not None:
+                    inv[col], inv[piv] = inv[piv], inv[col]
+            det = det * a[col][col]
+            u = a[col][col].shift_down(v).inverse()
+            if inv is not None:
+                a[col][col + 1:] = [x * u for x in a[col][col + 1:]]
+                inv[col] = [x * u for x in inv[col]]
+            for r in range(0 if inv is not None else col + 1, n):
+                factor = a[r][col]
+                if r == col or factor.is_zero_at_precision():
+                    continue
+                if inv is None:
+                    factor = factor.shift_down(v) * u
+                a[r][col + 1:] = [x - factor * y
+                                  for x, y in zip(a[r][col + 1:], a[col][col + 1:])]
+                if inv is not None:
+                    inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
+        else:
+            return det.change_precision(prec), inv
+        work = 2 * prec
+
+
+def _unit_det(A: Sequence[Sequence[TruncSeries]]) -> bool:
+    """det(A) is a unit exactly when the residue matrix A mod t is invertible."""
+    return _eliminate(A, 1)[0].is_unit()
 
 
 def _sigma_fixed(s: TruncSeries, e: int) -> Optional[str]:
@@ -262,9 +353,9 @@ def validate_map(field: FieldSpec, p: int, e: int,
     N = n - 1
     diags: List[Diagnostic] = []
 
-    det = series_det(A)
-    v = det.valuation()
-    if isinstance(v, AtPrecisionZero) or v > 0:
+    if not _unit_det(A):
+        det = series_det(A)
+        v = det.valuation()
         diags.append(NonUnitDeterminant(
             f"det(A) = {det} has valuation {v if not isinstance(v, AtPrecisionZero) else f'>= {v.prec}'}"))
 
@@ -499,10 +590,9 @@ def recognize_dml_form(F: GeneralMap, p: int, e: int) -> Union[DmlMap, NotInForm
             yexp = tuple(x // p for x in exps)
             rem[yexp] = rem[yexp] + coeff if yexp in rem else coeff
         G.append(HomogPoly(F.field, F.N, q // p, rem))
-    det = series_det(A)
-    v = det.valuation()
-    if isinstance(v, AtPrecisionZero) or v > 0:
-        return NotInForm(None, None, f"extracted matrix determinant {det} is not a unit")
+    if not _unit_det(A):
+        return NotInForm(None, None,
+                         f"extracted matrix determinant {series_det(A)} is not a unit")
     e0 = coefficient_field_exponent(A, G)
     return DmlMap(F.field, p, e, A, G, e0, F.label)
 
@@ -523,34 +613,9 @@ def _pure_power_index(exps: ExpVec, q: int) -> Optional[int]:
 
 def invert_series_matrix(M: Sequence[Sequence[TruncSeries]],
                          prec: int) -> List[List[TruncSeries]]:
-    """Gauss-Jordan with unit pivots; entries truncated to prec."""
-    n = len(M)
-    field = M[0][0].field
-    a = [[_at_prec(s, prec) for s in row] for row in M]
-    inv = [[TruncSeries.one(field, prec) if i == j else TruncSeries.zeros(field, prec)
-            for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col].is_unit():
-                piv = r
-                break
-        if piv is None:
-            raise NonUnitDivisor(f"no unit pivot in column {col}; matrix not invertible over O_K")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        u = a[col][col].inverse()
-        a[col] = [x * u for x in a[col]]
-        inv[col] = [x * u for x in inv[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = a[r][col]
-            if factor.is_zero_at_precision():
-                continue
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return inv
+    """Inverse over O_K with entries truncated to prec."""
+    return _eliminate([[_at_prec(s, prec) for s in row] for row in M], prec,
+                      inverse=True)[1]
 
 
 def preimage_qp(f: DmlMap, P: ProjPoint) -> ProjPoint:

@@ -2,9 +2,10 @@
 
 Elements are coefficient vectors over F_p in ascending powers of the
 generator ``a``, so (c0, c1, c2) means c0 + c1*a + c2*a^2.  The modulus is
-monic, user supplied, and checked for irreducibility by exhaustive trial
-division (desk scale, m <= 12).  There are no Conway polynomial tables and
-no cross-field coercion except the constant embedding F_p -> F_{p^m}.
+monic, user supplied, and checked for irreducibility by Rabin's
+distinct-degree sieve in ``poly``, so large p costs a few modular powerings.
+There are no Conway polynomial tables and no cross-field coercion except the
+constant embedding F_p -> F_{p^m}.
 
 Frobenius powers x -> x^(p^e) are first-class, including negative e: the
 inverse Frobenius is x -> x^(p^(((e mod m) + m) mod m)), never a root
@@ -12,8 +13,9 @@ computation.
 """
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
+from . import poly
 from .errors import (
     DegreeMismatch,
     DivisionByZero,
@@ -24,44 +26,6 @@ from .errors import (
 )
 
 Coeffs = Tuple[int, ...]
-
-
-# ---------------------------------------------------------------------------
-# polynomial helpers over F_p (dense coefficient lists, ascending powers)
-# ---------------------------------------------------------------------------
-
-def _ptrim(c: List[int]) -> List[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmul(u: Sequence[int], v: Sequence[int], p: int) -> List[int]:
-    if not u or not v:
-        return []
-    out = [0] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                out[i + j] = (out[i + j] + ui * vj) % p
-    return _ptrim(out)
-
-
-def _pdivmod(u: Sequence[int], v: Sequence[int], p: int) -> Tuple[List[int], List[int]]:
-    """Division with remainder; v need not be monic (its lead is inverted mod p)."""
-    r = list(u)
-    _ptrim(r)
-    dv = len(v) - 1
-    inv_lead = pow(v[-1], p - 2, p)
-    q = [0] * max(len(r) - dv, 0)
-    while len(r) - 1 >= dv and r:
-        k = len(r) - 1 - dv
-        c = (r[-1] * inv_lead) % p
-        q[k] = c
-        for i, vi in enumerate(v):
-            r[k + i] = (r[k + i] - c * vi) % p
-        _ptrim(r)
-    return q, r
 
 
 def _is_prime(n: int) -> bool:
@@ -75,27 +39,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_from_index(idx: int, degree: int, p: int) -> List[int]:
-    """Monic polynomial of given degree whose lower coefficients are the
-    base-p digits of idx (little-endian)."""
-    c = []
-    for _ in range(degree):
-        c.append(idx % p)
-        idx //= p
-    c.append(1)
-    return c
-
-
-def _find_factor(modulus: Sequence[int], p: int) -> Optional[List[int]]:
-    """Exhaustive search for a monic factor of degree 1..deg/2, or None."""
-    m = len(modulus) - 1
-    for d in range(1, m // 2 + 1):
-        for idx in range(p ** d):
-            cand = _poly_from_index(idx, d, p)
-            _, rem = _pdivmod(modulus, cand, p)
-            if not rem:
-                return cand
-    return None
+def _least_factor(R: poly.Ring, k: int, g: List[int]) -> List[int]:
+    """Least-index monic degree-k divisor of g, the product of the distinct
+    irreducible factors of least degree k of a modulus.  Every monic degree-k
+    divisor of the modulus is such a factor, so this is the least-index one."""
+    if len(g) - 1 == k:
+        return g
+    cands = (poly.monic_from_index(idx, k, R.order) for idx in range(R.order ** k))
+    return next(c for c in cands if not poly.divmod(R, g, c)[1])
 
 
 def _poly_str(coeffs: Sequence[int]) -> str:
@@ -121,11 +72,10 @@ class FieldSpec:
 
     __slots__ = (
         "p", "m", "modulus", "order",
-        "_red", "_frob_mats", "_zero", "_one", "_gen", "_gen_pows",
+        "_fp", "_red", "_frob_mats", "_zero", "_one", "_gen",
     )
 
-    def __init__(self, p: int, m: int, modulus: Sequence[int],
-                 _trusted_irreducible: bool = False):
+    def __init__(self, p: int, m: int, modulus: Sequence[int]):
         if not _is_prime(p):
             raise NonPrimeP(f"p = {p} is not prime")
         if m < 1:
@@ -136,11 +86,12 @@ class FieldSpec:
                 f"modulus has {len(mod) - 1 if mod else -1} coefficients past degree 0, expected degree {m}")
         if mod[-1] != 1:
             raise DegreeMismatch("modulus must be monic")
-        if not _trusted_irreducible:
-            factor = _find_factor(mod, p)
-            if factor is not None:
-                raise ReducibleModulus(
-                    f"modulus {_poly_str(mod)} is divisible by {_poly_str(factor)}")
+        self._fp = poly.prime_field(p)
+        found = poly.least_factor_degree(self._fp, mod)
+        if found is not None:
+            factor = _least_factor(self._fp, *found)
+            raise ReducibleModulus(
+                f"modulus {_poly_str(mod)} is divisible by {_poly_str(factor)}")
         self.p = p
         self.m = m
         self.modulus = mod
@@ -167,7 +118,6 @@ class FieldSpec:
         else:
             g[1] = 1
         self._gen = FqElem(self, tuple(g))
-        self._gen_pows: dict = {}
 
     # -- basic elements ------------------------------------------------
 
@@ -233,20 +183,17 @@ class FieldSpec:
         if m == 1:
             return (pow(u[0], p - 2, p),)
         # extended Euclid on (modulus, u); invariant s_i * u = r_i mod modulus
-        r0, r1 = list(self.modulus), _ptrim(list(u))
+        R = self._fp
+        r0, r1 = list(self.modulus), poly.trim(list(u))
         s0: List[int] = []
         s1: List[int] = [1]
         while r1:
-            q, r = _pdivmod(r0, r1, p)
+            q, r = poly.divmod(R, r0, r1)
             r0, r1 = r1, r
-            qs1 = _pmul(q, s1, p)
-            n = max(len(s0), len(qs1))
-            s_new = [((s0[i] if i < len(s0) else 0) - (qs1[i] if i < len(qs1) else 0)) % p
-                     for i in range(n)]
-            s0, s1 = s1, _ptrim(s_new)
+            s0, s1 = s1, poly.sub(R, s0, poly.mul(R, q, s1))
         # r0 = gcd is a nonzero constant
-        c_inv = pow(r0[0], p - 2, p)
-        out = [(x * c_inv) % p for x in s0]
+        c_inv = R.inv(r0[0])
+        out = [R.mul(x, c_inv) for x in s0]
         out += [0] * (m - len(out))
         return tuple(out[:m])
 
@@ -391,19 +338,6 @@ class FqElem:
 
     def __repr__(self):
         return _poly_str(self.coeffs)
-
-
-def fq_arith(x: FqElem, y: FqElem, op: str) -> FqElem:
-    """Dispatch +, -, *, / with field agreement enforced."""
-    if op == "+":
-        return x + y
-    if op == "-":
-        return x - y
-    if op == "*":
-        return x * y
-    if op == "/":
-        return x / y
-    raise ValueError(f"unknown op {op!r}")
 
 
 def frobenius_pow(x: FqElem, e: int) -> FqElem:

@@ -97,34 +97,35 @@ def _assemble(hits: Set[int], H: int, m: int, n0: int) -> APDecomposition:
 def ap_decompose(rs: ReturnSet, M_max: int) -> APDecomposition:
     """Least period m <= M_max, then least preperiod n0 <= H - 2m, such that
     the hit indicator is m-periodic on [n0, H]; two full periods of window
-    are required before claiming exactness."""
+    are required before claiming exactness.  For each m one backward scan
+    finds the last n with hit(n) != hit(n + m); the least n0 is one past it."""
     if M_max < 1:
         raise ValueError("M_max must be >= 1")
     H = rs.horizon
     hits = set(rs.hits)
     for m in range(1, M_max + 1):
-        for n0 in range(0, H - 2 * m + 1):
-            if all((n in hits) == (n + m in hits) for n in range(n0, H - m + 1)):
-                dec = _assemble(hits, H, m, n0)
-                if dec.expand() != hits:  # soundness re-expansion check
-                    raise AssertionError("decomposition fails re-expansion")
-                return dec
+        last = next((n for n in range(H - m, -1, -1)
+                     if (n in hits) != (n + m in hits)), -1)
+        n0 = last + 1
+        if n0 <= H - 2 * m:
+            dec = _assemble(hits, H, m, n0)
+            if dec.expand() != hits:  # soundness re-expansion check
+                raise AssertionError("decomposition fails re-expansion")
+            return dec
     return APDecomposition(NO_DECOMPOSITION, H, None, (), ())
 
 
 def decompose_oracle(hits: Sequence[int], H: int, M_max: int) -> APDecomposition:
     """Independent check: same (m, n0) scan order, but each candidate is
-    validated by expanding residues found in [n0, n0+m) and comparing the
-    resulting set against hits directly."""
+    validated by expanding the residues found in [n0, n0+m) and comparing
+    the expansion against hits.  Below n0 the expansion is hits itself, so
+    the comparison starts at n0 + m and stops at the first disagreement."""
     hset = set(hits)
     if any(n < 0 or n > H for n in hset):
         raise ValueError("hits must lie in [0, H]")
     for m in range(1, M_max + 1):
         for n0 in range(0, H - 2 * m + 1):
-            expanded = set(n for n in hset if n < n0)
-            for r in range(n0, n0 + m):
-                if r in hset:
-                    expanded.update(range(r, H + 1, m))
-            if expanded == hset:
+            if all((n in hset) == (n0 + (n - n0) % m in hset)
+                   for n in range(n0 + m, H + 1)):
                 return _assemble(hset, H, m, n0)
     return APDecomposition(NO_DECOMPOSITION, H, None, (), ())

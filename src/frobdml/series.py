@@ -14,8 +14,7 @@ into one big integer with an 8-byte digit per F_p coefficient and a stride
 of 2m-1 digits per series coefficient, so one CPython bignum multiply
 performs the whole convolution and the only per-coefficient work is the
 modular reduction while decoding.  Digit overflow is impossible at desk
-scale (bound prec * m * (p-1)^2 << 2^64).  The schoolbook path is kept for
-cross-checking.
+scale (bound prec * m * (p-1)^2 << 2^64).
 """
 from __future__ import annotations
 
@@ -171,18 +170,6 @@ class TruncSeries:
         cs = _decode(field, prod, n)
         return TruncSeries(field, n, cs, self.inexact or other.inexact)
 
-    def _schoolbook_mul(self, other: "TruncSeries") -> "TruncSeries":
-        n = self._align(other)
-        field = self.field
-        out = [field.zero()] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs[: n - i]):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(field, n, out, self.inexact or other.inexact)
-
     def inverse(self) -> "TruncSeries":
         """Inverse of a unit by Newton doubling (error squares each step)."""
         if not self.is_unit():
@@ -294,36 +281,6 @@ def _decode(field: FieldSpec, prod: int, out_prec: int) -> List[FqElem]:
         chunk = [d % p for d in digits[j * stride:(j + 1) * stride]]
         out.append(FqElem(field, field._reduce(chunk)))
     return out
-
-
-def series_arith(s: TruncSeries, u: TruncSeries, op: str) -> TruncSeries:
-    if op == "+":
-        return s + u
-    if op == "-":
-        return s - u
-    if op == "*":
-        return s * u
-    if op == "/":
-        return s / u
-    raise ValueError(f"unknown op {op!r}")
-
-
-def valuation(s: TruncSeries) -> Union[int, AtPrecisionZero]:
-    return s.valuation()
-
-
-def galois(s: TruncSeries, act: Union[GaloisAction, int], inverse: bool = False) -> TruncSeries:
-    return s.galois(act, inverse)
-
-
-def change_precision(s: TruncSeries, n: int) -> TruncSeries:
-    return s.change_precision(n)
-
-
-def effective_valuation(s: TruncSeries) -> int:
-    """Valuation with AtPrecisionZero collapsed to prec (internal ordering aid)."""
-    v = s.valuation()
-    return v.prec if isinstance(v, AtPrecisionZero) else v
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ the twisted norm N_r(A) = A^(q^{r-1}) ... A^(q) A equals the identity, so
 the search visits r = s, 2s, ... <= R_max and solves only at qualifying r.
 
 F_{q^r} is represented as a tower Fbase[Y]/(h) with h the first irreducible
-monic polynomial of degree r/s in a fixed enumeration (Rabin's test), which
-avoids any root-finding embeddings.  Inside one qualifying r the solver
-first tries the closed-form solutions
+monic polynomial of degree r/s in a fixed enumeration (Rabin's sieve in
+``poly``), which avoids any root-finding embeddings.  Inside one qualifying r
+the solver first tries the closed-form solutions
 
     beta(v) = sum_{i<r} N_i(A)^{-1} v^(q^i)      (exact whenever N_r(A) = I)
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from . import poly
 from .errors import (
     DegreeMismatch,
     DimensionMismatch,
@@ -71,86 +72,6 @@ class PackedField:
         return tab
 
 
-# -- packed polynomial helpers over Fbase (ascending coeff tuples) -----------
-
-def _ptrim(c: List[int]) -> List[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmul(pf: PackedField, u: Sequence[int], v: Sequence[int]) -> List[int]:
-    if not u or not v:
-        return []
-    mul, add = pf.mul, pf.add
-    out = [0] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            row = mul[ui]
-            for j, vj in enumerate(v):
-                if vj:
-                    out[i + j] = add[out[i + j]][row[vj]]
-    return _ptrim(out)
-
-
-def _pdivmod(pf: PackedField, u: Sequence[int], v: Sequence[int]) -> Tuple[List[int], List[int]]:
-    r = _ptrim(list(u))
-    dv = len(v) - 1
-    inv_lead = pf.inv[v[-1]]
-    q = [0] * max(len(r) - dv, 0)
-    mul, add, neg = pf.mul, pf.add, pf.neg
-    while r and len(r) - 1 >= dv:
-        k = len(r) - 1 - dv
-        c = mul[r[-1]][inv_lead]
-        q[k] = c
-        for i, vi in enumerate(v):
-            if vi:
-                r[k + i] = add[r[k + i]][neg[mul[c][vi]]]
-        _ptrim(r)
-    return q, r
-
-
-def _pgcd(pf: PackedField, u: List[int], v: List[int]) -> List[int]:
-    while v:
-        _, u = u, _pdivmod(pf, u, v)[1]
-        u, v = v, u
-    return u
-
-
-def _ppowmod(pf: PackedField, base: List[int], n: int, h: Sequence[int]) -> List[int]:
-    out = [1]
-    b = _pdivmod(pf, base, h)[1]
-    while n:
-        if n & 1:
-            out = _pdivmod(pf, _pmul(pf, out, b), h)[1]
-        b = _pdivmod(pf, _pmul(pf, b, b), h)[1]
-        n >>= 1
-    return out
-
-
-def _psub(pf: PackedField, u: Sequence[int], v: Sequence[int]) -> List[int]:
-    n = max(len(u), len(v))
-    return _ptrim([pf.add[u[i] if i < len(u) else 0][pf.neg[v[i] if i < len(v) else 0]]
-                   for i in range(n)])
-
-
-def _is_irreducible(pf: PackedField, h: List[int]) -> bool:
-    """Distinct-degree sieve: gcd(x^(Q^k) - x, h) is the product of the
-    irreducible factors of h whose degree divides k, so h of degree d is
-    irreducible iff the gcd is trivial for every k <= d/2.  Scanning k
-    upward makes random reducibles fail at their smallest factor degree."""
-    d = len(h) - 1
-    Q = pf.order
-    x = [0, 1]
-    w = list(x)
-    for _ in range(d // 2):
-        w = _ppowmod(pf, w, Q, h)
-        g = _pgcd(pf, list(h), _psub(pf, w, x))
-        if len(g) != 1:
-            return False
-    return True
-
-
 _IRR_CACHE: Dict[Tuple[int, int, Tuple[int, ...], int], Tuple[int, ...]] = {}
 
 
@@ -165,16 +86,12 @@ def first_irreducible(pf: PackedField, d: int) -> Tuple[int, ...]:
     if hit is not None:
         return hit
     Q = pf.order
+    ring = poly.table_ring(pf.add, pf.mul, pf.neg, pf.inv)
     for idx in range(Q ** d):
         if idx % Q == 0:
             continue  # constant term zero: divisible by Y
-        c = []
-        k = idx
-        for _ in range(d):
-            c.append(k % Q)
-            k //= Q
-        h = c + [1]
-        if _is_irreducible(pf, h):
+        h = poly.monic_from_index(idx, d, Q)
+        if poly.least_factor_degree(ring, h) is None:
             _IRR_CACHE[key] = tuple(h)
             return tuple(h)
     raise SearchExhausted(f"no irreducible polynomial of degree {d} found")  # pragma: no cover
@@ -664,9 +581,7 @@ def _solve_at(pf: PackedField, fq: FqStructure, A: Mat, Ainv: Mat,
     if d == 1:
         field = pf.field
     elif pf.field.m == 1:
-        # h was proved irreducible by the sieve; skip revalidation
-        field = FieldSpec(pf.field.p, d, [pf.els[c].coeffs[0] for c in h],
-                          _trusted_irreducible=True)
+        field = FieldSpec(pf.field.p, d, [pf.els[c].coeffs[0] for c in h])
     sol = TwistSolution(q, r, pf.field, ext, basis, B, field)
     sol._residue = _twist_residue(pf, ext, A, B, q)
     assert all(ext.is_zero(x) for row in sol._residue for x in row)
@@ -928,8 +843,7 @@ def normalize_conjugate(f: DmlMap, R_max: int = 64) -> Tuple[TwistSolution, DmlM
         B_el = sol.B
 
     Bconst = [[TruncSeries.from_constant(x, prec) for x in row] for row in B_el]
-    Binv_el = _fq_matrix_inv(B_el)
-    Binvconst = [[TruncSeries.from_constant(x, prec) for x in row] for row in Binv_el]
+    Binvconst = dynamics.invert_series_matrix(Bconst, prec)
 
     def linear_map(M) -> dynamics.GeneralMap:
         coords = []
@@ -956,25 +870,3 @@ def normalize_conjugate(f: DmlMap, R_max: int = 64) -> Tuple[TwistSolution, DmlM
             if want_one != is_one or (not want_one and not sv.is_zero_at_precision()):
                 raise AssertionError("conjugated matrix part is not the identity")
     return sol, rec
-
-
-def _fq_matrix_inv(M: Sequence[Sequence[FqElem]]) -> List[List[FqElem]]:
-    n = len(M)
-    field = M[0][0].field
-    a = [list(row) for row in M]
-    b = [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if piv is None:
-            raise NotInvertible("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        u = a[col][col].inv()
-        a[col] = [u * x for x in a[col]]
-        b[col] = [u * x for x in b[col]]
-        for r in range(n):
-            if r != col and not a[r][col].is_zero():
-                c = a[r][col]
-                a[r] = [x - c * y for x, y in zip(a[r], a[col])]
-                b[r] = [x - c * y for x, y in zip(b[r], b[col])]
-    return b

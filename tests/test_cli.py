@@ -238,3 +238,12 @@ def test_repeat_runs_are_byte_identical():
             "--horizon", "10", "--format", "json"]
     runs = [run(argv) for _ in range(3)]
     assert all(r == runs[0] for r in runs)
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_bad_term_bound_is_exit_2(monkeypatch, value):
+    monkeypatch.setenv("FROBDML_TERM_BOUND", value)
+    code, out, err = run(["compose", F3, "--times", "2"])
+    assert code == 2 and out == ""
+    assert err == (f"error: ParseError: FROBDML_TERM_BOUND={value!r} "
+                   "is not a positive integer\n")

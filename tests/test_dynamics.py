@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,12 +7,14 @@ from frobdml.dynamics import (CoefficientFieldTooLarge,
                               CoefficientNotInMaximalIdeal, DmlMap, GeneralMap,
                               NonUnitDeterminant, NotInForm, WrongDegree,
                               apply_map, check_conditions, compose_maps,
-                              dml_to_general, iterate_map, orbit, preimage_qp,
-                              recognize_dml_form, series_det, validate_map)
-from frobdml.errors import NotInImage, UnsupportedQ
+                              dml_to_general, invert_series_matrix, iterate_map,
+                              orbit, preimage_qp, recognize_dml_form, series_det,
+                              validate_map)
+from frobdml.errors import NonUnitDivisor, NotInImage, UnsupportedQ
 from frobdml.geometry import HomogPoly, ProjPoint, format_poly, proj_eq
 from frobdml.instances import fixture_path, parse_instance
-from frobdml.series import GaloisAction, TruncSeries, format_series, parse_series
+from frobdml.series import (AtPrecisionZero, GaloisAction, TruncSeries,
+                            format_series, parse_series)
 
 from conftest import (field_for, identity_matrix, rand_point, rand_suite_map,
                       rand_residue_point)
@@ -31,6 +34,123 @@ def test_series_det_golden():
     A = [[ser(F2, "1"), ser(F2, "t")],
          [ser(F2, "t"), ser(F2, "1 + t")]]
     assert format_series(series_det(A)) == "1 + t + t^2 + O(t^8)"
+
+
+def cofactor_det(A):
+    """Reference: first-row cofactor expansion of the truncated entries,
+    skipping entries zero at their precision."""
+    n = len(A)
+    if n == 1:
+        return A[0][0]
+    out = None
+    for j in range(n):
+        entry = A[0][j]
+        if entry.is_zero_at_precision():
+            continue
+        minor = [[row[k] for k in range(n) if k != j] for row in A[1:]]
+        term = entry * cofactor_det(minor)
+        if j % 2:
+            term = -term
+        out = term if out is None else out + term
+    if out is None:
+        return TruncSeries.zeros(A[0][0].field, min(s.prec for row in A for s in row))
+    return out
+
+
+def rand_entry(rng, F, prec):
+    """Zero, a non-unit of random valuation, or a dense (usually unit) series."""
+    kind = rng.random()
+    if kind < 0.15:
+        return TruncSeries.zeros(F, prec)
+    v = rng.randint(1, prec) if kind < 0.4 else 0
+    return TruncSeries(F, prec, [F.zero()] * v + [F.from_int(rng.randrange(F.order))
+                                                  for _ in range(prec - v)])
+
+
+def test_series_det_matches_cofactor_reference():
+    rng = random.Random(600)
+    fields = [F2, F4, field_for(3, 1), field_for(5, 2)]
+    seen = {"unit": 0, "nonunit": 0, "zero": 0, "prec1": 0, "mixed": 0}
+    for case in range(600):
+        F = rng.choice(fields)
+        n = rng.randint(1, 4)
+        prec = rng.randint(1, 9)
+        mixed = rng.random() < 0.3
+        A = [[rand_entry(rng, F, rng.randint(1, 9) if mixed else prec)
+              for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.15:
+            A[1] = list(A[0])  # singular
+        got, want = series_det(A), cofactor_det(A)
+        assert (got.prec, got.coeffs) == (want.prec, want.coeffs), case
+        v = want.valuation()
+        seen["unit" if v == 0 else "nonunit" if isinstance(v, int) else "zero"] += 1
+        seen["prec1"] += want.prec == 1
+        seen["mixed"] += mixed
+    assert min(seen.values()) >= 30, seen
+
+
+def mat_mul(X, Y):
+    n = len(X)
+    return [[sum((X[i][k] * Y[k][j] for k in range(1, n)), X[i][0] * Y[0][j])
+             for j in range(n)] for i in range(n)]
+
+
+def test_invert_series_matrix_is_an_inverse():
+    rng = random.Random(601)
+    inverted = 0
+    for case in range(200):
+        F = rng.choice([F2, F4, field_for(3, 1)])
+        n = rng.randint(1, 4)
+        prec = rng.randint(1, 9)
+        M = [[rand_entry(rng, F, prec) for _ in range(n)] for _ in range(n)]
+        if not series_det(M).is_unit():
+            with pytest.raises(NonUnitDivisor):
+                invert_series_matrix(M, prec)
+            continue
+        inverted += 1
+        one, zero = TruncSeries.one(F, prec), TruncSeries.zeros(F, prec)
+        ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        assert mat_mul(invert_series_matrix(M, prec), M) == ident, case
+    assert inverted >= 50
+
+
+def test_invert_series_matrix_names_the_failing_column():
+    with pytest.raises(NonUnitDivisor) as ei:
+        invert_series_matrix([[ser(F2, "t"), ser(F2, "1")],
+                              [ser(F2, "t^2"), ser(F2, "1 + t")]], 8)
+    assert str(ei.value) == "no unit pivot in column 0; matrix not invertible over O_K"
+    with pytest.raises(NonUnitDivisor) as ei:
+        invert_series_matrix([[ser(F2, "1"), ser(F2, "1"), ser(F2, "0")],
+                              [ser(F2, "1"), ser(F2, "1 + t"), ser(F2, "0")],
+                              [ser(F2, "0"), ser(F2, "0"), ser(F2, "1")]], 8)
+    assert str(ei.value) == "no unit pivot in column 1; matrix not invertible over O_K"
+
+
+def test_validate_n7_over_f4_at_prec_20():
+    rng = random.Random(602)
+    n, prec = 8, 20
+    y2 = [tuple(2 if k == j else 0 for k in range(n)) for j in range(n)]
+    G = [HomogPoly(F4, n - 1, 2, {y2[(i + 1) % n]: rand_entry(rng, F4, prec) * ser(F4, "t", prec)})
+         for i in range(n)]
+    while True:
+        A = [[rand_entry(rng, F4, prec) for _ in range(n)] for _ in range(n)]
+        t0 = time.perf_counter()
+        f = validate_map(F4, 2, 2, A, G)
+        elapsed = time.perf_counter() - t0
+        if isinstance(f, DmlMap):
+            break
+    assert f.N == 7
+    assert elapsed < 2.0, f"8x8 validation took {elapsed:.2f}s"
+    # non-unit variant: a banded matrix keeps the cofactor reference cheap
+    band = [[rand_entry(rng, F4, prec) if abs(i - j) <= 1 else TruncSeries.zeros(F4, prec)
+             for j in range(n)] for i in range(n)]
+    band[3] = [ser(F4, "t", prec) * s for s in band[3]]
+    diags = validate_map(F4, 2, 2, band, G)
+    assert isinstance(diags, list)
+    det = cofactor_det(band)
+    v = det.valuation()
+    shown = f">= {v.prec}" if isinstance(v, AtPrecisionZero) else v
+    assert str(diags[0]) == f"NonUnitDeterminant: det(A) = {det} has valuation {shown}"
 
 
 def test_validate_map_accepts_f1_shape():

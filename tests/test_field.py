@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobdml.errors import (DegreeMismatch, DivisionByZero, FieldMismatch,
                             NonPrimeP, ReducibleModulus)
-from frobdml.field import (FieldSpec, format_element, frobenius_pow, make_field,
-                           parse_element)
+from frobdml.field import (FieldSpec, _poly_str, format_element, frobenius_pow,
+                           make_field, parse_element)
 
 from conftest import field_for
 
@@ -124,3 +126,60 @@ def test_prime_field_modulus_shape():
     assert F.order == 7
     x = F.from_int(3)
     assert x + x + x == F.from_int(2)
+
+
+def trial_division_factor(modulus, p):
+    """Reference: least-index monic factor of least degree 1..deg/2, found by
+    dividing by every monic candidate in index order; None if irreducible."""
+    m = len(modulus) - 1
+    for d in range(1, m // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            cand = list(reversed(low)) + [1]  # index order: low digit first
+            rem = list(modulus)
+            for k in range(m - d, -1, -1):
+                c = rem[k + d]
+                for i, ci in enumerate(cand):
+                    rem[k + i] = (rem[k + i] - c * ci) % p
+            if not any(rem[:d]):
+                return cand
+    return None
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 4), (3, 4), (5, 3)])
+def test_modulus_check_matches_trial_division(p, max_degree):
+    reducible = 0
+    for m in range(1, max_degree + 1):
+        for low in itertools.product(range(p), repeat=m):
+            mod = list(low) + [1]
+            factor = trial_division_factor(mod, p)
+            if factor is None:
+                assert make_field(p, m, mod).modulus == tuple(mod)
+                continue
+            reducible += 1
+            with pytest.raises(ReducibleModulus) as ei:
+                make_field(p, m, mod)
+            assert str(ei.value) == \
+                f"modulus {_poly_str(mod)} is divisible by {_poly_str(factor)}"
+    assert reducible > 0
+
+
+@pytest.mark.parametrize("p,modulus", [
+    (1009, [1, 1, 0, 0, 1]),
+    (65537, [1, 1, 1]),
+    (2 ** 31 - 1, [4, 1, 0, 1]),
+])
+def test_large_characteristic_fields(p, modulus):
+    m = len(modulus) - 1
+    F = make_field(p, m, modulus)
+    for coeffs in ([1], [0, 1], [3, p - 1], [p - 2] + [7] * (m - 1)):
+        x = F.el(coeffs)
+        assert x * x.inv() == F.one()
+        assert x.frobenius(m) == x
+        assert x.frobenius(1) == x ** p
+
+
+def test_large_characteristic_reducible_modulus_names_factor():
+    # (a + 1)(a^2 + a + 1) over F_65537
+    with pytest.raises(ReducibleModulus) as ei:
+        make_field(65537, 3, [1, 2, 2, 1])
+    assert str(ei.value) == "modulus 1+2*a+2*a^2+a^3 is divisible by 1+a"
