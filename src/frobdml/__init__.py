@@ -2,7 +2,8 @@
 
 The package is organized bottom-up:
 
-    poly      dense polynomials over small finite rings; Rabin's sieve
+    poly      dense polynomials and row echelon form over small finite
+              rings; Rabin's sieve
     field     finite fields F_(p^m) with explicit moduli
     series    truncated power series k[[t]]/(t^prec) and the Galois action
     geometry  projective points, homogeneous polynomials, subvarieties

@@ -9,20 +9,23 @@ the search visits r = s, 2s, ... <= R_max and solves only at qualifying r.
 
 F_{q^r} is represented as a tower Fbase[Y]/(h) with h the first irreducible
 monic polynomial of degree r/s in a fixed enumeration (Rabin's sieve in
-``poly``), which avoids any root-finding embeddings.  Inside one qualifying r
-the solver first tries the closed-form solutions
+``poly``), which avoids any root-finding embeddings.  At the first qualifying
+r the solver takes the closed-form solutions
 
     beta(v) = sum_{i<r} N_i(A)^{-1} v^(q^i)      (exact whenever N_r(A) = I)
 
-over a spanning set of v; if those do not span (possible when the
-characteristic divides r) it falls back to the kernel of the F_q-linear
-operator beta -> beta^(q) - A beta by exact Gaussian elimination.  The
-returned basis is the canonical reduced-row-echelon basis of the solution
-space, so the output is independent of search order.
+over an F_q-basis of v.  They always span: by Lang's theorem A = C^(q) C^-1
+for an invertible C, which N_r(A) = I puts over E = F_(q^r); then
+beta(v) = C * Tr_{E/F_q}(C^-1 v), which maps E^(N+1) onto C * F_q^(N+1)
+because the trace of a finite-field extension is onto.  So there is no other
+route; a closed form that fails to span is an internal error.  The returned
+basis is the reduced row echelon basis (``poly.rref``) of the solutions'
+F_q-coordinates, canonical for the solution space and so independent of
+search order.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import poly
 from .errors import (
@@ -61,6 +64,7 @@ class PackedField:
         self.mul = [[(x * y).index() for y in els] for x in els]
         self.neg = [(-x).index() for x in els]
         self.inv = [0] + [x.inv().index() for x in els[1:]]
+        self.ring = poly.table_ring(self.add, self.mul, self.neg, self.inv)
         self._frob: Dict[int, List[int]] = {}
 
     def frob_table(self, e: int) -> List[int]:
@@ -86,12 +90,11 @@ def first_irreducible(pf: PackedField, d: int) -> Tuple[int, ...]:
     if hit is not None:
         return hit
     Q = pf.order
-    ring = poly.table_ring(pf.add, pf.mul, pf.neg, pf.inv)
     for idx in range(Q ** d):
         if idx % Q == 0:
             continue  # constant term zero: divisible by Y
         h = poly.monic_from_index(idx, d, Q)
-        if poly.least_factor_degree(ring, h) is None:
+        if poly.least_factor_degree(pf.ring, h) is None:
             _IRR_CACHE[key] = tuple(h)
             return tuple(h)
     raise SearchExhausted(f"no irreducible polynomial of degree {d} found")  # pragma: no cover
@@ -249,25 +252,13 @@ def _mat_identity(n: int) -> Mat:
 
 
 def _mat_inv(pf: PackedField, X: Mat) -> Optional[Mat]:
+    """Inverse by row reduction of [X | I]; None when X is singular."""
     n = len(X)
-    add, mul, neg, inv = pf.add, pf.mul, pf.neg, pf.inv
-    a = [list(row) for row in X]
-    b = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        u = inv[a[col][col]]
-        a[col] = [mul[u][x] for x in a[col]]
-        b[col] = [mul[u][x] for x in b[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                c = a[r][col]
-                a[r] = [add[x][neg[mul[c][y]]] for x, y in zip(a[r], a[col])]
-                b[r] = [add[x][neg[mul[c][y]]] for x, y in zip(b[r], b[col])]
-    return tuple(tuple(row) for row in b)
+    rows = poly.rref(pf.ring, [list(row) + list(e)
+                               for row, e in zip(X, _mat_identity(n))])
+    if not any(rows[-1][:n]):
+        return None
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +266,9 @@ def _mat_inv(pf: PackedField, X: Mat) -> Optional[Mat]:
 # ---------------------------------------------------------------------------
 
 class FqStructure:
-    """The subfield F_q of Fbase with an F_q-basis of Fbase and coordinate maps."""
+    """The subfield F_q of Fbase, the F_q-basis of Fbase made of the first
+    powers of its generator that are F_q-independent, and a table of the
+    F_q-coordinates (as packed indices) of every Fbase element in that basis."""
 
     def __init__(self, pf: PackedField, e: int):
         field = pf.field
@@ -283,127 +276,23 @@ class FqStructure:
         if m % e:
             raise DegreeMismatch(
                 f"F_q with q = {p}^{e} is not a subfield of F_{{{p}^{m}}}")
-        self.pf = pf
         self.e = e
         self.q = p ** e
         self.s = m // e
         tab = pf.frob_table(e)
-        self.fq_indices = [i for i in range(pf.order) if tab[i] == i]
-        assert len(self.fq_indices) == self.q
-        if self.s == 1:
-            self.basis = [1]  # index of the element 1
-            self._coord_solver = None
-            return
-        # greedy F_p-basis of F_q
-        g_basis: List[FqElem] = []
-        g_span: List[Tuple[int, ...]] = []
-        for idx in self.fq_indices:
-            x = pf.els[idx]
-            if x.is_zero():
-                continue
-            if _fp_extends(g_span, x.coeffs, p):
-                g_basis.append(x)
-                g_span = _fp_row_reduce(g_span + [x.coeffs], p)
-        assert len(g_basis) == e
-        # greedy F_q-basis of Fbase from powers of the generator
-        w_basis: List[FqElem] = []
-        span: List[Tuple[int, ...]] = []
-        cand = field.one()
-        gen = field.gen()
-        for _ in range(m):
-            prods = [(g * cand).coeffs for g in g_basis]
-            if any(_fp_extends(span, v, p) for v in prods):
-                w_basis.append(cand)
-                for v in prods:
-                    if _fp_extends(span, v, p):
-                        span = _fp_row_reduce(span + [v], p)
-            if len(w_basis) == self.s:
-                break
-            cand = cand * gen
-        assert len(w_basis) == self.s
-        self.basis = [w.index() for w in w_basis]
-        # columns w_j * g_t as an m x m matrix over F_p, inverted once
-        cols = []
-        for w in w_basis:
-            for g in g_basis:
-                cols.append((w * g).coeffs)
-        self._g_basis = g_basis
-        self._minv = _fp_mat_inv(cols, p)  # rows of the inverse
-
-    def coords(self, idx: int) -> Tuple[int, ...]:
-        """F_q-coordinates (as packed indices) of a Fbase element."""
-        if self.s == 1:
-            return (idx,)
-        pf = self.pf
-        x = pf.els[idx].coeffs
-        p = pf.field.p
-        lam = _fp_mat_apply(self._minv, x, p)
-        out = []
-        for j in range(self.s):
-            acc = 0
-            for t, g in enumerate(self._g_basis):
-                c = lam[j * self.e + t]
-                if c:
-                    scaled = 0
-                    gi = g.index()
-                    for _ in range(c):
-                        scaled = pf.add[scaled][gi]
-                    acc = pf.add[acc][scaled]
-            out.append(acc)
-        return tuple(out)
-
-
-def _fp_row_reduce(rows: List[Tuple[int, ...]], p: int) -> List[Tuple[int, ...]]:
-    mat = [list(r) for r in rows]
-    out: List[List[int]] = []
-    pivots: List[int] = []
-    for row in mat:
-        r = row[:]
-        for pr, pc in zip(out, pivots):
-            if r[pc]:
-                c = r[pc]
-                r = [(x - c * y) % p for x, y in zip(r, pr)]
-        nz = next((i for i, x in enumerate(r) if x), None)
-        if nz is None:
-            continue
-        inv = pow(r[nz], p - 2, p)
-        r = [(x * inv) % p for x in r]
-        out.append(r)
-        pivots.append(nz)
-    return [tuple(r) for r in out]
-
-
-def _fp_extends(span: List[Tuple[int, ...]], vec: Tuple[int, ...], p: int) -> bool:
-    r = list(vec)
-    for row in span:
-        nz = next(i for i, x in enumerate(row) if x)
-        if r[nz]:
-            c = r[nz]
-            r = [(x - c * y) % p for x, y in zip(r, row)]
-    return any(r)
-
-
-def _fp_mat_inv(cols: List[Tuple[int, ...]], p: int) -> List[List[int]]:
-    m = len(cols)
-    a = [[cols[j][i] % p for j in range(m)] for i in range(m)]
-    b = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    for col in range(m):
-        piv = next(r for r in range(col, m) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        u = pow(a[col][col], p - 2, p)
-        a[col] = [(u * x) % p for x in a[col]]
-        b[col] = [(u * x) % p for x in b[col]]
-        for r in range(m):
-            if r != col and a[r][col]:
-                c = a[r][col]
-                a[r] = [(x - c * y) % p for x, y in zip(a[r], a[col])]
-                b[r] = [(x - c * y) % p for x, y in zip(b[r], b[col])]
-    return b
-
-
-def _fp_mat_apply(rows: List[List[int]], vec: Sequence[int], p: int) -> List[int]:
-    return [sum(r * v for r, v in zip(row, vec)) % p for row in rows]
+        fq_indices = [i for i in range(pf.order) if tab[i] == i]
+        assert len(fq_indices) == self.q
+        add, mul = pf.add, pf.mul
+        span: Dict[int, Tuple[int, ...]] = {0: ()}  # F_q-span of the basis so far
+        self.basis: List[int] = []
+        for w in (p ** j for j in range(m)):  # packed index of a^j
+            if w not in span:
+                self.basis.append(w)
+                span = {add[x][mul[c][w]]: co + (c,)
+                        for c in fq_indices for x, co in span.items()}
+        assert len(self.basis) == self.s
+        self.coords = [span[i] for i in range(pf.order)]
+        self.element = {co: i for i, co in span.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +309,7 @@ class TwistSolution:
 
     def __init__(self, q: int, r: int, base_field: FieldSpec,
                  ext: ExtContext, basis: List[ExtVec], B: List[List[Vec]],
-                 field: Optional[FieldSpec]):
+                 field: Optional[FieldSpec], residue: List[List[Vec]]):
         self.q = q
         self.r = r
         self.base_field = base_field
@@ -428,6 +317,7 @@ class TwistSolution:
         self.basis_raw = basis
         self.B_raw = B
         self.field = field  # FieldSpec carrying the entries, when flattenable
+        self._residue = residue
 
     def _to_field_elem(self, u: Vec) -> FqElem:
         assert self.field is not None
@@ -489,20 +379,16 @@ def solve_twist(A: Sequence[Sequence[FqElem]], q: int,
 
     ident = _mat_identity(n)
     Ncur = A_packed
-    r = 0
-    for step in range(1, R_max + 1):
-        r = step
-        if r % s == 0 and Ncur == ident and r >= s:
-            sol = _solve_at(pf, fq, A_packed, Ainv, r)
-            if sol is not None:
-                return sol
+    for r in range(1, R_max + 1):
+        if r % s == 0 and Ncur == ident:
+            return _solve_at(pf, fq, A_packed, Ainv, r)
         Ncur = _mat_mul(pf, _mat_frob(pf, Ncur, e), A_packed)
     raise SearchExhausted(
         f"no full solution space of B^(q) = A B within F_(q^{R_max})")
 
 
 def _solve_at(pf: PackedField, fq: FqStructure, A: Mat, Ainv: Mat,
-              r: int) -> Optional[TwistSolution]:
+              r: int) -> TwistSolution:
     n = len(A)
     s, e, q = fq.s, fq.e, fq.q
     d = r // s
@@ -526,242 +412,82 @@ def _solve_at(pf: PackedField, fq: FqStructure, A: Mat, Ainv: Mat,
             seq.append(ftab[seq[-1]])
         wpows.append(seq)
 
-    D = r * n
-    rows: List[Tuple[List[int], ExtVec]] = []   # (coordinate row, solution)
+    def closed_forms():
+        """F_q-coordinates of beta(v) for v = w theta^j e_k, the F_q-basis of
+        E^n; entry k's Y^j coefficient has its s coordinates at (k*d + j)*s."""
+        ujpow: List[Vec] = [ext.one] * r
+        for j in range(d):
+            if j:
+                ujpow = [ext.mul(x, y) for x, y in zip(ujpow, u)]
+            for wseq in wpows:
+                for k in range(n):
+                    beta = [ext.zero] * n
+                    for i in range(r):
+                        c_i = ext.scalar(wseq[i], ujpow[i])
+                        col = ninv[i]
+                        for row_i in range(n):
+                            a = col[row_i][k]
+                            if a:
+                                beta[row_i] = ext.add(beta[row_i], ext.scalar(a, c_i))
+                    yield [x for comp in beta for c in comp for x in fq.coords[c]]
 
-    def coord_vec(beta: ExtVec) -> List[int]:
-        out: List[int] = []
-        for comp in beta:
-            for c in comp:
-                out.extend(fq.coords(c))
-        return out
-
-    def try_add(beta: ExtVec) -> None:
-        if all(ext.is_zero(c) for c in beta):
-            return
-        if not _check_solution(pf, ext, A, beta, q):
-            raise AssertionError("closed-form candidate fails the twist equation")
-        _rref_insert(pf, rows, coord_vec(beta), beta, ext)
-
-    # closed-form candidates over a spanning set of v
-    ujpow: List[Vec] = [ext.one] * r
-    for j in range(d):
-        if j:
-            ujpow = [ext.mul(x, y) for x, y in zip(ujpow, u)]
-        for wseq in wpows:
-            for k in range(n):
-                beta = [ext.zero] * n
-                for i in range(r):
-                    c_i = ext.scalar(wseq[i], ujpow[i])
-                    col = ninv[i]
-                    for row_i in range(n):
-                        a = col[row_i][k]
-                        if a:
-                            beta[row_i] = ext.add(beta[row_i], ext.scalar(a, c_i))
-                try_add(tuple(beta))
-                if len(rows) == n:
-                    break
-            if len(rows) == n:
-                break
-        if len(rows) == n:
+    echelon: List[List[int]] = []
+    for row in closed_forms():
+        if len(poly.rref(pf.ring, [row], echelon)) == n:
             break
-
-    if len(rows) < n:
-        _kernel_solve(pf, fq, ext, A, Ainv, rows, coord_vec)
-    if len(rows) < n:
-        return None
-
-    _rref_backsubstitute(pf, rows, ext)
-    rows.sort(key=lambda rv: next(i for i, x in enumerate(rv[0]) if x))
-    basis = [rv[1] for rv in rows]
+    else:
+        raise AssertionError("closed-form solutions do not span the solution space")
+    basis = []
+    for row in echelon:
+        flat = [fq.element[tuple(row[i:i + s])] for i in range(0, len(row), s)]
+        basis.append(tuple(tuple(flat[k * d:(k + 1) * d]) for k in range(n)))
     B = [[basis[j][i] for j in range(n)] for i in range(n)]
-    if ext.is_zero(_ext_det(ext, B)):
+    if not _ext_nonsingular(ext, B):
         raise AssertionError("echelon basis assembled into a singular B")
+    residue = _residue(ext, A, B, q)
+    assert all(ext.is_zero(x) for row in residue for x in row)
     field: Optional[FieldSpec] = None
     if d == 1:
         field = pf.field
     elif pf.field.m == 1:
         field = FieldSpec(pf.field.p, d, [pf.els[c].coeffs[0] for c in h])
-    sol = TwistSolution(q, r, pf.field, ext, basis, B, field)
-    sol._residue = _twist_residue(pf, ext, A, B, q)
-    assert all(ext.is_zero(x) for row in sol._residue for x in row)
-    return sol
+    return TwistSolution(q, r, pf.field, ext, basis, B, field, residue)
 
 
-def _check_solution(pf: PackedField, ext: ExtContext, A: Mat,
-                    beta: ExtVec, q: int) -> bool:
-    n = len(A)
-    for i in range(n):
-        lhs = ext.pow(beta[i], q)
-        rhs = ext.zero
-        for k in range(n):
-            if A[i][k]:
-                rhs = ext.add(rhs, ext.scalar(A[i][k], beta[k]))
-        if lhs != rhs:
-            return False
-    return True
-
-
-def _twist_residue(pf: PackedField, ext: ExtContext, A: Mat,
-                   B: List[List[Vec]], q: int) -> List[List[Vec]]:
+def _residue(ext: ExtContext, A: Mat, B: Sequence[Sequence[Vec]],
+             q: int) -> List[List[Vec]]:
+    """B^(q) - A B entrywise, for B with n rows and any number of columns."""
     n = len(A)
     out = []
     for i in range(n):
         row = []
-        for j in range(n):
-            lhs = ext.pow(B[i][j], q)
+        for j in range(len(B[i])):
             rhs = ext.zero
             for k in range(n):
                 if A[i][k]:
                     rhs = ext.add(rhs, ext.scalar(A[i][k], B[k][j]))
-            row.append(ext.sub(lhs, rhs))
+            row.append(ext.sub(ext.pow(B[i][j], q), rhs))
         out.append(row)
     return out
 
 
-def _rref_insert(pf: PackedField, rows: List[Tuple[List[int], ExtVec]],
-                 vec: List[int], beta: ExtVec, ext: ExtContext) -> None:
-    add, mul, neg, inv = pf.add, pf.mul, pf.neg, pf.inv
-    v = vec[:]
-    b = list(beta)
-    for row, rbeta in rows:
-        piv = next(i for i, x in enumerate(row) if x)
-        c = v[piv]
-        if c:
-            v = [add[x][neg[mul[c][y]]] for x, y in zip(v, row)]
-            b = [ext.sub(x, ext.scalar(c, y)) for x, y in zip(b, rbeta)]
-    nz = next((i for i, x in enumerate(v) if x), None)
-    if nz is None:
-        return
-    c = inv[v[nz]]
-    v = [mul[c][x] for x in v]
-    b = [ext.scalar(c, x) for x in b]
-    rows.append((v, tuple(b)))
-
-
-def _rref_backsubstitute(pf: PackedField, rows: List[Tuple[List[int], ExtVec]],
-                         ext: ExtContext) -> None:
-    add, mul, neg = pf.add, pf.mul, pf.neg
-    for idx in range(len(rows)):
-        row, rbeta = rows[idx]
-        piv = next(i for i, x in enumerate(row) if x)
-        for jdx in range(len(rows)):
-            if jdx == idx:
-                continue
-            orow, obeta = rows[jdx]
-            c = orow[piv]
-            if c:
-                nrow = [add[x][neg[mul[c][y]]] for x, y in zip(orow, row)]
-                nbeta = tuple(ext.sub(x, ext.scalar(c, y)) for x, y in zip(obeta, rbeta))
-                rows[jdx] = (nrow, nbeta)
-
-
-_MODP_TABLES: Dict[int, bytes] = {}
-
-
-def _modp_table(p: int) -> bytes:
-    tab = _MODP_TABLES.get(p)
-    if tab is None:
-        tab = bytes(i % p for i in range(256))
-        _MODP_TABLES[p] = tab
-    return tab
-
-
-def _kernel_solve(pf: PackedField, fq: FqStructure, ext: ExtContext, A: Mat,
-                  Ainv: Mat, rows: List[Tuple[List[int], ExtVec]],
-                  coord_vec) -> None:
-    """Fallback: kernel of tau - 1 where tau(v) = Ainv v^(q), as an F_p-linear
-    map on E^n.  Rows are byte-packed ints (one F_p digit per byte, no carries
-    since digit values stay below 256), normalized mod p by bytes.translate,
-    so elimination runs at C speed.  The F_p-kernel basis is then fed through
-    the F_q echelon insert, which canonicalizes the basis over F_q."""
-    n = len(A)
-    d, m, p, q, e = ext.d, pf.field.m, pf.field.p, fq.q, fq.e
-    Dp = n * d * m
-    tab = _modp_table(p)
-
-    def norm(x: int) -> int:
-        return int.from_bytes(x.to_bytes(Dp + 8, "little").translate(tab)[:Dp], "little")
-
-    digs = [tuple((x // p ** t) % p for t in range(m)) for x in range(pf.order)]
-    theta_q = ext.pow(ext.gen, q)
-    tq_pows = [ext.one]
-    for _ in range(d - 1):
-        tq_pows.append(ext.mul(tq_pows[-1], theta_q))
-    ftab = pf.frob_table(e)
-
-    # coordinate index (k, j, t) -> k*d*m + j*m + t; basis vec = a^t theta^j e_k
-    mat = [bytearray(Dp) for _ in range(Dp)]
-    for k in range(n):
-        for j in range(d):
-            for t in range(m):
-                col = (k * d + j) * m + t
-                uk = ext.scalar(ftab[p ** t], tq_pows[j])  # (a^t theta^j)^q
-                for i in range(n):
-                    c = Ainv[i][k]
-                    if c:
-                        comp = ext.scalar(c, uk)
-                        base = i * d * m
-                        for jj in range(d):
-                            if comp[jj]:
-                                for tt, dg in enumerate(digs[comp[jj]]):
-                                    mat[base + jj * m + tt][col] = dg
-                mat[col][col] = (mat[col][col] - 1) % p
-
-    rints = [int.from_bytes(bytes(ba), "little") for ba in mat]
-    pivots: Dict[int, int] = {}
-    rk = 0
-    for col in range(Dp):
-        shift = 8 * col
-        piv = next((i for i in range(rk, Dp) if (rints[i] >> shift) & 0xFF), None)
+def _ext_nonsingular(ext: ExtContext, M: List[List[Vec]]) -> bool:
+    """Full rank over the tower, by elimination that cross-multiplies rows
+    (row_i <- a*row_i - b*row_piv) instead of dividing by the pivot."""
+    rows = [list(row) for row in M]
+    n = len(rows)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if not ext.is_zero(rows[i][col])), None)
         if piv is None:
-            continue
-        rints[rk], rints[piv] = rints[piv], rints[rk]
-        c = (rints[rk] >> shift) & 0xFF
-        if c != 1:
-            rints[rk] = norm(rints[rk] * pow(c, p - 2, p))
-        for i in range(Dp):
-            if i != rk:
-                di = (rints[i] >> shift) & 0xFF
-                if di:
-                    rints[i] = norm(rints[i] + (p - di) * rints[rk])
-        pivots[col] = rk
-        rk += 1
-
-    for fc in (c for c in range(Dp) if c not in pivots):
-        x = [0] * Dp
-        x[fc] = 1
-        for col, pr in pivots.items():
-            dg = (rints[pr] >> (8 * fc)) & 0xFF
-            if dg:
-                x[col] = p - dg
-        beta = []
-        for k in range(n):
-            comp = []
-            for jj in range(d):
-                base = (k * d + jj) * m
-                comp.append(sum(x[base + tt] * p ** tt for tt in range(m)))
-            beta.append(tuple(comp))
-        beta = tuple(beta)
-        if not _check_solution(pf, ext, A, beta, q):
-            raise AssertionError("kernel vector fails the twist equation")
-        _rref_insert(pf, rows, coord_vec(beta), beta, ext)
-        if len(rows) == n:
-            return
-
-
-def _ext_det(ext: ExtContext, M: List[List[Vec]]) -> Vec:
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    out = ext.zero
-    for j in range(n):
-        if ext.is_zero(M[0][j]):
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in M[1:]]
-        term = ext.mul(M[0][j], _ext_det(ext, minor))
-        out = ext.add(out, term) if j % 2 == 0 else ext.sub(out, term)
-    return out
+            return False
+        rows[col], rows[piv] = rows[piv], rows[col]
+        a = rows[col][col]
+        for i in range(col + 1, n):
+            b = rows[i][col]
+            if not ext.is_zero(b):
+                rows[i] = [ext.sub(ext.mul(a, x), ext.mul(b, y))
+                           for x, y in zip(rows[i], rows[col])]
+    return True
 
 
 def count_solutions_exhaustive(A: Sequence[Sequence[FqElem]], q: int,
@@ -784,12 +510,12 @@ def count_solutions_exhaustive(A: Sequence[Sequence[FqElem]], q: int,
 
     count = 0
     for code in range(order ** n):
-        beta = []
+        beta = []  # one column
         cc = code
         for _ in range(n):
-            beta.append(elem(cc % order))
+            beta.append([elem(cc % order)])
             cc //= order
-        if _check_solution(pfld, ext, A_packed, tuple(beta), q):
+        if all(ext.is_zero(row[0]) for row in _residue(ext, A_packed, beta, q)):
             count += 1
     return count
 

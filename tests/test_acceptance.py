@@ -287,23 +287,29 @@ def test_criterion_09_precision_and_equivariance():
     print("CRITERION 09: PASS")
 
 
-CLI_COMMANDS = [
-    ["validate", F1_PATH],
-    ["validate", F3_PATH, "--format", "json"],
-    ["check-conditions", F3_PATH],
-    ["orbit", F1_PATH, "--point", "P", "--horizon", "6", "--format", "csv"],
-    ["lift", F4_PATH, "--point0", "P0", "--prec", "40", "--format", "json"],
-    ["twist", TWIST_PATH],
-    ["twist", TWIST_PATH, "--format", "json"],
-    ["normalize", F1_PATH, "--format", "json"],
-    ["returns", F4_PATH, "--point", "Ptilde", "--variety", "orbitpt",
-     "--horizon", "40", "--format", "csv"],
-    ["returns", F1_PATH, "--point", "P", "--variety", "axis",
-     "--format", "json"],
-    ["compose", F3_PATH, "--times", "2", "--recognize", "4"],
-    ["witness", F4_PATH, "--point0", "P0", "--index", "2", "--prec", "40"],
-    ["period", F4_PATH, "--point0", "P0", "--prec", "40"],
-]
+# name -> argv; bench/expected/cli/<name>.out holds the expected stdout
+CLI_COMMANDS = {
+    "validate-f1": ["validate", F1_PATH],
+    "validate-f3-json": ["validate", F3_PATH, "--format", "json"],
+    "check-conditions-f3": ["check-conditions", F3_PATH],
+    "orbit-f1-csv": ["orbit", F1_PATH, "--point", "P", "--horizon", "6",
+                     "--format", "csv"],
+    "lift-f4-json": ["lift", F4_PATH, "--point0", "P0", "--prec", "40",
+                     "--format", "json"],
+    "twist-swap": ["twist", TWIST_PATH],
+    "twist-swap-json": ["twist", TWIST_PATH, "--format", "json"],
+    "normalize-f1-json": ["normalize", F1_PATH, "--format", "json"],
+    "returns-f4-csv": ["returns", F4_PATH, "--point", "Ptilde", "--variety",
+                       "orbitpt", "--horizon", "40", "--format", "csv"],
+    "returns-f1-json": ["returns", F1_PATH, "--point", "P", "--variety", "axis",
+                        "--format", "json"],
+    "compose-f3": ["compose", F3_PATH, "--times", "2", "--recognize", "4"],
+    "witness-f4": ["witness", F4_PATH, "--point0", "P0", "--index", "2",
+                   "--prec", "40"],
+    "period-f4": ["period", F4_PATH, "--point0", "P0", "--prec", "40"],
+}
+EXPECTED_CLI = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "bench", "expected", "cli")
 
 
 def run_cli(args, env_extra):
@@ -318,9 +324,11 @@ def run_cli(args, env_extra):
 def test_criterion_10_cli_determinism():
     env_a = {"PYTHONHASHSEED": "0", "OMP_NUM_THREADS": "1"}
     env_b = {"PYTHONHASHSEED": "42", "OMP_NUM_THREADS": "8"}
-    for args in CLI_COMMANDS:
+    for name, args in CLI_COMMANDS.items():
         first = run_cli(args, env_a)
         assert first, args
         assert run_cli(args, env_a) == first, args
         assert run_cli(args, env_b) == first, args
+        with open(os.path.join(EXPECTED_CLI, f"{name}.out"), "rb") as fh:
+            assert first == fh.read(), name
     print("CRITERION 10: PASS")

@@ -223,6 +223,17 @@ def test_twist_search_bound_is_exit_3():
     assert "SearchExhausted" in err
 
 
+def test_twist_singular_matrix_is_exit_2(tmp_path):
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps({
+        "label": "singular", "q": 2,
+        "field": {"p": 2, "m": 1, "modulus": [0, 1]},
+        "A": [["1", "1"], ["1", "1"]]}))
+    code, out, err = run(["twist", str(path)])
+    assert code == 2 and out == ""
+    assert err == "error: NotInvertible: A is singular\n"
+
+
 def test_missing_horizon_is_exit_2():
     code, _, err = run(["orbit", F3, "--point", "1,0,1", "--prec", "4"])
     assert code == 2 and "--horizon" in err

@@ -1,11 +1,12 @@
 import random
+import time
 
 import pytest
 
 from frobdml.dynamics import DmlMap, recognize_dml_form, validate_map
 from frobdml.errors import (NonConstantMatrix, NonFlattenableExtension,
                             NotInvertible, SearchExhausted)
-from frobdml.field import format_element
+from frobdml.field import format_element, make_field
 from frobdml.geometry import HomogPoly
 from frobdml.instances import fixture_path, parse_twist_file
 from frobdml.series import TruncSeries, format_series, parse_series
@@ -17,6 +18,9 @@ from conftest import field_for, fq_det, identity_matrix, rand_gl
 F2 = field_for(2, 1)
 F3 = field_for(3, 1)
 F4 = field_for(2, 2)
+F8 = field_for(2, 3)
+F9 = field_for(3, 2)
+F16 = make_field(2, 4, [1, 1, 0, 0, 1])
 
 
 def elems(F, rows):
@@ -74,9 +78,10 @@ def test_entrywise_verification_when_flattened():
             assert not fq_det(B).is_zero()
 
 
-def test_unipotent_uses_kernel_fallback():
-    # (x-1)^2 divides the minimal polynomial of tau here, so the closed-form
-    # candidates span a proper subspace and the kernel route must finish
+def test_unipotent_closed_form_spans():
+    # the characteristic divides r = 2 here, yet the closed-form candidates
+    # still span: with A = C^(q) C^-1 they are C * Tr(C^-1 v), and the trace
+    # of F_(q^r)/F_q is onto
     sol = solve_twist(elems(F2, [[1, 1], [0, 1]]), 2)
     assert sol.r == 2
     assert all(sol.entry_str(x) == "0" for row in sol.residue() for x in row)
@@ -181,3 +186,50 @@ def test_twist_file_fixture():
     field, A, q = parse_twist_file(fixture_path("twist_swap.json"))
     assert field == F2 and q == 2
     assert [[x.index() for x in row] for row in A] == [[0, 1], [1, 0]]
+
+
+def test_singular_matrix_is_not_invertible():
+    with pytest.raises(NotInvertible):
+        solve_twist(elems(F2, [[1, 1], [1, 1]]), 2)
+
+
+# Canonical bases captured before the twist solver's echelon steps moved to
+# poly.rref.  Criterion 4 checks only B^(q) = A B and det B != 0; these fix
+# which basis of the solution space is returned.
+@pytest.mark.parametrize("F, rows, q, r, basis", [
+    (F9, [[1, 2], [3, 4]], 3, 4,
+     [["1+2*a", "a"], ["(1+2*a)*b", "(1+a)*b"]]),
+    (F8, [[1, 2], [3, 4]], 2, 9,
+     [["b+b^2", "a^2*b+(1+a^2)*b^2"],
+      ["(a+a^2)*b+(1+a+a^2)*b^2", "(1+a)*b^2"]]),
+    (F16, [[1, 2], [3, 4]], 4, 6,
+     [["1+a+a^2+a^3", "a+a^3"], ["(1+a)*b", "(a+a^3)*b"]]),
+    (F4, [[0, 1], [2, 0]], 2, 6,
+     [["b", "b^2"], ["a*b", "(1+a)*b^2"]]),
+])
+def test_tower_basis_golden(F, rows, q, r, basis):
+    sol = solve_twist(elems(F, rows), q)
+    assert sol.r == r and sol.field is None
+    assert [list(v) for v in sol.basis] == basis
+    assert sol.B == [[v[i] for v in basis] for i in range(len(basis))]
+
+
+def test_f8_3x3_basis_raw_golden():
+    sol = solve_twist(elems(F8, [[1, 2, 0], [0, 1, 5], [3, 0, 1]]), 2)
+    assert sol.r == 21 and sol.ext.h == (2, 0, 0, 0, 0, 0, 0, 1)
+    assert sol.basis_raw == [
+        ((0, 1, 2, 0, 3, 0, 0), (0, 0, 4, 0, 6, 0, 0), (0, 3, 3, 0, 0, 0, 0)),
+        ((0, 2, 3, 0, 1, 0, 0), (0, 0, 6, 0, 2, 0, 0), (0, 6, 7, 0, 0, 0, 0)),
+        ((0, 4, 7, 0, 6, 0, 0), (0, 0, 5, 0, 7, 0, 0), (0, 7, 1, 0, 0, 0, 0))]
+    assert sol.B_raw == [[v[i] for v in sol.basis_raw] for i in range(3)]
+
+
+def test_cyclic_9x9_solves_under_a_second():
+    n = 9
+    A = elems(F2, [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)])
+    start = time.perf_counter()
+    sol = solve_twist(A, 2)
+    assert time.perf_counter() - start < 1.0
+    assert sol.r == 9
+    assert all(sol.entry_str(x) == "0" for row in sol.residue() for x in row)
+    assert not fq_det(sol.B).is_zero()
