@@ -3,7 +3,8 @@
 One command per invocation; instance files supply the field context and named
 objects, flags select what to do with them.  Exit codes: 0 success, 1
 mathematical negative (the computation ran and the answer is "no"), 2
-validation or parse failure, 3 a configured resource bound was hit.
+validation or parse failure, 3 a configured resource bound was hit, 4 an
+internal error (a fault of the program, reported in one line).
 
 All output is deterministic: identical inputs produce byte-identical stdout.
 The --seed flag is accepted for reproducibility plumbing in batch runs; the
@@ -480,6 +481,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FrobdmlError as ex:
         sys.stderr.write(f"error: {type(ex).__name__}: {ex}\n")
         return ex.exit_code
+    except Exception as ex:
+        # a fault of the program, never a mathematical "no" (exit 1)
+        sys.stderr.write(f"internal error: {type(ex).__name__}: {ex}\n")
+        return 4
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ of genuine series multiplications for the G part only.
 """
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -157,17 +156,8 @@ class DmlMap:
 
     def _nonzero_rows(self):
         if self._rows is None:
-            one = self.field.one()
-            rows = []
-            for row in self.A:
-                entries = []
-                for j, s in enumerate(row):
-                    if not s.is_zero_at_precision():
-                        is_one = (s.constant_term() == one
-                                  and all(c.is_zero() for c in s.coeffs[1:]))
-                        entries.append((j, s, is_one))
-                rows.append(entries)
-            self._rows = rows
+            self._rows = [[(j, s, s.is_one()) for j, s in enumerate(row)
+                           if not s.is_zero_at_precision()] for row in self.A]
         return self._rows
 
     def __repr__(self):
@@ -312,6 +302,8 @@ def _unit_det(A: Sequence[Sequence[TruncSeries]]) -> bool:
 
 def _sigma_fixed(s: TruncSeries, e: int) -> Optional[str]:
     """None if every coefficient is Frob_{p^e}-fixed, else a witness string."""
+    if s.galois(e) == s:
+        return None
     for j, c in enumerate(s.coeffs):
         if c.frobenius(e) != c:
             return f"{c} (of t^{j})"
@@ -319,19 +311,13 @@ def _sigma_fixed(s: TruncSeries, e: int) -> Optional[str]:
 
 
 def coefficient_field_exponent(f_A, f_G) -> int:
-    """lcm of the subfield degrees of every stored coefficient."""
-    e0 = 1
-    for row in f_A:
-        for s in row:
-            for c in s.coeffs:
-                if not c.is_zero():
-                    e0 = math.lcm(e0, c.subfield_degree())
-    for g in f_G:
-        for s in g.terms.values():
-            for c in s.coeffs:
-                if not c.is_zero():
-                    e0 = math.lcm(e0, c.subfield_degree())
-    return e0
+    """lcm of the subfield degrees of every stored coefficient: the least
+    d | m whose Galois action Frob_{p^d} fixes every series."""
+    series = [s for row in f_A for s in row]
+    series += [s for g in f_G for s in g.terms.values()]
+    m = series[0].field.m
+    return next(d for d in range(1, m + 1)
+                if m % d == 0 and all(s.galois(d) == s for s in series))
 
 
 def validate_map(field: FieldSpec, p: int, e: int,
@@ -652,7 +638,7 @@ def preimage_qp(f: DmlMap, P: ProjPoint) -> ProjPoint:
     if i0 is None:
         raise NotInImage("solved vector has no unit coordinate at this precision")
     u = R[i0]
-    if u.constant_term() != field.one() or any(not c.is_zero() for c in u.coeffs[1:]):
+    if not u.is_one():
         R = [r / u for r in R]
     p = f.p
     for i, r in enumerate(R):

@@ -5,6 +5,9 @@ Every error carries an ``exit_code`` consumed by the CLI:
     1   mathematical negative (the object exists but the answer is "no")
     2   validation or parse failure (the input is malformed)
     3   a configured resource bound was hit
+
+Any other exception is an internal error: the CLI reports it in one line
+and exits 4.
 """
 from __future__ import annotations
 

@@ -72,7 +72,8 @@ class FieldSpec:
 
     __slots__ = (
         "p", "m", "modulus", "order",
-        "_fp", "_red", "_frob_mats", "_zero", "_one", "_gen",
+        "_fp", "_red", "_frob_mats", "_zero", "_one", "_gen", "_kron",
+        "_tables",
     )
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
@@ -110,6 +111,8 @@ class FieldSpec:
             cur = nxt
         self._red = red
         self._frob_mats: dict = {}
+        self._kron = None    # the series packing, built by series._layout
+        self._tables = None  # twist's PackedField, built by twist.packed_field
         self._zero = FqElem(self, (0,) * m)
         self._one = FqElem(self, (1,) + (0,) * (m - 1))
         g = [0] * m

@@ -269,8 +269,7 @@ def format_poly(h: HomogPoly, varname: str = "x") -> str:
         mono = "*".join(
             f"{varname}{j}" if k == 1 else f"{varname}{j}^{k}"
             for j, k in enumerate(exps) if k)
-        one = TruncSeries.one(h.field, coeff.prec)
-        if coeff.coeffs == one.coeffs:
+        if coeff.is_one():
             parts.append(mono if mono else "1")
         else:
             cstr = f"({coeff})"

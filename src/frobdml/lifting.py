@@ -83,9 +83,8 @@ def _canonical_residue(f: DmlMap, P0: Sequence[FqElem]) -> Tuple[FqElem, ...]:
 
 def detect_residue_degree(P: ProjPoint, e: int) -> Optional[int]:
     """Least m with every stored coefficient fixed by Frob_{q^m}, q = p^e."""
-    coeffs = [c for s in P.coords for c in s.coeffs]
     for m in range(1, P.field.m + 1):
-        if all(c.frobenius(e * m) == c for c in coeffs):
+        if all(s.galois(e * m) == s for s in P.coords):
             return m
     return None
 

@@ -1,34 +1,63 @@
 """Truncated power series k[[t]]/(t^prec) with absolute precision tracking.
 
-A TruncSeries stores exactly ``prec`` coefficients (ascending powers of t)
-over a FieldSpec.  Precision is absolute: arithmetic results carry
-min(prec_a, prec_b); division by a unit preserves precision; truncation is
-exact while zero-padding marks the result inexact.
+A TruncSeries over k = F_{p^m} is one integer, the Kronecker packing of its
+prec coefficients (D. Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", J. Symbolic Comput. 2009).  The
+coefficient of t^j owns slot j, 2m-1 digits of w bits starting at bit
+j*(2m-1)*w.  Its F_p coordinates (ascending powers of the generator a) sit
+in the low m digits of the slot, each reduced to [0, p); the high m-1 digits
+are zero.  The packing is canonical, so equality, hashing, the zero test,
+the valuation (lowest set bit over the slot width), division by t^k (a
+shift) and truncation (a mask) read the integer directly.  FqElem values
+appear only at the boundaries: the list constructor used by parsing, and
+``coeffs`` and ``constant_term``, which decode on every call.
+
+The high digits make room for products.  One bignum multiply performs the
+whole convolution, slot j receiving the 2m-1 digits of sum_i c_i d_(j-i);
+every digit is reduced mod p, digits m..2m-2 are folded back through the
+rows a^(m+k) mod the modulus, and the low digits are reduced again.  A
+product digit sums at most prec*m terms below (p-1)^2 and the fold adds
+less than m*p^2, so the digit width w is derived per field as the least
+power of two >= 8 with
+
+    MAX_PREC * m * (p-1)^2 + m * p^2 < 2^(w-1),       MAX_PREC = 2^16.
+
+Every series over a field therefore has the same width, and a precision
+above MAX_PREC is rejected rather than allowed to overflow a digit.  The
+spare top bit serves addition: digits are added, then p is subtracted from
+exactly the digits that reached p, read off as bit w-1 after adding
+2^(w-1)-p to every digit.  Over F_2 addition is XOR and a digit mod 2 is its
+low bit.
+
+Precision is absolute: arithmetic results carry min(prec_a, prec_b);
+division by a unit preserves precision; truncation is exact while
+zero-padding marks the result inexact.
 
 The zero-at-precision series is not "zero", it is "indistinguishable from
 zero below t^prec"; ``valuation`` returns the AtPrecisionZero sentinel for
 it rather than an integer.
-
-Multiplication uses Kronecker substitution: a series over F_{p^m} is packed
-into one big integer with an 8-byte digit per F_p coefficient and a stride
-of 2m-1 digits per series coefficient, so one CPython bignum multiply
-performs the whole convolution and the only per-coefficient work is the
-modular reduction while decoding.  Digit overflow is impossible at desk
-scale (bound prec * m * (p-1)^2 << 2^64).
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from itertools import islice
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DegreeMismatch,
+    DegreeOverflow,
     FieldMismatch,
     NonUnitDivisor,
     ParseError,
 )
 from .field import FieldSpec, FqElem, parse_element, format_element
+
+MAX_PREC = 1 << 16
+# Shapes kept per field: a shape costs a few integers of n slots, and a walk
+# that loses precision step by step meets a new n at every step.
+SHAPES_KEPT = 64
+_STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 @dataclass(frozen=True)
@@ -43,154 +72,295 @@ class GaloisAction:
     e: int
 
 
-_STRUCT_CACHE: dict = {}
+# ---------------------------------------------------------------------------
+# the packing of one field
+# ---------------------------------------------------------------------------
+
+class _WideDigits:
+    """struct.Struct stand-in for digits wider than 64 bits: reads and writes
+    the wb-byte digits at the given byte offsets, zero elsewhere."""
+
+    __slots__ = ("size", "wb", "offsets")
+
+    def __init__(self, size: int, wb: int, offsets: List[int]):
+        self.size, self.wb, self.offsets = size, wb, offsets
+
+    def unpack(self, buf: bytes) -> Tuple[int, ...]:
+        wb = self.wb
+        return tuple(int.from_bytes(buf[o:o + wb], "little") for o in self.offsets)
+
+    def pack(self, *digits: int) -> bytes:
+        out = bytearray(self.size)
+        wb = self.wb
+        for o, d in zip(self.offsets, digits):
+            out[o:o + wb] = d.to_bytes(wb, "little")
+        return bytes(out)
 
 
-def _unpack_u64(buf: bytes, n: int) -> Tuple[int, ...]:
-    st = _STRUCT_CACHE.get(n)
-    if st is None:
-        st = struct.Struct(f"<{n}Q")
-        _STRUCT_CACHE[n] = st
-    return st.unpack_from(buf)
+def _digit_struct(L: "_Layout", n: int, first: int, count: int):
+    """Reader/writer of digits first..first+count-1 of each of n slots."""
+    wb, slot = L.w // 8, L.S // 8
+    code = _STRUCT_CODES.get(L.w)
+    if code is None:
+        return _WideDigits(n * slot, wb, [j * slot + (first + i) * wb
+                                          for j in range(n) for i in range(count)])
+    pre, post = first * wb, slot - (first + count) * wb
+    if not pre and not post:     # m = 1: the slot is the digit
+        return struct.Struct(f"<{n}{code}")
+    item = (f"{pre}x" if pre else "") + f"{count}{code}" + (f"{post}x" if post else "")
+    return struct.Struct("<" + item * n)
 
+
+class _Shape:
+    """Masks and digit structs of an n-coefficient packing."""
+
+    __slots__ = ("rep", "ones", "bias", "pones", "digit", "low", "lo", "hi")
+
+    def __init__(self, L: "_Layout", n: int):
+        p, m, w, S = L.p, L.m, L.w, L.S
+        self.rep = rep = ((1 << (n * S)) - 1) // ((1 << S) - 1)  # bit 0 of each slot
+        self.ones = rep * L.ones_slot            # 1 in every stored digit
+        self.digit = rep * ((1 << w) - 1)        # all of digit 0 of each slot
+        self.low = rep * L.slot                  # all of the stored digits
+        # add/sub: digits reaching p gain bit w-1 from bias; pones - x negates
+        self.bias = self.ones * ((1 << (w - 1)) - p) if p > 2 else None
+        self.pones = self.ones * p if p > 2 else None
+        self.lo = _digit_struct(L, n, 0, m)
+        self.hi = _digit_struct(L, n, m, m - 1) if m > 1 and p > 2 else None
+
+
+class _Layout:
+    """Digit width, slot width, the reduction rows a^(m+k) and Frobenius
+    columns as packed slots, and a _Shape per coefficient count."""
+
+    __slots__ = ("p", "m", "w", "S", "slot", "ones_slot", "red", "_frob", "_shapes")
+
+    def __init__(self, field: FieldSpec):
+        p, m = field.p, field.m
+        w = 8
+        while MAX_PREC * m * (p - 1) ** 2 + m * p * p >= 1 << (w - 1):
+            w *= 2
+        self.p, self.m, self.w, self.S = p, m, w, (2 * m - 1) * w
+        self.slot = (1 << (m * w)) - 1
+        self.ones_slot = self.pack((1,) * m)
+        self.red = [self.pack(row) for row in field._red[:m - 1]]
+        self._frob: Dict[int, List[int]] = {}
+        self._shapes: Dict[int, _Shape] = {}
+
+    def pack(self, digits: Sequence[int]) -> int:
+        """One coefficient's digits as a packed slot."""
+        w = self.w
+        return sum(d << (i * w) for i, d in enumerate(digits))
+
+    def at(self, n: int) -> _Shape:
+        sh = self._shapes.get(n)
+        if sh is None:
+            if len(self._shapes) >= SHAPES_KEPT:   # evict the oldest
+                del self._shapes[next(iter(self._shapes))]
+            sh = self._shapes[n] = _Shape(self, n)
+        return sh
+
+    def frob_cols(self, field: FieldSpec, k: int) -> List[int]:
+        """The images of 1, a, .., a^(m-1) under x -> x^(p^k), packed."""
+        cols = self._frob.get(k)
+        if cols is None:
+            cols = self._frob[k] = [self.pack(c) for c in field._frob_mat(k)]
+        return cols
+
+
+_LAYOUTS: Dict[Tuple[int, int, Tuple[int, ...]], _Layout] = {}
+
+
+def _layout(field: FieldSpec) -> _Layout:
+    """The packing of ``field``, shared by every equal FieldSpec (each parsed
+    instance file builds its own) and kept on the field for direct access."""
+    L = field._kron
+    if L is None:
+        key = (field.p, field.m, field.modulus)
+        L = _LAYOUTS.get(key)
+        if L is None:
+            L = _LAYOUTS[key] = _Layout(field)
+        field._kron = L
+    return L
+
+
+def _modp(st, p: int, X: int) -> int:
+    """Reduce mod p the digits of X that st reads; the others become 0."""
+    return int.from_bytes(
+        st.pack(*map(p.__rmod__, st.unpack(X.to_bytes(st.size, "little")))), "little")
+
+
+def _reduce_low(L: _Layout, sh: _Shape, P: int) -> int:
+    """Canonical packing of P, whose slots hold m low digits below 2^(w-1)."""
+    return P & sh.ones if L.p == 2 else _modp(sh.lo, L.p, P)
+
+
+def _reduce(L: _Layout, sh: _Shape, P: int) -> int:
+    """Canonical packing of P, whose slots hold 2m-1 digits below 2^(w-1)."""
+    if L.m > 1:
+        w = L.w
+        if L.p == 2:
+            H, dig = P, sh.rep          # a digit mod 2 is its low bit
+        else:
+            H, dig = _modp(sh.hi, L.p, P), sh.digit
+        P &= sh.low
+        for k, row in enumerate(L.red, L.m):
+            P += ((H >> (k * w)) & dig) * row
+    return _reduce_low(L, sh, P)
+
+
+# ---------------------------------------------------------------------------
+# TruncSeries
+# ---------------------------------------------------------------------------
 
 class TruncSeries:
-    __slots__ = ("field", "prec", "coeffs", "inexact", "_enc")
+    """Series over ``field`` known to absolute precision ``prec``, stored as
+    the packed integer ``packed`` (see the module docstring).  Every
+    TruncSeries has built the packing of its field, so methods read
+    ``self.field._kron`` directly."""
+
+    __slots__ = ("field", "prec", "packed", "inexact")
 
     def __init__(self, field: FieldSpec, prec: int, coeffs: Sequence[FqElem],
                  inexact: bool = False):
-        if prec < 1:
-            raise DegreeMismatch(f"precision {prec} must be >= 1")
-        cs = list(coeffs)
-        if len(cs) > prec:
-            cs = cs[:prec]
-        elif len(cs) < prec:
-            cs.extend([field.zero()] * (prec - len(cs)))
+        _check_prec(prec)
+        L = _layout(field)
+        digits = [d for c in islice(coeffs, prec) for d in c.coeffs]
+        digits += [0] * (prec * L.m - len(digits))
         self.field = field
         self.prec = prec
-        self.coeffs = tuple(cs)
+        self.packed = int.from_bytes(L.at(prec).lo.pack(*digits), "little")
         self.inexact = inexact
-        self._enc: Optional[int] = None
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def zeros(field: FieldSpec, prec: int) -> "TruncSeries":
-        return TruncSeries(field, prec, [])
+        return _make(field, prec, 0)
 
     @staticmethod
     def from_constant(c: FqElem, prec: int) -> "TruncSeries":
-        return TruncSeries(c.field, prec, [c])
+        return _make(c.field, prec, _layout(c.field).pack(c.coeffs))
 
     @staticmethod
     def one(field: FieldSpec, prec: int) -> "TruncSeries":
-        return TruncSeries(field, prec, [field.one()])
+        return _make(field, prec, 1)
 
     @staticmethod
     def t_power(field: FieldSpec, j: int, prec: int) -> "TruncSeries":
-        cs = [field.zero()] * prec
-        if j < prec:
-            cs[j] = field.one()
-        return TruncSeries(field, prec, cs)
+        return _make(field, prec, 1 << (j * _layout(field).S) if j < prec else 0)
 
     # -- inspection -------------------------------------------------------
 
+    @property
+    def coeffs(self) -> Tuple[FqElem, ...]:
+        """The prec coefficients, decoded afresh on every access."""
+        field = self.field
+        m = field.m
+        st = field._kron.at(self.prec).lo
+        ds = st.unpack(self.packed.to_bytes(st.size, "little"))
+        return tuple(FqElem(field, ds[i:i + m]) for i in range(0, len(ds), m))
+
     def is_zero_at_precision(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.packed
+
+    def is_one(self) -> bool:
+        """Exactly the series 1 at this precision."""
+        return self.packed == 1
 
     def is_unit(self) -> bool:
-        return not self.coeffs[0].is_zero()
+        return bool(self.packed & self.field._kron.slot)
 
     def constant_term(self) -> FqElem:
-        return self.coeffs[0]
+        L = self.field._kron
+        x, w, dm = self.packed & L.slot, L.w, (1 << L.w) - 1
+        return FqElem(self.field, tuple((x >> (i * w)) & dm for i in range(L.m)))
 
     def valuation(self) -> Union[int, AtPrecisionZero]:
-        for j, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return j
-        return AtPrecisionZero(self.prec)
+        X = self.packed
+        if not X:
+            return AtPrecisionZero(self.prec)
+        return ((X & -X).bit_length() - 1) // self.field._kron.S
 
     # -- helpers ----------------------------------------------------------
 
-    def _check(self, other: "TruncSeries") -> None:
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-
     def _align(self, other: "TruncSeries") -> int:
-        self._check(other)
+        if self.field is not other.field and self.field != other.field:
+            raise FieldMismatch(f"{self.field} vs {other.field}")
         return min(self.prec, other.prec)
+
+    def _operands(self, other: "TruncSeries") -> Tuple[int, int, int]:
+        """(n, X, Y): the common precision and both packings cut to it."""
+        n = self._align(other)
+        X, Y = self.packed, other.packed
+        if self.prec > n:
+            X &= (1 << (n * self.field._kron.S)) - 1
+        elif other.prec > n:
+            Y &= (1 << (n * self.field._kron.S)) - 1
+        return n, X, Y
+
+    def _sum(self, n: int, Z: int, inexact: bool) -> "TruncSeries":
+        """Series of the digitwise sum Z, each digit in [0, 2p)."""
+        L = self.field._kron
+        sh = L.at(n)
+        Z -= (((Z + sh.bias) >> (L.w - 1)) & sh.ones) * L.p
+        return _new(self.field, n, Z, inexact)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        n = self._align(other)
-        cs = [a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])]
-        return TruncSeries(self.field, n, cs, self.inexact or other.inexact)
+        n, X, Y = self._operands(other)
+        inexact = self.inexact or other.inexact
+        if self.field.p == 2:
+            return _new(self.field, n, X ^ Y, inexact)
+        return self._sum(n, X + Y, inexact)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        n = self._align(other)
-        cs = [a - b for a, b in zip(self.coeffs[:n], other.coeffs[:n])]
-        return TruncSeries(self.field, n, cs, self.inexact or other.inexact)
+        n, X, Y = self._operands(other)
+        inexact = self.inexact or other.inexact
+        if self.field.p == 2:
+            return _new(self.field, n, X ^ Y, inexact)
+        return self._sum(n, X + self.field._kron.at(n).pones - Y, inexact)
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.field, self.prec, [-c for c in self.coeffs], self.inexact)
+        if self.field.p == 2:
+            return self
+        return self._sum(self.prec, self.field._kron.at(self.prec).pones - self.packed,
+                         self.inexact)
 
     def scale(self, c: FqElem) -> "TruncSeries":
-        return TruncSeries(self.field, self.prec, [c * x for x in self.coeffs], self.inexact)
-
-    def _encode(self) -> int:
-        """Kronecker packing of all prec coefficients (cached)."""
-        if self._enc is None:
-            m = self.field.m
-            stride = 8 * (2 * m - 1)
-            buf = bytearray(stride * self.prec)
-            pos = 0
-            for c in self.coeffs:
-                for i, ci in enumerate(c.coeffs):
-                    if ci:
-                        buf[pos + 8 * i] = ci
-                pos += stride
-            self._enc = int.from_bytes(bytes(buf), "little")
-        return self._enc
-
-    def _enc_prefix(self, n: int) -> int:
-        """Packing of the first n coefficients: a bitmask of the cache."""
-        if n >= self.prec:
-            return self._encode()
-        bits = 64 * (2 * self.field.m - 1) * n
-        return self._encode() & ((1 << bits) - 1)
+        field = self.field
+        if c.field is not field and c.field != field:
+            raise FieldMismatch(f"{field} vs {c.field}")
+        L = field._kron
+        P = self.packed * L.pack(c.coeffs)
+        return _new(field, self.prec, _reduce(L, L.at(self.prec), P), self.inexact)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        n = self._align(other)
-        field = self.field
-        if n == 1:
-            return TruncSeries(field, 1, [self.coeffs[0] * other.coeffs[0]],
-                               self.inexact or other.inexact)
-        prod = self._enc_prefix(n) * other._enc_prefix(n)
-        cs = _decode(field, prod, n)
-        return TruncSeries(field, n, cs, self.inexact or other.inexact)
+        n, X, Y = self._operands(other)
+        L = self.field._kron
+        P = (X * Y) & ((1 << (n * L.S)) - 1)
+        return _new(self.field, n, _reduce(L, L.at(n), P), self.inexact or other.inexact)
 
     def inverse(self) -> "TruncSeries":
         """Inverse of a unit by Newton doubling (error squares each step)."""
         if not self.is_unit():
             raise NonUnitDivisor(
                 f"valuation {self.valuation()} > 0, cannot invert at fixed precision")
-        field, prec = self.field, self.prec
-        inv = TruncSeries(field, 1, [self.coeffs[0].inv()])
+        field, prec, S = self.field, self.prec, self.field._kron.S
+        inv = TruncSeries.from_constant(self.constant_term().inv(), 1)
         k = 1
         while k < prec:
             k = min(2 * k, prec)
-            v = TruncSeries(field, k, inv.coeffs[: k], self.inexact)
-            u = TruncSeries(field, k, self.coeffs[:k], self.inexact)
-            e = TruncSeries.one(field, k) - u * v
+            v = _new(field, k, inv.packed, self.inexact)
+            u = _new(field, k, self.packed & ((1 << (k * S)) - 1), self.inexact)
+            e = _new(field, k, 1, False) - u * v
             inv = v + v * e
-        return TruncSeries(field, prec, inv.coeffs, self.inexact)
+        return _new(field, prec, inv.packed, self.inexact)
 
     def __truediv__(self, other: "TruncSeries") -> "TruncSeries":
         n = self._align(other)
-        return TruncSeries(self.field, n, self.coeffs[:n],
-                           self.inexact) * TruncSeries(
-                               other.field, n, other.coeffs[:n], other.inexact).inverse()
+        return self.change_precision(n) * other.change_precision(n).inverse()
 
     def __pow__(self, n: int) -> "TruncSeries":
         if n < 0:
@@ -205,18 +375,19 @@ class TruncSeries:
         return out
 
     def frobenius_power(self, k: int = 1) -> "TruncSeries":
-        """self^(p^k) via the char-p identity (sum c_j t^j)^p = sum c_j^p t^(pj).
+        """self^(p^k) via the char-p identity (sum c_j t^j)^p = sum c_j^p t^(pj):
+        slot j moves to slot j*p^k, then Frob_{p^k} acts on every coefficient.
 
         Exact, one pass; absolute precision is conservatively kept."""
-        field = self.field
+        field, n = self.field, self.prec
         pk = field.p ** k
-        cs = [field.zero()] * self.prec
-        for j, c in enumerate(self.coeffs):
-            if j * pk >= self.prec:
-                break
-            if not c.is_zero():
-                cs[j * pk] = c.frobenius(k)
-        return TruncSeries(field, self.prec, cs, self.inexact)
+        slot = field._kron.S // 8
+        src = self.packed.to_bytes(n * slot, "little")
+        out = bytearray(n * slot)
+        for j in range(0, n, pk):
+            i = j // pk
+            out[j * slot:(j + 1) * slot] = src[i * slot:(i + 1) * slot]
+        return _new(field, n, int.from_bytes(out, "little"), self.inexact).galois(k)
 
     def shift_down(self, k: int) -> "TruncSeries":
         """Divide by t^k (index shift); consumes k digits of precision."""
@@ -224,21 +395,35 @@ class TruncSeries:
             return self
         if self.prec - k < 1:
             raise DegreeMismatch(f"shift by {k} exhausts precision {self.prec}")
-        return TruncSeries(self.field, self.prec - k, self.coeffs[k:], self.inexact)
+        return _new(self.field, self.prec - k,
+                    self.packed >> (k * self.field._kron.S), self.inexact)
 
     def galois(self, act: Union[GaloisAction, int], inverse: bool = False) -> "TruncSeries":
         e = act.e if isinstance(act, GaloisAction) else act
         if inverse:
             e = -e
-        cs = [c.frobenius(e) for c in self.coeffs]
-        return TruncSeries(self.field, self.prec, cs, self.inexact)
+        field = self.field
+        k = e % field.m
+        if k == 0:
+            return self
+        L = field._kron
+        sh = L.at(self.prec)
+        X, w = self.packed, L.w
+        acc = 0
+        for j, col in enumerate(L.frob_cols(field, k)):
+            acc += ((X >> (j * w)) & sh.digit) * col
+        return _new(field, self.prec, _reduce_low(L, sh, acc), self.inexact)
 
     # -- precision management ---------------------------------------------
 
     def change_precision(self, n: int) -> "TruncSeries":
-        if n <= self.prec:
-            return TruncSeries(self.field, n, self.coeffs[:n], self.inexact)
-        return TruncSeries(self.field, n, list(self.coeffs), inexact=True)
+        if n == self.prec:
+            return self
+        _check_prec(n)
+        if n < self.prec:
+            return _new(self.field, n, self.packed & ((1 << (n * self.field._kron.S)) - 1),
+                        self.inexact)
+        return _new(self.field, n, self.packed, True)
 
     def eq_at_precision(self, other: "TruncSeries", n: Optional[int] = None) -> bool:
         k = self._align(other)
@@ -246,16 +431,16 @@ class TruncSeries:
             if n > k:
                 raise DegreeMismatch(f"cannot compare at {n} beyond stored precision {k}")
             k = n
-        return self.coeffs[:k] == other.coeffs[:k]
+        return not ((self.packed ^ other.packed) & ((1 << (k * self.field._kron.S)) - 1))
 
     # -- dunder plumbing ----------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, TruncSeries) and self.field == other.field
-                and self.prec == other.prec and self.coeffs == other.coeffs)
+        return (isinstance(other, TruncSeries) and self.packed == other.packed
+                and self.prec == other.prec and self.field == other.field)
 
     def __hash__(self):
-        return hash((self.field, self.prec, self.coeffs))
+        return hash((self.field, self.prec, self.packed))
 
     def __str__(self):
         return format_series(self)
@@ -264,23 +449,25 @@ class TruncSeries:
         return format_series(self)
 
 
-def _decode(field: FieldSpec, prod: int, out_prec: int) -> List[FqElem]:
-    m, p = field.m, field.p
-    stride = 2 * m - 1
-    nd = stride * out_prec
-    need = 8 * nd
-    blen = max(need, (prod.bit_length() + 7) // 8)
-    buf = prod.to_bytes(blen, "little")
-    digits = _unpack_u64(buf, nd)
-    out = []
-    if m == 1:
-        for j in range(out_prec):
-            out.append(FqElem(field, (digits[j] % p,)))
-        return out
-    for j in range(out_prec):
-        chunk = [d % p for d in digits[j * stride:(j + 1) * stride]]
-        out.append(FqElem(field, field._reduce(chunk)))
-    return out
+def _check_prec(prec: int) -> None:
+    if prec < 1:
+        raise DegreeMismatch(f"precision {prec} must be >= 1")
+    if prec > MAX_PREC:
+        raise DegreeOverflow(f"precision {prec} exceeds the packed series limit {MAX_PREC}")
+
+
+def _new(field: FieldSpec, prec: int, packed: int, inexact: bool) -> TruncSeries:
+    s = object.__new__(TruncSeries)
+    s.field, s.prec, s.packed, s.inexact = field, prec, packed, inexact
+    return s
+
+
+def _make(field: FieldSpec, prec: int, packed: int) -> TruncSeries:
+    """An exact series from a packing, building the field's layout first."""
+    _check_prec(prec)
+    _layout(field)
+    return _new(field, prec, packed, False)
+
 
 
 # ---------------------------------------------------------------------------

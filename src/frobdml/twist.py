@@ -76,6 +76,15 @@ class PackedField:
         return tab
 
 
+def packed_field(field: FieldSpec) -> PackedField:
+    """The PackedField of ``field``, built on first use and kept on the field,
+    so every solve and conjugation over one FieldSpec shares its tables."""
+    pf = field._tables
+    if pf is None:
+        pf = field._tables = PackedField(field)
+    return pf
+
+
 _IRR_CACHE: Dict[Tuple[int, int, Tuple[int, ...], int], Tuple[int, ...]] = {}
 
 
@@ -369,7 +378,7 @@ def solve_twist(A: Sequence[Sequence[FqElem]], q: int,
         e += 1
     if qq != 1 or e < 1:
         raise DegreeMismatch(f"q = {q} is not a positive power of the characteristic {p}")
-    pf = PackedField(field)
+    pf = packed_field(field)
     fq = FqStructure(pf, e)
     s = fq.s
     A_packed = _mat_from_fq(A)
@@ -537,7 +546,7 @@ def normalize_conjugate(f: DmlMap, R_max: int = 64) -> Tuple[TwistSolution, DmlM
                     "normalize_conjugate requires a residue-constant matrix A")
             out.append(sv.constant_term())
         A0.append(out)
-    pf = PackedField(f.field)
+    pf = packed_field(f.field)
     Ainv_packed = _mat_inv(pf, _mat_from_fq(A0))
     if Ainv_packed is None:
         raise NotInvertible("A is singular mod t")
@@ -587,12 +596,9 @@ def normalize_conjugate(f: DmlMap, R_max: int = 64) -> Tuple[TwistSolution, DmlM
     rec = recognize_dml_form(comp, f.p, f.e)
     if not isinstance(rec, DmlMap):
         raise AssertionError(f"conjugate failed recognition: {rec}")
-    one = target.one()
     for i in range(n):
         for j in range(n):
             sv = rec.A[i][j]
-            want_one = (i == j)
-            is_one = (sv.constant_term() == one and all(c.is_zero() for c in sv.coeffs[1:]))
-            if want_one != is_one or (not want_one and not sv.is_zero_at_precision()):
+            if sv.is_one() != (i == j) or (i != j and not sv.is_zero_at_precision()):
                 raise AssertionError("conjugated matrix part is not the identity")
     return sol, rec

@@ -258,3 +258,30 @@ def test_bad_term_bound_is_exit_2(monkeypatch, value):
     assert code == 2 and out == ""
     assert err == (f"error: ParseError: FROBDML_TERM_BOUND={value!r} "
                    "is not a positive integer\n")
+
+
+def test_p257_lift_exits_0(tmp_path):
+    path = tmp_path / "p257.json"
+    path.write_text(json.dumps({
+        "label": "p257", "field": {"p": 257, "m": 1, "modulus": [0, 1]},
+        "map": {"p": 257, "e": 1, "A": [["1", "0"], ["0", "1"]],
+                "G": [[], [{"exponents": [1, 0], "coeff": "256*t"}]]},
+        "points": {"P0": {"residue": ["1", "5"]}},
+        "parameters": {"prec": 64}}))
+    code, out, err = run(["lift", str(path), "--point0", "P0", "--prec", "16"])
+    assert code == 0 and err == ""
+    # x1^257 is constant below t^257, so x1 = 5 - t solves x1 = x1^257 - t
+    assert out == ("P~ = [1 + O(t^16), 5 + 256*t + O(t^16)]\n"
+                   "f(P~) - σ(P~) = 0 mod t^16\n"
+                   "residue_degree: 1\n")
+
+
+def test_internal_error_is_exit_4(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("broken invariant")
+
+    monkeypatch.setattr("frobdml.cli.sigma_fixed_lift", broken)
+    code, out, err = run(["lift", F4, "--point0", "P0", "--prec", "8"])
+    assert code == 4 and out == ""
+    assert err == "internal error: ValueError: broken invariant\n"
+    assert "Traceback" not in err

@@ -3,8 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobdml.errors import (DegreeMismatch, FieldMismatch, NonUnitDivisor,
-                            ParseError)
+from frobdml import series
+from frobdml.errors import (DegreeMismatch, DegreeOverflow, FieldMismatch,
+                            NonUnitDivisor, ParseError)
+from frobdml.field import make_field
 from frobdml.series import (AtPrecisionZero, GaloisAction, TruncSeries,
                             format_series, parse_series)
 
@@ -153,3 +155,139 @@ def test_t_power_and_one():
     assert format_series(TruncSeries.t_power(F2, 3, 6)) == "t^3 + O(t^6)"
     assert format_series(TruncSeries.one(F2, 3)) == "1 + O(t^3)"
     assert format_series(TruncSeries.zeros(F2, 3)) == "O(t^3)"
+
+
+# ---------------------------------------------------------------------------
+# packed arithmetic against per-coefficient definitions, small to large p
+# ---------------------------------------------------------------------------
+
+P31 = 2 ** 31 - 1
+WIDE_FIELDS = [field_for(2, 1), field_for(2, 3), field_for(3, 2), field_for(5, 3),
+               make_field(257, 1, [0, 1]), make_field(257, 2, [3, 0, 1]),
+               make_field(257, 3, [1, 1, 0, 1]), make_field(65537, 1, [0, 1]),
+               make_field(65537, 2, [3, 0, 1]), make_field(P31, 1, [0, 1]),
+               make_field(P31, 3, [4, 1, 0, 1])]
+
+
+@st.composite
+def series_in(draw, field, prec, unit=False):
+    cs = []
+    for j in range(prec):
+        digits = [draw(st.sampled_from((0, 1, field.p - 1)) | st.integers(0, field.p - 1))
+                  for _ in range(field.m)]
+        cs.append(field.el(digits))
+    if unit and cs[0].is_zero():
+        cs[0] = field.one()
+    return TruncSeries(field, prec, cs)
+
+
+@st.composite
+def field_series(draw, count=2, unit=False):
+    field = draw(st.sampled_from(WIDE_FIELDS))
+    precs = [draw(st.integers(1, 12)) for _ in range(count)]
+    return field, [draw(series_in(field, n, unit)) for n in precs]
+
+
+def coeffwise(fn, *ss):
+    n = min(s.prec for s in ss)
+    return tuple(fn(*cs) for cs in zip(*(s.coeffs[:n] for s in ss)))
+
+
+def naive_inverse(s):
+    a = s.coeffs
+    a0_inv = a[0].inv()
+    b = [a0_inv]
+    for k in range(1, s.prec):
+        acc = s.field.zero()
+        for i in range(1, k + 1):
+            acc = acc + a[i] * b[k - i]
+        b.append(-(acc * a0_inv))
+    return tuple(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_series())
+def test_packed_ring_ops_match_coefficientwise(fs):
+    field, (s, u) = fs
+    assert (s * u).coeffs == naive_mul(s, u).coeffs
+    assert (s + u).coeffs == coeffwise(lambda a, b: a + b, s, u)
+    assert (s - u).coeffs == coeffwise(lambda a, b: a - b, s, u)
+    assert (-s).coeffs == coeffwise(lambda a: -a, s)
+    c = u.coeffs[0]
+    assert s.scale(c).coeffs == coeffwise(lambda a: c * a, s)
+    assert (s + u).prec == (s * u).prec == min(s.prec, u.prec)
+    assert s - s == TruncSeries.zeros(field, s.prec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_series(count=1, unit=True))
+def test_packed_inverse_matches_recursion(fs):
+    field, (s,) = fs
+    inv = s.inverse()
+    assert inv.prec == s.prec and inv.coeffs == naive_inverse(s)
+    assert (s * inv).is_one()
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_series(count=1), st.integers(-3, 3), st.integers(1, 2))
+def test_packed_galois_and_frobenius_power(fs, e, k):
+    field, (s,) = fs
+    assert s.galois(GaloisAction(e)).coeffs == coeffwise(lambda a: a.frobenius(e), s)
+    assert s.galois(e, inverse=True).coeffs == coeffwise(lambda a: a.frobenius(-e), s)
+    pk = field.p ** k
+    want = [field.zero()] * s.prec
+    for j, c in enumerate(s.coeffs):
+        if j * pk < s.prec:
+            want[j * pk] = c ** pk
+    assert s.frobenius_power(k).coeffs == tuple(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_series(), st.data())
+def test_packed_precision_ops(fs, data):
+    field, (s, u) = fs
+    cs = s.coeffs
+    v = next((j for j, c in enumerate(cs) if not c.is_zero()), None)
+    assert s.valuation() == (AtPrecisionZero(s.prec) if v is None else v)
+    assert s.is_zero_at_precision() == (v is None)
+    assert s.constant_term() == cs[0] and s.is_unit() == (v == 0)
+    k = data.draw(st.integers(0, s.prec - 1))
+    assert s.shift_down(k).coeffs == cs[k:]
+    n = data.draw(st.integers(1, 14))
+    t = s.change_precision(n)
+    assert t.coeffs == (cs + (field.zero(),) * n)[:n]
+    assert t.inexact == (n > s.prec)
+    n = data.draw(st.integers(1, min(s.prec, u.prec)))
+    assert s.eq_at_precision(u, n) == (cs[:n] == u.coeffs[:n])
+    assert s.eq_at_precision(s.change_precision(n), n)
+
+
+def test_digit_sums_beyond_64_bits_are_exact():
+    # every coefficient -1: the t^j coefficient of the square sums j+1 terms
+    # (p-1)^2, which passes 2^64 before reduction at this length
+    F = make_field(P31, 1, [0, 1])
+    prec = 3000
+    s = TruncSeries(F, prec, [F.el([P31 - 1])] * prec)
+    sq = s * s
+    assert [c.coeffs[0] for c in sq.coeffs] == [j + 1 for j in range(prec)]
+
+
+def test_digit_width_follows_the_bound():
+    for F in WIDE_FIELDS:
+        w = series._layout(F).w
+        need = series.MAX_PREC * F.m * (F.p - 1) ** 2 + F.m * F.p ** 2
+        assert need < 2 ** (w - 1) and (w == 8 or need >= 2 ** (w // 2 - 1))
+    with pytest.raises(DegreeOverflow):
+        TruncSeries.zeros(F2, series.MAX_PREC + 1)
+    with pytest.raises(DegreeOverflow):
+        TruncSeries.one(F2, 4).change_precision(series.MAX_PREC + 1)
+    with pytest.raises(DegreeMismatch):
+        TruncSeries.one(F2, 4).change_precision(0)
+
+
+def test_shape_cache_is_bounded():
+    F = make_field(3, 2, [1, 0, 1])
+    for n in range(1, 3 * series.SHAPES_KEPT):
+        s = TruncSeries.t_power(F, n - 1, n) * TruncSeries.one(F, n) - TruncSeries.zeros(F, n)
+        assert s.valuation() == n - 1 and s.coeffs[n - 1] == F.one()
+    assert len(series._layout(F)._shapes) <= series.SHAPES_KEPT

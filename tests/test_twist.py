@@ -10,6 +10,7 @@ from frobdml.field import format_element, make_field
 from frobdml.geometry import HomogPoly
 from frobdml.instances import fixture_path, parse_twist_file
 from frobdml.series import TruncSeries, format_series, parse_series
+from frobdml import twist
 from frobdml.twist import (count_solutions_exhaustive, normalize_conjugate,
                            solve_twist)
 
@@ -154,6 +155,25 @@ def test_normalize_conjugate_keeps_g_and_recognizes():
                ("1 + O(t^12)" if i == j else "O(t^12)")
                for i in range(2) for j in range(2))
     assert any(not g.is_zero() for g in fprime.G)  # the perturbation survives
+
+
+def test_packed_field_is_shared_by_solve_and_conjugation(monkeypatch):
+    F = make_field(2, 1, [0, 1])   # a fresh FieldSpec: no tables built yet
+    built = []
+    real = twist.PackedField
+
+    def counting(field):
+        built.append(real(field))
+        return built[-1]
+
+    monkeypatch.setattr(twist, "PackedField", counting)
+    one, zero = TruncSeries.one(F, 8), TruncSeries.zeros(F, 8)
+    f = validate_map(F, 2, 1, [[zero, one], [one, zero]],
+                     [HomogPoly(F, 1, 1, {}), HomogPoly(F, 1, 1, {})])
+    sol, _ = normalize_conjugate(f)
+    again = solve_twist(elems(F, [[0, 1], [1, 0]]), 2)
+    assert len(built) == 1
+    assert twist.packed_field(F) is built[0] is sol.ext.pf is again.ext.pf
 
 
 def test_normalize_conjugate_requires_constant_matrix():
