@@ -94,8 +94,8 @@ def normalize(raw: Sequence[TruncSeries]) -> ProjPoint:
         prec -= v
     pivot = next(i for i, c in enumerate(coords) if c.is_unit())
     u_inv = coords[pivot].inverse()
-    out = [c * u_inv for c in coords]
-    out[pivot] = TruncSeries.one(field, prec)
+    out = [c * u_inv if i != pivot else TruncSeries.one(field, prec)
+           for i, c in enumerate(coords)]
     return ProjPoint(field, out, consumed=v, _trusted=True)
 
 
@@ -234,18 +234,14 @@ def eval_hom_coords(h: HomogPoly, coords: Sequence[TruncSeries]) -> TruncSeries:
     out = TruncSeries.zeros(field, prec)
     if not h.terms:
         return out
-    pow_cache: Dict[Tuple[int, int], TruncSeries] = {}
-
-    def cpow(j: int, k: int) -> TruncSeries:
-        key = (j, k)
-        got = pow_cache.get(key)
-        if got is None:
-            if k == 1:
-                got = coords[j].change_precision(prec) if coords[j].prec != prec else coords[j]
-            else:
-                got = cpow(j, k - 1) * coords[j]
-            pow_cache[key] = got
-        return got
+    # powers[j][k-1] = coords[j]^k at prec, up to the top exponent of x_j
+    powers: List[List[TruncSeries]] = []
+    for j, c in enumerate(coords):
+        top = max(exps[j] for exps in h.terms)
+        row = [c.change_precision(prec)] if top else []
+        for _ in range(top - 1):
+            row.append(row[-1] * c)
+        powers.append(row)
 
     for exps, coeff in h.terms.items():
         if coeff.prec < prec:
@@ -254,7 +250,7 @@ def eval_hom_coords(h: HomogPoly, coords: Sequence[TruncSeries]) -> TruncSeries:
         mono: Optional[TruncSeries] = None
         for j, k in enumerate(exps):
             if k:
-                part = cpow(j, k)
+                part = powers[j][k - 1]
                 mono = part if mono is None else mono * part
         term = coeff.change_precision(prec) if mono is None else mono * coeff
         out = out + term

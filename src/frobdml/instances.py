@@ -28,8 +28,8 @@ from dataclasses import dataclass, field as dc_field
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .dynamics import AnyMap, DmlMap, GeneralMap, validate_map
-from .errors import ParseError, ValidationFailure
+from .dynamics import AnyMap, DmlMap, GeneralMap, term_bound, validate_map
+from .errors import DegreeOverflow, ParseError, ValidationFailure
 from .field import FieldSpec, FqElem, format_element, make_field, parse_element
 from .geometry import HomogPoly, ProjPoint, Subvariety
 from .series import TruncSeries, format_series, parse_series
@@ -101,6 +101,19 @@ def _parse_poly(obj, field: FieldSpec, N: int, prec: Optional[int],
     return HomogPoly(field, N, degree, terms)
 
 
+def _remainder_degree(p: int, e: int) -> int:
+    """p^(e-1), the degree of every G_i, multiplied up one factor at a time
+    and refused once past the term bound, so a huge e costs a few steps."""
+    bound = term_bound()
+    degree = 1
+    for _ in range(e - 1):
+        degree *= p
+        if degree > bound:
+            raise DegreeOverflow(
+                f"map: G degree p^(e-1) = {p}^{e - 1} exceeds the term bound {bound}")
+    return degree
+
+
 def _parse_map(obj: dict, field: FieldSpec, prec: Optional[int],
                label: str) -> AnyMap:
     if "coordinates" in obj:
@@ -126,7 +139,7 @@ def _parse_map(obj: dict, field: FieldSpec, prec: Optional[int],
         raise ParseError(f"map: G must list {N + 1} polynomials")
     if not isinstance(p, int) or not isinstance(e, int) or p < 2 or e < 1:
         raise ParseError("map: p must be a prime >= 2 and e an integer >= 1")
-    gdeg = p ** (e - 1)
+    gdeg = _remainder_degree(p, e)
     G = [_parse_poly(g, field, N, prec, f"map G[{i}]", degree=gdeg)
          for i, g in enumerate(G_in)]
     result = validate_map(field, p, e, A, G, label)

@@ -2,13 +2,26 @@
 
 For a map f = x^q + G(x^p) whose matrix part is the identity mod t, the
 operator sigma^{-1} o f is a strict t-adic contraction on integral lifts of
-a fixed residue point: coordinates differing by t^k feed through q-th powers
-and maximal-ideal coefficients, so images agree to t^{k+1} at least.
-Iterating from the constant lift of P0 therefore converges, within prec
-steps, to the unique point P~ over P0 satisfying f(P~) = sigma(P~), where
-sigma acts coefficientwise by Frob_q and fixes t.  Induction gives
-f^n(P~) = sigma^n(P~), so the forward orbit of P~ is periodic with period
-dividing the degree over F_q of the coefficient field of P~, and
+a fixed residue point.  If two lifts agree mod t^k, their q-th powers agree
+mod t^(qk) (char p: x^q - y^q = (x - y)^q), and G, whose coefficients lie in
+the maximal ideal, sees their p-th powers, which agree mod t^(pk); so the
+images agree mod t^(pk) at least, and normalization and sigma^{-1} keep that.
+The unique point P~ over P0 with f(P~) = sigma(P~), where sigma acts
+coefficientwise by Frob_q and fixes t, is therefore reached from P0 with the
+number of correct digits multiplied by p at every step.
+
+sigma_fixed_lift spends precision only as it is earned.  It starts from P0 at
+precision 1; a step takes the approximation from n digits to
+min(prec, largest power of two <= p*n) and applies sigma^{-1} o f there,
+padding the n known digits with exact zeros (the padded digits are
+recomputed by the step).  Powers of two are the lengths Newton inversion
+already packs, so the ramp adds no packing shapes.  At prec the plain
+iteration runs until it repeats a point; that final exact fixed-point test at
+full precision, not the rate, certifies the result, which by uniqueness is
+the same point whatever the path.
+
+Induction gives f^n(P~) = sigma^n(P~), so the forward orbit of P~ is periodic
+with period dividing the degree over F_q of the coefficient field of P~, and
 sigma^{-n}(P~) is an exact n-fold preimage of P~ under f.
 """
 from __future__ import annotations
@@ -52,7 +65,7 @@ def point_galois(P: ProjPoint, e: int, inverse: bool = False,
     form is preserved (the pivot 1 is fixed and valuations do not move)."""
     act = GaloisAction(e * times)
     coords = [c.galois(act, inverse=inverse) for c in P.coords]
-    return ProjPoint(P.field, coords)
+    return ProjPoint(P.field, coords, _trusted=True)
 
 
 def _require_identity_mod_t(f: DmlMap) -> None:
@@ -89,16 +102,30 @@ def detect_residue_degree(P: ProjPoint, e: int) -> Optional[int]:
     return None
 
 
+def _zero_extend(P: ProjPoint, n: int) -> ProjPoint:
+    """P at precision n >= P.prec, the new digits exactly zero; the pivot
+    stays the series 1, so the point stays canonical."""
+    return ProjPoint(P.field, [c.zero_extend(n) for c in P.coords], _trusted=True)
+
+
 def sigma_fixed_lift(f: DmlMap, P0: Sequence[FqElem], prec: int) -> SigmaFixedLift:
-    """Iterate sigma^{-1} o f from the constant lift of P0 until the exact
-    fixed point at the requested precision."""
+    """Iterate sigma^{-1} o f from P0, at the precision each step has earned,
+    until the exact fixed point at the requested precision."""
     if prec < 1:
         raise PrecisionTooLow("lift precision must be >= 1")
     _require_identity_mod_t(f)
     base = _canonical_residue(f, P0)
-    cur = ProjPoint(f.field, [TruncSeries.from_constant(c, prec) for c in base])
+    cur = ProjPoint(f.field, [TruncSeries.from_constant(c, 1) for c in base])
+    # n correct digits earn p*n.  A map known below prec climbs only to its
+    # own precision, so the full-precision loop reports the shortfall.
+    top = min(prec, f.coefficient_precision())
+    while cur.prec < top:
+        n = min(top, 1 << ((f.p * cur.prec).bit_length() - 1))
+        cur = point_galois(apply_map(f, _zero_extend(cur, n)), f.e, inverse=True)
+    cur = _zero_extend(cur, prec)
     for _ in range(prec + 2):
-        nxt = point_galois(apply_map(f, cur), f.e, inverse=True)
+        img = apply_map(f, cur)
+        nxt = point_galois(img, f.e, inverse=True)
         if nxt.coords == cur.coords:
             break
         cur = nxt
@@ -106,7 +133,7 @@ def sigma_fixed_lift(f: DmlMap, P0: Sequence[FqElem], prec: int) -> SigmaFixedLi
         raise AssertionError("contraction failed to reach a fixed point")
     if reduce_point(cur) != base:
         raise AssertionError("lift does not reduce to the base point")
-    if not proj_eq(apply_map(f, cur), point_galois(cur, f.e)):
+    if not proj_eq(img, point_galois(cur, f.e)):
         raise AssertionError("lift fails f(P~) = sigma(P~)")
     return SigmaFixedLift(base, cur, f.e, detect_residue_degree(cur, f.e))
 

@@ -31,7 +31,8 @@ low bit.
 
 Precision is absolute: arithmetic results carry min(prec_a, prec_b);
 division by a unit preserves precision; truncation is exact while
-zero-padding marks the result inexact.
+zero-padding by change_precision marks the result inexact (zero_extend pads
+exactly, for a caller that recomputes the padded digits).
 
 The zero-at-precision series is not "zero", it is "indistinguishable from
 zero below t^prec"; ``valuation`` returns the AtPrecisionZero sentinel for
@@ -343,20 +344,30 @@ class TruncSeries:
         return _new(self.field, n, _reduce(L, L.at(n), P), self.inexact or other.inexact)
 
     def inverse(self) -> "TruncSeries":
-        """Inverse of a unit by Newton doubling (error squares each step)."""
+        """Inverse of a unit by Newton iteration with precision doubling
+        (R. P. Brent, H. T. Kung, "Fast algorithms for manipulating formal
+        power series", J. ACM 1978).
+
+        When v is right mod t^h, u*v = 1 + t^h*d, and for k = min(2h, prec)
+        the step v - t^h*((v mod t^(k-h))*d) is right mod t^k.  The low h
+        digits of v are kept as they are, so the correction costs one
+        (k-h)-slot product besides the k-by-h product u*v."""
         if not self.is_unit():
             raise NonUnitDivisor(
                 f"valuation {self.valuation()} > 0, cannot invert at fixed precision")
-        field, prec, S = self.field, self.prec, self.field._kron.S
-        inv = TruncSeries.from_constant(self.constant_term().inv(), 1)
-        k = 1
-        while k < prec:
-            k = min(2 * k, prec)
-            v = _new(field, k, inv.packed, self.inexact)
-            u = _new(field, k, self.packed & ((1 << (k * S)) - 1), self.inexact)
-            e = _new(field, k, 1, False) - u * v
-            inv = v + v * e
-        return _new(field, prec, inv.packed, self.inexact)
+        field, prec, inexact = self.field, self.prec, self.inexact
+        L = field._kron
+        S = L.S
+        v = L.pack(self.constant_term().inv().coeffs)
+        h = 1
+        while h < prec:
+            k = min(2 * h, prec)
+            u = _new(field, k, self.packed & ((1 << (k * S)) - 1), inexact)
+            e = _new(field, k, 1, False) - u * _new(field, k, v, inexact)  # -t^h*d
+            low = _new(field, k - h, v & ((1 << ((k - h) * S)) - 1), inexact)
+            v |= (low * e.shift_down(h)).packed << (h * S)
+            h = k
+        return _new(field, prec, v, inexact)
 
     def __truediv__(self, other: "TruncSeries") -> "TruncSeries":
         n = self._align(other)
@@ -415,6 +426,17 @@ class TruncSeries:
         return _new(field, self.prec, _reduce_low(L, sh, acc), self.inexact)
 
     # -- precision management ---------------------------------------------
+
+    def zero_extend(self, n: int) -> "TruncSeries":
+        """The same digits at precision n >= prec, those from t^prec on
+        exactly zero: the series is the same polynomial, so ``inexact`` is
+        kept (change_precision marks such padding inexact)."""
+        if n == self.prec:
+            return self
+        if n < self.prec:
+            raise DegreeMismatch(f"cannot extend precision {self.prec} down to {n}")
+        _check_prec(n)
+        return _new(self.field, n, self.packed, self.inexact)
 
     def change_precision(self, n: int) -> "TruncSeries":
         if n == self.prec:

@@ -260,6 +260,20 @@ def test_bad_term_bound_is_exit_2(monkeypatch, value):
                    "is not a positive integer\n")
 
 
+@pytest.mark.parametrize("e", [21, 10 ** 6, 10 ** 100], ids=["21", "1e6", "1e100"])
+def test_huge_map_e_is_exit_3(tmp_path, e):
+    with open(F1, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["map"]["e"] = e
+    path = tmp_path / "huge_e.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["validate", str(path)])
+    assert code == 3 and out == ""
+    assert err == (f"error: DegreeOverflow: map: G degree p^(e-1) = 2^{e - 1} "
+                   f"exceeds the term bound 1000000\n")
+    assert "Traceback" not in err
+
+
 def test_p257_lift_exits_0(tmp_path):
     path = tmp_path / "p257.json"
     path.write_text(json.dumps({

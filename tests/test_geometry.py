@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from frobdml.errors import (DegreeMismatch, DimensionMismatch,
 from frobdml.geometry import (HomogPoly, ProjPoint, Subvariety, eval_hom,
                               format_poly, point_variety, poly_mul, proj_eq,
                               reduce_point)
+from frobdml.instances import fixture_path, parse_instance
 from frobdml.series import TruncSeries, format_series, parse_series
 
 from conftest import field_for, rand_point
@@ -70,6 +72,20 @@ def test_eval_hom_golden():
     g = HomogPoly(F2, 1, 2, {(1, 1): ser(F2, "1")})
     P = ProjPoint(F2, [ser(F2, "1"), ser(F2, "t")])
     assert format_series(eval_hom(g, P)) == "t + O(t^8)"
+
+
+def test_eval_hom_leaves_no_garbage_cycles():
+    inst = parse_instance(fixture_path("f1.json"))
+    g, P = inst.map.G[1], inst.points["P"]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(50):
+            eval_hom(g, P)
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert freed == 0
 
 
 def test_poly_mul_against_naive():

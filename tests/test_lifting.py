@@ -3,14 +3,14 @@ import random
 import pytest
 
 from frobdml.dynamics import apply_map, orbit
-from frobdml.errors import (NonCanonicalBasePoint, PrecisionTooLow,
-                            PreconditionMatrixNotIdentityModT)
-from frobdml.geometry import ProjPoint, point_variety, proj_eq
+from frobdml.errors import (NonCanonicalBasePoint, PrecisionExhausted,
+                            PrecisionTooLow, PreconditionMatrixNotIdentityModT)
+from frobdml.geometry import ProjPoint, point_variety, proj_eq, reduce_point
 from frobdml.instances import fixture_path, parse_instance
 from frobdml.lifting import (critical_witness, detect_residue_degree,
                              invariance_evidence, minimal_period, point_galois,
                              sigma_fixed_lift)
-from frobdml.series import format_series, parse_series
+from frobdml.series import TruncSeries, format_series, parse_series
 
 from conftest import field_for, rand_point, rand_residue_point, rand_suite_map
 
@@ -38,6 +38,46 @@ def test_f1_closed_form():
     assert [0 if c.is_zero() else 1 for c in L.lift.coords[1].coeffs] \
         == closed_form_digits(20)
     assert L.residue_degree == 1
+
+
+def lift_reference(f, base, prec):
+    """The full-precision lift: every step at prec, from the constant lift."""
+    cur = ProjPoint(f.field, [TruncSeries.from_constant(c, prec) for c in base])
+    for _ in range(prec + 2):
+        nxt = point_galois(apply_map(f, cur), f.e, inverse=True)
+        if nxt.coords == cur.coords:
+            break
+        cur = nxt
+    else:
+        raise AssertionError("contraction failed to reach a fixed point")
+    assert reduce_point(cur) == tuple(base)
+    assert proj_eq(apply_map(f, cur), point_galois(cur, f.e))
+    return cur
+
+
+def test_earned_precision_lift_matches_full_precision_reference():
+    rng = random.Random(5150)
+    seen = set()
+    for _ in range(8):
+        f = rand_suite_map(rng, prec=300)
+        seen.add((f.p, f.e, f.field.m, f.N))
+        P0 = rand_residue_point(rng, f)
+        for prec in sorted({1, 2, 3, f.p, f.p + 1, 40, 127, 255, 256, 300}):
+            L = sigma_fixed_lift(f, P0, prec)
+            want = lift_reference(f, P0, prec)
+            assert [c.packed for c in L.lift.coords] == [c.packed for c in want.coords]
+            assert all(c.prec == prec and not c.inexact for c in L.lift.coords)
+            assert L.residue_degree == detect_residue_degree(want, f.e)
+            assert L.sigma_exponent == f.e
+    p, e, m, N = (set(col) for col in zip(*seen))
+    assert p == {2, 3, 5} and e == {1, 2} and m == {1, 2, 3} and N == {1, 2, 3}
+
+
+def test_lift_beyond_map_precision_fails_at_the_requested_precision():
+    # f1's G coefficient t is known to t^65; the error names the lift precision
+    with pytest.raises(PrecisionExhausted,
+                       match="known only to t\\^65 < evaluation precision 80$"):
+        sigma_fixed_lift(F1, (F2.one(), F2.zero()), 80)
 
 
 def test_lifts_are_truncation_consistent():
