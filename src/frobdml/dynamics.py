@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DegreeMismatch,
@@ -144,10 +144,6 @@ class DmlMap:
     @property
     def q(self) -> int:
         return self.p ** self.e
-
-    def sigma(self) -> int:
-        """Frobenius exponent of the Galois action sigma = Frob_q."""
-        return self.e
 
     def coefficient_precision(self) -> int:
         precs = [s.prec for row in self.A for s in row]
@@ -414,15 +410,47 @@ def apply_map(f: AnyMap, P: ProjPoint) -> ProjPoint:
     return Q
 
 
+def orbit_cycle(f: AnyMap, P: ProjPoint, H: int,
+                visit: Optional[Callable[[ProjPoint], None]] = None
+                ) -> Tuple[List[ProjPoint], int]:
+    """The distinct iterates f^0(P), .., f^(k-1)(P) within the horizon H and
+    the index i that f^k(P) repeats (i = k = H + 1 when none does).
+
+    Exact: apply_map is deterministic on the coordinates and keeps their
+    precision, so past a repeat f^n(P) = f^(i + (n - i) mod (k - i))(P)
+    (``replay``), and a walk that would raise later cannot repeat.  Points
+    are keyed on consumed precision, packings and ``inexact`` flags, which
+    TruncSeries equality ignores.  ``visit`` sees each distinct iterate
+    before the next one is computed, so its errors keep their precedence."""
+    pts: List[ProjPoint] = []
+    seen: Dict[tuple, int] = {}
+    cur = P
+    for n in range(H + 1):
+        key = (cur.consumed, tuple((c.packed, c.inexact) for c in cur.coords))
+        i = seen.setdefault(key, n)
+        if i != n:
+            return pts, i
+        pts.append(cur)
+        if visit is not None:
+            visit(cur)
+        if n < H:
+            cur = apply_map(f, cur)
+    return pts, len(pts)
+
+
+def replay(prefix: Sequence, start: int, H: int) -> list:
+    """Entries 0..H of the sequence whose first len(prefix) entries are
+    ``prefix`` and which repeats prefix[start:] from there on."""
+    k = len(prefix)
+    return [prefix[n] if n < k else prefix[start + (n - start) % (k - start)]
+            for n in range(H + 1)]
+
+
 def orbit(f: AnyMap, P: ProjPoint, H: int) -> List[ProjPoint]:
+    """f^0(P), .., f^H(P); past the first repeat, the earlier objects."""
     if H < 0:
         raise DegreeMismatch("horizon must be >= 0")
-    out = [P]
-    cur = P
-    for _ in range(H):
-        cur = apply_map(f, cur)
-        out.append(cur)
-    return out
+    return replay(*orbit_cycle(f, P, H), H)
 
 
 # ---------------------------------------------------------------------------

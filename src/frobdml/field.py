@@ -353,6 +353,8 @@ def frobenius_pow(x: FqElem, e: int) -> FqElem:
 # ---------------------------------------------------------------------------
 
 def parse_element(field: FieldSpec, text: str) -> FqElem:
+    if not isinstance(text, str):
+        raise ParseError(f"element must be a string, not {type(text).__name__}")
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty element string")

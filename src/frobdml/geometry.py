@@ -44,12 +44,6 @@ class ProjPoint:
         self.prec = coords[0].prec
         self.consumed = consumed
 
-    def pivot(self) -> int:
-        for i, c in enumerate(self.coords):
-            if c.is_unit():
-                return i
-        raise IndistinguishableFromZero("no unit coordinate")
-
     def __eq__(self, other):
         return (isinstance(other, ProjPoint) and self.field == other.field
                 and self.coords == other.coords)
@@ -153,10 +147,6 @@ class HomogPoly:
     def sorted_terms(self) -> List[Tuple[ExpVec, TruncSeries]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
-    def map_coeffs(self, fn) -> "HomogPoly":
-        return HomogPoly(self.field, self.N, self.degree,
-                         {e: fn(c) for e, c in self.terms.items()})
-
     def reduce(self) -> Dict[ExpVec, FqElem]:
         """Constant terms of the coefficients (image in the special fiber)."""
         out = {}
@@ -171,13 +161,6 @@ class HomogPoly:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms[e] + c if e in terms else c
-        return HomogPoly(self.field, self.N, self.degree, terms)
-
-    def __sub__(self, other: "HomogPoly") -> "HomogPoly":
-        self._compat(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms[e] - c if e in terms else -c
         return HomogPoly(self.field, self.N, self.degree, terms)
 
     def scale(self, c: TruncSeries) -> "HomogPoly":

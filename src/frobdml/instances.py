@@ -34,6 +34,7 @@ from .field import FieldSpec, FqElem, format_element, make_field, parse_element
 from .geometry import HomogPoly, ProjPoint, Subvariety
 from .series import TruncSeries, format_series, parse_series
 
+MAX_INT_DIGITS = 4300
 ResiduePoint = Tuple[FqElem, ...]
 NamedPoint = Union[ProjPoint, ResiduePoint]
 
@@ -57,8 +58,14 @@ class Instance:
     parameters: Parameters = dc_field(default_factory=Parameters)
 
 
+def _object(obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where} must be an object")
+    return obj
+
+
 def _require(obj: dict, key: str, where: str):
-    if key not in obj:
+    if key not in _object(obj, where):
         raise ParseError(f"{where}: missing required key '{key}'")
     return obj[key]
 
@@ -67,6 +74,8 @@ def _parse_field(obj: dict) -> FieldSpec:
     p = _require(obj, "p", "field")
     m = _require(obj, "m", "field")
     modulus = _require(obj, "modulus", "field")
+    if not isinstance(p, int) or not isinstance(m, int):
+        raise ParseError("field: p and m must be integers")
     if not isinstance(modulus, list) or not all(isinstance(c, int) for c in modulus):
         raise ParseError("field: modulus must be a list of integers")
     return make_field(p, m, modulus)
@@ -77,14 +86,14 @@ def _parse_poly(obj, field: FieldSpec, N: int, prec: Optional[int],
     if isinstance(obj, dict):
         degree = obj.get("degree", degree)
         terms_in = obj.get("terms", [])
-    elif isinstance(obj, list):
-        terms_in = obj
     else:
+        terms_in = obj
+    if not isinstance(terms_in, list):
         raise ParseError(f"{where}: polynomial must be an object or a term list")
+    if not isinstance(degree, (int, type(None))):
+        raise ParseError(f"{where}: degree must be an integer")
     terms: Dict[Tuple[int, ...], TruncSeries] = {}
     for k, term in enumerate(terms_in):
-        if not isinstance(term, dict):
-            raise ParseError(f"{where}: term {k} must be an object")
         exps = _require(term, "exponents", f"{where} term {k}")
         if not isinstance(exps, list) or len(exps) != N + 1 \
                 or not all(isinstance(x, int) and x >= 0 for x in exps):
@@ -150,7 +159,7 @@ def _parse_map(obj: dict, field: FieldSpec, prec: Optional[int],
 
 def _parse_point(obj: dict, field: FieldSpec, N: int, prec: Optional[int],
                  where: str) -> NamedPoint:
-    if "residue" in obj:
+    if "residue" in _object(obj, where):
         vals = obj["residue"]
         if not isinstance(vals, list) or len(vals) != N + 1:
             raise ParseError(f"{where}: residue needs {N + 1} element strings")
@@ -176,25 +185,21 @@ def _parse_parameters(obj: dict) -> Parameters:
 
 
 def parse_instance_dict(doc: dict, where: str = "instance") -> Instance:
-    if not isinstance(doc, dict):
-        raise ParseError(f"{where}: top level must be an object")
-    label = doc.get("label", "")
-    map_obj = _require(doc, "map", where)
-    if not isinstance(map_obj, dict):
-        raise ParseError(f"{where}: map must be an object")
+    label = _object(doc, f"{where}: top level").get("label", "")
+    map_obj = _object(_require(doc, "map", where), f"{where}: map")
     # the field block may live at top level or inside the map object
     field_obj = doc.get("field", map_obj.get("field"))
     if field_obj is None:
         raise ParseError(f"{where}: missing required key 'field'")
     field = _parse_field(field_obj)
-    params = _parse_parameters(doc.get("parameters", {}))
+    params = _parse_parameters(_object(doc.get("parameters", {}), "parameters"))
     fmap = _parse_map(map_obj, field, params.prec, map_obj.get("label", label))
     N = fmap.N
     points: Dict[str, NamedPoint] = {}
-    for name, pobj in doc.get("points", {}).items():
+    for name, pobj in _object(doc.get("points", {}), "points").items():
         points[name] = _parse_point(pobj, field, N, params.prec, f"point '{name}'")
     varieties: Dict[str, Subvariety] = {}
-    for name, vobj in doc.get("varieties", {}).items():
+    for name, vobj in _object(doc.get("varieties", {}), "varieties").items():
         gens_in = _require(vobj, "generators", f"variety '{name}'")
         if not isinstance(gens_in, list) or not gens_in:
             raise ParseError(f"variety '{name}': generators must be a nonempty list")
@@ -204,29 +209,35 @@ def parse_instance_dict(doc: dict, where: str = "instance") -> Instance:
     return Instance(label, field, fmap, points, varieties, params)
 
 
-def parse_instance(path: str) -> Instance:
+def _json_int(text: str) -> int:
+    """json's integer hook; CPython's int() refuses longer literals."""
+    digits = len(text.lstrip("-"))
+    if digits > MAX_INT_DIGITS:
+        raise ParseError(
+            f"integer literal of {digits} digits exceeds the {MAX_INT_DIGITS}-digit limit")
+    return int(text)
+
+
+def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except OSError as ex:
         raise ParseError(f"cannot read {path}: {ex}") from ex
     except json.JSONDecodeError as ex:
         raise ParseError(f"{path}: invalid JSON: {ex}") from ex
-    return parse_instance_dict(doc, where=path)
+    except ParseError as ex:
+        raise ParseError(f"{path}: {ex}") from None
+
+
+def parse_instance(path: str) -> Instance:
+    return parse_instance_dict(_load_json(path), where=path)
 
 
 def parse_twist_file(path: str) -> Tuple[FieldSpec, List[List[FqElem]], int]:
     """Matrix file: {"q": int, "field": {...}, "A": [[element strings]]}."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as ex:
-        raise ParseError(f"cannot read {path}: {ex}") from ex
-    except json.JSONDecodeError as ex:
-        raise ParseError(f"{path}: invalid JSON: {ex}") from ex
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be an object")
-    q = _require(doc, "q", path)
+    doc = _load_json(path)
+    q = _require(_object(doc, f"{path}: top level"), "q", path)
     if not isinstance(q, int) or q < 2:
         raise ParseError(f"{path}: q must be an integer >= 2")
     field = _parse_field(_require(doc, "field", path))

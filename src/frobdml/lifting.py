@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .dynamics import DmlMap, apply_map
+from .dynamics import DmlMap, apply_map, orbit
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -147,10 +147,7 @@ def critical_witness(f: DmlMap, L: SigmaFixedLift, n: int) -> ProjPoint:
         raise PrecisionTooLow(
             f"witness index {n} exceeds lift precision {L.lift.prec}")
     Q = point_galois(L.lift, L.sigma_exponent, inverse=True, times=n) if n else L.lift
-    check = Q
-    for _ in range(n):
-        check = apply_map(f, check)
-    if not proj_eq(check, L.lift):
+    if not proj_eq(orbit(f, Q, n)[-1], L.lift):
         raise AssertionError("witness fails f^n(Q) = P~")
     return Q
 

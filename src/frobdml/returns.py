@@ -6,13 +6,18 @@ value has t-adic valuation at least tau.  Exact vanishing is undecidable
 from truncated data, so every report carries the horizon and threshold; an
 "exact" decomposition means exact agreement with the computed hits on
 [0, H], never a claim about the infinite return set.
+
+The orbit is walked only to its first repeated point, and the rows of
+valuations are replayed around the cycle (``dynamics.orbit_cycle``).  For
+the sigma-fixed lift P~, f^n(P~) = sigma^n(P~): the cycle is P~'s Galois
+orbit, whose length divides the degree of P~'s coefficients over F_q.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple, Union
 
-from .dynamics import AnyMap, apply_map
+from .dynamics import AnyMap, orbit_cycle, replay
 from .errors import PrecisionBelowThreshold
 from .geometry import ProjPoint, Subvariety, eval_hom
 from .series import AtPrecisionZero
@@ -47,8 +52,10 @@ def _meets(v: Valuation, tau: int) -> bool:
 
 def return_set(f: AnyMap, x: ProjPoint, V: Subvariety, H: int,
                tau: int) -> ReturnSet:
-    """Walk the orbit once; n is a hit iff every generator of V evaluates at
-    f^n(x) to valuation >= tau."""
+    """n is a hit iff every generator of V evaluates at f^n(x) to valuation
+    >= tau.  V is evaluated only on the distinct iterates up to the first
+    repeated point, and its rows are replayed around the cycle from there
+    (``dynamics.orbit_cycle``)."""
     if H < 0:
         raise ValueError("horizon must be >= 0")
     if tau > x.prec:
@@ -56,16 +63,11 @@ def return_set(f: AnyMap, x: ProjPoint, V: Subvariety, H: int,
             f"threshold {tau} exceeds point precision {x.prec}")
     if tau < 1:
         raise PrecisionBelowThreshold("threshold must be >= 1")
-    hits: List[int] = []
-    vals: List[Tuple[Valuation, ...]] = []
-    cur = x
-    for n in range(H + 1):
-        row = tuple(eval_hom(h, cur).valuation() for h in V.generators)
-        vals.append(row)
-        if all(_meets(v, tau) for v in row):
-            hits.append(n)
-        if n < H:
-            cur = apply_map(f, cur)
+    rows: List[Tuple[Valuation, ...]] = []
+    _, start = orbit_cycle(f, x, H, lambda P: rows.append(
+        tuple(eval_hom(h, P).valuation() for h in V.generators)))
+    vals = replay(rows, start, H)
+    hits = [n for n, row in enumerate(vals) if all(_meets(v, tau) for v in row)]
     return ReturnSet(H, tau, tuple(hits), tuple(vals))
 
 

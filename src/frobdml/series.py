@@ -373,18 +373,6 @@ class TruncSeries:
         n = self._align(other)
         return self.change_precision(n) * other.change_precision(n).inverse()
 
-    def __pow__(self, n: int) -> "TruncSeries":
-        if n < 0:
-            raise DegreeMismatch("negative series powers are not defined here")
-        out = TruncSeries.one(self.field, self.prec)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     def frobenius_power(self, k: int = 1) -> "TruncSeries":
         """self^(p^k) via the char-p identity (sum c_j t^j)^p = sum c_j^p t^(pj):
         slot j moves to slot j*p^k, then Frob_{p^k} acts on every coefficient.
@@ -549,6 +537,8 @@ def _strip_parens(s: str) -> str:
 
 def parse_series(field: FieldSpec, text: str,
                  default_prec: Optional[int] = None) -> TruncSeries:
+    if not isinstance(text, str):
+        raise ParseError(f"series must be a string, not {type(text).__name__}")
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty series string")

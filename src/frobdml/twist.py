@@ -149,10 +149,6 @@ class ExtContext:
         add, neg = self.pf.add, self.pf.neg
         return tuple(add[a][neg[b]] for a, b in zip(u, v))
 
-    def neg_(self, u: Vec) -> Vec:
-        neg = self.pf.neg
-        return tuple(neg[a] for a in u)
-
     def scalar(self, c: int, u: Vec) -> Vec:
         row = self.pf.mul[c]
         return tuple(row[a] for a in u)
@@ -190,18 +186,8 @@ class ExtContext:
             n >>= 1
         return out
 
-    def frob_base(self, u: Vec, e: int) -> Vec:
-        """Coefficientwise Frob_{p^e}; only valid for d == 1 towers."""
-        tab = self.pf.frob_table(e)
-        return tuple(tab[a] for a in u)
-
     def is_zero(self, u: Vec) -> bool:
         return not any(u)
-
-    def from_base(self, c: int) -> Vec:
-        v = [0] * self.d
-        v[0] = c
-        return tuple(v)
 
     def to_str(self, u: Vec) -> str:
         if self.d == 1:

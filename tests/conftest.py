@@ -15,6 +15,10 @@ MODULI = {
     (2, 1): [0, 1], (2, 2): [1, 1, 1], (2, 3): [1, 1, 0, 1],
     (3, 1): [0, 1], (3, 2): [1, 0, 1], (3, 3): [1, 2, 0, 1],
     (5, 1): [0, 1], (5, 2): [2, 0, 1], (5, 3): [1, 1, 0, 1],
+    (257, 1): [0, 1], (257, 2): [3, 0, 1], (257, 3): [1, 1, 0, 1],
+    (65537, 1): [0, 1], (65537, 2): [3, 0, 1], (65537, 3): [4, 1, 0, 1],
+    (2 ** 31 - 1, 1): [0, 1], (2 ** 31 - 1, 2): [1, 0, 1],
+    (2 ** 31 - 1, 3): [4, 1, 0, 1],
 }
 
 _FIELDS: Dict[Tuple[int, int], FieldSpec] = {}
@@ -52,10 +56,12 @@ def identity_matrix(field: FieldSpec, n: int, prec: int) -> List[List[TruncSerie
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def rand_suite_map(rng: random.Random, prec: int = 40) -> DmlMap:
-    """A = I, random G with valuation 1..3 prime-subfield coefficients."""
-    p = rng.choice((2, 3, 5))
-    e = rng.randint(1, 2)
+def rand_suite_map(rng: random.Random, prec: int = 40,
+                   primes: Sequence[int] = (2, 3, 5), max_e: int = 2) -> DmlMap:
+    """A = I, random G with valuation 1..3 prime-subfield coefficients.
+    G has degree p^(e-1), so a large p needs max_e = 1."""
+    p = rng.choice(primes)
+    e = rng.randint(1, max_e)
     N = rng.randint(1, 3)
     m = rng.randint(1, 3)
     field = field_for(p, m)

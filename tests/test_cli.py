@@ -299,3 +299,24 @@ def test_internal_error_is_exit_4(monkeypatch):
     assert code == 4 and out == ""
     assert err == "internal error: ValueError: broken invariant\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,fixture,key", [
+    ("validate", F1, ("parameters", "prec")),
+    ("twist", TWIST, ("q",))], ids=["instance", "twist"])
+def test_over_long_json_integer_is_exit_2(tmp_path, command, fixture, key):
+    # json.load turns a literal past CPython's 4,300-digit limit into a
+    # plain ValueError; the parser's integer hook names it as a parse error
+    with open(fixture, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    *outer, last = key
+    target = doc
+    for k in outer:
+        target = target[k]
+    target[last] = 0
+    path = tmp_path / "long_int.json"
+    path.write_text(json.dumps(doc).replace('": 0', '": ' + "9" * 5000, 1))
+    code, out, err = run([command, str(path)])
+    assert code == 2 and out == ""
+    assert err == (f"error: ParseError: {path}: integer literal of 5000 digits "
+                   "exceeds the 4300-digit limit\n")

@@ -10,9 +10,10 @@ from frobdml.dynamics import (CoefficientFieldTooLarge,
                               dml_to_general, invert_series_matrix, iterate_map,
                               orbit, preimage_qp, recognize_dml_form, series_det,
                               validate_map)
-from frobdml.errors import NonUnitDivisor, NotInImage, UnsupportedQ
+from frobdml.errors import DegreeMismatch, NonUnitDivisor, NotInImage, UnsupportedQ
 from frobdml.geometry import HomogPoly, ProjPoint, format_poly, proj_eq
 from frobdml.instances import fixture_path, parse_instance
+from frobdml.lifting import point_galois, sigma_fixed_lift
 from frobdml.series import (AtPrecisionZero, GaloisAction, TruncSeries,
                             format_series, parse_series)
 
@@ -201,6 +202,70 @@ def test_orbit_length_and_start():
     assert pts[1] == apply_map(F1, P)
 
 
+def orbit_reference(f, P, H):
+    """Reference: H applications of the map, one after another."""
+    if H < 0:
+        raise DegreeMismatch("horizon must be >= 0")
+    out = [P]
+    cur = P
+    for _ in range(H):
+        cur = apply_map(f, cur)
+        out.append(cur)
+    return out
+
+
+def orbit_outcome(fn, f, P, H):
+    """Every point with its consumed precision and, per coordinate, the
+    precision, packing and inexact flag; or the error type and message."""
+    try:
+        pts = fn(f, P, H)
+    except Exception as ex:  # compared, never swallowed
+        return type(ex), str(ex)
+    return [(Q.consumed, [(c.prec, c.packed, c.inexact) for c in Q.coords])
+            for Q in pts]
+
+
+def test_orbit_matches_reference_on_random_maps():
+    rng = random.Random(6007)
+    prec = 10
+    for _ in range(24):
+        f = rand_suite_map(rng, prec=prec)
+        L = sigma_fixed_lift(f, rand_residue_point(rng, f), prec).lift
+        conj = point_galois(L, f.e, times=rng.randint(1, 5))
+        short = rand_suite_map(rng, prec=prec - 3)   # raises at step 1 unless G = 0
+        cases = [(f, L), (f, conj), (f, rand_point(rng, f.field, f.N, prec)),
+                 (short, rand_point(rng, short.field, short.N, prec))]
+        for g, P in cases:
+            H = rng.choice((-1, 0, 1, 2, 3, 7, 13))
+            assert orbit_outcome(orbit, g, P, H) == orbit_outcome(orbit_reference, g, P, H)
+
+
+def test_orbit_replays_the_inexact_flags_of_the_cycle():
+    """The f1 orbit of (1 : t) is fixed from step 2.  Marking the fixed
+    point's pivot inexact gives a point with the same packing that maps to
+    the exact one, so the walk must key on the flags: entries 1.. are exact.
+    The consumed precision is part of the key for the same reason."""
+    Q = orbit(F1, ProjPoint(F2, [ser(F2, "1"), ser(F2, "t")]), 2)[2]
+    Qx = ProjPoint(F2, [Q.coords[0].change_precision(9).change_precision(8),
+                        Q.coords[1]], _trusted=True)
+    assert Qx.coords[0].inexact and Qx.coords == Q.coords
+    pts = orbit(F1, Qx, 6)
+    assert [P.coords[0].inexact for P in pts] == [True] + [False] * 6
+    assert orbit_outcome(orbit, F1, Qx, 6) == orbit_outcome(orbit_reference, F1, Qx, 6)
+    # an inexact non-pivot coordinate stays inexact around the cycle
+    Px = ProjPoint(F2, [ser(F2, "1"), ser(F2, "t", 4).change_precision(8)])
+    pts = orbit(F1, Px, 6)
+    assert all(P.coords[1].inexact for P in pts)
+    assert pts[4] is pts[2]
+    assert orbit_outcome(orbit, F1, Px, 6) == orbit_outcome(orbit_reference, F1, Px, 6)
+    # the same fixed point reached by dividing out t: only the start point
+    # records the consumed digit
+    t = TruncSeries.t_power(F2, 1, 9)
+    Pt = ProjPoint(F2, [t * c.zero_extend(9) for c in Q.coords])
+    assert Pt.consumed == 1 and Pt.coords == Q.coords
+    assert [P.consumed for P in orbit(F1, Pt, 4)] == [1, 0, 0, 0, 0]
+
+
 def test_compose_golden_and_iterate_agree():
     ff = compose_maps(F3, F3)
     assert format_poly(ff.coords[0], "x") == "x0^4"
@@ -315,6 +380,18 @@ def test_apply_commutes_with_galois():
     rng = random.Random(32)
     for _ in range(20):
         f = rand_suite_map(rng, prec=12)
+        P = rand_point(rng, f.field, f.N, 12)
+        sigma = GaloisAction(f.e)
+        sigmaP = ProjPoint(f.field, [c.galois(sigma) for c in P.coords])
+        fP = apply_map(f, P)
+        sigma_fP = ProjPoint(f.field, [c.galois(sigma) for c in fP.coords])
+        assert proj_eq(apply_map(f, sigmaP), sigma_fP)
+
+
+def test_apply_commutes_with_galois_at_large_p():
+    rng = random.Random(33)
+    for _ in range(15):
+        f = rand_suite_map(rng, prec=12, primes=(257, 65537, 2 ** 31 - 1), max_e=1)
         P = rand_point(rng, f.field, f.N, 12)
         sigma = GaloisAction(f.e)
         sigmaP = ProjPoint(f.field, [c.galois(sigma) for c in P.coords])

@@ -2,11 +2,18 @@ import random
 
 import pytest
 
+from frobdml.dynamics import GeneralMap, apply_map
 from frobdml.errors import PrecisionBelowThreshold
+from frobdml.geometry import (HomogPoly, Subvariety, eval_hom, point_variety,
+                              proj_eq)
 from frobdml.instances import fixture_path, parse_instance
-from frobdml.returns import (EXACT, NO_DECOMPOSITION, ReturnSet, ap_decompose,
-                             decompose_oracle, default_threshold, return_set)
-from frobdml.series import AtPrecisionZero
+from frobdml.lifting import point_galois, sigma_fixed_lift
+from frobdml.returns import (EXACT, NO_DECOMPOSITION, ReturnSet, _meets,
+                             ap_decompose, decompose_oracle, default_threshold,
+                             return_set)
+from frobdml.series import AtPrecisionZero, TruncSeries
+
+from conftest import field_for, rand_point, rand_residue_point, rand_suite_map
 
 INST4 = parse_instance(fixture_path("f4.json"))
 INST1 = parse_instance(fixture_path("f1.json"))
@@ -142,3 +149,126 @@ def test_membership_monotone_in_threshold():
     lo = return_set(f, P, V, 20, 10)
     hi = return_set(f, P, V, 20, 35)
     assert set(hi.hits) <= set(lo.hits)
+
+
+def return_set_reference(f, x, V, H, tau):
+    """Reference: the full walk, V evaluated at every f^n(x) before
+    f^(n+1)(x) is computed."""
+    if H < 0:
+        raise ValueError("horizon must be >= 0")
+    if tau > x.prec:
+        raise PrecisionBelowThreshold(
+            f"threshold {tau} exceeds point precision {x.prec}")
+    if tau < 1:
+        raise PrecisionBelowThreshold("threshold must be >= 1")
+    hits = []
+    vals = []
+    cur = x
+    for n in range(H + 1):
+        row = tuple(eval_hom(h, cur).valuation() for h in V.generators)
+        vals.append(row)
+        if all(_meets(v, tau) for v in row):
+            hits.append(n)
+        if n < H:
+            cur = apply_map(f, cur)
+    return ReturnSet(H, tau, tuple(hits), tuple(vals))
+
+
+def outcome(fn, *args):
+    """The value, or the type and message of the exception raised."""
+    try:
+        return fn(*args)
+    except Exception as ex:  # compared, never swallowed
+        return type(ex), str(ex)
+
+
+def galois_period(P, e):
+    return next(d for d in range(1, 50) if proj_eq(point_galois(P, e, times=d), P))
+
+
+def test_return_set_matches_reference_on_random_maps():
+    """Lifts (periodic) and their conjugates, random points, and walks that
+    lose precision part-way, at H = 0 and around the period."""
+    rng = random.Random(6006)
+    prec = 10
+    tau = default_threshold(prec)
+    seen = {"periodic": 0, "long_h": 0, "raised": 0, "random": 0}
+    for _ in range(24):
+        f = rand_suite_map(rng, prec=prec)
+        L = sigma_fixed_lift(f, rand_residue_point(rng, f), prec).lift
+        d = galois_period(L, f.e)
+        conj = [point_galois(L, f.e, times=j) for j in range(d)]
+        V = point_variety(rng.choice(conj))
+        for x in (L, rng.choice(conj)):
+            for H in sorted({0, max(d - 1, 0), d, d + 1, 3 * d + rng.randint(0, 4)}):
+                got = return_set(f, x, V, H, tau)
+                assert got == return_set_reference(f, x, V, H, tau)
+                seen["periodic"] += 1
+                seen["long_h"] += H > d
+        x = rand_point(rng, f.field, f.N, prec)
+        H = rng.randint(0, 12)
+        assert outcome(return_set, f, x, V, H, tau) \
+            == outcome(return_set_reference, f, x, V, H, tau)
+        seen["random"] += 1
+        # coefficients known to fewer digits than the point: the walk raises
+        # PrecisionExhausted at step 1 unless G is zero
+        g = rand_suite_map(rng, prec=prec - 2)
+        y = rand_point(rng, g.field, g.N, prec)
+        W = point_variety(rand_point(rng, g.field, g.N, prec))
+        H = rng.randint(0, 4)
+        want = outcome(return_set_reference, g, y, W, H, tau)
+        assert outcome(return_set, g, y, W, H, tau) == want
+        seen["raised"] += isinstance(want, tuple)
+    assert all(seen.values()), seen
+
+
+def rand_general_map(rng, F, prec):
+    """(x0 : x1) -> two random quadratic forms with dense coefficients; the
+    image loses precision wherever both forms vanish mod t."""
+    def dense():
+        return TruncSeries(F, prec, [F.from_int(rng.randrange(F.order))
+                                     for _ in range(prec)])
+    return GeneralMap(F, [HomogPoly(F, 1, 2, {e: dense() for e in
+                                              ((2, 0), (1, 1), (0, 2))})
+                          for _ in range(2)])
+
+
+def test_return_set_matches_reference_when_precision_runs_out_part_way():
+    F = field_for(3, 1)
+    prec = 8
+    rng = random.Random(66)
+    one = TruncSeries.one(F, prec)
+    V = Subvariety(F, 1, [HomogPoly(F, 1, 1, {(0, 1): one})])
+    late = 0
+    for _ in range(40):
+        f = rand_general_map(rng, F, prec)
+        for _ in range(3):
+            x = rand_point(rng, F, 1, prec)
+            H = rng.randint(0, 10)
+            want = outcome(return_set_reference, f, x, V, H, 4)
+            assert outcome(return_set, f, x, V, H, 4) == want
+            late += (isinstance(want, tuple)
+                     and not isinstance(outcome(return_set_reference, f, x, V, 1, 4), tuple))
+    assert late, "no walk lost precision after its first step"
+
+
+def test_return_set_error_precedence_matches_reference():
+    """V is evaluated at f^n(x) before f^(n+1)(x) is computed, so a V whose
+    N or field does not match x fails before a walk that would fail at
+    step 1, and a valid V lets the walk's own error through."""
+    rng = random.Random(67)
+    f = rand_suite_map(rng, prec=6)
+    while all(g.is_zero() for g in f.G):
+        f = rand_suite_map(rng, prec=6)
+    x = rand_point(rng, f.field, f.N, 10)   # finer than the map: step 1 raises
+    other_N = point_variety(rand_point(rng, f.field, f.N + 1, 10))
+    other_field = point_variety(rand_point(
+        rng, field_for(7 - f.field.p if f.field.p != 5 else 2, 1), f.N, 10))
+    same = point_variety(rand_point(rng, f.field, f.N, 10))
+    kinds = set()
+    for V in (other_N, other_field, same):
+        for H in (0, 1, 5):
+            want = outcome(return_set_reference, f, x, V, H, 6)
+            assert outcome(return_set, f, x, V, H, 6) == want
+            kinds.add(want[0] if isinstance(want, tuple) else "ok")
+    assert len(kinds) >= 3, kinds

@@ -1,0 +1,123 @@
+"""Paired before/after runs of the benchmark, written to a BENCH_<n>.json.
+
+    python3 tools/bench_pairs.py --base HEAD --workload returns --seed 11 \\
+        --pairs 10 --seconds 25 --out BENCH_6.json [--workload lift ...]
+
+The base revision is exported with ``git archive`` into a temporary
+directory; the change is the working tree this script sits in.  For each
+workload, pair i runs the unchanged ``bench/run.py`` once on each side, the
+base first in even pairs and the change first in odd ones, so drift in
+machine speed falls on both sides alike.  The file records, per workload and
+side, every run's six end-to-end metrics with their median and quartiles,
+the pair count and the pairs the change won per metric (the direction comes
+from BENCHMARK.json), the machine, and the line counts of src/frobdml/*.py
+on both trees.  Runs go one at a time.
+"""
+from __future__ import annotations
+
+import argparse
+import datetime
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def export(rev: str, dest: Path) -> str:
+    """Extract the committed files of rev into dest; return the full hash."""
+    sha = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return sha
+
+
+def src_lines(tree: Path) -> dict:
+    files = sorted((tree / "src" / "frobdml").glob("*.py"))
+    per = {f.name: len(f.read_bytes().splitlines()) for f in files}
+    return {"files": per, "total": sum(per.values())}
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=tree, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": ""})
+    if proc.returncode != 0:
+        raise SystemExit(f"bench/run.py failed in {tree}:\n{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            **{k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def summary(values: list) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": q2, "q1": q1, "q3": q3}
+
+
+def machine() -> dict:
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((ln.split(":", 1)[1].strip() for ln in fh
+                        if ln.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {"cpu": cpu, "nproc": os.cpu_count(), "machine": platform.machine(),
+            "system": platform.platform(), "python": platform.python_version()}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", default="HEAD", help="revision to compare against")
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=25)
+    ap.add_argument("--out", required=True, help="file to write, e.g. BENCH_6.json")
+    args = ap.parse_args()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        base = Path(tmp)
+        sha = export(args.base, base)
+        trees = {"base": base, "change": ROOT}
+        doc = {"date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+               "machine": machine(),
+               "base": {"rev": args.base, "commit": sha, "src_lines": src_lines(base)},
+               "change": {"tree": "working tree", "src_lines": src_lines(ROOT)},
+               "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+               "workloads": {}}
+        for workload in args.workload:
+            runs = {"base": [], "change": []}
+            for i in range(args.pairs):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                for side in order:
+                    runs[side].append(run_bench(trees[side], workload, args.seed,
+                                                args.seconds))
+                print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
+                    f"{s} {runs[s][-1]['throughput_ops_per_s']:.1f} ops/s"
+                    for s in ("base", "change")), file=sys.stderr)
+            entry = {side: {"runs": rs, **{m: summary([r[m] for r in rs]) for m in better}}
+                     for side, rs in runs.items()}
+            entry["wins"] = {
+                m: sum((c[m] > b[m]) if better[m] == "higher" else (c[m] < b[m])
+                       for b, c in zip(runs["base"], runs["change"]))
+                for m in better}
+            doc["workloads"][workload] = entry
+    out = ROOT / args.out
+    out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {out}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()
