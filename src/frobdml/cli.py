@@ -474,10 +474,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValidationFailure as ex:
-        for d in ex.diagnostics:
-            sys.stderr.write(f"{d}\n")
-        return 2
     except FrobdmlError as ex:
         sys.stderr.write(f"error: {type(ex).__name__}: {ex}\n")
         return ex.exit_code

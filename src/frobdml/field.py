@@ -18,6 +18,7 @@ from typing import Iterator, List, Sequence, Tuple
 from . import poly
 from .errors import (
     DegreeMismatch,
+    DegreeOverflow,
     DivisionByZero,
     FieldMismatch,
     NonPrimeP,
@@ -28,14 +29,33 @@ from .errors import (
 Coeffs = Tuple[int, ...]
 
 
+# Miller-Rabin to the first 13 prime bases decides primality below
+# PRIME_BOUND, the least composite that passes all 13 (J. Sorenson,
+# J. Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < PRIME_BOUND."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -77,6 +97,9 @@ class FieldSpec:
     )
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
+        if p >= PRIME_BOUND:
+            raise DegreeOverflow(
+                f"p is not below {PRIME_BOUND}, the bound of the primality test")
         if not _is_prime(p):
             raise NonPrimeP(f"p = {p} is not prime")
         if m < 1:

@@ -6,26 +6,41 @@ multipoint Kronecker substitution", J. Symbolic Comput. 2009).  The
 coefficient of t^j owns slot j, 2m-1 digits of w bits starting at bit
 j*(2m-1)*w.  Its F_p coordinates (ascending powers of the generator a) sit
 in the low m digits of the slot, each reduced to [0, p); the high m-1 digits
-are zero.  The packing is canonical, so equality, hashing, the zero test,
-the valuation (lowest set bit over the slot width), division by t^k (a
-shift) and truncation (a mask) read the integer directly.  FqElem values
-appear only at the boundaries: the list constructor used by parsing, and
-``coeffs`` and ``constant_term``, which decode on every call.
+are zero.
 
 The high digits make room for products.  One bignum multiply performs the
 whole convolution, slot j receiving the 2m-1 digits of sum_i c_i d_(j-i);
 every digit is reduced mod p, digits m..2m-2 are folded back through the
 rows a^(m+k) mod the modulus, and the low digits are reduced again.  A
-product digit sums at most prec*m terms below (p-1)^2 and the fold adds
-less than m*p^2, so the digit width w is derived per field as the least
-power of two >= 8 with
+product digit of a precision-n result sums at most n*m terms below (p-1)^2
+and the fold adds less than m*p^2, so a series of precision n packs at the
+least digit width w in {8, 16, 32, 64, ..} with
 
-    MAX_PREC * m * (p-1)^2 + m * p^2 < 2^(w-1),       MAX_PREC = 2^16.
+    n * m * (p-1)^2 + m * p^2 < 2^(w-1).
 
-Every series over a field therefore has the same width, and a precision
-above MAX_PREC is rejected rather than allowed to overflow a digit.  The
-spare top bit serves addition: digits are added, then p is subtracted from
-exactly the digits that reached p, read off as bit w-1 after adding
+The cost of the product follows the operand bit size, so a series is as
+narrow as its own precision allows: over F_4, precisions up to 59 pack
+8-bit digits and 60 to 16,379 pack 16-bit ones.  Each field has a
+_Layout per width it meets (the rows and Frobenius columns in that width)
+and one table of _Shapes, the masks and digit structs per precision, each
+pointing at the layout of its width.  A precision above MAX_PREC is rejected
+rather than given ever wider digits.
+
+The width is a function of (field, prec), so every precision has exactly one
+packing: equality, hashing, the zero test, is_one, the valuation (lowest set
+bit over the slot width), division by t^k (a shift) and truncation (a mask)
+read the integer directly.  Whatever changes the precision repacks when the
+new precision has another width: an operation whose operands differ in
+precision cuts the longer one to the common precision, and change_precision,
+zero_extend, shift_down, eq_at_precision and the Newton steps of inverse
+pass through _fit.  A repack copies the low bytes of every digit into a
+buffer of the other width, which is exact because a reduced digit is below
+p < 2^(w-1) in every width the precision admits.  FqElem values appear only
+at the boundaries: the list constructor used by parsing, and ``coeffs`` and
+``constant_term``, which decode on every call.
+
+The spare top bit serves addition: digits are added, then p is subtracted
+from exactly the digits that reached p, read off as bit w-1 after adding
 2^(w-1)-p to every digit.  Over F_2 addition is XOR and a digit mod 2 is its
 low bit.
 
@@ -74,7 +89,7 @@ class GaloisAction:
 
 
 # ---------------------------------------------------------------------------
-# the packing of one field
+# the packings of one field
 # ---------------------------------------------------------------------------
 
 class _WideDigits:
@@ -112,14 +127,43 @@ def _digit_struct(L: "_Layout", n: int, first: int, count: int):
     return struct.Struct("<" + item * n)
 
 
+class _Layout:
+    """One digit width of a field: slot width, the reduction rows a^(m+k)
+    and the Frobenius columns as packed slots."""
+
+    __slots__ = ("p", "m", "w", "S", "slot", "ones_slot", "red", "_frob")
+
+    def __init__(self, field: FieldSpec, w: int):
+        p, m = field.p, field.m
+        self.p, self.m, self.w, self.S = p, m, w, (2 * m - 1) * w
+        self.slot = (1 << (m * w)) - 1
+        self.ones_slot = self.pack((1,) * m)
+        self.red = [self.pack(row) for row in field._red[:m - 1]]
+        self._frob: Dict[int, List[int]] = {}
+
+    def pack(self, digits: Sequence[int]) -> int:
+        """One coefficient's digits as a packed slot."""
+        w = self.w
+        return sum(d << (i * w) for i, d in enumerate(digits))
+
+    def frob_cols(self, field: FieldSpec, k: int) -> List[int]:
+        """The images of 1, a, .., a^(m-1) under x -> x^(p^k), packed."""
+        cols = self._frob.get(k)
+        if cols is None:
+            cols = self._frob[k] = [self.pack(c) for c in field._frob_mat(k)]
+        return cols
+
+
 class _Shape:
-    """Masks and digit structs of an n-coefficient packing."""
+    """The layout, masks and digit structs of an n-coefficient packing."""
 
-    __slots__ = ("rep", "ones", "bias", "pones", "digit", "low", "lo", "hi")
+    __slots__ = ("L", "mask", "rep", "ones", "bias", "pones", "digit", "low", "lo", "hi")
 
-    def __init__(self, L: "_Layout", n: int):
+    def __init__(self, L: _Layout, n: int):
         p, m, w, S = L.p, L.m, L.w, L.S
-        self.rep = rep = ((1 << (n * S)) - 1) // ((1 << S) - 1)  # bit 0 of each slot
+        self.L = L
+        self.mask = (1 << (n * S)) - 1           # all n slots
+        self.rep = rep = self.mask // ((1 << S) - 1)  # bit 0 of each slot
         self.ones = rep * L.ones_slot            # 1 in every stored digit
         self.digit = rep * ((1 << w) - 1)        # all of digit 0 of each slot
         self.low = rep * L.slot                  # all of the stored digits
@@ -130,59 +174,72 @@ class _Shape:
         self.hi = _digit_struct(L, n, m, m - 1) if m > 1 and p > 2 else None
 
 
-class _Layout:
-    """Digit width, slot width, the reduction rows a^(m+k) and Frobenius
-    columns as packed slots, and a _Shape per coefficient count."""
+def _width(field: FieldSpec, n: int) -> int:
+    """The least w in {8, 16, 32, ..} with n*m*(p-1)^2 + m*p^2 < 2^(w-1)."""
+    p, m = field.p, field.m
+    need, w = n * m * (p - 1) ** 2 + m * p * p, 8
+    while need >= 1 << (w - 1):
+        w *= 2
+    return w
 
-    __slots__ = ("p", "m", "w", "S", "slot", "ones_slot", "red", "_frob", "_shapes")
+
+class _Kron(dict):
+    """The packings of one field: a table of _Shapes by precision, the last
+    SHAPES_KEPT used, and a _Layout per digit width they point at."""
+
+    __slots__ = ("field", "layouts")
 
     def __init__(self, field: FieldSpec):
-        p, m = field.p, field.m
-        w = 8
-        while MAX_PREC * m * (p - 1) ** 2 + m * p * p >= 1 << (w - 1):
-            w *= 2
-        self.p, self.m, self.w, self.S = p, m, w, (2 * m - 1) * w
-        self.slot = (1 << (m * w)) - 1
-        self.ones_slot = self.pack((1,) * m)
-        self.red = [self.pack(row) for row in field._red[:m - 1]]
-        self._frob: Dict[int, List[int]] = {}
-        self._shapes: Dict[int, _Shape] = {}
+        super().__init__()
+        self.field = field
+        self.layouts: Dict[int, _Layout] = {}
 
-    def pack(self, digits: Sequence[int]) -> int:
-        """One coefficient's digits as a packed slot."""
-        w = self.w
-        return sum(d << (i * w) for i, d in enumerate(digits))
-
-    def at(self, n: int) -> _Shape:
-        sh = self._shapes.get(n)
-        if sh is None:
-            if len(self._shapes) >= SHAPES_KEPT:   # evict the oldest
-                del self._shapes[next(iter(self._shapes))]
-            sh = self._shapes[n] = _Shape(self, n)
+    def __missing__(self, n: int) -> _Shape:
+        F = self.field
+        w = _width(F, n)
+        L = self.layouts.get(w)
+        if L is None:
+            L = self.layouts[w] = _Layout(F, w)
+        if len(self) >= SHAPES_KEPT:   # evict the oldest
+            del self[next(iter(self))]
+        sh = self[n] = _Shape(L, n)
         return sh
 
-    def frob_cols(self, field: FieldSpec, k: int) -> List[int]:
-        """The images of 1, a, .., a^(m-1) under x -> x^(p^k), packed."""
-        cols = self._frob.get(k)
-        if cols is None:
-            cols = self._frob[k] = [self.pack(c) for c in field._frob_mat(k)]
-        return cols
+
+_KRONS: Dict[Tuple[int, int, Tuple[int, ...]], _Kron] = {}
 
 
-_LAYOUTS: Dict[Tuple[int, int, Tuple[int, ...]], _Layout] = {}
-
-
-def _layout(field: FieldSpec) -> _Layout:
-    """The packing of ``field``, shared by every equal FieldSpec (each parsed
+def _kron(field: FieldSpec) -> _Kron:
+    """The packings of ``field``, shared by every equal FieldSpec (each parsed
     instance file builds its own) and kept on the field for direct access."""
-    L = field._kron
-    if L is None:
+    K = field._kron
+    if K is None:
         key = (field.p, field.m, field.modulus)
-        L = _LAYOUTS.get(key)
-        if L is None:
-            L = _LAYOUTS[key] = _Layout(field)
-        field._kron = L
-    return L
+        K = _KRONS.get(key)
+        if K is None:
+            K = _KRONS[key] = _Kron(field)
+        field._kron = K
+    return K
+
+
+def _fit(K: _Kron, X: int, a: int, b: int) -> int:
+    """The packing X of a precision-a series as one of precision b: cut to b
+    slots when b < a (zero digits are added when b > a), in the width of b."""
+    A, B = K[a].L, K[b]
+    if A is B.L:
+        return X & B.mask if b < a else X
+    B = B.L
+    if b < a:
+        X &= (1 << (b * A.S)) - 1
+    # a digit of a precision-n series is below p < 2^(w-1) in the width w of
+    # n, so copying the low bytes of every digit is exact both ways
+    ab, bb = A.w // 8, B.w // 8
+    count = min(a, b) * (2 * A.m - 1)
+    src = X.to_bytes(count * ab, "little")
+    out = bytearray(count * bb)
+    for i in range(min(ab, bb)):
+        out[i::bb] = src[i::ab]
+    return int.from_bytes(out, "little")
 
 
 def _modp(st, p: int, X: int) -> int:
@@ -191,13 +248,14 @@ def _modp(st, p: int, X: int) -> int:
         st.pack(*map(p.__rmod__, st.unpack(X.to_bytes(st.size, "little")))), "little")
 
 
-def _reduce_low(L: _Layout, sh: _Shape, P: int) -> int:
+def _reduce_low(sh: _Shape, P: int) -> int:
     """Canonical packing of P, whose slots hold m low digits below 2^(w-1)."""
-    return P & sh.ones if L.p == 2 else _modp(sh.lo, L.p, P)
+    return P & sh.ones if sh.L.p == 2 else _modp(sh.lo, sh.L.p, P)
 
 
-def _reduce(L: _Layout, sh: _Shape, P: int) -> int:
+def _reduce(sh: _Shape, P: int) -> int:
     """Canonical packing of P, whose slots hold 2m-1 digits below 2^(w-1)."""
+    L = sh.L
     if L.m > 1:
         w = L.w
         if L.p == 2:
@@ -207,7 +265,7 @@ def _reduce(L: _Layout, sh: _Shape, P: int) -> int:
         P &= sh.low
         for k, row in enumerate(L.red, L.m):
             P += ((H >> (k * w)) & dig) * row
-    return _reduce_low(L, sh, P)
+    return _reduce_low(sh, P)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +275,7 @@ def _reduce(L: _Layout, sh: _Shape, P: int) -> int:
 class TruncSeries:
     """Series over ``field`` known to absolute precision ``prec``, stored as
     the packed integer ``packed`` (see the module docstring).  Every
-    TruncSeries has built the packing of its field, so methods read
+    TruncSeries has built the packings of its field, so methods read
     ``self.field._kron`` directly."""
 
     __slots__ = ("field", "prec", "packed", "inexact")
@@ -225,31 +283,31 @@ class TruncSeries:
     def __init__(self, field: FieldSpec, prec: int, coeffs: Sequence[FqElem],
                  inexact: bool = False):
         _check_prec(prec)
-        L = _layout(field)
+        m = field.m
         digits = [d for c in islice(coeffs, prec) for d in c.coeffs]
-        digits += [0] * (prec * L.m - len(digits))
+        digits += [0] * (prec * m - len(digits))
         self.field = field
         self.prec = prec
-        self.packed = int.from_bytes(L.at(prec).lo.pack(*digits), "little")
+        self.packed = int.from_bytes(_kron(field)[prec].lo.pack(*digits), "little")
         self.inexact = inexact
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def zeros(field: FieldSpec, prec: int) -> "TruncSeries":
-        return _make(field, prec, 0)
+        return _make(field, prec, lambda L: 0)
 
     @staticmethod
     def from_constant(c: FqElem, prec: int) -> "TruncSeries":
-        return _make(c.field, prec, _layout(c.field).pack(c.coeffs))
+        return _make(c.field, prec, lambda L: L.pack(c.coeffs))
 
     @staticmethod
     def one(field: FieldSpec, prec: int) -> "TruncSeries":
-        return _make(field, prec, 1)
+        return _make(field, prec, lambda L: 1)
 
     @staticmethod
     def t_power(field: FieldSpec, j: int, prec: int) -> "TruncSeries":
-        return _make(field, prec, 1 << (j * _layout(field).S) if j < prec else 0)
+        return _make(field, prec, lambda L: 1 << (j * L.S) if j < prec else 0)
 
     # -- inspection -------------------------------------------------------
 
@@ -258,7 +316,7 @@ class TruncSeries:
         """The prec coefficients, decoded afresh on every access."""
         field = self.field
         m = field.m
-        st = field._kron.at(self.prec).lo
+        st = field._kron[self.prec].lo
         ds = st.unpack(self.packed.to_bytes(st.size, "little"))
         return tuple(FqElem(field, ds[i:i + m]) for i in range(0, len(ds), m))
 
@@ -270,10 +328,10 @@ class TruncSeries:
         return self.packed == 1
 
     def is_unit(self) -> bool:
-        return bool(self.packed & self.field._kron.slot)
+        return bool(self.packed & self.field._kron[self.prec].L.slot)
 
     def constant_term(self) -> FqElem:
-        L = self.field._kron
+        L = self.field._kron[self.prec].L
         x, w, dm = self.packed & L.slot, L.w, (1 << L.w) - 1
         return FqElem(self.field, tuple((x >> (i * w)) & dm for i in range(L.m)))
 
@@ -281,7 +339,7 @@ class TruncSeries:
         X = self.packed
         if not X:
             return AtPrecisionZero(self.prec)
-        return ((X & -X).bit_length() - 1) // self.field._kron.S
+        return ((X & -X).bit_length() - 1) // self.field._kron[self.prec].L.S
 
     # -- helpers ----------------------------------------------------------
 
@@ -291,19 +349,18 @@ class TruncSeries:
         return min(self.prec, other.prec)
 
     def _operands(self, other: "TruncSeries") -> Tuple[int, int, int]:
-        """(n, X, Y): the common precision and both packings cut to it."""
+        """(n, X, Y): the common precision and both packings fitted to it."""
         n = self._align(other)
         X, Y = self.packed, other.packed
         if self.prec > n:
-            X &= (1 << (n * self.field._kron.S)) - 1
+            X = _fit(self.field._kron, X, self.prec, n)
         elif other.prec > n:
-            Y &= (1 << (n * self.field._kron.S)) - 1
+            Y = _fit(self.field._kron, Y, other.prec, n)
         return n, X, Y
 
-    def _sum(self, n: int, Z: int, inexact: bool) -> "TruncSeries":
+    def _sum(self, sh: _Shape, n: int, Z: int, inexact: bool) -> "TruncSeries":
         """Series of the digitwise sum Z, each digit in [0, 2p)."""
-        L = self.field._kron
-        sh = L.at(n)
+        L = sh.L
         Z -= (((Z + sh.bias) >> (L.w - 1)) & sh.ones) * L.p
         return _new(self.field, n, Z, inexact)
 
@@ -314,58 +371,61 @@ class TruncSeries:
         inexact = self.inexact or other.inexact
         if self.field.p == 2:
             return _new(self.field, n, X ^ Y, inexact)
-        return self._sum(n, X + Y, inexact)
+        return self._sum(self.field._kron[n], n, X + Y, inexact)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         n, X, Y = self._operands(other)
         inexact = self.inexact or other.inexact
         if self.field.p == 2:
             return _new(self.field, n, X ^ Y, inexact)
-        return self._sum(n, X + self.field._kron.at(n).pones - Y, inexact)
+        sh = self.field._kron[n]
+        return self._sum(sh, n, X + sh.pones - Y, inexact)
 
     def __neg__(self) -> "TruncSeries":
         if self.field.p == 2:
             return self
-        return self._sum(self.prec, self.field._kron.at(self.prec).pones - self.packed,
-                         self.inexact)
+        sh = self.field._kron[self.prec]
+        return self._sum(sh, self.prec, sh.pones - self.packed, self.inexact)
 
     def scale(self, c: FqElem) -> "TruncSeries":
         field = self.field
         if c.field is not field and c.field != field:
             raise FieldMismatch(f"{field} vs {c.field}")
-        L = field._kron
-        P = self.packed * L.pack(c.coeffs)
-        return _new(field, self.prec, _reduce(L, L.at(self.prec), P), self.inexact)
+        sh = field._kron[self.prec]
+        P = self.packed * sh.L.pack(c.coeffs)
+        return _new(field, self.prec, _reduce(sh, P), self.inexact)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         n, X, Y = self._operands(other)
-        L = self.field._kron
-        P = (X * Y) & ((1 << (n * L.S)) - 1)
-        return _new(self.field, n, _reduce(L, L.at(n), P), self.inexact or other.inexact)
+        sh = self.field._kron[n]
+        return _new(self.field, n, _reduce(sh, (X * Y) & sh.mask),
+                    self.inexact or other.inexact)
 
     def inverse(self) -> "TruncSeries":
         """Inverse of a unit by Newton iteration with precision doubling
         (R. P. Brent, H. T. Kung, "Fast algorithms for manipulating formal
         power series", J. ACM 1978).
 
-        When v is right mod t^h, u*v = 1 + t^h*d, and for k = min(2h, prec)
-        the step v - t^h*((v mod t^(k-h))*d) is right mod t^k.  The low h
-        digits of v are kept as they are, so the correction costs one
-        (k-h)-slot product besides the k-by-h product u*v."""
+        When v is right mod t^h, u*v = 1 + t^h*d (d is u*v shifted down by
+        h), and for k = min(2h, prec) the step v - t^h*((v mod t^(k-h))*d)
+        is right mod t^k.  The low h digits of v are kept as they are, so the
+        correction costs one (k-h)-slot product besides the k-by-h product
+        u*v.  Every operand is fitted to the precision of its step, so each
+        product packs in the width that precision allows."""
         if not self.is_unit():
             raise NonUnitDivisor(
                 f"valuation {self.valuation()} > 0, cannot invert at fixed precision")
         field, prec, inexact = self.field, self.prec, self.inexact
-        L = field._kron
-        S = L.S
-        v = L.pack(self.constant_term().inv().coeffs)
+        K = field._kron
+        v = K[1].L.pack(self.constant_term().inv().coeffs)
         h = 1
         while h < prec:
             k = min(2 * h, prec)
-            u = _new(field, k, self.packed & ((1 << (k * S)) - 1), inexact)
-            e = _new(field, k, 1, False) - u * _new(field, k, v, inexact)  # -t^h*d
-            low = _new(field, k - h, v & ((1 << ((k - h) * S)) - 1), inexact)
-            v |= (low * e.shift_down(h)).packed << (h * S)
+            v = _fit(K, v, h, k)
+            u = _new(field, k, _fit(K, self.packed, prec, k), inexact)
+            d = (u * _new(field, k, v, inexact)).shift_down(h)
+            c = -(_new(field, k - h, _fit(K, v, k, k - h), inexact) * d)
+            v |= _fit(K, c.packed, k - h, k) << (h * K[k].L.S)
             h = k
         return _new(field, prec, v, inexact)
 
@@ -380,7 +440,7 @@ class TruncSeries:
         Exact, one pass; absolute precision is conservatively kept."""
         field, n = self.field, self.prec
         pk = field.p ** k
-        slot = field._kron.S // 8
+        slot = field._kron[n].L.S // 8
         src = self.packed.to_bytes(n * slot, "little")
         out = bytearray(n * slot)
         for j in range(0, n, pk):
@@ -392,10 +452,12 @@ class TruncSeries:
         """Divide by t^k (index shift); consumes k digits of precision."""
         if k == 0:
             return self
-        if self.prec - k < 1:
+        n = self.prec - k
+        if n < 1:
             raise DegreeMismatch(f"shift by {k} exhausts precision {self.prec}")
-        return _new(self.field, self.prec - k,
-                    self.packed >> (k * self.field._kron.S), self.inexact)
+        K = self.field._kron
+        X = self.packed >> (k * K[self.prec].L.S)
+        return _new(self.field, n, _fit(K, X, self.prec, n), self.inexact)
 
     def galois(self, act: Union[GaloisAction, int], inverse: bool = False) -> "TruncSeries":
         e = act.e if isinstance(act, GaloisAction) else act
@@ -405,13 +467,12 @@ class TruncSeries:
         k = e % field.m
         if k == 0:
             return self
-        L = field._kron
-        sh = L.at(self.prec)
-        X, w = self.packed, L.w
+        sh = field._kron[self.prec]
+        X, w = self.packed, sh.L.w
         acc = 0
-        for j, col in enumerate(L.frob_cols(field, k)):
+        for j, col in enumerate(sh.L.frob_cols(field, k)):
             acc += ((X >> (j * w)) & sh.digit) * col
-        return _new(field, self.prec, _reduce_low(L, sh, acc), self.inexact)
+        return _new(field, self.prec, _reduce_low(sh, acc), self.inexact)
 
     # -- precision management ---------------------------------------------
 
@@ -424,16 +485,15 @@ class TruncSeries:
         if n < self.prec:
             raise DegreeMismatch(f"cannot extend precision {self.prec} down to {n}")
         _check_prec(n)
-        return _new(self.field, n, self.packed, self.inexact)
+        return _new(self.field, n, _fit(self.field._kron, self.packed, self.prec, n),
+                    self.inexact)
 
     def change_precision(self, n: int) -> "TruncSeries":
         if n == self.prec:
             return self
         _check_prec(n)
-        if n < self.prec:
-            return _new(self.field, n, self.packed & ((1 << (n * self.field._kron.S)) - 1),
-                        self.inexact)
-        return _new(self.field, n, self.packed, True)
+        return _new(self.field, n, _fit(self.field._kron, self.packed, self.prec, n),
+                    self.inexact or n > self.prec)
 
     def eq_at_precision(self, other: "TruncSeries", n: Optional[int] = None) -> bool:
         k = self._align(other)
@@ -441,7 +501,8 @@ class TruncSeries:
             if n > k:
                 raise DegreeMismatch(f"cannot compare at {n} beyond stored precision {k}")
             k = n
-        return not ((self.packed ^ other.packed) & ((1 << (k * self.field._kron.S)) - 1))
+        K = self.field._kron
+        return _fit(K, self.packed, self.prec, k) == _fit(K, other.packed, other.prec, k)
 
     # -- dunder plumbing ----------------------------------------------------
 
@@ -472,12 +533,11 @@ def _new(field: FieldSpec, prec: int, packed: int, inexact: bool) -> TruncSeries
     return s
 
 
-def _make(field: FieldSpec, prec: int, packed: int) -> TruncSeries:
-    """An exact series from a packing, building the field's layout first."""
+def _make(field: FieldSpec, prec: int, packing) -> TruncSeries:
+    """An exact series whose packing ``packing(layout)`` computes in the
+    layout of prec, once prec is known to be in range."""
     _check_prec(prec)
-    _layout(field)
-    return _new(field, prec, packed, False)
-
+    return _new(field, prec, packing(_kron(field)[prec].L), False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 
 from frobdml.cli import RETURNS_NOTE, main
+from frobdml.field import PRIME_BOUND
 from frobdml.instances import (fixture_path, parse_instance,
                                parse_instance_dict, render_instance)
 
@@ -217,6 +219,23 @@ def test_validate_reports_diagnostics_on_stdout(tmp_path):
     assert code == 2 and out == "" and "unit coefficient" in err
 
 
+def test_every_diagnostic_in_one_stderr_line(tmp_path):
+    doc = render_instance(parse_instance(F1))
+    doc["map"]["A"] = [["1", "1"], ["1", "1"]]
+    doc["map"]["G"][1] = [{"exponents": [1, 0], "coeff": "1 + O(t^65)"}]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(["orbit", str(bad), "--point", "P", "--horizon", "1"])
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ValidationFailure: ")
+    assert "NonUnitDeterminant" in err and "CoefficientNotInMaximalIdeal" in err
+    # validate still reports them on stdout, one line each
+    code, out, err = run(["validate", str(bad)])
+    assert code == 2 and err == ""
+    assert [ln.split(":")[0] for ln in out.splitlines()] == [
+        "invalid", "NonUnitDeterminant", "CoefficientNotInMaximalIdeal"]
+
+
 def test_twist_search_bound_is_exit_3():
     code, out, err = run(["twist", TWIST, "--rmax", "1"])
     assert code == 3 and out == ""
@@ -272,6 +291,24 @@ def test_huge_map_e_is_exit_3(tmp_path, e):
     assert err == (f"error: DegreeOverflow: map: G degree p^(e-1) = 2^{e - 1} "
                    f"exceeds the term bound 1000000\n")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("p,code", [(2 ** 64 - 59, 0), (PRIME_BOUND, 3), (10 ** 4000 + 1, 3)],
+                         ids=["2^64-59", "bound", "4001-digits"])
+def test_large_p_validates_fast_or_exits_3(tmp_path, p, code):
+    with open(F1, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["field"]["p"] = doc["map"]["p"] = p
+    path = tmp_path / "large_p.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    got, out, err = run(["validate", str(path)])
+    assert got == code and time.perf_counter() - t0 < 0.1
+    if code:
+        assert out == "" and err == (f"error: DegreeOverflow: p is not below {PRIME_BOUND}, "
+                                     "the bound of the primality test\n")
+    else:
+        assert err == "" and out.startswith("valid: f1\n")
 
 
 def test_p257_lift_exits_0(tmp_path):

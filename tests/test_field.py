@@ -1,14 +1,15 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobdml import poly
-from frobdml.errors import (DegreeMismatch, DivisionByZero, FieldMismatch,
-                            NonPrimeP, ReducibleModulus)
-from frobdml.field import (FieldSpec, _poly_str, format_element, frobenius_pow,
-                           make_field, parse_element)
+from frobdml.errors import (DegreeMismatch, DegreeOverflow, DivisionByZero,
+                            FieldMismatch, NonPrimeP, ReducibleModulus)
+from frobdml.field import (PRIME_BOUND, FieldSpec, _is_prime, _poly_str,
+                           format_element, frobenius_pow, make_field, parse_element)
 
 from conftest import field_for
 
@@ -30,6 +31,49 @@ def test_nonprime_p_rejected():
         make_field(4, 1, [0, 1])
     with pytest.raises(NonPrimeP):
         make_field(1, 1, [0, 1])
+
+
+def trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_primality_matches_trial_division_below_1e5():
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == \
+        [n for n in range(10 ** 5) if trial_division(n)]
+
+
+def test_primality_on_pseudoprimes_and_large_numbers():
+    carmichael = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745, 825265)
+    # strong pseudoprimes to the first 9 and the first 12 prime bases
+    psi9, psi12 = 149491 * 747451 * 34233211, 399165290221 * 798330580441
+    for n in carmichael + (psi9, psi12, 4294967291 * 4294967311):
+        assert not _is_prime(n), n
+    for n in (2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 - 59):
+        assert _is_prime(n), n
+    # the least composite the 13 bases pass: the bound of the test
+    assert _is_prime(PRIME_BOUND) and PRIME_BOUND == 1287836182261 * 2575672364521
+
+
+def test_twenty_digit_prime_builds_fast_and_huge_p_exits_3():
+    t0 = time.perf_counter()
+    F = make_field(2 ** 64 - 59, 1, [0, 1])
+    assert time.perf_counter() - t0 < 0.1 and F.order == 2 ** 64 - 59
+    t0 = time.perf_counter()
+    for n in (4294967291 * 4294967311, 399165290221 * 798330580441, PRIME_BOUND - 1):
+        with pytest.raises(NonPrimeP):
+            make_field(n, 1, [0, 1])
+    assert time.perf_counter() - t0 < 0.1
+    for p in (PRIME_BOUND, PRIME_BOUND + 2, 10 ** 5000 + 1):
+        with pytest.raises(DegreeOverflow) as exc:
+            make_field(p, 1, [0, 1])
+        assert exc.value.exit_code == 3
 
 
 def test_reducible_modulus_names_a_factor():

@@ -5,9 +5,9 @@ never a traceback (exit 4 is a fault of the program).  The mutations are
 seeded and cycle through their kinds, so every fixture meets each kind.
 
 The replacement values are small or malformed on purpose: a prime p near
-2^31 with a reducible modulus, or a large prime p at all, makes field
-construction run for minutes (ROADMAP item 5), which a unit test cannot
-wait for.
+2^31 with a reducible modulus makes field construction run for minutes
+(ROADMAP item 5), and a large bound such as R_max lets a search run as long,
+which a unit test cannot wait for.
 """
 import contextlib
 import io
@@ -72,12 +72,15 @@ def _mutate(rng, doc, kind):
 
 
 KINDS = ("long_int", "huge_e", "replace", "delete", "truncate", "replace")
-FILES = [("f1.json", "validate"), ("f3.json", "validate"),
-         ("f4.json", "validate"), ("twist_swap.json", "twist")]
+# Every other case of an instance file runs orbit from a literal point
+# instead of validate, so that its failures reach main's one-line report
+# rather than validate's diagnostics on stdout.
+FILES = [("f1.json", "validate", "1,t"), ("f3.json", "validate", "1,t,t"),
+         ("f4.json", "validate", "1,t"), ("twist_swap.json", "twist", None)]
 
 
-@pytest.mark.parametrize("name,command", FILES, ids=[n for n, _ in FILES])
-def test_mutated_fixtures_keep_the_exit_code_contract(tmp_path, name, command):
+@pytest.mark.parametrize("name,command,point", FILES, ids=[n for n, _, _ in FILES])
+def test_mutated_fixtures_keep_the_exit_code_contract(tmp_path, name, command, point):
     with open(fixture_path(name), encoding="utf-8") as fh:
         original = fh.read()
     rng = random.Random(f"fuzz-{name}")
@@ -87,7 +90,8 @@ def test_mutated_fixtures_keep_the_exit_code_contract(tmp_path, name, command):
         path.write_text(text, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, str(path)])
+            code = main([command, str(path)] if point is None or case % 2 == 0 else
+                        ["orbit", str(path), "--point", point, "--horizon", "2"])
         err = err.getvalue()
         assert code in (0, 1, 2, 3), (what, code, err)
         # a failure says why in one line: on stderr, or validate's

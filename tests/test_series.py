@@ -281,11 +281,40 @@ def test_digit_sums_beyond_64_bits_are_exact():
     assert [c.coeffs[0] for c in sq.coeffs] == [j + 1 for j in range(prec)]
 
 
+def bound(F, n):
+    """Largest digit sum of a precision-n product before its reduction."""
+    return n * F.m * (F.p - 1) ** 2 + F.m * F.p ** 2
+
+
+def tier_tops(F):
+    """The last precision of each digit width below MAX_PREC, from the bound."""
+    tops, w = [], 8
+    while True:
+        top = ((1 << (w - 1)) - 1 - F.m * F.p ** 2) // (F.m * (F.p - 1) ** 2)
+        if top >= series.MAX_PREC:
+            return tops
+        if top >= 1:
+            tops.append(top)
+        w *= 2
+
+
+EDGES = [(F, top) for F in WIDE_FIELDS for top in tier_tops(F)]
+EDGE_IDS = [f"p{F.p}m{F.m}n{top}" for F, top in EDGES]
+# the edges a schoolbook or per-coefficient reference can afford
+SHORT_EDGES = [(F, top) for F, top in EDGES if top < 700]
+
+
 def test_digit_width_follows_the_bound():
+    # the bound holds at each precision and fails at the next narrower width
     for F in WIDE_FIELDS:
-        w = series._layout(F).w
-        need = series.MAX_PREC * F.m * (F.p - 1) ** 2 + F.m * F.p ** 2
-        assert need < 2 ** (w - 1) and (w == 8 or need >= 2 ** (w // 2 - 1))
+        edges = {n for top in tier_tops(F) for n in (top, top + 1)}
+        for n in sorted(edges | {1, 2, series.MAX_PREC}):
+            w = series._width(F, n)
+            assert bound(F, n) < 2 ** (w - 1) and (w == 8 or bound(F, n) >= 2 ** (w // 2 - 1))
+        # the packings use it (a shape at MAX_PREC is megabytes, so none is built)
+        K = series._kron(F)
+        assert all(K[n].L.w == series._width(F, n) for n in edges | {1, 2})
+    assert [top for F, top in EDGES if F.p == 2 and F.m == 1] == [123, 32763]
     with pytest.raises(DegreeOverflow):
         TruncSeries.zeros(F2, series.MAX_PREC + 1)
     with pytest.raises(DegreeOverflow):
@@ -299,4 +328,108 @@ def test_shape_cache_is_bounded():
     for n in range(1, 3 * series.SHAPES_KEPT):
         s = TruncSeries.t_power(F, n - 1, n) * TruncSeries.one(F, n) - TruncSeries.zeros(F, n)
         assert s.valuation() == n - 1 and s.coeffs[n - 1] == F.one()
-    assert len(series._layout(F)._shapes) <= series.SHAPES_KEPT
+    K = series._kron(F)
+    assert len(K) <= series.SHAPES_KEPT
+    # precision 13 is the last at width 8; each shape points into the layouts
+    assert {8, 16} <= set(K.layouts) and all(K.layouts[sh.L.w] is sh.L for sh in K.values())
+
+
+# ---------------------------------------------------------------------------
+# the digit width tiers: both sides of every edge, mixed widths, repacks
+# ---------------------------------------------------------------------------
+
+def top_digits(F):
+    """The coefficient whose F_p digits are all p-1, the largest ones."""
+    return F.el([F.p - 1] * F.m)
+
+
+def int_times(F, k, c):
+    """k*c for an integer k."""
+    return F.el([k * d for d in c.coeffs])
+
+
+@pytest.mark.parametrize("F,top", EDGES, ids=EDGE_IDS)
+def test_tier_edges_with_largest_digits(F, top):
+    # s = c/(1-t) with every digit p-1: s*s = c^2/(1-t)^2, s^-1 = (1-t)/c
+    c = top_digits(F)
+    c2, ci = c * c, c.inv()
+    zero, square = F.zero(), {}
+    for n in (top, top + 1):
+        s = TruncSeries(F, n, [c] * n)
+        square[n] = s * s
+        assert square[n] == TruncSeries(F, n, [int_times(F, j + 1, c2) for j in range(n)])
+        assert s + s == TruncSeries(F, n, [c + c] * n)
+        assert -s == TruncSeries(F, n, [-c] * n) and (s - s).is_zero_at_precision()
+        assert s.inverse() == TruncSeries(F, n, [ci, -ci])
+        assert s.scale(c) == TruncSeries(F, n, [c2] * n)
+        if n > 1:
+            assert s.shift_down(1) == TruncSeries(F, n - 1, [c] * n)
+    wide, narrow = TruncSeries(F, top + 1, [c] * (top + 1)), TruncSeries(F, top, [c] * top)
+    assert wide.change_precision(top) == narrow and wide.shift_down(1) == narrow
+    assert narrow.zero_extend(top + 1) == TruncSeries(F, top + 1, [c] * top + [zero])
+    assert wide * narrow == square[top] and wide.eq_at_precision(narrow)
+
+
+@st.composite
+def across_an_edge(draw, count=2, unit=False):
+    """Series over a field with a short edge, at precisions drawn from both
+    sides of it (so operands of one draw often differ in width)."""
+    F, top = draw(st.sampled_from(SHORT_EDGES))
+    precs = st.integers(max(1, top - 3), top) | st.integers(top + 1, top + 4)
+    return F, top, [draw(series_in(F, draw(precs), unit)) for _ in range(count)]
+
+
+def rebuilt(s, n):
+    """s at precision n <= s.prec, built afresh from its coefficients."""
+    return TruncSeries(s.field, n, s.coeffs[:n], s.inexact)
+
+
+@settings(max_examples=40, deadline=None)
+@given(across_an_edge(), st.data())
+def test_mixed_width_operands(fsu, data):
+    F, top, (s, u) = fsu
+    n = min(s.prec, u.prec)
+    a, b = rebuilt(s, n), rebuilt(u, n)
+    assert s * u == a * b and s + u == a + b and s - u == a - b
+    if n <= 130:
+        assert (s * u).coeffs == naive_mul(a, b).coeffs
+    assert (s + u).coeffs == coeffwise(lambda x, y: x + y, a, b)
+    k = data.draw(st.integers(1, n))
+    assert s.eq_at_precision(u, k) == (s.coeffs[:k] == u.coeffs[:k])
+    assert s.eq_at_precision(a) and a.eq_at_precision(s, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(across_an_edge(count=1, unit=True), st.data())
+def test_precision_changes_and_inverse_across_an_edge(fs, data):
+    F, top, (s,) = fs
+    cs, zero = s.coeffs, F.zero()
+    n = data.draw(st.integers(max(1, top - 3), top + 4))
+    t = s.change_precision(n)
+    assert t == TruncSeries(F, n, (cs + (zero,) * n)[:n]) and t.inexact == (n > s.prec)
+    x = s.zero_extend(s.prec + data.draw(st.integers(0, 8)))
+    assert x == TruncSeries(F, x.prec, cs) and x.inexact == s.inexact
+    k = data.draw(st.integers(0, s.prec - 1))
+    assert s.shift_down(k) == TruncSeries(F, s.prec - k, cs[k:])
+    inv = s.inverse()      # the Newton ramp crosses the edge when s.prec > top
+    assert (s * inv).is_one() and inv.prec == s.prec
+    if s.prec <= 40:
+        assert inv.coeffs == naive_inverse(s)
+
+
+@settings(max_examples=25, deadline=None)
+@given(across_an_edge(count=1), st.integers(0, 6), st.integers(1, 6))
+def test_one_precision_one_packing(fs, k, extra):
+    # built directly, cut down, extended up or shifted: one integer, one hash
+    F, top, (s,) = fs
+    n, zero = s.prec, F.zero()
+    j = max(1, n - extra)
+    head = list(s.coeffs[:j])
+    want = TruncSeries(F, n, head)
+    short = TruncSeries(F, j, head)
+    ways = [TruncSeries(F, n + extra, head + [zero] * (n - j) + [top_digits(F)] * extra
+                        ).change_precision(n),
+            TruncSeries(F, n + k, [zero] * k + head).shift_down(k),
+            short.zero_extend(n), short.change_precision(n)]
+    for w in ways:
+        assert w == want and w.packed == want.packed and hash(w) == hash(want)

@@ -11,7 +11,15 @@ machine speed falls on both sides alike.  The file records, per workload and
 side, every run's six end-to-end metrics with their median and quartiles,
 the pair count and the pairs the change won per metric (the direction comes
 from BENCHMARK.json), the machine, and the line counts of src/frobdml/*.py
-on both trees.  Runs go one at a time.
+on both trees.  The change runs from a copy of the working tree's files
+that git does not ignore, so bytecode caches left in the working tree cannot
+make it start faster than the freshly exported base.  With --kernels, each
+workload also gets one ``bench/run.py --trace 1`` run per side after the
+pairs, and the file records its per-layer rows (the kernel rows such as
+series.mul_us.prec256, dynamics.apply_map_us.prec40 and
+lifting.lift_ms.prec40, and the trace counters) beside the end-to-end
+medians.  Runs go one at a time.  The script exits 1, after writing the
+file, when any run reports ``correct: false``.
 """
 from __future__ import annotations
 
@@ -20,6 +28,7 @@ import datetime
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -39,16 +48,26 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
+def snapshot(dest: Path) -> None:
+    """Copy the working tree's tracked and unignored untracked files to dest."""
+    names = subprocess.run(["git", "ls-files", "-z", "-co", "--exclude-standard"], cwd=ROOT,
+                           check=True, capture_output=True).stdout.split(b"\0")
+    for name in filter(None, map(os.fsdecode, names)):
+        if (ROOT / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
+
+
 def src_lines(tree: Path) -> dict:
     files = sorted((tree / "src" / "frobdml").glob("*.py"))
     per = {f.name: len(f.read_bytes().splitlines()) for f in files}
     return {"files": per, "total": sum(per.values())}
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": ""})
     if proc.returncode != 0:
@@ -60,6 +79,8 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summary(values: list) -> dict:
+    if len(values) < 2:    # one pair: quantiles needs two points
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": q2, "q1": q1, "q3": q3}
 
@@ -84,13 +105,17 @@ def main() -> None:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=25)
     ap.add_argument("--out", required=True, help="file to write, e.g. BENCH_6.json")
+    ap.add_argument("--kernels", action="store_true",
+                    help="add one traced run per side and workload for the per-layer rows")
     args = ap.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base = Path(tmp)
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as tmp_change:
+        base, change = Path(tmp), Path(tmp_change)
         sha = export(args.base, base)
-        trees = {"base": base, "change": ROOT}
+        snapshot(change)
+        trees = {"base": base, "change": change}
         doc = {"date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
                "machine": machine(),
                "base": {"rev": args.base, "commit": sha, "src_lines": src_lines(base)},
@@ -113,10 +138,20 @@ def main() -> None:
                 m: sum((c[m] > b[m]) if better[m] == "higher" else (c[m] < b[m])
                        for b, c in zip(runs["base"], runs["change"]))
                 for m in better}
+            if args.kernels:
+                for side in ("base", "change"):
+                    entry[side]["traced"] = run_bench(trees[side], workload, args.seed,
+                                                      args.seconds, trace=1)
             doc["workloads"][workload] = entry
     out = ROOT / args.out
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
+    wrong = [f"{w} {side}" for w, entry in doc["workloads"].items()
+             for side in ("base", "change")
+             for r in entry[side]["runs"] + [entry[side].get("traced", {"correct": True})]
+             if not r["correct"]]
+    if wrong:
+        raise SystemExit(f"runs not correct: {', '.join(wrong)}")
 
 
 if __name__ == "__main__":
