@@ -572,8 +572,9 @@ def recognize_dml_form(F: GeneralMap, p: int, e: int) -> Union[DmlMap, NotInForm
     term of an x_j^q coefficient goes into A; its valuation >= 1 tail joins
     the remainder at y-exponent (q/p) e_j, which is always admissible.  A
     series presentation (A(t), G) exists iff the constant one does, since
-    det A(t) is a unit exactly when det A(0) != 0, so this loses nothing and
-    makes the recognized matrix part of a conjugated map exactly I.
+    det A(t) is a unit exactly when det A(0) != 0, so this loses nothing.
+    The A that ``compose --recognize`` prints is therefore the constant
+    matrix of the x_j^q residues, and every t-dependence is in G.
     """
     q = p ** e
     if F.degree != q:

@@ -62,11 +62,41 @@ def _is_prime(n: int) -> bool:
 def _least_factor(R: poly.Ring, k: int, g: List[int]) -> List[int]:
     """Least-index monic degree-k divisor of g, the product of the distinct
     irreducible factors of least degree k of a modulus.  Every monic degree-k
-    divisor of the modulus is such a factor, so this is the least-index one."""
+    divisor of the modulus is such a factor, so this is the least-index one.
+
+    Equal-degree factorization (D. G. Cantor, H. Zassenhaus, Math. Comp.
+    1981) splits g into its factors by gcds with s(a) mod h, where
+    s(a) = a^((Q^k - 1)/2) - 1 for odd Q = R.order and, for Q = 2, the trace
+    a + a^2 + .. + a^(2^(k-1)).  The splitting polynomials a = x, x + 1, ..
+    run in index order, so the run is deterministic.  It ends: the a of
+    degree below deg h meet every residue mod h, and by CRT one of them has
+    s(a) = 0 mod one factor of h and s(a) != 0 mod another."""
     if len(g) - 1 == k:
         return g
-    cands = (poly.monic_from_index(idx, k, R.order) for idx in range(R.order ** k))
-    return next(c for c in cands if not poly.divmod(R, g, c)[1])
+    Q = R.order
+    done: List[List[int]] = []
+    todo = [g]
+    idx = Q  # x: constants split nothing
+    while todo:
+        a, i = [], idx
+        while i:
+            a.append(i % Q)
+            i //= Q
+        idx += 1
+        left = []
+        for h in todo:
+            if Q == 2:
+                s, w = [], a
+                for _ in range(k):
+                    s, w = poly.sub(R, s, w), poly.powmod(R, w, 2, h)  # sub = add
+            else:
+                s = poly.sub(R, poly.powmod(R, a, (Q ** k - 1) // 2, h), [1])
+            d = poly.gcd(R, h, s)
+            parts = [d, poly.divmod(R, h, d)[0]] if 1 < len(d) < len(h) else [h]
+            for c in parts:
+                (done if len(c) - 1 == k else left).append(c)
+        todo = left
+    return min(done, key=lambda c: c[-2::-1])  # index order: high digit first
 
 
 def _poly_str(coeffs: Sequence[int]) -> str:

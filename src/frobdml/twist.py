@@ -41,7 +41,7 @@ from .field import FieldSpec, FqElem
 from .geometry import HomogPoly
 from .series import TruncSeries
 from . import dynamics
-from .dynamics import DmlMap, compose_maps, dml_to_general, recognize_dml_form
+from .dynamics import DmlMap, compose_maps
 
 PACKED_ORDER_BOUND = 1024
 
@@ -85,14 +85,18 @@ def packed_field(field: FieldSpec) -> PackedField:
     return pf
 
 
-_IRR_CACHE: Dict[Tuple[int, int, Tuple[int, ...], int], Tuple[int, ...]] = {}
+_IRR_CACHE: Dict[Tuple[int, int, Tuple[int, ...], int],
+                 Tuple[Tuple[int, ...], Optional[FieldSpec]]] = {}
 
 
-def first_irreducible(pf: PackedField, d: int) -> Tuple[int, ...]:
-    """First monic degree-d polynomial (little-endian coefficient index order)
-    that is irreducible over Fbase."""
+def first_irreducible(pf: PackedField, d: int
+                      ) -> Tuple[Tuple[int, ...], Optional[FieldSpec]]:
+    """First monic degree-d polynomial h (little-endian coefficient index
+    order) that is irreducible over Fbase, and Fbase[Y]/(h) as a FieldSpec
+    when the tower flattens: Fbase itself for d = 1, else F_(p^d) over a
+    prime Fbase, whose packed indices are the digits of h."""
     if d == 1:
-        return (0, 1)
+        return (0, 1), pf.field
     f = pf.field
     key = (f.p, f.m, f.modulus, d)
     hit = _IRR_CACHE.get(key)
@@ -104,8 +108,8 @@ def first_irreducible(pf: PackedField, d: int) -> Tuple[int, ...]:
             continue  # constant term zero: divisible by Y
         h = poly.monic_from_index(idx, d, Q)
         if poly.least_factor_degree(pf.ring, h) is None:
-            _IRR_CACHE[key] = tuple(h)
-            return tuple(h)
+            hit = _IRR_CACHE[key] = (tuple(h), FieldSpec(f.p, d, h) if f.m == 1 else None)
+            return hit
     raise SearchExhausted(f"no irreducible polynomial of degree {d} found")  # pragma: no cover
 
 
@@ -387,7 +391,7 @@ def _solve_at(pf: PackedField, fq: FqStructure, A: Mat, Ainv: Mat,
     n = len(A)
     s, e, q = fq.s, fq.e, fq.q
     d = r // s
-    h = first_irreducible(pf, d)
+    h, field = first_irreducible(pf, d)
     ext = ExtContext(pf, h)
 
     # N_i(A)^{-1} for i = 0..r-1:  Ninv_{i+1} = Ainv * Ninv_i^(q)
@@ -441,11 +445,6 @@ def _solve_at(pf: PackedField, fq: FqStructure, A: Mat, Ainv: Mat,
         raise AssertionError("echelon basis assembled into a singular B")
     residue = _residue(ext, A, B, q)
     assert all(ext.is_zero(x) for row in residue for x in row)
-    field: Optional[FieldSpec] = None
-    if d == 1:
-        field = pf.field
-    elif pf.field.m == 1:
-        field = FieldSpec(pf.field.p, d, [pf.els[c].coeffs[0] for c in h])
     return TwistSolution(q, r, pf.field, ext, basis, B, field, residue)
 
 
@@ -520,8 +519,11 @@ def count_solutions_exhaustive(A: Sequence[Sequence[FqElem]], q: int,
 # ---------------------------------------------------------------------------
 
 def normalize_conjugate(f: DmlMap, R_max: int = 64) -> Tuple[TwistSolution, DmlMap]:
-    """Solve B^(q) = A^{-1} B and return (solution, B^{-1} o f o B), whose
-    matrix part is exactly the identity."""
+    """Solve B^(q) = A^{-1} B and return (solution, B^{-1} o f o B).
+
+    Since A B^(q) = B, the conjugate is x^(q) + B^{-1} G(B^(p) y): its matrix
+    part is exactly I and only the remainder changes, as maps of degree q/p.
+    _solve_at has checked A B^(q) = B as an all-zero residue."""
     n = f.N + 1
     A0: List[List[FqElem]] = []
     for row in f.A:
@@ -545,46 +547,29 @@ def normalize_conjugate(f: DmlMap, R_max: int = 64) -> Tuple[TwistSolution, DmlM
     target = sol.field
     prec = f.coefficient_precision()
 
-    if target == f.field:
-        femb = f
-        B_el = sol.B
-    else:
-        # base field is F_p; embed constants coefficientwise
-        def emb(c: FqElem) -> FqElem:
-            return target.el([c.coeffs[0]])
+    G = f.G
+    if target != f.field:
+        # base field is F_p; embed coefficients digitwise
+        G = [HomogPoly(target, f.N, g.degree,
+                       {exp: TruncSeries(target, c.prec,
+                                         [target.el(x.coeffs) for x in c.coeffs])
+                        for exp, c in g.terms.items()})
+             for g in f.G]
+    B = sol.B
+    # B is constant, so its inverse at precision 1, zero-extended, is exact
+    Binv = [[s.zero_extend(prec) for s in row] for row in dynamics.invert_series_matrix(
+        [[TruncSeries.from_constant(x, 1) for x in row] for row in B], 1)]
 
-        def emb_series(sv: TruncSeries) -> TruncSeries:
-            return TruncSeries(target, sv.prec, [emb(c) for c in sv.coeffs])
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
 
-        A_emb = [[emb_series(sv) for sv in row] for row in f.A]
-        G_emb = [HomogPoly(target, f.N, g.degree,
-                           {exp: emb_series(c) for exp, c in g.terms.items()})
-                 for g in f.G]
-        femb = DmlMap(target, f.p, f.e, A_emb, G_emb, f.e0, f.label)
-        B_el = sol.B
+    def linear_map(M: Sequence[Sequence[TruncSeries]]) -> dynamics.GeneralMap:
+        return dynamics.GeneralMap(target, [HomogPoly(target, f.N, 1, dict(zip(units, row)))
+                                            for row in M])
 
-    Bconst = [[TruncSeries.from_constant(x, prec) for x in row] for row in B_el]
-    Binvconst = dynamics.invert_series_matrix(Bconst, prec)
-
-    def linear_map(M) -> dynamics.GeneralMap:
-        coords = []
-        for i in range(n):
-            terms = {}
-            for j in range(n):
-                if not M[i][j].is_zero_at_precision():
-                    exp = tuple(1 if k == j else 0 for k in range(n))
-                    terms[exp] = M[i][j]
-            coords.append(HomogPoly(target, f.N, 1, terms))
-        return dynamics.GeneralMap(target, coords)
-
-    comp = compose_maps(linear_map(Binvconst),
-                        compose_maps(dml_to_general(femb), linear_map(Bconst)))
-    rec = recognize_dml_form(comp, f.p, f.e)
-    if not isinstance(rec, DmlMap):
-        raise AssertionError(f"conjugate failed recognition: {rec}")
-    for i in range(n):
-        for j in range(n):
-            sv = rec.A[i][j]
-            if sv.is_one() != (i == j) or (i != j and not sv.is_zero_at_precision()):
-                raise AssertionError("conjugated matrix part is not the identity")
-    return sol, rec
+    Bp = [[TruncSeries.from_constant(x.frobenius(1), prec) for x in row] for row in B]
+    Gp = compose_maps(linear_map(Binv),
+                      compose_maps(dynamics.GeneralMap(target, G), linear_map(Bp))).coords
+    ident = [[TruncSeries.one(target, prec) if i == j else TruncSeries.zeros(target, prec)
+              for j in range(n)] for i in range(n)]
+    return sol, DmlMap(target, f.p, f.e, ident, Gp,
+                       dynamics.coefficient_field_exponent(ident, Gp), "")

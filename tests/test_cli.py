@@ -311,6 +311,21 @@ def test_large_p_validates_fast_or_exits_3(tmp_path, p, code):
         assert err == "" and out.startswith("valid: f1\n")
 
 
+def test_reducible_modulus_at_large_p_is_exit_2(tmp_path):
+    # (a^2 - 3)(a^2 - 5): naming the least-index factor splits the gcd of
+    # both quadratics instead of dividing by p^2 candidates
+    path = tmp_path / "reducible.json"
+    path.write_text(json.dumps({
+        "label": "reducible", "q": 2 ** 31 - 1,
+        "field": {"p": 2 ** 31 - 1, "m": 4, "modulus": [15, 0, 2 ** 31 - 9, 0, 1]},
+        "A": [["1", "0"], ["0", "1"]]}))
+    t0 = time.perf_counter()
+    code, out, err = run(["twist", str(path)])
+    assert code == 2 and time.perf_counter() - t0 < 1.0 and out == ""
+    assert err == ("error: ReducibleModulus: modulus 15+2147483639*a^2+a^4 "
+                   "is divisible by 2147483642+a^2\n")
+
+
 def test_p257_lift_exits_0(tmp_path):
     path = tmp_path / "p257.json"
     path.write_text(json.dumps({

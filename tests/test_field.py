@@ -84,6 +84,10 @@ def test_reducible_modulus_names_a_factor():
         make_field(2, 2, [1, 0, 1])  # x^2 + 1 = (x+1)^2
     with pytest.raises(ReducibleModulus):
         make_field(3, 3, [0, 0, 0, 1])
+    # (a^3+a+1)(a^3+a^2+1): the trace splits two cubic factors over F_2
+    with pytest.raises(ReducibleModulus) as ei:
+        make_field(2, 6, [1] * 7)
+    assert str(ei.value).endswith("is divisible by 1+a+a^3")
 
 
 def test_modulus_degree_checked():
@@ -229,6 +233,14 @@ def test_large_characteristic_reducible_modulus_names_factor():
     with pytest.raises(ReducibleModulus) as ei:
         make_field(65537, 3, [1, 2, 2, 1])
     assert str(ei.value) == "modulus 1+2*a+2*a^2+a^3 is divisible by 1+a"
+    # (a^2 - 3)(a^2 - 5) over F_(2^31-1): two irreducible least-degree
+    # factors, which candidate enumeration would take p^2 divisions to order
+    t0 = time.perf_counter()
+    with pytest.raises(ReducibleModulus) as ei:
+        make_field(2 ** 31 - 1, 4, [15, 0, 2 ** 31 - 9, 0, 1])
+    assert time.perf_counter() - t0 < 1.0
+    assert str(ei.value) == \
+        "modulus 15+2147483639*a^2+a^4 is divisible by 2147483642+a^2"
 
 
 def test_rref_is_canonical_and_incremental():

@@ -4,10 +4,10 @@ Every input ends with exit 0, 1, 2 or 3 and at most one line on stderr,
 never a traceback (exit 4 is a fault of the program).  The mutations are
 seeded and cycle through their kinds, so every fixture meets each kind.
 
-The replacement values are small or malformed on purpose: a prime p near
-2^31 with a reducible modulus makes field construction run for minutes
-(ROADMAP item 5), and a large bound such as R_max lets a search run as long,
-which a unit test cannot wait for.
+The replacement values are small or malformed on purpose: a large bound
+such as R_max lets a search run for minutes, which a unit test cannot wait
+for.  Large p, reducible moduli included, has its own tests in test_field
+and test_cli.
 """
 import contextlib
 import io

@@ -3,9 +3,11 @@ import time
 
 import pytest
 
+from frobdml import dynamics
 from frobdml.dynamics import DmlMap, recognize_dml_form, validate_map
-from frobdml.errors import (NonConstantMatrix, NonFlattenableExtension,
-                            NotInvertible, SearchExhausted)
+from frobdml.errors import (DegreeMismatch, FrobdmlError, NonConstantMatrix,
+                            NonFlattenableExtension, NotInvertible,
+                            SearchExhausted)
 from frobdml.field import format_element, make_field
 from frobdml.geometry import HomogPoly
 from frobdml.instances import fixture_path, parse_twist_file
@@ -14,7 +16,7 @@ from frobdml import twist
 from frobdml.twist import (count_solutions_exhaustive, normalize_conjugate,
                            solve_twist)
 
-from conftest import field_for, fq_det, identity_matrix, rand_gl
+from conftest import field_for, fq_det, identity_matrix, rand_gl, rand_prime_series
 
 F2 = field_for(2, 1)
 F3 = field_for(3, 1)
@@ -150,11 +152,134 @@ def test_normalize_conjugate_keeps_g_and_recognizes():
     G = [HomogPoly(F2, 1, 1, {(1, 0): t}), HomogPoly(F2, 1, 1, {})]
     f = validate_map(F2, 2, 1, A, G)
     sol, fprime = normalize_conjugate(f)
-    assert isinstance(fprime, DmlMap)  # recognized on the way out
+    assert isinstance(fprime, DmlMap)
     assert all(format_series(fprime.A[i][j]) ==
                ("1 + O(t^12)" if i == j else "O(t^12)")
                for i in range(2) for j in range(2))
     assert any(not g.is_zero() for g in fprime.G)  # the perturbation survives
+
+
+def normalize_reference(f, R_max=64):
+    """normalize_conjugate by composition and recognition: rebuild f as a map
+    of degree q, compose it with B and B^-1 at full precision, split the
+    result with recognize_dml_form and check that its matrix part is I."""
+    n = f.N + 1
+    A0 = []
+    for row in f.A:
+        if any(not c.is_zero() for sv in row for c in sv.coeffs[1:]):
+            raise NonConstantMatrix("normalize_conjugate requires a residue-constant matrix A")
+        A0.append([sv.constant_term() for sv in row])
+    pf = twist.packed_field(f.field)
+    Ainv_packed = twist._mat_inv(pf, twist._mat_from_fq(A0))
+    if Ainv_packed is None:
+        raise NotInvertible("A is singular mod t")
+    sol = solve_twist([[f.field.from_int(x) for x in row] for row in Ainv_packed],
+                      f.q, R_max)
+    if sol.field is None:
+        raise NonFlattenableExtension("conjugation needs a flattenable field")
+    target = sol.field
+    prec = f.coefficient_precision()
+    femb = f
+    if target != f.field:
+        def emb_series(sv):
+            return TruncSeries(target, sv.prec, [target.el([c.coeffs[0]]) for c in sv.coeffs])
+        femb = DmlMap(target, f.p, f.e, [[emb_series(sv) for sv in row] for row in f.A],
+                      [HomogPoly(target, f.N, g.degree,
+                                 {exp: emb_series(c) for exp, c in g.terms.items()})
+                       for g in f.G], f.e0, f.label)
+    Bconst = [[TruncSeries.from_constant(x, prec) for x in row] for row in sol.B]
+    Binvconst = dynamics.invert_series_matrix(Bconst, prec)
+
+    def linear_map(M):
+        return dynamics.GeneralMap(target, [
+            HomogPoly(target, f.N, 1, {tuple(int(k == j) for k in range(n)): M[i][j]
+                                       for j in range(n)}) for i in range(n)])
+
+    comp = dynamics.compose_maps(linear_map(Binvconst), dynamics.compose_maps(
+        dynamics.dml_to_general(femb), linear_map(Bconst)))
+    rec = recognize_dml_form(comp, f.p, f.e)
+    assert isinstance(rec, DmlMap), rec
+    assert all(rec.A[i][j].is_one() == (i == j) and
+               (i == j or rec.A[i][j].is_zero_at_precision())
+               for i in range(n) for j in range(n))
+    return sol, rec
+
+
+def series_key(s):
+    return (s.field, s.prec, s.packed, s.inexact)
+
+
+def normalize_outcome(route, f):
+    """Everything normalize_conjugate returns, or the type of its error.
+    R_max = 24 keeps the twists small; a longer search raises on both routes."""
+    try:
+        sol, g = route(f, 24)
+    except FrobdmlError as exc:
+        return type(exc)
+    return (sol.r, sol.basis_raw, g.field, g.p, g.e, g.e0, g.label,
+            [[series_key(s) for s in row] for row in g.A],
+            [(h.degree, {exp: series_key(c) for exp, c in h.terms.items()})
+             for h in g.G])
+
+
+def rand_dml(rng, F, e, A0, coeffs):
+    """DmlMap with constant matrix A0 and random G of degree p^(e-1) whose
+    coefficients, drawn from ``coeffs``, multiply series of valuation >= 1;
+    A and every G term get their own precision in 4..12."""
+    n = len(A0)
+    d = F.p ** (e - 1)
+    A = [[TruncSeries.from_constant(x, rng.randint(4, 12)) for x in row] for row in A0]
+    G = []
+    for _ in range(n):
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            exps = [0] * n
+            for _ in range(d):
+                exps[rng.randrange(n)] += 1
+            s = rand_prime_series(rng, F, rng.randint(4, 12), 1, 2)
+            terms[tuple(exps)] = s * TruncSeries.from_constant(rng.choice(coeffs), s.prec)
+        G.append(HomogPoly(F, n - 1, d, terms))
+    f = validate_map(F, F.p, e, A, G)
+    assert isinstance(f, DmlMap), f
+    return f
+
+
+def test_normalize_matches_composition_reference():
+    rng = random.Random(1018)
+    F5 = field_for(5, 1)
+    F4_in_F16 = [x for x in F16.elements() if x.frobenius(2) == x]
+    F2_in_F8 = [F8.zero(), F8.one()]
+
+    def involution(F, n):
+        while True:
+            A = [[F.from_int(rng.randrange(2)) for _ in range(n)] for _ in range(n)]
+            if all(sum((A[i][k] * A[k][j] for k in range(n)), F.zero()) == F.from_int(i == j)
+                   for i in range(n) for j in range(n)):
+                return A
+
+    cases = []
+    for F in (F2, F3, F5):  # q = p: G linear
+        for _ in range(24):
+            n = rng.randint(2, 4)
+            cases.append(rand_dml(rng, F, 1, rand_gl(rng, F, n), list(F.elements())))
+    for _ in range(24):  # q = 4 over F_16, A an F_2 involution: r = 2 in F_16
+        cases.append(rand_dml(rng, F16, 2, involution(F16, rng.randint(2, 4)), F4_in_F16))
+    for _ in range(24):  # q = 4 over F_4: the tower over F_4 does not flatten
+        A0 = rand_gl(rng, F4, rng.randint(2, 3))
+        while A0 == [[F4.from_int(i == j) for j in range(len(A0))] for i in range(len(A0))]:
+            A0 = rand_gl(rng, F4, len(A0))
+        cases.append(rand_dml(rng, F4, 2, A0, list(F4.elements())))
+    for _ in range(24):  # q = 4 over F_8: 2 does not divide 3
+        A0 = [[F8.from_int(x.index()) for x in row] for row in rand_gl(rng, F2, rng.randint(2, 3))]
+        cases.append(rand_dml(rng, F8, 2, A0, F2_in_F8))
+    seen = set()
+    for f in cases:
+        got = normalize_outcome(normalize_conjugate, f)
+        assert got == normalize_outcome(normalize_reference, f), f
+        seen.add((f.field.order, got if isinstance(got, type) else "equal"))
+    assert {(2, "equal"), (3, "equal"), (5, "equal"), (16, "equal"),
+            (4, NonFlattenableExtension), (8, DegreeMismatch),
+            (5, SearchExhausted)} <= seen
 
 
 def test_packed_field_is_shared_by_solve_and_conjugation(monkeypatch):
@@ -174,6 +299,13 @@ def test_packed_field_is_shared_by_solve_and_conjugation(monkeypatch):
     again = solve_twist(elems(F, [[0, 1], [1, 0]]), 2)
     assert len(built) == 1
     assert twist.packed_field(F) is built[0] is sol.ext.pf is again.ext.pf
+
+
+def test_flattened_field_is_built_once():
+    F = make_field(2, 1, [0, 1])  # equal to F2, a distinct object
+    sol = solve_twist(elems(F2, [[0, 1], [1, 0]]), 2)
+    again = solve_twist(elems(F, [[0, 1], [1, 0]]), 2)
+    assert sol.field.order == 4 and again.field is sol.field
 
 
 def test_normalize_conjugate_requires_constant_matrix():
