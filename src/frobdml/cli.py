@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .dynamics import (DmlMap, GeneralMap, NotInForm, apply_map, check_conditions,
                        iterate_map, orbit, recognize_dml_form)
 from .errors import FrobdmlError, ParseError, ValidationFailure
-from .field import format_element, parse_element
+from .field import format_element, p_power_exponent, parse_element
 from .geometry import ProjPoint, Subvariety, format_poly, reduce_point
 from .instances import Instance, parse_instance, parse_twist_file
 from .lifting import SigmaFixedLift, critical_witness, minimal_period, sigma_fixed_lift
@@ -323,11 +323,8 @@ def cmd_compose(args) -> int:
     code = 0
     if args.recognize is not None:
         p = inst.field.p
-        qv, e = args.recognize, 0
-        while qv > 1 and qv % p == 0:
-            qv //= p
-            e += 1
-        if qv != 1 or e < 1:
+        e = p_power_exponent(p, args.recognize)
+        if not e:
             raise ParseError(
                 f"--recognize value {args.recognize} is not a positive power "
                 f"of the characteristic {p}")

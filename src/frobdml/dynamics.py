@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -28,7 +29,8 @@ from .errors import (
     PrecisionExhausted,
     UnsupportedQ,
 )
-from .field import FieldSpec, FqElem
+from . import poly
+from .field import FieldSpec, FqElem, p_power_exponent
 from .geometry import (
     ExpVec,
     HomogPoly,
@@ -484,11 +486,7 @@ def check_conditions(f: AnyMap) -> ConditionsReport:
         for h in F.coords for exps in h.terms)
 
     d = F.degree
-    dd, k = d, 0
-    while dd > 1 and dd % p == 0:
-        dd //= p
-        k += 1
-    is_ppower = (dd == 1 and k >= 1)
+    is_ppower = p_power_exponent(p, d) > 0
 
     scalar: Optional[FqElem] = None
     fiber = True
@@ -513,24 +511,22 @@ def check_conditions(f: AnyMap) -> ConditionsReport:
 # composition and recognition
 # ---------------------------------------------------------------------------
 
-def compose_maps(F: AnyMap, G: AnyMap,
-                 max_terms: Optional[int] = None) -> GeneralMap:
-    """(F o G)(x) = F(G(x)) by sparse substitution with like-term collection."""
+def compose_maps(F: AnyMap, G: AnyMap) -> GeneralMap:
+    """(F o G)(x) = F(G(x)) by sparse substitution with like-term collection;
+    the powers G_j^k are taken by square-and-multiply, and any product or
+    coordinate above term_bound() terms raises DegreeOverflow."""
     Fg = dml_to_general(F) if isinstance(F, DmlMap) else F
     Gg = dml_to_general(G) if isinstance(G, DmlMap) else G
     if Fg.field != Gg.field or Fg.N != Gg.N:
         raise DimensionMismatch("cannot compose maps over different spaces")
-    bound = term_bound() if max_terms is None else max_terms
-    n = Fg.N + 1
+    bound = term_bound()
     pow_cache: Dict[Tuple[int, int], HomogPoly] = {}
+    mul = partial(poly_mul, max_terms=bound)
 
     def gpow(j: int, k: int) -> HomogPoly:
-        key = (j, k)
-        got = pow_cache.get(key)
-        if got is None:
-            got = Gg.coords[j] if k == 1 else poly_mul(gpow(j, k - 1), Gg.coords[j], bound)
-            pow_cache[key] = got
-        return got
+        if (j, k) not in pow_cache:
+            pow_cache[j, k] = poly.power(mul, Gg.coords[j], k)
+        return pow_cache[j, k]
 
     out = []
     deg = Fg.degree * Gg.degree
@@ -541,7 +537,7 @@ def compose_maps(F: AnyMap, G: AnyMap,
             for j, k in enumerate(exps):
                 if k:
                     part = gpow(j, k)
-                    mono = part if mono is None else poly_mul(mono, part, bound)
+                    mono = part if mono is None else mul(mono, part)
             term = mono.scale(coeff) if mono is not None else None
             if term is None:
                 raise DegreeMismatch("degree-0 coordinate in composition")
@@ -553,14 +549,14 @@ def compose_maps(F: AnyMap, G: AnyMap,
     return GeneralMap(Fg.field, out, label=f"{Fg.label}o{Gg.label}" if Fg.label else "")
 
 
-def iterate_map(f: AnyMap, k: int, max_terms: Optional[int] = None) -> GeneralMap:
+def iterate_map(f: AnyMap, k: int) -> GeneralMap:
     """Symbolic k-fold composition f^k, k >= 1."""
     if k < 1:
         raise DegreeMismatch("iteration count must be >= 1")
     cur = dml_to_general(f) if isinstance(f, DmlMap) else f
     base = cur
     for _ in range(k - 1):
-        cur = compose_maps(cur, base, max_terms)
+        cur = compose_maps(cur, base)
     return cur
 
 

@@ -7,13 +7,20 @@ distinct-degree sieve in ``poly``, so large p costs a few modular powerings.
 There are no Conway polynomial tables and no cross-field coercion except the
 constant embedding F_p -> F_{p^m}.
 
+All element arithmetic is ``poly``'s: a product is ``poly.mul`` reduced by
+``poly.divmod``, a power is ``poly.powmod``, an inverse is extended Euclid
+on ``poly.divmod``, and ``from_int`` reads ``poly.digits``.  The reduction
+rows ``_red`` (a^(m+k) mod modulus) are kept for the packed series kernels,
+which fold their products with them.  ``_poly_str`` prints field elements in
+``a`` and the twist solver's tower elements in ``b``.
+
 Frobenius powers x -> x^(p^e) are first-class, including negative e: the
 inverse Frobenius is x -> x^(p^(((e mod m) + m) mod m)), never a root
 computation.
 """
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from . import poly
 from .errors import (
@@ -78,10 +85,7 @@ def _least_factor(R: poly.Ring, k: int, g: List[int]) -> List[int]:
     todo = [g]
     idx = Q  # x: constants split nothing
     while todo:
-        a, i = [], idx
-        while i:
-            a.append(i % Q)
-            i //= Q
+        a = poly.digits(idx, Q)
         idx += 1
         left = []
         for h in todo:
@@ -99,18 +103,31 @@ def _least_factor(R: poly.Ring, k: int, g: List[int]) -> List[int]:
     return min(done, key=lambda c: c[-2::-1])  # index order: high digit first
 
 
-def _poly_str(coeffs: Sequence[int]) -> str:
+def _poly_str(coeffs: Iterable, var: str = "a") -> str:
+    """c0+c1*var+c2*var^2.. with each coefficient printed by str: zero terms
+    omitted, a unit coefficient omitted except for the constant, and a
+    coefficient that is itself a sum put in parentheses."""
     terms = []
-    for j, c in enumerate(coeffs):
-        if c == 0:
+    for j, c in enumerate(map(str, coeffs)):
+        if c == "0":
             continue
         if j == 0:
-            terms.append(str(c))
-        elif j == 1:
-            terms.append("a" if c == 1 else f"{c}*a")
-        else:
-            terms.append(f"a^{j}" if c == 1 else f"{c}*a^{j}")
+            terms.append(c)
+            continue
+        x = var if j == 1 else f"{var}^{j}"
+        if c != "1":
+            x = f"({c})*{x}" if "+" in c else f"{c}*{x}"
+        terms.append(x)
     return "+".join(terms) if terms else "0"
+
+
+def p_power_exponent(p: int, n: int) -> int:
+    """e >= 1 with n = p^e, or 0 when n is no such power."""
+    e = 0
+    while n > 1 and n % p == 0:
+        n //= p
+        e += 1
+    return e if n == 1 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -150,30 +167,13 @@ class FieldSpec:
         self.m = m
         self.modulus = mod
         self.order = p ** m
-        # reduction rows: _red[k] = a^(m+k) reduced mod modulus, k = 0..m-2
-        red: List[Coeffs] = []
-        cur = [(-c) % p for c in mod[:-1]]  # a^m
-        red.append(tuple(cur))
-        for _ in range(m - 2):
-            nxt = [0] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for i in range(m):
-                    nxt[i] = (nxt[i] + top * red[0][i]) % p
-            red.append(tuple(nxt))
-            cur = nxt
-        self._red = red
+        self._red = poly.reduction_rows(self._fp, mod)  # read by series._Layout
         self._frob_mats: dict = {}
-        self._kron = None    # the series packing, built by series._layout
+        self._kron = None    # the series packing, built by series._kron
         self._tables = None  # twist's PackedField, built by twist.packed_field
         self._zero = FqElem(self, (0,) * m)
         self._one = FqElem(self, (1,) + (0,) * (m - 1))
-        g = [0] * m
-        if m == 1:
-            g[0] = 0  # a is not a generator of F_p; unused
-        else:
-            g[1] = 1
-        self._gen = FqElem(self, tuple(g))
+        self._gen = FqElem(self, poly.padded(poly.divmod(self._fp, [0, 1], mod)[1], m))
 
     # -- basic elements ------------------------------------------------
 
@@ -198,11 +198,7 @@ class FieldSpec:
     def from_int(self, idx: int) -> "FqElem":
         """Element with base-p digit vector idx (little-endian); the fixed
         total order on elements is this integer index."""
-        c = []
-        for _ in range(self.m):
-            c.append(idx % self.p)
-            idx //= self.p
-        return FqElem(self, tuple(c))
+        return FqElem(self, tuple(poly.digits(idx, self.p, self.m)))
 
     def elements(self) -> Iterator["FqElem"]:
         for idx in range(self.order):
@@ -210,27 +206,11 @@ class FieldSpec:
 
     # -- coefficient arithmetic (tuples in, tuples out) ------------------
 
-    def _reduce(self, prod: List[int]) -> Coeffs:
-        m, p = self.m, self.p
-        for k in range(len(prod) - 1, m - 1, -1):
-            c = prod[k]
-            if c:
-                row = self._red[k - m]
-                for i in range(m):
-                    prod[i] = (prod[i] + c * row[i]) % p
-        return tuple(x % p for x in prod[:m])
-
     def _mul(self, u: Coeffs, v: Coeffs) -> Coeffs:
-        m, p = self.m, self.p
-        if m == 1:
-            return ((u[0] * v[0]) % p,)
-        prod = [0] * (2 * m - 1)
-        for i in range(m):
-            ui = u[i]
-            if ui:
-                for j in range(m):
-                    prod[i + j] += ui * v[j]
-        return self._reduce(prod)
+        if self.m == 1:
+            return ((u[0] * v[0]) % self.p,)
+        R = self._fp
+        return poly.padded(poly.divmod(R, poly.mul(R, u, v), self.modulus)[1], self.m)
 
     def _inv(self, u: Coeffs) -> Coeffs:
         if not any(u):
@@ -249,9 +229,7 @@ class FieldSpec:
             s0, s1 = s1, poly.sub(R, s0, poly.mul(R, q, s1))
         # r0 = gcd is a nonzero constant
         c_inv = R.inv(r0[0])
-        out = [R.mul(x, c_inv) for x in s0]
-        out += [0] * (m - len(out))
-        return tuple(out[:m])
+        return poly.padded([R.mul(x, c_inv) for x in s0], m)
 
     # -- Frobenius -------------------------------------------------------
 
@@ -260,29 +238,15 @@ class FieldSpec:
         k %= self.m
         mat = self._frob_mats.get(k)
         if mat is None:
-            g = self._one.coeffs if self.m == 1 else self._gen.coeffs
-            # a^(p^k) by repeated p-th powers
-            apk = g
-            for _ in range(k):
-                apk = self._pow(apk, self.p)
-            cols = []
-            cur = self._one.coeffs
-            for _ in range(self.m):
-                cols.append(cur)
-                cur = self._mul(cur, apk)
-            mat = tuple(cols)
-            self._frob_mats[k] = mat
+            apk = self._pow(self._gen.coeffs, self.p ** k)  # a^(p^k)
+            cols = [self._one.coeffs]
+            for _ in range(self.m - 1):
+                cols.append(self._mul(cols[-1], apk))
+            mat = self._frob_mats[k] = tuple(cols)
         return mat
 
     def _pow(self, u: Coeffs, n: int) -> Coeffs:
-        out = self._one.coeffs
-        base = u
-        while n:
-            if n & 1:
-                out = self._mul(out, base)
-            base = self._mul(base, base)
-            n >>= 1
-        return out
+        return poly.padded(poly.powmod(self._fp, u, n, self.modulus), self.m)
 
     def _frob(self, u: Coeffs, e: int) -> Coeffs:
         k = e % self.m

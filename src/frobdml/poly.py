@@ -1,12 +1,22 @@
-"""Dense univariate polynomials over a small finite ring interface.
+"""Dense univariate polynomials over a small finite ring interface: the one
+polynomial core of the package.
 
 A polynomial is a list of ring elements in ascending powers, trimmed so the
 last entry is nonzero (the zero polynomial is []).  Ring elements are ints
 with 0 the zero and 1 the one; a ``Ring`` carries its order and the
 operations add, sub, mul and inv (of a nonzero element).  ``prime_field`` is
 F_p on 0..p-1, used by FieldSpec; ``table_ring`` reads Cayley tables, as the
-twist solver's packed fields provide them.  ``rref`` is the one row echelon
-routine over a ring that is a field (the twist solver's matrix inverse and
+twist solver's packed fields provide them.
+
+FieldSpec multiplies, reduces, powers and inverts its elements here, and
+the twist tower builds its reduction rows here; only the tower's own
+multiply and the packed series kernels keep hand-written loops, because
+they are on the hot path.  ``power`` is the one square-and-multiply
+(J. von zur Gathen, J. Gerhard, *Modern Computer Algebra*, ch. 4), for any
+associative product: residues mod f here, field and tower elements, and the
+coordinate powers of symbolic composition.  ``digits`` is the one
+index -> digit vector conversion.  ``rref`` is the one row echelon routine
+over a ring that is a field (the twist solver's matrix inverse and
 canonical solution basis).
 
 Irreducibility has one test, Rabin's distinct-degree sieve (M. O. Rabin,
@@ -15,9 +25,11 @@ costs a few modular powerings per degree instead of p^(d/2) trial divisions.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple, TypeVar)
 
 Poly = List[int]
+T = TypeVar("T")
 
 
 class Ring(NamedTuple):
@@ -45,15 +57,20 @@ def trim(c: Poly) -> Poly:
     return c
 
 
-def monic_from_index(idx: int, degree: int, order: int) -> Poly:
-    """Monic polynomial of the given degree whose lower coefficients are the
-    base-``order`` digits of idx (little-endian); idx orders the candidates."""
-    c = []
-    for _ in range(degree):
-        c.append(idx % order)
-        idx //= order
-    c.append(1)
-    return c
+def padded(c: Sequence[int], n: int) -> Tuple[int, ...]:
+    """c as a tuple of exactly n >= len(c) coefficients."""
+    return tuple(c) + (0,) * (n - len(c))
+
+
+def digits(idx: int, base: int, count: Optional[int] = None) -> Poly:
+    """The base-``base`` digits of idx >= 0, little-endian: exactly count of
+    them, or all of them (none for 0, so the list is trimmed) when count is
+    None."""
+    out = []
+    while (idx if count is None else len(out) < count):
+        out.append(idx % base)
+        idx //= base
+    return out
 
 
 def sub(R: Ring, u: Sequence[int], v: Sequence[int]) -> Poly:
@@ -102,16 +119,32 @@ def gcd(R: Ring, u: Sequence[int], v: Sequence[int]) -> Poly:
     return [R.mul(c, x) for x in u]
 
 
-def powmod(R: Ring, base: Sequence[int], n: int, f: Sequence[int]) -> Poly:
-    """base^n mod f (deg f >= 1) by square-and-multiply."""
-    out = [1]
-    b = divmod(R, base, f)[1]
-    while n:
+def reduction_rows(R: Ring, f: Sequence[int]) -> List[Tuple[int, ...]]:
+    """x^(d+k) mod f for k = 0..d-2, d = deg f >= 1, each padded to d
+    coefficients: the rows that fold a product of two residues mod f back
+    below degree d."""
+    d = len(f) - 1
+    return [padded(divmod(R, [0] * (d + k) + [1], f)[1], d) for k in range(d - 1)]
+
+
+def power(mul: Callable[[T, T], T], u: T, n: int) -> T:
+    """u^n for n >= 1 under the associative product mul, by square-and-multiply:
+    about 2 log2(n) products."""
+    out = None
+    while True:
         if n & 1:
-            out = divmod(R, mul(R, out, b), f)[1]
-        b = divmod(R, mul(R, b, b), f)[1]
+            out = u if out is None else mul(out, u)
         n >>= 1
-    return out
+        if not n:
+            return out
+        u = mul(u, u)
+
+
+def powmod(R: Ring, base: Sequence[int], n: int, f: Sequence[int]) -> Poly:
+    """base^n mod f (deg f >= 1, n >= 0)."""
+    if not n:
+        return [1]
+    return power(lambda u, v: divmod(R, mul(R, u, v), f)[1], divmod(R, base, f)[1], n)
 
 
 def least_factor_degree(R: Ring, f: Sequence[int]) -> Optional[Tuple[int, Poly]]:

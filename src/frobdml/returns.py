@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from .dynamics import AnyMap, orbit_cycle, replay
-from .errors import PrecisionBelowThreshold
+from .errors import DegreeMismatch, PrecisionBelowThreshold
 from .geometry import ProjPoint, Subvariety, eval_hom
 from .series import AtPrecisionZero
 
@@ -57,7 +57,7 @@ def return_set(f: AnyMap, x: ProjPoint, V: Subvariety, H: int,
     repeated point, and its rows are replayed around the cycle from there
     (``dynamics.orbit_cycle``)."""
     if H < 0:
-        raise ValueError("horizon must be >= 0")
+        raise DegreeMismatch("horizon must be >= 0")
     if tau > x.prec:
         raise PrecisionBelowThreshold(
             f"threshold {tau} exceeds point precision {x.prec}")
@@ -102,7 +102,7 @@ def ap_decompose(rs: ReturnSet, M_max: int) -> APDecomposition:
     are required before claiming exactness.  For each m one backward scan
     finds the last n with hit(n) != hit(n + m); the least n0 is one past it."""
     if M_max < 1:
-        raise ValueError("M_max must be >= 1")
+        raise DegreeMismatch("M_max must be >= 1")
     H = rs.horizon
     hits = set(rs.hits)
     for m in range(1, M_max + 1):

@@ -37,7 +37,7 @@ from .errors import (
     NotInvertible,
     SearchExhausted,
 )
-from .field import FieldSpec, FqElem
+from .field import FieldSpec, FqElem, _poly_str, p_power_exponent
 from .geometry import HomogPoly
 from .series import TruncSeries
 from . import dynamics
@@ -106,7 +106,7 @@ def first_irreducible(pf: PackedField, d: int
     for idx in range(Q ** d):
         if idx % Q == 0:
             continue  # constant term zero: divisible by Y
-        h = poly.monic_from_index(idx, d, Q)
+        h = poly.digits(idx, Q, d) + [1]  # monic; idx orders the candidates
         if poly.least_factor_degree(pf.ring, h) is None:
             hit = _IRR_CACHE[key] = (tuple(h), FieldSpec(f.p, d, h) if f.m == 1 else None)
             return hit
@@ -121,29 +121,9 @@ class ExtContext:
         self.h = tuple(h)
         self.d = len(h) - 1
         self.zero: Vec = (0,) * self.d
-        one = [0] * self.d
-        one[0] = 1
-        self.one: Vec = tuple(one)
-        gen = [0] * self.d
-        if self.d > 1:
-            gen[1] = 1
-        else:
-            gen[0] = pf.neg[h[0]]  # Y = -h0 in the trivial extension
-        self.gen: Vec = tuple(gen)
-        # reduction rows Y^(d+k) mod h
-        red = []
-        if self.d > 1:
-            cur = [pf.neg[c] for c in h[:-1]]
-            red.append(tuple(cur))
-            for _ in range(self.d - 2):
-                nxt = [0] + cur[:-1]
-                top = cur[-1]
-                if top:
-                    row = red[0]
-                    nxt = [pf.add[x][pf.mul[top][y]] for x, y in zip(nxt, row)]
-                red.append(tuple(nxt))
-                cur = nxt
-        self.red = red
+        self.one: Vec = poly.padded([1], self.d)
+        self.gen: Vec = poly.padded(poly.divmod(pf.ring, [0, 1], h)[1], self.d)  # Y mod h
+        self.red = poly.reduction_rows(pf.ring, h)  # Y^(d+k) mod h
 
     def add(self, u: Vec, v: Vec) -> Vec:
         add = self.pf.add
@@ -181,37 +161,14 @@ class ExtContext:
         return tuple(prod[:d])
 
     def pow(self, u: Vec, n: int) -> Vec:
-        out = self.one
-        b = u
-        while n:
-            if n & 1:
-                out = self.mul(out, b)
-            b = self.mul(b, b)
-            n >>= 1
-        return out
+        """u^n for n >= 1."""
+        return poly.power(self.mul, u, n)
 
     def is_zero(self, u: Vec) -> bool:
         return not any(u)
 
     def to_str(self, u: Vec) -> str:
-        if self.d == 1:
-            return str(self.pf.els[u[0]])
-        parts = []
-        for j, c in enumerate(u):
-            if not c:
-                continue
-            cs = str(self.pf.els[c])
-            if j == 0:
-                parts.append(cs)
-                continue
-            bpow = "b" if j == 1 else f"b^{j}"
-            if cs == "1":
-                parts.append(bpow)
-            else:
-                if "+" in cs:
-                    cs = f"({cs})"
-                parts.append(f"{cs}*{bpow}")
-        return "+".join(parts) if parts else "0"
+        return _poly_str(map(self.pf.els.__getitem__, u), "b")
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +279,7 @@ class TwistSolution:
         assert self.field is not None
         if self.ext.d == 1:
             return self.base_field.from_int(u[0])
-        digits: List[int] = []
-        for c in u:  # base field is F_p here; packed index = digit
-            digits.append(c)
-        return self.field.el(digits)
+        return self.field.el(u)  # base field is F_p here; packed index = digit
 
     @property
     def basis(self) -> List[Tuple]:
@@ -360,28 +314,29 @@ def solve_twist(A: Sequence[Sequence[FqElem]], q: int,
         for x in row:
             if x.field != field:
                 raise FieldMismatch("matrix entries over mixed fields")
-    p = field.p
-    e = 0
-    qq = q
-    while qq > 1 and qq % p == 0:
-        qq //= p
-        e += 1
-    if qq != 1 or e < 1:
-        raise DegreeMismatch(f"q = {q} is not a positive power of the characteristic {p}")
+    e = p_power_exponent(field.p, q)
+    if not e:
+        raise DegreeMismatch(
+            f"q = {q} is not a positive power of the characteristic {field.p}")
     pf = packed_field(field)
     fq = FqStructure(pf, e)
-    s = fq.s
     A_packed = _mat_from_fq(A)
     Ainv = _mat_inv(pf, A_packed)
     if Ainv is None:
         raise NotInvertible("A is singular")
+    return _solve(pf, fq, A_packed, Ainv, R_max)
 
-    ident = _mat_identity(n)
-    Ncur = A_packed
+
+def _solve(pf: PackedField, fq: FqStructure, A: Mat, Ainv: Mat,
+           R_max: int) -> TwistSolution:
+    """B^(q) = A B for a packed invertible A with its inverse Ainv, at the
+    least qualifying r <= R_max."""
+    ident = _mat_identity(len(A))
+    Ncur = A
     for r in range(1, R_max + 1):
-        if r % s == 0 and Ncur == ident:
-            return _solve_at(pf, fq, A_packed, Ainv, r)
-        Ncur = _mat_mul(pf, _mat_frob(pf, Ncur, e), A_packed)
+        if r % fq.s == 0 and Ncur == ident:
+            return _solve_at(pf, fq, A, Ainv, r)
+        Ncur = _mat_mul(pf, _mat_frob(pf, Ncur, fq.e), A)
     raise SearchExhausted(
         f"no full solution space of B^(q) = A B within F_(q^{R_max})")
 
@@ -495,20 +450,10 @@ def count_solutions_exhaustive(A: Sequence[Sequence[FqElem]], q: int,
     if order ** n > 200000:
         raise SearchExhausted("exhaustive count is test-scale only")
 
-    def elem(idx: int) -> Vec:
-        out = []
-        for _ in range(ext.d):
-            out.append(idx % pfld.order)
-            idx //= pfld.order
-        return tuple(out)
-
     count = 0
     for code in range(order ** n):
-        beta = []  # one column
-        cc = code
-        for _ in range(n):
-            beta.append([elem(cc % order)])
-            cc //= order
+        beta = [[tuple(poly.digits(c, pfld.order, ext.d))]  # one column
+                for c in poly.digits(code, order, n)]
         if all(ext.is_zero(row[0]) for row in _residue(ext, A_packed, beta, q)):
             count += 1
     return count
@@ -519,7 +464,9 @@ def count_solutions_exhaustive(A: Sequence[Sequence[FqElem]], q: int,
 # ---------------------------------------------------------------------------
 
 def normalize_conjugate(f: DmlMap, R_max: int = 64) -> Tuple[TwistSolution, DmlMap]:
-    """Solve B^(q) = A^{-1} B and return (solution, B^{-1} o f o B).
+    """Solve B^(q) = A^{-1} B and return (solution, B^{-1} o f o B).  The
+    packed A^{-1} goes to the solver with A as its inverse, so A is inverted
+    once.
 
     Since A B^(q) = B, the conjugate is x^(q) + B^{-1} G(B^(p) y): its matrix
     part is exactly I and only the remainder changes, as maps of degree q/p.
@@ -535,11 +482,11 @@ def normalize_conjugate(f: DmlMap, R_max: int = 64) -> Tuple[TwistSolution, DmlM
             out.append(sv.constant_term())
         A0.append(out)
     pf = packed_field(f.field)
-    Ainv_packed = _mat_inv(pf, _mat_from_fq(A0))
-    if Ainv_packed is None:
+    A_packed = _mat_from_fq(A0)
+    Ainv = _mat_inv(pf, A_packed)
+    if Ainv is None:
         raise NotInvertible("A is singular mod t")
-    Ainv = [[f.field.from_int(x) for x in row] for row in Ainv_packed]
-    sol = solve_twist(Ainv, f.q, R_max)
+    sol = _solve(pf, FqStructure(pf, f.e), Ainv, A_packed, R_max)
     if sol.field is None:
         raise NonFlattenableExtension(
             f"twist solution lives in a degree-{sol.ext.d} tower over "

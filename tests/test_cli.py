@@ -279,6 +279,33 @@ def test_bad_term_bound_is_exit_2(monkeypatch, value):
                    "is not a positive integer\n")
 
 
+def test_term_bound_is_exit_3(monkeypatch):
+    monkeypatch.setenv("FROBDML_TERM_BOUND", "1")
+    code, out, err = run(["compose", F3, "--times", "2"])
+    assert code == 3 and out == ""
+    assert err == "error: DegreeOverflow: product exceeds the symbolic size bound of 1 terms\n"
+
+
+def test_deep_compose_is_exit_0():
+    """f^11 has coordinate powers of exponent 1024, which must not cost one
+    product (or one stack frame) per unit of exponent."""
+    code, out, err = run(["compose", F3, "--times", "11"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[2] == \
+        "f^11[2] = (t + t^2 + t^4 + O(t^8))*x0^1024*x1^1024 + x2^2048"
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--horizon", "-1"], "horizon must be >= 0"),
+    (["--max-period", "0"], "M_max must be >= 1"),
+    (["--max-period", "-3"], "M_max must be >= 1")], ids=["horizon-1", "period0", "period-3"])
+def test_returns_bounds_are_exit_2(flags, message):
+    code, out, err = run(["returns", F4, "--point", "Ptilde", "--variety", "orbitpt",
+                          "--horizon", "10"] + flags)
+    assert code == 2 and out == ""
+    assert err == f"error: DegreeMismatch: {message}\n"
+
+
 @pytest.mark.parametrize("e", [21, 10 ** 6, 10 ** 100], ids=["21", "1e6", "1e100"])
 def test_huge_map_e_is_exit_3(tmp_path, e):
     with open(F1, encoding="utf-8") as fh:

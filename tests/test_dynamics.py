@@ -11,7 +11,7 @@ from frobdml.dynamics import (CoefficientFieldTooLarge,
                               orbit, preimage_qp, recognize_dml_form, series_det,
                               validate_map)
 from frobdml.errors import DegreeMismatch, NonUnitDivisor, NotInImage, UnsupportedQ
-from frobdml.geometry import HomogPoly, ProjPoint, format_poly, proj_eq
+from frobdml.geometry import HomogPoly, ProjPoint, format_poly, poly_mul, proj_eq
 from frobdml.instances import fixture_path, parse_instance
 from frobdml.lifting import point_galois, sigma_fixed_lift
 from frobdml.series import (AtPrecisionZero, GaloisAction, TruncSeries,
@@ -277,6 +277,81 @@ def test_compose_golden_and_iterate_agree():
         assert h.terms.keys() == k.terms.keys()
         for e in h.terms:
             assert h.terms[e].coeffs == k.terms[e].coeffs
+
+
+def compose_reference(F, G):
+    """Reference: (F o G) with each power G_j^k built by k - 1 products in
+    a row, as compose_maps did before it powered by square-and-multiply."""
+    Fg = dml_to_general(F) if isinstance(F, DmlMap) else F
+    Gg = dml_to_general(G) if isinstance(G, DmlMap) else G
+    powers = {}
+    out = []
+    for h in Fg.coords:
+        acc = HomogPoly.zero(Fg.field, Fg.N, Fg.degree * Gg.degree)
+        for exps, coeff in h.terms.items():
+            mono = None
+            for j, k in enumerate(exps):
+                if k:
+                    for i in range(1, k + 1):
+                        if (j, i) not in powers:
+                            powers[j, i] = Gg.coords[j] if i == 1 else \
+                                poly_mul(powers[j, i - 1], Gg.coords[j])
+                    mono = powers[j, k] if mono is None else poly_mul(mono, powers[j, k])
+            acc = acc + mono.scale(coeff)
+        out.append(acc)
+    return GeneralMap(Fg.field, out)
+
+
+def iterate_reference(f, k):
+    cur = base = dml_to_general(f) if isinstance(f, DmlMap) else f
+    for _ in range(k - 1):
+        cur = compose_reference(cur, base)
+    return cur
+
+
+def map_key(F):
+    """Every coefficient with its digits and precision.  The inexact flag is
+    left out: it is the "or" over the products that survive truncation, and
+    a product that cancels below its precision is dropped with its flag, so
+    the flag depends on the order of multiplication."""
+    return [(h.degree, sorted((e, c.coeffs, c.prec) for e, c in h.terms.items()))
+            for h in F.coords]
+
+
+def rand_mixed_map(rng, prec):
+    """(x0 : .. : xN) -> random forms of degree 2 or 3 whose coefficients
+    are known to different precisions, some of them inexact."""
+    F = field_for(rng.choice((2, 3, 5)), rng.randint(1, 2))
+    N, d = rng.randint(1, 2), rng.randint(2, 3)
+    coords = []
+    for _ in range(N + 1):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            n = rng.randint(1, prec)
+            c = TruncSeries(F, n, [F.from_int(rng.randrange(F.order)) for _ in range(n)])
+            if rng.random() < 0.3:
+                c = c.change_precision(prec)
+            exps = [0] * (N + 1)
+            for _ in range(d):
+                exps[rng.randrange(N + 1)] += 1
+            terms[tuple(exps)] = c
+        coords.append(HomogPoly(F, N, d, terms))
+    return GeneralMap(F, coords)
+
+
+def test_iterate_matches_linear_power_reference():
+    """Square-and-multiply powers give the same coefficients and precisions
+    as the linear product, on suite maps and on maps with mixed-precision
+    coefficients."""
+    rng = random.Random(909)
+    mixed = 0
+    for case in range(60):
+        f = rand_suite_map(rng, prec=8) if case % 2 else rand_mixed_map(rng, 6)
+        k = rng.randint(2, 3)
+        assert map_key(iterate_map(f, k)) == map_key(iterate_reference(f, k)), case
+        mixed += len({c.prec for h in iterate_map(f, 1).coords for c in h.terms.values()}) > 1
+    assert mixed >= 10
+    assert map_key(iterate_map(F3, 11)) == map_key(iterate_reference(F3, 11))
 
 
 def test_composition_is_associative_on_points():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from frobdml.dynamics import GeneralMap, apply_map
-from frobdml.errors import PrecisionBelowThreshold
+from frobdml.errors import DegreeMismatch, PrecisionBelowThreshold
 from frobdml.geometry import (HomogPoly, Subvariety, eval_hom, point_variety,
                               proj_eq)
 from frobdml.instances import fixture_path, parse_instance
@@ -132,13 +132,13 @@ def test_return_set_bounds():
     f = INST4.map
     P = INST4.points["Ptilde"]
     V = INST4.varieties["orbitpt"]
-    with pytest.raises(ValueError):
+    with pytest.raises(DegreeMismatch):
         return_set(f, P, V, -1, 30)
     with pytest.raises(PrecisionBelowThreshold):
         return_set(f, P, V, 5, 41)  # threshold above the point's precision
     with pytest.raises(PrecisionBelowThreshold):
         return_set(f, P, V, 5, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DegreeMismatch):
         ap_decompose(rs_of({1}, 10), 0)
 
 
@@ -155,7 +155,7 @@ def return_set_reference(f, x, V, H, tau):
     """Reference: the full walk, V evaluated at every f^n(x) before
     f^(n+1)(x) is computed."""
     if H < 0:
-        raise ValueError("horizon must be >= 0")
+        raise DegreeMismatch("horizon must be >= 0")
     if tau > x.prec:
         raise PrecisionBelowThreshold(
             f"threshold {tau} exceeds point precision {x.prec}")
