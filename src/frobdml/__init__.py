@@ -13,34 +13,49 @@ The package is organized bottom-up:
     returns   return sets and arithmetic-progression decompositions
     instances JSON instance files and shipped fixtures
     cli       the frobdml command
+
+The names exported here load on first use: ``import frobdml`` imports no
+submodule, and ``frobdml.solve_twist`` imports ``frobdml.twist`` the first
+time it is read.
 """
+import importlib
 
-from .errors import (DegreeMismatch, DegreeOverflow, DimensionMismatch,
-                     DivisionByZero, FieldMismatch, FrobdmlError,
-                     IndistinguishableFromZero, NonCanonicalBasePoint,
-                     NonConstantMatrix, NonFlattenableExtension, NonPrimeP,
-                     NonUnitDivisor, NotInImage, NotInvertible, ParseError,
-                     PrecisionBelowThreshold, PrecisionExhausted,
-                     PrecisionTooLow, PreconditionMatrixNotIdentityModT,
-                     ReducibleModulus, ResidueDegreeUnknown, SearchExhausted,
-                     UnsupportedQ, ValidationFailure)
-from .field import FieldSpec, FqElem, format_element, make_field, parse_element
-from .series import (AtPrecisionZero, GaloisAction, TruncSeries, format_series,
-                     parse_series)
-from .geometry import (HomogPoly, ProjPoint, Subvariety, eval_hom, format_poly,
-                       point_variety, proj_eq, reduce_point)
-from .dynamics import (ConditionsReport, DmlMap, GeneralMap, NotInForm,
-                       apply_map, check_conditions, compose_maps,
-                       iterate_map, orbit, preimage_qp, recognize_dml_form,
-                       validate_map)
-from .twist import (TwistSolution, count_solutions_exhaustive,
-                    normalize_conjugate, solve_twist)
-from .lifting import (SigmaFixedLift, critical_witness, detect_residue_degree,
-                      invariance_evidence, minimal_period, point_galois,
-                      sigma_fixed_lift)
-from .returns import (APDecomposition, ReturnSet, ap_decompose,
-                      decompose_oracle, default_threshold, return_set)
-from .instances import (Instance, fixture_path, format_instance,
-                        parse_instance, parse_twist_file, render_instance)
-
+_EXPORTS = {
+    "errors": "DegreeMismatch DegreeOverflow DimensionMismatch DivisionByZero "
+              "FieldMismatch FrobdmlError IndistinguishableFromZero "
+              "NonCanonicalBasePoint NonConstantMatrix NonFlattenableExtension "
+              "NonPrimeP NonUnitDivisor NotInImage NotInvertible ParseError "
+              "PrecisionBelowThreshold PrecisionExhausted PrecisionTooLow "
+              "PreconditionMatrixNotIdentityModT ReducibleModulus "
+              "ResidueDegreeUnknown SearchExhausted UnsupportedQ ValidationFailure",
+    "field": "FieldSpec FqElem format_element make_field parse_element",
+    "series": "AtPrecisionZero GaloisAction TruncSeries format_series parse_series",
+    "geometry": "HomogPoly ProjPoint Subvariety eval_hom format_poly point_variety "
+                "proj_eq reduce_point",
+    "dynamics": "ConditionsReport DmlMap GeneralMap NotInForm apply_map "
+                "check_conditions compose_maps iterate_map orbit preimage_qp "
+                "recognize_dml_form validate_map",
+    "twist": "TwistSolution count_solutions_exhaustive normalize_conjugate solve_twist",
+    "lifting": "SigmaFixedLift critical_witness detect_residue_degree "
+               "invariance_evidence minimal_period point_galois sigma_fixed_lift",
+    "returns": "APDecomposition ReturnSet ap_decompose decompose_oracle "
+               "default_threshold return_set",
+    "instances": "Instance fixture_path format_instance parse_instance "
+                 "parse_twist_file render_instance",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names.split()}
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

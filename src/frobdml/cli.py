@@ -10,6 +10,8 @@ All output is deterministic: identical inputs produce byte-identical stdout.
 The --seed flag is accepted for reproducibility plumbing in batch runs; the
 shipped commands are fully deterministic and do not consume it.  The symbolic
 term bound for compositions can be overridden with FROBDML_TERM_BOUND.
+A command imports twist, lifting or returns itself, so a process loads (and
+compiles) only the modules its command runs.
 """
 from __future__ import annotations
 
@@ -18,17 +20,13 @@ import json
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .dynamics import (DmlMap, GeneralMap, NotInForm, apply_map, check_conditions,
-                       iterate_map, orbit, recognize_dml_form)
+from .dynamics import (DmlMap, NotInForm, check_conditions, iterate_map, orbit,
+                       recognize_dml_form)
 from .errors import FrobdmlError, ParseError, ValidationFailure
 from .field import format_element, p_power_exponent, parse_element
 from .geometry import ProjPoint, Subvariety, format_poly, reduce_point
 from .instances import Instance, parse_instance, parse_twist_file
-from .lifting import SigmaFixedLift, critical_witness, minimal_period, sigma_fixed_lift
-from .returns import (NO_DECOMPOSITION, APDecomposition, ReturnSet, ap_decompose,
-                      default_threshold, return_set)
 from .series import AtPrecisionZero, TruncSeries, format_series, parse_series
-from .twist import TwistSolution, normalize_conjugate, solve_twist
 
 RETURNS_NOTE = ("membership is precision-qualified (generator valuation >= "
                 "threshold) and horizon-qualified (n <= horizon); nothing is "
@@ -218,6 +216,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    from .lifting import sigma_fixed_lift
     inst = _load(args)
     f = _dml_only(inst.map, "lift")
     P0 = _residue_point(inst, args.point0)
@@ -235,13 +234,14 @@ def cmd_lift(args) -> int:
     return 0
 
 
-def _twist_matrix_strs(sol: TwistSolution, rows) -> List[List[str]]:
+def _twist_matrix_strs(sol, rows) -> List[List[str]]:
     if sol.field is not None:
         return [[format_element(x) for x in row] for row in rows]
     return [[x for x in row] for row in rows]
 
 
 def cmd_twist(args) -> int:
+    from .twist import solve_twist
     field, A, q = parse_twist_file(args.matrix)
     sol = solve_twist(A, q, args.rmax)
     basis = _twist_matrix_strs(sol, sol.basis)
@@ -257,6 +257,7 @@ def cmd_twist(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from .twist import normalize_conjugate
     inst = _load(args)
     f = _dml_only(inst.map, "normalize")
     rmax = args.rmax if args.rmax is not None else inst.parameters.R_max
@@ -273,6 +274,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_returns(args) -> int:
+    from .returns import NO_DECOMPOSITION, ap_decompose, default_threshold, return_set
     inst = _load(args)
     P = _proj_point(inst, args.point, inst.parameters.prec)
     V = _named_variety(inst, args.variety)
@@ -349,6 +351,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from .lifting import critical_witness, sigma_fixed_lift
     inst = _load(args)
     f = _dml_only(inst.map, "witness")
     P0 = _residue_point(inst, args.point0)
@@ -365,6 +368,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_period(args) -> int:
+    from .lifting import minimal_period, sigma_fixed_lift
     inst = _load(args)
     f = _dml_only(inst.map, "period")
     P0 = _residue_point(inst, args.point0)

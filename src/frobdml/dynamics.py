@@ -14,7 +14,6 @@ of genuine series multiplications for the G part only.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -40,6 +39,7 @@ from .geometry import (
     poly_mul,
     reduce_point,
 )
+from .record import Record
 from .series import AtPrecisionZero, TruncSeries
 
 DEFAULT_TERM_BOUND = 10 ** 6
@@ -62,39 +62,31 @@ def term_bound() -> int:
 # validation diagnostics (values, not exceptions)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NonUnitDeterminant:
-    detail: str
+class NonUnitDeterminant(Record):
+    __slots__ = ("detail",)
 
     def __str__(self):
         return f"NonUnitDeterminant: {self.detail}"
 
 
-@dataclass(frozen=True)
-class CoefficientNotInMaximalIdeal:
-    coordinate: int
-    exponents: ExpVec
+class CoefficientNotInMaximalIdeal(Record):
+    __slots__ = ("coordinate", "exponents")
 
     def __str__(self):
         return (f"CoefficientNotInMaximalIdeal: G[{self.coordinate}] term "
                 f"{list(self.exponents)} has a unit coefficient")
 
 
-@dataclass(frozen=True)
-class WrongDegree:
-    coordinate: int
-    got: int
-    want: int
+class WrongDegree(Record):
+    __slots__ = ("coordinate", "got", "want")
 
     def __str__(self):
         return (f"WrongDegree: G[{self.coordinate}] has degree {self.got}, "
                 f"expected q/p = {self.want}")
 
 
-@dataclass(frozen=True)
-class CoefficientFieldTooLarge:
-    where: str
-    witness: str
+class CoefficientFieldTooLarge(Record):
+    __slots__ = ("where", "witness")
 
     def __str__(self):
         return (f"CoefficientFieldTooLarge: {self.where} coefficient {self.witness} "
@@ -105,11 +97,9 @@ Diagnostic = Union[NonUnitDeterminant, CoefficientNotInMaximalIdeal,
                    WrongDegree, CoefficientFieldTooLarge]
 
 
-@dataclass(frozen=True)
-class NotInForm:
-    coordinate: Optional[int]
-    exponents: Optional[ExpVec]
-    reason: str
+class NotInForm(Record):
+    # coordinate and exponents are None when no single term is at fault
+    __slots__ = ("coordinate", "exponents", "reason")
 
     def __str__(self):
         where = "" if self.coordinate is None else f" in coordinate {self.coordinate}"
@@ -117,11 +107,9 @@ class NotInForm:
         return f"NotInForm{where}{exps}: {self.reason}"
 
 
-@dataclass(frozen=True)
-class ConditionsReport:
-    zero_differential: bool
-    special_fiber_is_frobenius: bool
-    frobenius_power: Optional[int]
+class ConditionsReport(Record):
+    __slots__ = ("zero_differential", "special_fiber_is_frobenius",
+                 "frobenius_power")
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,13 @@ ValidationFailure); a map with "coordinates" is a GeneralMap.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
-from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .dynamics import AnyMap, DmlMap, GeneralMap, term_bound, validate_map
 from .errors import DegreeOverflow, ParseError, ValidationFailure
 from .field import FieldSpec, FqElem, format_element, make_field, parse_element
 from .geometry import HomogPoly, ProjPoint, Subvariety
+from .record import MutableRecord
 from .series import TruncSeries, format_series, parse_series
 
 MAX_INT_DIGITS = 4300
@@ -39,23 +38,14 @@ ResiduePoint = Tuple[FqElem, ...]
 NamedPoint = Union[ProjPoint, ResiduePoint]
 
 
-@dataclass
-class Parameters:
-    prec: Optional[int] = None
-    H: Optional[int] = None
-    tau: Optional[int] = None
-    M_max: int = 12
-    R_max: int = 64
+class Parameters(MutableRecord):
+    __slots__ = ("prec", "H", "tau", "M_max", "R_max")
+    _defaults = {"prec": None, "H": None, "tau": None, "M_max": 12, "R_max": 64}
 
 
-@dataclass
-class Instance:
-    label: str
-    field: FieldSpec
-    map: AnyMap
-    points: Dict[str, NamedPoint] = dc_field(default_factory=dict)
-    varieties: Dict[str, Subvariety] = dc_field(default_factory=dict)
-    parameters: Parameters = dc_field(default_factory=Parameters)
+class Instance(MutableRecord):
+    # points: Dict[str, NamedPoint], varieties: Dict[str, Subvariety]
+    __slots__ = ("label", "field", "map", "points", "varieties", "parameters")
 
 
 def _object(obj, where: str) -> dict:
@@ -297,4 +287,5 @@ def format_instance(inst: Instance) -> str:
 def fixture_path(name: str) -> str:
     """Filesystem path of a shipped fixture (f1.json, f3.json, f4.json,
     twist_swap.json)."""
+    from importlib import resources
     return str(resources.files("frobdml").joinpath("fixtures", name))

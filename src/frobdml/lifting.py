@@ -26,7 +26,6 @@ sigma^{-n}(P~) is an exact n-fold preimage of P~ under f.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .dynamics import DmlMap, apply_map, orbit
@@ -41,6 +40,7 @@ from .errors import (
 )
 from .field import FqElem
 from .geometry import ProjPoint, Subvariety, eval_hom, proj_eq, reduce_point
+from .record import MutableRecord
 from .series import AtPrecisionZero, GaloisAction, TruncSeries
 
 
@@ -166,23 +166,18 @@ def minimal_period(f: DmlMap, L: SigmaFixedLift) -> int:
     raise AssertionError(f"no period <= residue degree {m}")
 
 
-@dataclass
-class InvarianceEntry:
-    on_variety: bool
-    image_on_variety: Optional[bool]  # None when the point is off V
+class InvarianceEntry(MutableRecord):
+    # image_on_variety is None when the point is off V
+    __slots__ = ("on_variety", "image_on_variety")
 
 
-@dataclass
-class InvarianceReport:
+class InvarianceReport(MutableRecord):
     """Sampled, precision-qualified evidence that f maps V-points into V.
 
     Never a proof: only the provided lifts are checked, only to valuation
-    threshold tau."""
-    threshold: int
-    entries: List[InvarianceEntry]
-    checked: int          # lifts on V
-    stable: int           # lifts on V whose image stays on V
-    empty_sample: bool
+    threshold tau.  ``checked`` counts the lifts on V, ``stable`` those whose
+    image stays on V."""
+    __slots__ = ("threshold", "entries", "checked", "stable", "empty_sample")
 
     @property
     def aggregate(self) -> bool:

@@ -14,12 +14,12 @@ orbit, whose length divides the degree of P~'s coefficients over F_q.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Sequence, Set, Tuple, Union
 
 from .dynamics import AnyMap, orbit_cycle, replay
 from .errors import DegreeMismatch, PrecisionBelowThreshold
 from .geometry import ProjPoint, Subvariety, eval_hom
+from .record import Record
 from .series import AtPrecisionZero
 
 Valuation = Union[int, AtPrecisionZero]
@@ -33,12 +33,9 @@ def default_threshold(prec: int) -> int:
     return prec - 4
 
 
-@dataclass(frozen=True)
-class ReturnSet:
-    horizon: int
-    threshold: int
-    hits: Tuple[int, ...]                      # strictly increasing
-    valuations: Tuple[Tuple[Valuation, ...], ...]  # per n, per generator
+class ReturnSet(Record):
+    # hits strictly increasing; valuations[n][i] for generator i at f^n(x)
+    __slots__ = ("horizon", "threshold", "hits", "valuations")
 
     def __contains__(self, n: int) -> bool:
         return n in set(self.hits)
@@ -75,13 +72,9 @@ EXACT = "exact_up_to_horizon"
 NO_DECOMPOSITION = "no_decomposition_within_bounds"
 
 
-@dataclass(frozen=True)
-class APDecomposition:
-    status: str
-    horizon: int
-    n0: Optional[int]
-    sporadic: Tuple[int, ...]
-    progressions: Tuple[Tuple[int, int], ...]   # (l, m) meaning {l + m k}
+class APDecomposition(Record):
+    # progressions: pairs (l, m) meaning {l + m k}
+    __slots__ = ("status", "horizon", "n0", "sporadic", "progressions")
 
     def expand(self) -> Set[int]:
         out = set(self.sporadic)

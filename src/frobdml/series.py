@@ -56,7 +56,6 @@ it rather than an integer.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -68,6 +67,7 @@ from .errors import (
     ParseError,
 )
 from .field import FieldSpec, FqElem, parse_element, format_element
+from .record import Record
 
 MAX_PREC = 1 << 16
 # Shapes kept per field: a shape costs a few integers of n slots, and a walk
@@ -76,16 +76,14 @@ SHAPES_KEPT = 64
 _STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
-@dataclass(frozen=True)
-class AtPrecisionZero:
+class AtPrecisionZero(Record):
     """Valuation sentinel: every stored coefficient vanishes below t^prec."""
-    prec: int
+    __slots__ = ("prec",)
 
 
-@dataclass(frozen=True)
-class GaloisAction:
+class GaloisAction(Record):
     """The semilinear action sigma = Frob_{p^e}, coefficientwise, fixing t."""
-    e: int
+    __slots__ = ("e",)
 
 
 # ---------------------------------------------------------------------------

@@ -373,7 +373,7 @@ def test_internal_error_is_exit_4(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("broken invariant")
 
-    monkeypatch.setattr("frobdml.cli.sigma_fixed_lift", broken)
+    monkeypatch.setattr("frobdml.lifting.sigma_fixed_lift", broken)
     code, out, err = run(["lift", F4, "--point0", "P0", "--prec", "8"])
     assert code == 4 and out == ""
     assert err == "internal error: ValueError: broken invariant\n"

@@ -1,0 +1,179 @@
+"""The package surface: what ``import frobdml`` and each CLI command load,
+the lazily resolved exports, and the value records that replaced the
+dataclasses."""
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import frobdml
+from frobdml.dynamics import (CoefficientFieldTooLarge,
+                              CoefficientNotInMaximalIdeal, ConditionsReport,
+                              NonUnitDeterminant, NotInForm, WrongDegree)
+from frobdml.instances import Instance, Parameters
+from frobdml.lifting import InvarianceEntry, InvarianceReport
+from frobdml.returns import APDecomposition, ReturnSet
+from frobdml.series import AtPrecisionZero, GaloisAction
+
+ROOT = Path(__file__).resolve().parent.parent
+FIX = "src/frobdml/fixtures"
+
+
+def python(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def loaded_after(code):
+    res = python("-c", code + "\nimport sys; print(' '.join(sys.modules))")
+    assert res.returncode == 0, res.stderr
+    return set(res.stdout.split())
+
+
+def imported_by_command(*argv):
+    """Modules a ``python -m frobdml.cli`` run imports, read off -X importtime."""
+    res = python("-X", "importtime", "-m", "frobdml.cli", *argv)
+    assert res.returncode == 0, res.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in res.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+# ---------------------------------------------------------------------------
+# import budget
+# ---------------------------------------------------------------------------
+
+def test_import_frobdml_loads_no_submodule():
+    assert not {m for m in loaded_after("import frobdml") if m.startswith("frobdml.")}
+
+
+def test_import_cli_leaves_heavy_modules_unloaded():
+    loaded = loaded_after("import frobdml.cli")
+    assert "frobdml.dynamics" in loaded
+    heavy = {"frobdml.twist", "frobdml.lifting", "frobdml.returns", "dataclasses",
+             "inspect"}
+    assert not heavy & loaded
+
+
+def test_twist_command_loads_neither_lifting_nor_returns():
+    loaded = imported_by_command("twist", f"{FIX}/twist_swap.json")
+    assert "frobdml.twist" in loaded
+    assert not {"frobdml.lifting", "frobdml.returns"} & loaded
+
+
+def test_module_run_writes_nothing_to_stderr():
+    # runpy warns on stderr when the package has already imported frobdml.cli
+    res = python("-m", "frobdml.cli", "validate", f"{FIX}/f1.json")
+    assert res.returncode == 0 and res.stderr == ""
+    assert res.stdout.startswith("valid: f1\n")
+
+
+# ---------------------------------------------------------------------------
+# lazy exports
+# ---------------------------------------------------------------------------
+
+def test_every_export_is_the_submodules_own_object():
+    assert len(frobdml.__all__) == len(set(frobdml.__all__)) == 77
+    for name in frobdml.__all__:
+        owner = importlib.import_module(f"frobdml.{frobdml._MODULE_OF[name]}")
+        assert getattr(frobdml, name) is getattr(owner, name)
+
+
+def test_unknown_export_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        frobdml.no_such_name
+    assert not hasattr(frobdml, "dataclass")
+
+
+def test_star_import_binds_every_export():
+    ns = {}
+    exec("from frobdml import *", ns)
+    assert set(frobdml.__all__) <= set(ns)
+    assert ns["solve_twist"] is frobdml.twist.solve_twist
+
+
+def test_version_and_dir():
+    assert frobdml.__version__ == "0.1.0"
+    assert set(frobdml.__all__) <= set(dir(frobdml))
+
+
+# ---------------------------------------------------------------------------
+# value records
+# ---------------------------------------------------------------------------
+
+FROZEN = [
+    (AtPrecisionZero, {"prec": 5}),
+    (GaloisAction, {"e": 2}),
+    (NonUnitDeterminant, {"detail": "det = t"}),
+    (CoefficientNotInMaximalIdeal, {"coordinate": 1, "exponents": (2, 0)}),
+    (WrongDegree, {"coordinate": 0, "got": 3, "want": 2}),
+    (CoefficientFieldTooLarge, {"where": "A", "witness": "a"}),
+    (NotInForm, {"coordinate": None, "exponents": None, "reason": "no"}),
+    (ConditionsReport, {"zero_differential": True,
+                        "special_fiber_is_frobenius": False,
+                        "frobenius_power": None}),
+    (ReturnSet, {"horizon": 4, "threshold": 2, "hits": (0, 2),
+                 "valuations": ((3,), (1,), (AtPrecisionZero(8),))}),
+    (APDecomposition, {"status": "exact_up_to_horizon", "horizon": 4, "n0": 0,
+                       "sporadic": (), "progressions": ((0, 2),)}),
+]
+MUTABLE = [
+    (Parameters, {"prec": 40, "H": 200, "tau": 30, "M_max": 12, "R_max": 64}),
+    (Instance, {"label": "x", "field": None, "map": None, "points": {},
+                "varieties": {}, "parameters": Parameters()}),
+    (InvarianceEntry, {"on_variety": True, "image_on_variety": None}),
+    (InvarianceReport, {"threshold": 3, "entries": [], "checked": 0,
+                        "stable": 0, "empty_sample": True}),
+]
+
+
+def ids(cases):
+    return [cls.__name__ for cls, _ in cases]
+
+
+@pytest.mark.parametrize("cls,fields", FROZEN + MUTABLE, ids=ids(FROZEN + MUTABLE))
+def test_record_construction_equality_and_repr(cls, fields):
+    rec = cls(*fields.values())
+    assert rec == cls(**fields)
+    assert not isinstance(rec, tuple)
+    assert [getattr(rec, k) for k in fields] == list(fields.values())
+    assert repr(rec) == f"{cls.__name__}(" + ", ".join(
+        f"{k}={v!r}" for k, v in fields.items()) + ")"
+    first = next(iter(fields))
+    assert rec != cls(**dict(fields, **{first: "other"}))
+    assert rec != tuple(fields.values())
+    with pytest.raises(TypeError):
+        cls(*fields.values(), "extra")
+    with pytest.raises(TypeError):
+        cls(**dict(fields, nonsense=1))
+
+
+@pytest.mark.parametrize("cls,fields", FROZEN, ids=ids(FROZEN))
+def test_frozen_records_hash_and_refuse_assignment(cls, fields):
+    rec = cls(**fields)
+    assert hash(rec) == hash(cls(**fields))
+    assert len({rec, cls(**fields)}) == 1
+    with pytest.raises(AttributeError):
+        setattr(rec, next(iter(fields)), "other")
+    with pytest.raises(AttributeError):
+        rec.undeclared = 1
+
+
+@pytest.mark.parametrize("cls,fields", MUTABLE, ids=ids(MUTABLE))
+def test_mutable_records_assign_and_are_unhashable(cls, fields):
+    rec = cls(**fields)
+    first = next(iter(fields))
+    setattr(rec, first, "other")
+    assert getattr(rec, first) == "other" and rec != cls(**fields)
+    with pytest.raises(TypeError):
+        hash(rec)
+
+
+def test_parameters_defaults():
+    assert Parameters() == Parameters(None, None, None, 12, 64)
+    assert Parameters(prec=40, H=200, tau=30) == Parameters(40, 200, 30, 12, 64)
+    with pytest.raises(TypeError):
+        Instance("label-only")
