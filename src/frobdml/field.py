@@ -140,7 +140,6 @@ class FieldSpec:
     __slots__ = (
         "p", "m", "modulus", "order",
         "_fp", "_red", "_frob_mats", "_zero", "_one", "_gen", "_kron",
-        "_tables",
     )
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
@@ -169,8 +168,7 @@ class FieldSpec:
         self.order = p ** m
         self._red = poly.reduction_rows(self._fp, mod)  # read by series._Layout
         self._frob_mats: dict = {}
-        self._kron = None    # the series packing, built by series._kron
-        self._tables = None  # twist's PackedField, built by twist.packed_field
+        self._kron = None  # the series packings, also the twist tower's, built by series._kron
         self._zero = FqElem(self, (0,) * m)
         self._one = FqElem(self, (1,) + (0,) * (m - 1))
         self._gen = FqElem(self, poly.padded(poly.divmod(self._fp, [0, 1], mod)[1], m))

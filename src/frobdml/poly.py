@@ -5,8 +5,8 @@ A polynomial is a list of ring elements in ascending powers, trimmed so the
 last entry is nonzero (the zero polynomial is []).  Ring elements are ints
 with 0 the zero and 1 the one; a ``Ring`` carries its order and the
 operations add, sub, mul and inv (of a nonzero element).  ``prime_field`` is
-F_p on 0..p-1, used by FieldSpec; ``table_ring`` reads Cayley tables, as the
-twist solver's packed fields provide them.
+F_p on 0..p-1, used by FieldSpec; the twist solver's ``_base_ring`` is
+F_(p^m) on packed coefficients.
 
 FieldSpec multiplies, reduces, powers and inverts its elements here, and
 the twist tower builds its reduction rows here; only the tower's own
@@ -15,9 +15,7 @@ they are on the hot path.  ``power`` is the one square-and-multiply
 (J. von zur Gathen, J. Gerhard, *Modern Computer Algebra*, ch. 4), for any
 associative product: residues mod f here, field and tower elements, and the
 coordinate powers of symbolic composition.  ``digits`` is the one
-index -> digit vector conversion.  ``rref`` is the one row echelon routine
-over a ring that is a field (the twist solver's matrix inverse and
-canonical solution basis).
+index -> digit vector conversion.
 
 Irreducibility has one test, Rabin's distinct-degree sieve (M. O. Rabin,
 "Probabilistic algorithms in finite fields", SIAM J. Comput. 1980), which
@@ -25,8 +23,7 @@ costs a few modular powerings per degree instead of p^(d/2) trial divisions.
 """
 from __future__ import annotations
 
-from typing import (Callable, Iterable, List, NamedTuple, Optional, Sequence,
-                    Tuple, TypeVar)
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 Poly = List[int]
 T = TypeVar("T")
@@ -43,12 +40,6 @@ class Ring(NamedTuple):
 def prime_field(p: int) -> Ring:
     return Ring(p, lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
                 lambda a, b: a * b % p, lambda a: pow(a, p - 2, p))
-
-
-def table_ring(add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]],
-               neg: Sequence[int], inv: Sequence[int]) -> Ring:
-    return Ring(len(neg), lambda a, b: add[a][b], lambda a, b: add[a][neg[b]],
-                lambda a, b: mul[a][b], inv.__getitem__)
 
 
 def trim(c: Poly) -> Poly:
@@ -163,29 +154,3 @@ def least_factor_degree(R: Ring, f: Sequence[int]) -> Optional[Tuple[int, Poly]]
         if len(g) > 1:
             return k, g
     return None
-
-
-def rref(R: Ring, rows: Iterable[Sequence[int]],
-         out: Optional[List[List[int]]] = None) -> List[List[int]]:
-    """Reduced row echelon form of rows over the field R: the nonzero rows,
-    each with leading entry 1, sorted by pivot column; every pivot column is
-    zero in the other rows.  An ``out`` returned earlier is extended in place,
-    so adding a row costs one pass over the rows already reduced."""
-    out = [] if out is None else out
-    for row in rows:
-        v = list(row)
-        for r in out:
-            c = v[r.index(1)]
-            if c:
-                v = [R.sub(x, R.mul(c, y)) if y else x for x, y in zip(v, r)]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            continue
-        c = R.inv(v[piv])
-        v = [R.mul(c, x) for x in v]
-        for k, r in enumerate(out):
-            c = r[piv]
-            if c:
-                out[k] = [R.sub(x, R.mul(c, y)) if y else x for x, y in zip(r, v)]
-        out.insert(sum(r.index(1) < piv for r in out), v)
-    return out

@@ -266,6 +266,37 @@ def _reduce(sh: _Shape, P: int) -> int:
     return _reduce_low(sh, P)
 
 
+def _add(sh: _Shape, X: int, Y: int) -> int:
+    """Canonical packing of X + Y for canonical X and Y; for p > 2 any
+    packings whose digit sums stay below 2p."""
+    L = sh.L
+    if L.p == 2:
+        return X ^ Y
+    Z = X + Y
+    return Z - (((Z + sh.bias) >> (L.w - 1)) & sh.ones) * L.p
+
+
+def _sub(sh: _Shape, X: int, Y: int) -> int:
+    """Canonical packing of X - Y, for canonical X and Y."""
+    return X ^ Y if sh.L.p == 2 else _add(sh, X, sh.pones - Y)
+
+
+def _galois(sh: _Shape, field: FieldSpec, X: int, k: int) -> int:
+    """x -> x^(p^k) on every coefficient of the canonical packing X."""
+    w = sh.L.w
+    acc = 0
+    for j, col in enumerate(sh.L.frob_cols(field, k)):
+        acc += ((X >> (j * w)) & sh.digit) * col
+    return _reduce_low(sh, acc)
+
+
+def _unpack(field: FieldSpec, sh: _Shape, X: int) -> Tuple[FqElem, ...]:
+    """The coefficients of the canonical packing X with sh's slots."""
+    m = field.m
+    ds = sh.lo.unpack(X.to_bytes(sh.lo.size, "little"))
+    return tuple(FqElem(field, ds[i:i + m]) for i in range(0, len(ds), m))
+
+
 # ---------------------------------------------------------------------------
 # TruncSeries
 # ---------------------------------------------------------------------------
@@ -312,11 +343,7 @@ class TruncSeries:
     @property
     def coeffs(self) -> Tuple[FqElem, ...]:
         """The prec coefficients, decoded afresh on every access."""
-        field = self.field
-        m = field.m
-        st = field._kron[self.prec].lo
-        ds = st.unpack(self.packed.to_bytes(st.size, "little"))
-        return tuple(FqElem(field, ds[i:i + m]) for i in range(0, len(ds), m))
+        return _unpack(self.field, self.field._kron[self.prec], self.packed)
 
     def is_zero_at_precision(self) -> bool:
         return not self.packed
@@ -356,34 +383,23 @@ class TruncSeries:
             Y = _fit(self.field._kron, Y, other.prec, n)
         return n, X, Y
 
-    def _sum(self, sh: _Shape, n: int, Z: int, inexact: bool) -> "TruncSeries":
-        """Series of the digitwise sum Z, each digit in [0, 2p)."""
-        L = sh.L
-        Z -= (((Z + sh.bias) >> (L.w - 1)) & sh.ones) * L.p
-        return _new(self.field, n, Z, inexact)
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         n, X, Y = self._operands(other)
-        inexact = self.inexact or other.inexact
-        if self.field.p == 2:
-            return _new(self.field, n, X ^ Y, inexact)
-        return self._sum(self.field._kron[n], n, X + Y, inexact)
+        return _new(self.field, n, _add(self.field._kron[n], X, Y),
+                    self.inexact or other.inexact)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         n, X, Y = self._operands(other)
-        inexact = self.inexact or other.inexact
-        if self.field.p == 2:
-            return _new(self.field, n, X ^ Y, inexact)
-        sh = self.field._kron[n]
-        return self._sum(sh, n, X + sh.pones - Y, inexact)
+        return _new(self.field, n, _sub(self.field._kron[n], X, Y),
+                    self.inexact or other.inexact)
 
     def __neg__(self) -> "TruncSeries":
         if self.field.p == 2:
             return self
-        sh = self.field._kron[self.prec]
-        return self._sum(sh, self.prec, sh.pones - self.packed, self.inexact)
+        return _new(self.field, self.prec, _sub(self.field._kron[self.prec], 0, self.packed),
+                    self.inexact)
 
     def scale(self, c: FqElem) -> "TruncSeries":
         field = self.field
@@ -465,12 +481,8 @@ class TruncSeries:
         k = e % field.m
         if k == 0:
             return self
-        sh = field._kron[self.prec]
-        X, w = self.packed, sh.L.w
-        acc = 0
-        for j, col in enumerate(sh.L.frob_cols(field, k)):
-            acc += ((X >> (j * w)) & sh.digit) * col
-        return _new(field, self.prec, _reduce_low(sh, acc), self.inexact)
+        return _new(field, self.prec, _galois(field._kron[self.prec], field, self.packed, k),
+                    self.inexact)
 
     # -- precision management ---------------------------------------------
 

@@ -19,15 +19,24 @@ for an invertible C, which N_r(A) = I puts over E = F_(q^r); then
 beta(v) = C * Tr_{E/F_q}(C^-1 v), which maps E^(N+1) onto C * F_q^(N+1)
 because the trace of a finite-field extension is onto.  So there is no other
 route; a closed form that fails to span is an internal error.  The returned
-basis is the reduced row echelon basis (``poly.rref``) of the solutions'
-F_q-coordinates, canonical for the solution space and so independent of
-search order.
+basis is the reduced row echelon basis of the solutions' F_q-coordinates,
+canonical for the solution space and so independent of search order.
+
+Everything is packed in ``series``' layout over Fbase: an element of E as
+its d coefficients, a matrix row as its n entries, a vector of E^n as its
+n*d coefficients.  A product is one bignum multiply and ``series._reduce``:
+E folds the high slots back through the packed rows Y^(d+k) mod h, and row
+i of X*Y is the sum over k of X_ik times row k of Y, reduced once.  Row
+reduction over F_q reads F_q-coordinates only at pivots.  Fbase itself is
+FieldSpec arithmetic (``_base_ring``) with no tables, so its order is not
+bounded.
 """
 from __future__ import annotations
 
+from bisect import insort
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import poly
+from . import poly, series
 from .errors import (
     DegreeMismatch,
     DimensionMismatch,
@@ -39,182 +48,189 @@ from .errors import (
 )
 from .field import FieldSpec, FqElem, _poly_str, p_power_exponent
 from .geometry import HomogPoly
-from .series import TruncSeries
+from .series import TruncSeries, _Layout, _Shape, _add, _fit, _reduce, _sub, _unpack
 from . import dynamics
 from .dynamics import DmlMap, compose_maps
 
-PACKED_ORDER_BOUND = 1024
-
-Vec = Tuple[int, ...]          # packed Fbase indices
+Vec = int                      # element of E, packed
 ExtVec = Tuple[Vec, ...]       # element of E^(N+1)
+Mat = Tuple[int, ...]          # Fbase matrix, one packed row per row
 
 
-class PackedField:
-    """Integer-indexed tables for a small FieldSpec (index = base-p digits)."""
-
-    def __init__(self, field: FieldSpec):
-        if field.order > PACKED_ORDER_BOUND:
-            raise SearchExhausted(
-                f"twist arithmetic tables need |F| <= {PACKED_ORDER_BOUND}, got {field.order}")
-        self.field = field
-        self.order = field.order
-        els = list(field.elements())
-        self.els = els
-        self.add = [[(x + y).index() for y in els] for x in els]
-        self.mul = [[(x * y).index() for y in els] for x in els]
-        self.neg = [(-x).index() for x in els]
-        self.inv = [0] + [x.inv().index() for x in els[1:]]
-        self.ring = poly.table_ring(self.add, self.mul, self.neg, self.inv)
-        self._frob: Dict[int, List[int]] = {}
-
-    def frob_table(self, e: int) -> List[int]:
-        key = e % self.field.m
-        tab = self._frob.get(key)
-        if tab is None:
-            tab = [x.frobenius(key).index() for x in self.els]
-            self._frob[key] = tab
-        return tab
+def _slot(L: _Layout, c: int) -> int:
+    """The Fbase element of index c (base-p digits) as a packed coefficient."""
+    return L.pack(poly.digits(c, L.p, L.m))
 
 
-def packed_field(field: FieldSpec) -> PackedField:
-    """The PackedField of ``field``, built on first use and kept on the field,
-    so every solve and conjugation over one FieldSpec shares its tables."""
-    pf = field._tables
-    if pf is None:
-        pf = field._tables = PackedField(field)
-    return pf
+def _join(L: _Layout, slots: Sequence[int]) -> int:
+    """Packed coefficients side by side, the first in slot 0."""
+    return sum(c << (j * L.S) for j, c in enumerate(slots))
 
 
-_IRR_CACHE: Dict[Tuple[int, int, Tuple[int, ...], int],
-                 Tuple[Tuple[int, ...], Optional[FieldSpec]]] = {}
+def _inv(field: FieldSpec, L: _Layout, x: int) -> int:
+    """Inverse of the nonzero packed coefficient x."""
+    dm = (1 << L.w) - 1
+    return L.pack(field._inv(tuple((x >> (i * L.w)) & dm for i in range(L.m))))
 
 
-def first_irreducible(pf: PackedField, d: int
+def _base_ring(field: FieldSpec, L: _Layout) -> poly.Ring:
+    """Fbase on the packed coefficients of L: ``field._fp`` for a prime field,
+    whose coefficients are their own values, else the series kernels on one
+    coefficient."""
+    if field.m == 1:
+        return field._fp
+    sh = _Shape(L, 1)
+    return poly.Ring(field.order, lambda a, b: _add(sh, a, b), lambda a, b: _sub(sh, a, b),
+                     lambda a, b: _reduce(sh, a * b), lambda a: _inv(field, L, a))
+
+
+def first_irreducible(field: FieldSpec, d: int
                       ) -> Tuple[Tuple[int, ...], Optional[FieldSpec]]:
     """First monic degree-d polynomial h (little-endian coefficient index
     order) that is irreducible over Fbase, and Fbase[Y]/(h) as a FieldSpec
     when the tower flattens: Fbase itself for d = 1, else F_(p^d) over a
     prime Fbase, whose packed indices are the digits of h."""
     if d == 1:
-        return (0, 1), pf.field
-    f = pf.field
-    key = (f.p, f.m, f.modulus, d)
-    hit = _IRR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    Q = pf.order
+        return (0, 1), field
+    L = series._kron(field)[1].L
+    R = _base_ring(field, L)
+    Q = field.order
     for idx in range(Q ** d):
         if idx % Q == 0:
             continue  # constant term zero: divisible by Y
         h = poly.digits(idx, Q, d) + [1]  # monic; idx orders the candidates
-        if poly.least_factor_degree(pf.ring, h) is None:
-            hit = _IRR_CACHE[key] = (tuple(h), FieldSpec(f.p, d, h) if f.m == 1 else None)
-            return hit
+        if poly.least_factor_degree(R, [_slot(L, c) for c in h]) is None:
+            return tuple(h), FieldSpec(field.p, d, h) if field.m == 1 else None
     raise SearchExhausted(f"no irreducible polynomial of degree {d} found")  # pragma: no cover
 
 
 class ExtContext:
-    """E = Fbase[Y]/(h); elements are coefficient tuples of packed indices."""
+    """E = Fbase[Y]/(h) for a monic irreducible h of degree d, given by the
+    Fbase indices of its coefficients.  An element is the packing of its d
+    coefficients as a precision-d series over Fbase, whose digit width also
+    holds a product of two elements before reduction."""
 
-    def __init__(self, pf: PackedField, h: Sequence[int]):
-        self.pf = pf
+    def __init__(self, field: FieldSpec, h: Sequence[int]):
+        self.field = field
         self.h = tuple(h)
-        self.d = len(h) - 1
-        self.zero: Vec = (0,) * self.d
-        self.one: Vec = poly.padded([1], self.d)
-        self.gen: Vec = poly.padded(poly.divmod(pf.ring, [0, 1], h)[1], self.d)  # Y mod h
-        self.red = poly.reduction_rows(pf.ring, h)  # Y^(d+k) mod h
+        self.d = d = len(h) - 1
+        self.sh = sh = series._kron(field)[d]
+        self.L = L = sh.L
+        self.wide = _Shape(L, 2 * d - 1)
+        R = _base_ring(field, L)
+        hs = [_slot(L, c) for c in h]
+        self.zero: Vec = 0
+        self.one: Vec = 1
+        self.gen: Vec = _join(L, poly.divmod(R, [0, 1], hs)[1])  # Y mod h
+        self.red = [_join(L, row) for row in poly.reduction_rows(R, hs)]  # Y^(d+k) mod h
+
+    def encode(self, coeffs: Sequence[FqElem]) -> Vec:
+        """The element sum_j coeffs[j] Y^j."""
+        return _join(self.L, [self.L.pack(c.coeffs) for c in coeffs])
+
+    def coeffs(self, u: Vec) -> Tuple[FqElem, ...]:
+        """The d coefficients of u, inverse to ``encode``."""
+        return _unpack(self.field, self.sh, u)
 
     def add(self, u: Vec, v: Vec) -> Vec:
-        add = self.pf.add
-        return tuple(add[a][b] for a, b in zip(u, v))
+        return _add(self.sh, u, v)
 
     def sub(self, u: Vec, v: Vec) -> Vec:
-        add, neg = self.pf.add, self.pf.neg
-        return tuple(add[a][neg[b]] for a, b in zip(u, v))
+        return _sub(self.sh, u, v)
 
     def scalar(self, c: int, u: Vec) -> Vec:
-        row = self.pf.mul[c]
-        return tuple(row[a] for a in u)
+        """u times the Fbase element of index c."""
+        return _reduce(self.sh, _slot(self.L, c) * u)
 
     def mul(self, u: Vec, v: Vec) -> Vec:
-        d = self.d
-        if d == 1:
-            return (self.pf.mul[u[0]][v[0]],)
-        pf = self.pf
-        madd, mmul = pf.add, pf.mul
-        prod = [0] * (2 * d - 1)
-        for i, ui in enumerate(u):
-            if ui:
-                row = mmul[ui]
-                for j, vj in enumerate(v):
-                    if vj:
-                        prod[i + j] = madd[prod[i + j]][row[vj]]
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c:
-                row = self.red[k - d]
-                crow = mmul[c]
-                for i in range(d):
-                    if row[i]:
-                        prod[i] = madd[prod[i]][crow[row[i]]]
-        return tuple(prod[:d])
+        P = _reduce(self.wide, u * v)
+        S, slot = self.L.S, self.L.slot
+        H = P >> (self.d * S)
+        P &= self.sh.mask
+        for row in self.red:
+            P += (H & slot) * row
+            H >>= S
+        return _reduce(self.sh, P)
 
     def pow(self, u: Vec, n: int) -> Vec:
         """u^n for n >= 1."""
         return poly.power(self.mul, u, n)
 
     def is_zero(self, u: Vec) -> bool:
-        return not any(u)
+        return not u
 
     def to_str(self, u: Vec) -> str:
-        return _poly_str(map(self.pf.els.__getitem__, u), "b")
+        return _poly_str(self.coeffs(u), "b")
+
+
+# (Fbase, d) -> E of degree d and its flattened FieldSpec, built once
+_TOWERS: Dict[Tuple[FieldSpec, int], Tuple[ExtContext, Optional[FieldSpec]]] = {}
 
 
 # ---------------------------------------------------------------------------
-# constant-matrix helpers over packed Fbase
+# packed Fbase matrices and row reduction over F_q
 # ---------------------------------------------------------------------------
 
-Mat = Tuple[Tuple[int, ...], ...]
+def _mat_pack(L: _Layout, A: Sequence[Sequence[FqElem]]) -> Mat:
+    return tuple(_join(L, [L.pack(x.coeffs) for x in row]) for row in A)
 
 
-def _mat_from_fq(A: Sequence[Sequence[FqElem]]) -> Mat:
-    return tuple(tuple(x.index() for x in row) for row in A)
-
-
-def _mat_mul(pf: PackedField, X: Mat, Y: Mat) -> Mat:
-    n = len(X)
-    add, mul = pf.add, pf.mul
+def _mat_mul(sh: _Shape, X: Mat, Y: Mat) -> Mat:
+    """X*Y: row i is the sum over k of X_ik times row k of Y, reduced once."""
+    S, slot = sh.L.S, sh.L.slot
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = 0
-            for k in range(n):
-                if X[i][k] and Y[k][j]:
-                    acc = add[acc][mul[X[i][k]][Y[k][j]]]
-            row.append(acc)
-        out.append(tuple(row))
+    for x in X:
+        acc = 0
+        for y in Y:
+            acc += (x & slot) * y
+            x >>= S
+        out.append(_reduce(sh, acc))
     return tuple(out)
 
 
-def _mat_frob(pf: PackedField, X: Mat, e: int) -> Mat:
-    tab = pf.frob_table(e)
-    return tuple(tuple(tab[x] for x in row) for row in X)
+def _mat_frob(field: FieldSpec, sh: _Shape, X: Mat, e: int) -> Mat:
+    k = e % field.m
+    return tuple(series._galois(sh, field, x, k) for x in X) if k else X
 
 
-def _mat_identity(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _mat_inv(pf: PackedField, X: Mat) -> Optional[Mat]:
-    """Inverse by row reduction of [X | I]; None when X is singular."""
-    n = len(X)
-    rows = poly.rref(pf.ring, [list(row) + list(e)
-                               for row, e in zip(X, _mat_identity(n))])
-    if not any(rows[-1][:n]):
+def _mat_inv(A: Sequence[Sequence[FqElem]]) -> Optional[List[List[FqElem]]]:
+    """Inverse of a square matrix over Fbase by row reduction of [A | I];
+    None when A is singular."""
+    field, n = A[0][0].field, len(A)
+    sh = series._kron(field)[n]
+    S = sh.L.S
+    rows = [x | 1 << ((n + i) * S) for i, x in enumerate(_mat_pack(sh.L, A))]
+    out = _echelon(FqStructure(field, field.m), _Shape(sh.L, 2 * n), rows, [])
+    if out[-1][0][0] >= n:
         return None
-    return tuple(tuple(row[n:]) for row in rows)
+    return [list(_unpack(field, sh, v >> (n * S))) for _, v in out]
+
+
+def _echelon(fq: "FqStructure", sh: _Shape, rows: Sequence[int],
+             out: List[Tuple[Tuple[int, int], int]]) -> List[Tuple[Tuple[int, int], int]]:
+    """Reduced row echelon form over F_q of packed rows over Fbase, whose
+    columns are the F_q-coordinates of the coefficients in order: the nonzero
+    rows as ((slot, coordinate) of the pivot, row), sorted by pivot, each
+    with pivot coordinate 1 that is 0 in every other row.  ``out`` is
+    extended in place, so adding a row costs one pass over those reduced."""
+    L = sh.L
+    S, slot = L.S, L.slot
+    for v in rows:
+        for (j, i), r in out:
+            c = fq.coords(L, (v >> (j * S)) & slot)[i]
+            if c:
+                v = _sub(sh, v, _reduce(sh, c * r))
+        if not v:
+            continue
+        j = ((v & -v).bit_length() - 1) // S
+        i, c = next(ic for ic in enumerate(fq.coords(L, (v >> (j * S)) & slot)) if ic[1])
+        v = _reduce(sh, _inv(fq.field, L, c) * v)
+        for k, (key, r) in enumerate(out):
+            c = fq.coords(L, (r >> (j * S)) & slot)[i]
+            if c:
+                out[k] = (key, _sub(sh, r, _reduce(sh, c * v)))
+        insort(out, ((j, i), v))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -222,33 +238,38 @@ def _mat_inv(pf: PackedField, X: Mat) -> Optional[Mat]:
 # ---------------------------------------------------------------------------
 
 class FqStructure:
-    """The subfield F_q of Fbase, the F_q-basis of Fbase made of the first
-    powers of its generator that are F_q-independent, and a table of the
-    F_q-coordinates (as packed indices) of every Fbase element in that basis."""
+    """The subfield F_q of Fbase (q = p^e) and the F_q-coordinates of Fbase
+    in the basis 1, a, .., a^(s-1), s = m/e.  These are the first powers of
+    the generator a that are F_q-independent, since the minimal polynomial
+    g of a over F_q has degree s; a^t for t >= s reduces by g."""
 
-    def __init__(self, pf: PackedField, e: int):
-        field = pf.field
+    def __init__(self, field: FieldSpec, e: int):
         p, m = field.p, field.m
         if m % e:
             raise DegreeMismatch(
                 f"F_q with q = {p}^{e} is not a subfield of F_{{{p}^{m}}}")
-        self.e = e
-        self.q = p ** e
-        self.s = m // e
-        tab = pf.frob_table(e)
-        fq_indices = [i for i in range(pf.order) if tab[i] == i]
-        assert len(fq_indices) == self.q
-        add, mul = pf.add, pf.mul
-        span: Dict[int, Tuple[int, ...]] = {0: ()}  # F_q-span of the basis so far
-        self.basis: List[int] = []
-        for w in (p ** j for j in range(m)):  # packed index of a^j
-            if w not in span:
-                self.basis.append(w)
-                span = {add[x][mul[c][w]]: co + (c,)
-                        for c in fq_indices for x, co in span.items()}
-        assert len(self.basis) == self.s
-        self.coords = [span[i] for i in range(pf.order)]
-        self.element = {co: i for i, co in span.items()}
+        self.field, self.e, self.q, self.s = field, e, p ** e, m // e
+        s = self.s
+        self.cols: List[List[Tuple[int, ...]]] = []  # [t][i]: F_p digits of coordinate i of a^t
+        if s > 1:
+            a, zero = field.gen(), field.zero()
+            g = [field.one()]  # prod over l < s of (Y - a^(q^l))
+            for l in range(s):
+                c = -a.frobenius(e * l)
+                g = [x + c * y for x, y in zip([zero] + g, g + [zero])]
+            co = [field.one()] + [zero] * (s - 1)
+            for _ in range(m):
+                self.cols.append([x.coeffs for x in co])
+                co = [x - co[-1] * y for x, y in zip([zero] + co[:-1], g)]
+
+    def coords(self, L: _Layout, x: int) -> List[int]:
+        """The s F_q-coordinates of the packed coefficient x, packed."""
+        if self.s == 1:
+            return [x]
+        p, w, dm = L.p, L.w, (1 << L.w) - 1
+        ds = [(x >> (t * w)) & dm for t in range(L.m)]
+        return [L.pack([sum(d * col[i][u] for d, col in zip(ds, self.cols)) % p
+                        for u in range(L.m)]) for i in range(self.s)]
 
 
 # ---------------------------------------------------------------------------
@@ -275,23 +296,21 @@ class TwistSolution:
         self.field = field  # FieldSpec carrying the entries, when flattenable
         self._residue = residue
 
-    def _to_field_elem(self, u: Vec) -> FqElem:
-        assert self.field is not None
+    def _entry(self, u: Vec):
+        if self.field is None:
+            return self.ext.to_str(u)
+        cs = self.ext.coeffs(u)
         if self.ext.d == 1:
-            return self.base_field.from_int(u[0])
-        return self.field.el(u)  # base field is F_p here; packed index = digit
+            return FqElem(self.base_field, cs[0].coeffs)
+        return self.field.el([c.coeffs[0] for c in cs])  # base field is F_p here
 
     @property
     def basis(self) -> List[Tuple]:
-        if self.field is not None:
-            return [tuple(self._to_field_elem(x) for x in vec) for vec in self.basis_raw]
-        return [tuple(self.ext.to_str(x) for x in vec) for vec in self.basis_raw]
+        return [tuple(map(self._entry, vec)) for vec in self.basis_raw]
 
     @property
     def B(self) -> List[List]:
-        if self.field is not None:
-            return [[self._to_field_elem(x) for x in row] for row in self.B_raw]
-        return [[self.ext.to_str(x) for x in row] for row in self.B_raw]
+        return [list(map(self._entry, row)) for row in self.B_raw]
 
     def entry_str(self, u: Vec) -> str:
         return self.ext.to_str(u)
@@ -318,94 +337,105 @@ def solve_twist(A: Sequence[Sequence[FqElem]], q: int,
     if not e:
         raise DegreeMismatch(
             f"q = {q} is not a positive power of the characteristic {field.p}")
-    pf = packed_field(field)
-    fq = FqStructure(pf, e)
-    A_packed = _mat_from_fq(A)
-    Ainv = _mat_inv(pf, A_packed)
+    fq = FqStructure(field, e)
+    Ainv = _mat_inv(A)
     if Ainv is None:
         raise NotInvertible("A is singular")
-    return _solve(pf, fq, A_packed, Ainv, R_max)
+    return _solve(fq, A, Ainv, R_max)
 
 
-def _solve(pf: PackedField, fq: FqStructure, A: Mat, Ainv: Mat,
-           R_max: int) -> TwistSolution:
-    """B^(q) = A B for a packed invertible A with its inverse Ainv, at the
-    least qualifying r <= R_max."""
-    ident = _mat_identity(len(A))
-    Ncur = A
+def _solve(fq: FqStructure, A: Sequence[Sequence[FqElem]],
+           Ainv: Sequence[Sequence[FqElem]], R_max: int) -> TwistSolution:
+    """B^(q) = A B for an invertible A over Fbase with its inverse Ainv, at
+    the least qualifying r <= R_max."""
+    field = fq.field
+    sh = series._kron(field)[len(A)]
+    Ncur = Ap = _mat_pack(sh.L, A)
+    ident = tuple(1 << (i * sh.L.S) for i in range(len(A)))
     for r in range(1, R_max + 1):
         if r % fq.s == 0 and Ncur == ident:
-            return _solve_at(pf, fq, A, Ainv, r)
-        Ncur = _mat_mul(pf, _mat_frob(pf, Ncur, fq.e), A)
+            return _solve_at(fq, A, Ainv, r)
+        Ncur = _mat_mul(sh, _mat_frob(field, sh, Ncur, fq.e), Ap)
     raise SearchExhausted(
         f"no full solution space of B^(q) = A B within F_(q^{R_max})")
 
 
-def _solve_at(pf: PackedField, fq: FqStructure, A: Mat, Ainv: Mat,
-              r: int) -> TwistSolution:
-    n = len(A)
+def _solve_at(fq: FqStructure, A: Sequence[Sequence[FqElem]],
+              Ainv: Sequence[Sequence[FqElem]], r: int) -> TwistSolution:
+    field, n = fq.field, len(A)
     s, e, q = fq.s, fq.e, fq.q
     d = r // s
-    h, field = first_irreducible(pf, d)
-    ext = ExtContext(pf, h)
+    if (field, d) not in _TOWERS:
+        h, flat = first_irreducible(field, d)
+        _TOWERS[field, d] = ExtContext(field, h), flat
+    ext, flat = _TOWERS[field, d]
+    # the solve's vectors sum up to max(r, n) products before one reduction,
+    # so they take the digit width of that precision
+    K = series._kron(field)
+    N = max(r, n)
+    W = K[N].L
+    S, D = W.S, d * W.S
+    msh, csh, esh = _Shape(W, n), _Shape(W, n * n * d), _Shape(W, n * d)
 
     # N_i(A)^{-1} for i = 0..r-1:  Ninv_{i+1} = Ainv * Ninv_i^(q)
-    ninv = [_mat_identity(n)]
+    Ainv_p = _mat_pack(W, Ainv)
+    ninv = [tuple(1 << (i * S) for i in range(n))]
     for _ in range(r - 1):
-        ninv.append(_mat_mul(pf, Ainv, _mat_frob(pf, ninv[-1], e)))
+        ninv.append(_mat_mul(msh, Ainv_p, _mat_frob(field, msh, ninv[-1], e)))
+    # column k of N_i(A)^{-1} at coefficient 0 of the n components of the
+    # k-th of n vectors of E^n, so that theta^(j q^i) times it is the i-th
+    # term of beta(theta^j e_k) for every k at once; then times w^(q^i) for
+    # each w = a^t of the F_q-basis of Fbase
+    cols = []
+    for X in ninv:
+        M = 0
+        for row, x in enumerate(X):
+            for k in range(n):
+                M |= (x & W.slot) << ((k * n + row) * D)
+                x >>= S
+        cols.append(M)
+    spread = [cols] + [
+        [_reduce(csh, W.pack(field.from_int(field.p ** t).frobenius(e * i).coeffs) * M)
+         for i, M in enumerate(cols)] for t in range(1, s)]
 
-    # theta^(q^i) and w^(q^i)
+    # theta^(q^i)
     u = [ext.gen]
     for _ in range(r - 1):
         u.append(ext.pow(u[-1], q))
-    ftab = pf.frob_table(e)
-    wpows = []
-    for w in fq.basis:
-        seq = [w]
-        for _ in range(r - 1):
-            seq.append(ftab[seq[-1]])
-        wpows.append(seq)
 
     def closed_forms():
-        """F_q-coordinates of beta(v) for v = w theta^j e_k, the F_q-basis of
-        E^n; entry k's Y^j coefficient has its s coordinates at (k*d + j)*s."""
+        """beta(v) for v = w theta^j e_k, the F_q-basis of E^n, packed."""
         ujpow: List[Vec] = [ext.one] * r
         for j in range(d):
             if j:
                 ujpow = [ext.mul(x, y) for x, y in zip(ujpow, u)]
-            for wseq in wpows:
+            wide = [_fit(K, x, d, N) for x in ujpow]
+            for Ms in spread:
+                Z = _reduce(csh, sum(x * M for x, M in zip(wide, Ms)))
                 for k in range(n):
-                    beta = [ext.zero] * n
-                    for i in range(r):
-                        c_i = ext.scalar(wseq[i], ujpow[i])
-                        col = ninv[i]
-                        for row_i in range(n):
-                            a = col[row_i][k]
-                            if a:
-                                beta[row_i] = ext.add(beta[row_i], ext.scalar(a, c_i))
-                    yield [x for comp in beta for c in comp for x in fq.coords[c]]
+                    yield (Z >> (k * n * D)) & esh.mask
 
-    echelon: List[List[int]] = []
+    echelon: List[Tuple[Tuple[int, int], int]] = []
     for row in closed_forms():
-        if len(poly.rref(pf.ring, [row], echelon)) == n:
+        if len(_echelon(fq, esh, [row], echelon)) == n:
             break
     else:
         raise AssertionError("closed-form solutions do not span the solution space")
-    basis = []
-    for row in echelon:
-        flat = [fq.element[tuple(row[i:i + s])] for i in range(0, len(row), s)]
-        basis.append(tuple(tuple(flat[k * d:(k + 1) * d]) for k in range(n)))
+    dmask = (1 << D) - 1
+    basis = [tuple(_fit(K, (v >> (k * D)) & dmask, N, d) for k in range(n))
+             for _, v in echelon]
     B = [[basis[j][i] for j in range(n)] for i in range(n)]
     if not _ext_nonsingular(ext, B):
         raise AssertionError("echelon basis assembled into a singular B")
-    residue = _residue(ext, A, B, q)
+    residue = _residue(ext, [[x.index() for x in row] for row in A], B, q)
     assert all(ext.is_zero(x) for row in residue for x in row)
-    return TwistSolution(q, r, pf.field, ext, basis, B, field, residue)
+    return TwistSolution(q, r, field, ext, basis, B, flat, residue)
 
 
-def _residue(ext: ExtContext, A: Mat, B: Sequence[Sequence[Vec]],
+def _residue(ext: ExtContext, A: Sequence[Sequence[int]], B: Sequence[Sequence[Vec]],
              q: int) -> List[List[Vec]]:
-    """B^(q) - A B entrywise, for B with n rows and any number of columns."""
+    """B^(q) - A B entrywise, for A given by Fbase indices and B with n rows
+    and any number of columns."""
     n = len(A)
     out = []
     for i in range(n):
@@ -442,19 +472,19 @@ def _ext_nonsingular(ext: ExtContext, M: List[List[Vec]]) -> bool:
 def count_solutions_exhaustive(A: Sequence[Sequence[FqElem]], q: int,
                                sol: TwistSolution) -> int:
     """Enumerate all of F_{q^r}^{N+1} and count solutions (test-scale only)."""
-    ext = sol.ext
-    pfld = sol.ext.pf
-    A_packed = _mat_from_fq(A)
+    ext, F = sol.ext, sol.ext.field
+    Q = F.order
+    A_idx = [[x.index() for x in row] for row in A]
     n = len(A)
-    order = pfld.order ** ext.d
+    order = Q ** ext.d
     if order ** n > 200000:
         raise SearchExhausted("exhaustive count is test-scale only")
 
     count = 0
     for code in range(order ** n):
-        beta = [[tuple(poly.digits(c, pfld.order, ext.d))]  # one column
-                for c in poly.digits(code, order, n)]
-        if all(ext.is_zero(row[0]) for row in _residue(ext, A_packed, beta, q)):
+        beta = [[ext.encode([F.from_int(c) for c in poly.digits(x, Q, ext.d)])]
+                for x in poly.digits(code, order, n)]  # one column
+        if all(ext.is_zero(row[0]) for row in _residue(ext, A_idx, beta, q)):
             count += 1
     return count
 
@@ -464,9 +494,8 @@ def count_solutions_exhaustive(A: Sequence[Sequence[FqElem]], q: int,
 # ---------------------------------------------------------------------------
 
 def normalize_conjugate(f: DmlMap, R_max: int = 64) -> Tuple[TwistSolution, DmlMap]:
-    """Solve B^(q) = A^{-1} B and return (solution, B^{-1} o f o B).  The
-    packed A^{-1} goes to the solver with A as its inverse, so A is inverted
-    once.
+    """Solve B^(q) = A^{-1} B and return (solution, B^{-1} o f o B).  A^{-1}
+    goes to the solver with A as its inverse, so A is inverted once.
 
     Since A B^(q) = B, the conjugate is x^(q) + B^{-1} G(B^(p) y): its matrix
     part is exactly I and only the remainder changes, as maps of degree q/p.
@@ -481,12 +510,10 @@ def normalize_conjugate(f: DmlMap, R_max: int = 64) -> Tuple[TwistSolution, DmlM
                     "normalize_conjugate requires a residue-constant matrix A")
             out.append(sv.constant_term())
         A0.append(out)
-    pf = packed_field(f.field)
-    A_packed = _mat_from_fq(A0)
-    Ainv = _mat_inv(pf, A_packed)
+    Ainv = _mat_inv(A0)
     if Ainv is None:
         raise NotInvertible("A is singular mod t")
-    sol = _solve(pf, FqStructure(pf, f.e), Ainv, A_packed, R_max)
+    sol = _solve(FqStructure(f.field, f.e), Ainv, A0, R_max)
     if sol.field is None:
         raise NonFlattenableExtension(
             f"twist solution lives in a degree-{sol.ext.d} tower over "
@@ -503,9 +530,7 @@ def normalize_conjugate(f: DmlMap, R_max: int = 64) -> Tuple[TwistSolution, DmlM
                         for exp, c in g.terms.items()})
              for g in f.G]
     B = sol.B
-    # B is constant, so its inverse at precision 1, zero-extended, is exact
-    Binv = [[s.zero_extend(prec) for s in row] for row in dynamics.invert_series_matrix(
-        [[TruncSeries.from_constant(x, 1) for x in row] for row in B], 1)]
+    Binv = [[TruncSeries.from_constant(x, prec) for x in row] for row in _mat_inv(B)]
 
     units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
 

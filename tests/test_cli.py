@@ -253,6 +253,19 @@ def test_twist_singular_matrix_is_exit_2(tmp_path):
     assert err == "error: NotInvertible: A is singular\n"
 
 
+def test_twist_over_f2048_is_exit_0(tmp_path):
+    path = tmp_path / "f2048.json"
+    path.write_text(json.dumps({
+        "label": "f2048", "q": 2,
+        "field": {"p": 2, "m": 11, "modulus": [1, 0, 1] + [0] * 8 + [1]},
+        "A": [["a", "0"], ["0", "1"]]}))
+    code, out, err = run(["twist", str(path)])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["r = 11", "basis[0] = [a, 0]", "basis[1] = [0, 1]",
+                                "B[0] = [a, 0]", "B[1] = [0, 1]",
+                                "residue[0] = [0, 0]", "residue[1] = [0, 0]"]
+
+
 def test_missing_horizon_is_exit_2():
     code, _, err = run(["orbit", F3, "--point", "1,0,1", "--prec", "4"])
     assert code == 2 and "--horizon" in err

@@ -1,11 +1,9 @@
 import itertools
-import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobdml import poly
 from frobdml.errors import (DegreeMismatch, DegreeOverflow, DivisionByZero,
                             FieldMismatch, NonPrimeP, ReducibleModulus)
 from frobdml.field import (PRIME_BOUND, FieldSpec, _is_prime, _poly_str,
@@ -241,23 +239,3 @@ def test_large_characteristic_reducible_modulus_names_factor():
     assert time.perf_counter() - t0 < 1.0
     assert str(ei.value) == \
         "modulus 15+2147483639*a^2+a^4 is divisible by 2147483642+a^2"
-
-
-def test_rref_is_canonical_and_incremental():
-    rng = random.Random(808)
-    for R in (poly.prime_field(2), poly.prime_field(5)):
-        for _ in range(200):
-            width = rng.randint(1, 6)
-            rows = [[rng.randrange(R.order) if rng.random() < 0.6 else 0
-                     for _ in range(width)] for _ in range(rng.randint(1, 6))]
-            out = poly.rref(R, rows)
-            pivots = [r.index(1) for r in out]
-            assert pivots == sorted(set(pivots))
-            assert all(not any(r[:c]) for r, c in zip(out, pivots))
-            assert all(r[c] == (i == k) for i, r in enumerate(out)
-                       for k, c in enumerate(pivots))
-            # no input row extends the result, and resuming from the form of
-            # a prefix of the rows gives the same result
-            assert poly.rref(R, rows, [list(r) for r in out]) == out
-            k = rng.randint(0, len(rows))
-            assert poly.rref(R, rows[k:], poly.rref(R, rows[:k])) == out

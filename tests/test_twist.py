@@ -11,6 +11,7 @@ from frobdml.errors import (DegreeMismatch, FrobdmlError, NonConstantMatrix,
 from frobdml.field import format_element, make_field
 from frobdml.geometry import HomogPoly
 from frobdml.instances import fixture_path, parse_twist_file
+from frobdml import series
 from frobdml.series import TruncSeries, format_series, parse_series
 from frobdml import twist
 from frobdml.twist import (count_solutions_exhaustive, normalize_conjugate,
@@ -169,12 +170,10 @@ def normalize_reference(f, R_max=64):
         if any(not c.is_zero() for sv in row for c in sv.coeffs[1:]):
             raise NonConstantMatrix("normalize_conjugate requires a residue-constant matrix A")
         A0.append([sv.constant_term() for sv in row])
-    pf = twist.packed_field(f.field)
-    Ainv_packed = twist._mat_inv(pf, twist._mat_from_fq(A0))
-    if Ainv_packed is None:
+    Ainv = twist._mat_inv(A0)
+    if Ainv is None:
         raise NotInvertible("A is singular mod t")
-    sol = solve_twist([[f.field.from_int(x) for x in row] for row in Ainv_packed],
-                      f.q, R_max)
+    sol = solve_twist(Ainv, f.q, R_max)
     if sol.field is None:
         raise NonFlattenableExtension("conjugation needs a flattenable field")
     target = sol.field
@@ -282,25 +281,6 @@ def test_normalize_matches_composition_reference():
             (5, SearchExhausted)} <= seen
 
 
-def test_packed_field_is_shared_by_solve_and_conjugation(monkeypatch):
-    F = make_field(2, 1, [0, 1])   # a fresh FieldSpec: no tables built yet
-    built = []
-    real = twist.PackedField
-
-    def counting(field):
-        built.append(real(field))
-        return built[-1]
-
-    monkeypatch.setattr(twist, "PackedField", counting)
-    one, zero = TruncSeries.one(F, 8), TruncSeries.zeros(F, 8)
-    f = validate_map(F, 2, 1, [[zero, one], [one, zero]],
-                     [HomogPoly(F, 1, 1, {}), HomogPoly(F, 1, 1, {})])
-    sol, _ = normalize_conjugate(f)
-    again = solve_twist(elems(F, [[0, 1], [1, 0]]), 2)
-    assert len(built) == 1
-    assert twist.packed_field(F) is built[0] is sol.ext.pf is again.ext.pf
-
-
 def test_flattened_field_is_built_once():
     F = make_field(2, 1, [0, 1])  # equal to F2, a distinct object
     sol = solve_twist(elems(F2, [[0, 1], [1, 0]]), 2)
@@ -369,7 +349,8 @@ def test_tower_basis_golden(F, rows, q, r, basis):
 def test_f8_3x3_basis_raw_golden():
     sol = solve_twist(elems(F8, [[1, 2, 0], [0, 1, 5], [3, 0, 1]]), 2)
     assert sol.r == 21 and sol.ext.h == (2, 0, 0, 0, 0, 0, 0, 1)
-    assert sol.basis_raw == [
+    assert [tuple(tuple(c.index() for c in sol.ext.coeffs(x)) for x in v)
+            for v in sol.basis_raw] == [
         ((0, 1, 2, 0, 3, 0, 0), (0, 0, 4, 0, 6, 0, 0), (0, 3, 3, 0, 0, 0, 0)),
         ((0, 2, 3, 0, 1, 0, 0), (0, 0, 6, 0, 2, 0, 0), (0, 6, 7, 0, 0, 0, 0)),
         ((0, 4, 7, 0, 6, 0, 0), (0, 0, 5, 0, 7, 0, 0), (0, 7, 1, 0, 0, 0, 0))]
@@ -385,3 +366,90 @@ def test_cyclic_9x9_solves_under_a_second():
     assert sol.r == 9
     assert all(sol.entry_str(x) == "0" for row in sol.residue() for x in row)
     assert not fq_det(sol.B).is_zero()
+
+
+def test_f2048_twist_solves():
+    F = make_field(2, 11, [1, 0, 1] + [0] * 8 + [1])
+    a, zero, one = F.gen(), F.zero(), F.one()
+    sol = solve_twist([[a, zero], [zero, one]], 2)
+    assert sol.r == 11 and sol.field == F
+    assert sol.B == [[a, zero], [zero, one]]
+    assert all(sol.entry_str(x) == "0" for row in sol.residue() for x in row)
+
+
+def coordinates(fq, sh, v, count):
+    """The F_q-coordinates of the packed row v of count coefficients."""
+    L = sh.L
+    return [c for k in range(count) for c in fq.coords(L, (v >> (k * L.S)) & L.slot)]
+
+
+def test_echelon_is_canonical_and_incremental():
+    rng = random.Random(808)
+    for F, e in ((F2, 1), (field_for(5, 1), 1), (F4, 1), (F4, 2), (F9, 1), (F16, 2)):
+        fq = twist.FqStructure(F, e)
+        one = series._kron(F)[1]
+        powers = [F.one()] + [F.gen() ** t for t in range(1, fq.s)]
+        for x in F.elements():  # x = sum_i c_i a^i with every c_i in F_q
+            cs = [series._unpack(F, one, c)[0] for c in fq.coords(one.L, one.L.pack(x.coeffs))]
+            assert all(c.frobenius(e) == c for c in cs)
+            assert sum((c * w for c, w in zip(cs, powers)), F.zero()) == x
+        for _ in range(60):
+            width = rng.randint(1, 6)
+            sh = series._kron(F)[width]
+            rows = [sum(sh.L.pack(F.from_int(rng.randrange(F.order)).coeffs) << (k * sh.L.S)
+                        for k in range(width) if rng.random() < 0.6)
+                    for _ in range(rng.randint(1, 6))]
+            out = twist._echelon(fq, sh, rows, [])
+            co = [coordinates(fq, sh, v, width) for _, v in out]
+            pivots = [j * fq.s + i for (j, i), _ in out]
+            assert pivots == sorted(set(pivots))
+            assert all(r[c] == 1 and not any(r[:c]) for r, c in zip(co, pivots))
+            assert all(r[c] == (i == k) for i, r in enumerate(co)
+                       for k, c in enumerate(pivots))
+            # no input row extends the result, and resuming from the form of
+            # a prefix of the rows gives the same result
+            assert twist._echelon(fq, sh, rows, list(out)) == out
+            k = rng.randint(0, len(rows))
+            assert twist._echelon(fq, sh, rows[k:], twist._echelon(fq, sh, rows[:k], [])) == out
+
+
+def naive_ext_mul(F, h, u, v):
+    """u*v mod the monic h by schoolbook, on lists of d FqElem coefficients."""
+    d = len(h) - 1
+    prod = [F.zero()] * (2 * d - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            prod[i + j] = prod[i + j] + x * y
+    for k in range(2 * d - 2, d - 1, -1):
+        c = prod[k]
+        for i, hc in enumerate(h):
+            prod[k - d + i] = prod[k - d + i] - c * hc
+    return prod[:d]
+
+
+def test_tower_matches_schoolbook_reference():
+    rng = random.Random(1111)
+    for p in (2, 3, 5, 257, 2 ** 31 - 1):
+        for m in (1, 2, 3):
+            F = field_for(p, m)
+            top = F.el([p - 1] * m)  # the largest digits
+            for d in (1, 2, 3, 7, 12):
+                h = [rng.randrange(F.order) for _ in range(d)] + [1]  # any monic h
+                ext = twist.ExtContext(F, h)
+                hF = [F.from_int(c) for c in h]
+                u = [F.from_int(rng.randrange(F.order)) for _ in range(d)]
+                for v in ([F.from_int(rng.randrange(F.order)) for _ in range(d)], [top] * d):
+                    U, V = ext.encode(u), ext.encode(v)
+                    assert list(ext.coeffs(U)) == u
+                    assert list(ext.coeffs(ext.add(U, V))) == [x + y for x, y in zip(u, v)]
+                    assert list(ext.coeffs(ext.sub(U, V))) == [x - y for x, y in zip(u, v)]
+                    assert list(ext.coeffs(ext.mul(V, V))) == naive_ext_mul(F, hF, v, v)
+                    assert list(ext.coeffs(ext.mul(U, V))) == naive_ext_mul(F, hF, u, v)
+                    c = rng.randrange(F.order)
+                    assert list(ext.coeffs(ext.scalar(c, V))) == [F.from_int(c) * x for x in v]
+                n = rng.randint(2, 4)
+                want = u
+                for _ in range(n - 1):
+                    want = naive_ext_mul(F, hF, want, u)
+                assert list(ext.coeffs(ext.pow(ext.encode(u), n))) == want
+
