@@ -11,18 +11,23 @@ are zero.
 The high digits make room for products.  One bignum multiply performs the
 whole convolution, slot j receiving the 2m-1 digits of sum_i c_i d_(j-i);
 every digit is reduced mod p, digits m..2m-2 are folded back through the
-rows a^(m+k) mod the modulus, and the low digits are reduced again.  A
-product digit of a precision-n result sums at most n*m terms below (p-1)^2
-and the fold adds less than m*p^2, so a series of precision n packs at the
-least digit width w in {8, 16, 32, 64, ..} with
+rows a^(m+k) mod the modulus, and the low digits are reduced again.  Each
+reduction is one Barrett pass over all digits at once, SIMD within a
+register (T. Granlund, P. Montgomery, "Division by invariant integers using
+multiplication", PLDI 1994): a few bignum operations, exact for every digit
+below 2^(w-1).  A product digit of a precision-n result sums at most n*m
+terms below (p-1)^2 and the fold adds less than m*p^2, so a series of
+precision n packs at the least digit width w in {8, 16, 32, 64, ..} with
 
-    n * m * (p-1)^2 + m * p^2 < 2^(w-1).
+    n * m * (p-1)^2 + m * p^2 < 2^(w-1),
+
+which is that precondition.
 
 The cost of the product follows the operand bit size, so a series is as
 narrow as its own precision allows: over F_4, precisions up to 59 pack
 8-bit digits and 60 to 16,379 pack 16-bit ones.  Each field has a
 _Layout per width it meets (the rows and Frobenius columns in that width)
-and one table of _Shapes, the masks and digit structs per precision, each
+and one table of _Shapes, the masks and digit struct per precision, each
 pointing at the layout of its width.  A precision above MAX_PREC is rejected
 rather than given ever wider digits.
 
@@ -119,22 +124,35 @@ def _digit_struct(L: "_Layout", n: int, first: int, count: int):
         return _WideDigits(n * slot, wb, [j * slot + (first + i) * wb
                                           for j in range(n) for i in range(count)])
     pre, post = first * wb, slot - (first + count) * wb
-    if not pre and not post:     # m = 1: the slot is the digit
-        return struct.Struct(f"<{n}{code}")
+    if not pre and not post:     # every digit of every slot
+        return struct.Struct(f"<{n * count}{code}")
     item = (f"{pre}x" if pre else "") + f"{count}{code}" + (f"{post}x" if post else "")
     return struct.Struct("<" + item * n)
+
+
+def _tile(x: int, bits: int, nbytes: int) -> int:
+    """The bits-wide pattern x repeated over nbytes bytes, cut at the top."""
+    b = bits // 8
+    return int.from_bytes((x.to_bytes(b, "little") * -(-nbytes // b))[:nbytes], "little")
 
 
 class _Layout:
     """One digit width of a field: slot width, the reduction rows a^(m+k)
     and the Frobenius columns as packed slots."""
 
-    __slots__ = ("p", "m", "w", "S", "slot", "ones_slot", "red", "_frob")
+    __slots__ = ("p", "m", "w", "S", "slot", "ones_slot", "red", "_frob", "mu", "shift",
+                 "qbits")
 
     def __init__(self, field: FieldSpec, w: int):
         p, m = field.p, field.m
         self.p, self.m, self.w, self.S = p, m, w, (2 * m - 1) * w
         self.slot = (1 << (m * w)) - 1
+        # Barrett: d // p == (d * mu) >> shift for every d < 2^(w-1); the
+        # quotient is below 2^(w-b+1), its window's qbits
+        b = p.bit_length()
+        self.shift = w - 1 + b
+        self.mu = (1 << self.shift) // p + 1
+        self.qbits = (1 << (w - b + 1)) - 1
         self.ones_slot = self.pack((1,) * m)
         self.red = [self.pack(row) for row in field._red[:m - 1]]
         self._frob: Dict[int, List[int]] = {}
@@ -153,23 +171,31 @@ class _Layout:
 
 
 class _Shape:
-    """The layout, masks and digit structs of an n-coefficient packing."""
+    """The layout, masks and digit struct of an n-coefficient packing.  For
+    p > 2 the Barrett pass reads two more: ``even``, every digit at an even
+    global index, and ``qmask``, the low w-b+1 bits of each such digit (b
+    the bit length of p), where the quotient of its 2w-bit window lands."""
 
-    __slots__ = ("L", "mask", "rep", "ones", "bias", "pones", "digit", "low", "lo", "hi")
+    __slots__ = ("L", "mask", "rep", "ones", "bias", "pones", "digit", "low", "lo",
+                 "even", "qmask")
 
     def __init__(self, L: _Layout, n: int):
         p, m, w, S = L.p, L.m, L.w, L.S
+        nb = n * S // 8
         self.L = L
-        self.mask = (1 << (n * S)) - 1           # all n slots
-        self.rep = rep = self.mask // ((1 << S) - 1)  # bit 0 of each slot
-        self.ones = rep * L.ones_slot            # 1 in every stored digit
-        self.digit = rep * ((1 << w) - 1)        # all of digit 0 of each slot
-        self.low = rep * L.slot                  # all of the stored digits
-        # add/sub: digits reaching p gain bit w-1 from bias; pones - x negates
-        self.bias = self.ones * ((1 << (w - 1)) - p) if p > 2 else None
-        self.pones = self.ones * p if p > 2 else None
+        self.mask = (1 << (n * S)) - 1                 # all n slots
+        self.rep = _tile(1, S, nb)                     # bit 0 of each slot
+        self.ones = _tile(L.ones_slot, S, nb)          # 1 in every stored digit
+        self.digit = _tile((1 << w) - 1, S, nb)        # all of digit 0 of each slot
+        self.low = _tile(L.slot, S, nb)                # all of the stored digits
         self.lo = _digit_struct(L, n, 0, m)
-        self.hi = _digit_struct(L, n, m, m - 1) if m > 1 and p > 2 else None
+        self.bias = self.pones = self.even = self.qmask = None
+        if p > 2:
+            # add/sub: digits reaching p gain bit w-1 from bias; pones - x negates
+            self.bias = _tile(L.ones_slot * ((1 << (w - 1)) - p), S, nb)
+            self.pones = _tile(L.ones_slot * p, S, nb)
+            self.even = _tile((1 << w) - 1, 2 * w, nb)
+            self.qmask = _tile(L.qbits, 2 * w, nb)
 
 
 def _width(field: FieldSpec, n: int) -> int:
@@ -240,15 +266,26 @@ def _fit(K: _Kron, X: int, a: int, b: int) -> int:
     return int.from_bytes(out, "little")
 
 
-def _modp(st, p: int, X: int) -> int:
-    """Reduce mod p the digits of X that st reads; the others become 0."""
-    return int.from_bytes(
-        st.pack(*map(p.__rmod__, st.unpack(X.to_bytes(st.size, "little")))), "little")
+def _barrett(sh: _Shape, X: int) -> int:
+    """X with every digit reduced mod p, for p > 2 and digits below 2^(w-1).
+
+    The digits at even and at odd global index are split apart, so each lies
+    alone in a 2w-bit window starting at an even digit.  There d * mu <
+    2^(2w-1) stays inside the window, its quotient (d * mu) >> shift is exact
+    for d < 2^(w-1), and qmask drops the fraction bits the next window shifts
+    down into it."""
+    L = sh.L
+    w, p, mu, s, ev, qm = L.w, L.p, L.mu, L.shift, sh.even, sh.qmask
+    E, O = X & ev, (X >> w) & ev
+    E -= (((E * mu) >> s) & qm) * p
+    O -= (((O * mu) >> s) & qm) * p
+    return E | (O << w)
 
 
 def _reduce_low(sh: _Shape, P: int) -> int:
-    """Canonical packing of P, whose slots hold m low digits below 2^(w-1)."""
-    return P & sh.ones if sh.L.p == 2 else _modp(sh.lo, sh.L.p, P)
+    """Canonical packing of P, whose slots hold m low digits below 2^(w-1)
+    and zero high digits."""
+    return P & sh.ones if sh.L.p == 2 else _barrett(sh, P)
 
 
 def _reduce(sh: _Shape, P: int) -> int:
@@ -259,7 +296,8 @@ def _reduce(sh: _Shape, P: int) -> int:
         if L.p == 2:
             H, dig = P, sh.rep          # a digit mod 2 is its low bit
         else:
-            H, dig = _modp(sh.hi, L.p, P), sh.digit
+            H = P = _barrett(sh, P)
+            dig = sh.digit
         P &= sh.low
         for k, row in enumerate(L.red, L.m):
             P += ((H >> (k * w)) & dig) * row
@@ -455,11 +493,11 @@ class TruncSeries:
         field, n = self.field, self.prec
         pk = field.p ** k
         slot = field._kron[n].L.S // 8
+        cnt = (n - 1) // pk + 1       # the slots j with j*p^k < n
         src = self.packed.to_bytes(n * slot, "little")
         out = bytearray(n * slot)
-        for j in range(0, n, pk):
-            i = j // pk
-            out[j * slot:(j + 1) * slot] = src[i * slot:(i + 1) * slot]
+        for b in range(slot):         # byte b of every moved slot at once
+            out[b::pk * slot] = src[b:cnt * slot:slot]
         return _new(field, n, int.from_bytes(out, "little"), self.inexact).galois(k)
 
     def shift_down(self, k: int) -> "TruncSeries":

@@ -3,14 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobdml import series
+from frobdml import series, twist
 from frobdml.errors import (DegreeMismatch, DegreeOverflow, FieldMismatch,
                             NonUnitDivisor, ParseError)
 from frobdml.field import make_field
 from frobdml.series import (AtPrecisionZero, GaloisAction, TruncSeries,
                             format_series, parse_series)
 
-from conftest import field_for
+from conftest import MODULI, field_for
 
 F2 = field_for(2, 1)
 F4 = field_for(2, 2)
@@ -433,3 +433,136 @@ def test_one_precision_one_packing(fs, k, extra):
             short.zero_extend(n), short.change_precision(n)]
     for w in ways:
         assert w == want and w.packed == want.packed and hash(w) == hash(want)
+
+
+# ---------------------------------------------------------------------------
+# the Barrett pass and the strided Frobenius move against slow references
+# ---------------------------------------------------------------------------
+
+def modp_reference(st, p, X):
+    """The digits of X that the digit struct st reads, each reduced by
+    Python's % p, the others 0: one Python operation per digit."""
+    return int.from_bytes(
+        st.pack(*map(p.__rmod__, st.unpack(X.to_bytes(st.size, "little")))), "little")
+
+
+def assert_barrett_matches(sh, n, X):
+    """The Barrett pass of sh reduces X, its stored digits 0..m-1 alone and
+    its product digits m..2m-2 alone as modp_reference does."""
+    L = sh.L
+    every = series._digit_struct(L, n, 0, 2 * L.m - 1)
+    lo = X & sh.low
+    for Y in (X, lo, X ^ lo):
+        assert series._barrett(sh, Y) == modp_reference(every, L.p, Y)
+    assert series._reduce_low(sh, lo) == modp_reference(sh.lo, L.p, X)
+
+
+def extension(p, m):
+    """F_(p^m) by the first irreducible modulus of degree m."""
+    return twist.first_irreducible(make_field(p, 1, [0, 1]), m)[1]
+
+
+def digit_comb(w, count, period, first=0):
+    """1 in every period-th of count w-bit digits, from digit first on."""
+    reps = -(-(count - first) // period)
+    return ((1 << (period * w * reps)) - 1) // ((1 << (period * w)) - 1) << (first * w)
+
+
+@pytest.mark.parametrize("F,top", [(F, top) for F, top in EDGES if F.p > 2],
+                         ids=[i for (F, _), i in zip(EDGES, EDGE_IDS) if F.p > 2])
+def test_barrett_at_tier_edges(F, top):
+    # digits 0, p-1, p and 2^(w-1)-1 at every third digit (both parities,
+    # every place in a slot), alone and between the largest digits; each
+    # digit's % p is read off its comb
+    K = series._kron(F)
+    for n in (top, top + 1):
+        sh = K[n]
+        w, p = sh.L.w, F.p
+        count = n * (2 * F.m - 1)
+        every, big = digit_comb(w, count, 1), (1 << (w - 1)) - 1
+        for first in range(3):
+            comb = digit_comb(w, count, 3, first)
+            rest = every - comb
+            for v in (0, p - 1, p, big):
+                for X, want in ((v * comb, v % p * comb),
+                                (v * comb + big * rest, v % p * comb + big % p * rest)):
+                    assert series._barrett(sh, X) == want
+                    assert series._reduce_low(sh, X & sh.low) == want & sh.low
+            assert_barrett_matches(sh, n, big * comb + (p - 1) * rest)
+
+
+def packed_digits(ds, w):
+    """The w-bit digits ds side by side, the first lowest."""
+    return int.from_bytes(b"".join(d.to_bytes(w // 8, "little") for d in ds), "little")
+
+
+@pytest.mark.parametrize("w,primes", [
+    (8, [q for q in range(3, 128) if all(q % k for k in range(2, q))]),
+    (16, [3, 7, 127, 131, 251, 257, 4093, 16381, 16411, 32749])])
+def test_barrett_quotient_is_exact_for_every_digit(w, primes):
+    # every digit below 2^(w-1), at even and at odd index: a shift one bit
+    # shorter than w-1+b is exact at the tier edges but not for all of these
+    for p in primes:
+        L = series._Layout(make_field(p, 1, [0, 1]), w)
+        for ds in (list(range(1 << (w - 1))), [0] + list(range(1 << (w - 1)))):
+            sh = series._Shape(L, len(ds))
+            assert series._barrett(sh, packed_digits(ds, w)) == packed_digits(
+                [d % p for d in ds], w)
+
+
+@pytest.mark.parametrize("p", [3, 5, 257, 65521, 65537, P31])
+def test_barrett_at_wide_digits(p):
+    # widths above 64 bits read their digits through _WideDigits
+    rng = random.Random(p)
+    for m in (1, 2, 3):
+        F = field_for(p, m) if (p, m) in MODULI else extension(p, m)
+        for w in (64, 128, 256):
+            L = series._Layout(F, w)
+            edge = (0, 1, p - 1, p, p + 1, (1 << (w - 1)) - 1)
+            for n in (1, 2, 3, 8):
+                sh = series._Shape(L, n)
+                for _ in range(10):
+                    ds = [rng.choice(edge + (rng.randrange(1 << (w - 1)),))
+                          for _ in range(n * (2 * m - 1))]
+                    assert_barrett_matches(sh, n, sum(d << (g * w) for g, d in enumerate(ds)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 257])
+def test_barrett_on_both_selections_up_to_m_12(p):
+    rng = random.Random(12 * p)
+    for m in range(1, 13):
+        F = extension(p, m)
+        for n in (1, 2, 3, 4, 7):
+            sh = series._kron(F)[n]
+            w = sh.L.w
+            edge = (0, p - 1, p, (1 << (w - 1)) - 1)
+            for _ in range(8):
+                ds = [rng.choice(edge + (rng.randrange(1 << (w - 1)),))
+                      for _ in range(n * (2 * m - 1))]
+                assert_barrett_matches(sh, n, sum(d << (g * w) for g, d in enumerate(ds)))
+
+
+def frobenius_reference(s, k):
+    """s^(p^k) with one slot moved per loop iteration, then Frob_{p^k}."""
+    F, n = s.field, s.prec
+    pk, S = F.p ** k, series._kron(F)[n].L.S
+    moved = sum(((s.packed >> (i * S)) & ((1 << S) - 1)) << (i * pk * S)
+                for i in range((n - 1) // pk + 1))
+    return series._new(F, n, moved, s.inexact).galois(k)
+
+
+def test_strided_frobenius_power_matches_the_slot_loop():
+    # P31 packs 128-bit digits from n = 2; p^k >= n moves slot 0 only, and
+    # p^k divides few of the n
+    rng = random.Random(1212)
+    widths = set()
+    for F in WIDE_FIELDS:
+        ns = {1, 2, 3, 5, 9, 17, 30} | {n for top in tier_tops(F) if top < 200
+                                          for n in (top, top + 1)}
+        for n in sorted(ns):
+            widths.add(series._kron(F)[n].L.w)
+            s = TruncSeries(F, n, [F.el([rng.randrange(F.p) for _ in range(F.m)])
+                                   for _ in range(n)])
+            for k in (1, 2, 3):
+                assert s.frobenius_power(k) == frobenius_reference(s, k)
+    assert widths == {8, 16, 32, 64, 128}
