@@ -243,6 +243,8 @@ def _twist_matrix_strs(sol, rows) -> List[List[str]]:
 def cmd_twist(args) -> int:
     from .twist import solve_twist
     field, A, q = parse_twist_file(args.matrix)
+    if args.rmax < 1:
+        raise ParseError("--rmax must be >= 1")
     sol = solve_twist(A, q, args.rmax)
     basis = _twist_matrix_strs(sol, sol.basis)
     B = _twist_matrix_strs(sol, sol.B)
@@ -260,6 +262,8 @@ def cmd_normalize(args) -> int:
     from .twist import normalize_conjugate
     inst = _load(args)
     f = _dml_only(inst.map, "normalize")
+    if args.rmax is not None and args.rmax < 1:
+        raise ParseError("--rmax must be >= 1")
     rmax = args.rmax if args.rmax is not None else inst.parameters.R_max
     sol, fprime = normalize_conjugate(f, rmax)
     B = _twist_matrix_strs(sol, sol.B)

@@ -409,14 +409,14 @@ def orbit_cycle(f: AnyMap, P: ProjPoint, H: int,
     Exact: apply_map is deterministic on the coordinates and keeps their
     precision, so past a repeat f^n(P) = f^(i + (n - i) mod (k - i))(P)
     (``replay``), and a walk that would raise later cannot repeat.  Points
-    are keyed on consumed precision, packings and ``inexact`` flags, which
-    TruncSeries equality ignores.  ``visit`` sees each distinct iterate
-    before the next one is computed, so its errors keep their precedence."""
+    are keyed on consumed precision and packings.  ``visit`` sees each
+    distinct iterate before the next one is computed, so its errors keep
+    their precedence."""
     pts: List[ProjPoint] = []
     seen: Dict[tuple, int] = {}
     cur = P
     for n in range(H + 1):
-        key = (cur.consumed, tuple((c.packed, c.inexact) for c in cur.coords))
+        key = (cur.consumed, tuple(c.packed for c in cur.coords))
         i = seen.setdefault(key, n)
         if i != n:
             return pts, i

@@ -105,7 +105,7 @@ def detect_residue_degree(P: ProjPoint, e: int) -> Optional[int]:
 def _zero_extend(P: ProjPoint, n: int) -> ProjPoint:
     """P at precision n >= P.prec, the new digits exactly zero; the pivot
     stays the series 1, so the point stays canonical."""
-    return ProjPoint(P.field, [c.zero_extend(n) for c in P.coords], _trusted=True)
+    return ProjPoint(P.field, [c.change_precision(n) for c in P.coords], _trusted=True)
 
 
 def sigma_fixed_lift(f: DmlMap, P0: Sequence[FqElem], prec: int) -> SigmaFixedLift:

@@ -37,11 +37,11 @@ bit over the slot width), division by t^k (a shift) and truncation (a mask)
 read the integer directly.  Whatever changes the precision repacks when the
 new precision has another width: an operation whose operands differ in
 precision cuts the longer one to the common precision, and change_precision,
-zero_extend, shift_down, eq_at_precision and the Newton steps of inverse
-pass through _fit.  A repack copies the low bytes of every digit into a
-buffer of the other width, which is exact because a reduced digit is below
-p < 2^(w-1) in every width the precision admits.  FqElem values appear only
-at the boundaries: the list constructor used by parsing, and ``coeffs`` and
+shift_down, eq_at_precision and the Newton steps of inverse pass through
+_fit.  A repack copies the low bytes of every digit into a buffer of the
+other width, which is exact because a reduced digit is below p < 2^(w-1) in
+every width the precision admits.  FqElem values appear only at the
+boundaries: the list constructor used by parsing, and ``coeffs`` and
 ``constant_term``, which decode on every call.
 
 The spare top bit serves addition: digits are added, then p is subtracted
@@ -50,9 +50,9 @@ from exactly the digits that reached p, read off as bit w-1 after adding
 low bit.
 
 Precision is absolute: arithmetic results carry min(prec_a, prec_b);
-division by a unit preserves precision; truncation is exact while
-zero-padding by change_precision marks the result inexact (zero_extend pads
-exactly, for a caller that recomputes the padded digits).
+division by a unit preserves precision; truncation is exact, and padding
+appends zero digits: the caller that pads must recompute or cut back those
+digits.
 
 The zero-at-precision series is not "zero", it is "indistinguishable from
 zero below t^prec"; ``valuation`` returns the AtPrecisionZero sentinel for
@@ -345,10 +345,9 @@ class TruncSeries:
     TruncSeries has built the packings of its field, so methods read
     ``self.field._kron`` directly."""
 
-    __slots__ = ("field", "prec", "packed", "inexact")
+    __slots__ = ("field", "prec", "packed")
 
-    def __init__(self, field: FieldSpec, prec: int, coeffs: Sequence[FqElem],
-                 inexact: bool = False):
+    def __init__(self, field: FieldSpec, prec: int, coeffs: Sequence[FqElem]):
         _check_prec(prec)
         m = field.m
         digits = [d for c in islice(coeffs, prec) for d in c.coeffs]
@@ -356,7 +355,6 @@ class TruncSeries:
         self.field = field
         self.prec = prec
         self.packed = int.from_bytes(_kron(field)[prec].lo.pack(*digits), "little")
-        self.inexact = inexact
 
     # -- constructors ----------------------------------------------------
 
@@ -425,19 +423,16 @@ class TruncSeries:
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         n, X, Y = self._operands(other)
-        return _new(self.field, n, _add(self.field._kron[n], X, Y),
-                    self.inexact or other.inexact)
+        return _new(self.field, n, _add(self.field._kron[n], X, Y))
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         n, X, Y = self._operands(other)
-        return _new(self.field, n, _sub(self.field._kron[n], X, Y),
-                    self.inexact or other.inexact)
+        return _new(self.field, n, _sub(self.field._kron[n], X, Y))
 
     def __neg__(self) -> "TruncSeries":
         if self.field.p == 2:
             return self
-        return _new(self.field, self.prec, _sub(self.field._kron[self.prec], 0, self.packed),
-                    self.inexact)
+        return _new(self.field, self.prec, _sub(self.field._kron[self.prec], 0, self.packed))
 
     def scale(self, c: FqElem) -> "TruncSeries":
         field = self.field
@@ -445,13 +440,12 @@ class TruncSeries:
             raise FieldMismatch(f"{field} vs {c.field}")
         sh = field._kron[self.prec]
         P = self.packed * sh.L.pack(c.coeffs)
-        return _new(field, self.prec, _reduce(sh, P), self.inexact)
+        return _new(field, self.prec, _reduce(sh, P))
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         n, X, Y = self._operands(other)
         sh = self.field._kron[n]
-        return _new(self.field, n, _reduce(sh, (X * Y) & sh.mask),
-                    self.inexact or other.inexact)
+        return _new(self.field, n, _reduce(sh, (X * Y) & sh.mask))
 
     def inverse(self) -> "TruncSeries":
         """Inverse of a unit by Newton iteration with precision doubling
@@ -467,19 +461,19 @@ class TruncSeries:
         if not self.is_unit():
             raise NonUnitDivisor(
                 f"valuation {self.valuation()} > 0, cannot invert at fixed precision")
-        field, prec, inexact = self.field, self.prec, self.inexact
+        field, prec = self.field, self.prec
         K = field._kron
         v = K[1].L.pack(self.constant_term().inv().coeffs)
         h = 1
         while h < prec:
             k = min(2 * h, prec)
             v = _fit(K, v, h, k)
-            u = _new(field, k, _fit(K, self.packed, prec, k), inexact)
-            d = (u * _new(field, k, v, inexact)).shift_down(h)
-            c = -(_new(field, k - h, _fit(K, v, k, k - h), inexact) * d)
+            u = _new(field, k, _fit(K, self.packed, prec, k))
+            d = (u * _new(field, k, v)).shift_down(h)
+            c = -(_new(field, k - h, _fit(K, v, k, k - h)) * d)
             v |= _fit(K, c.packed, k - h, k) << (h * K[k].L.S)
             h = k
-        return _new(field, prec, v, inexact)
+        return _new(field, prec, v)
 
     def __truediv__(self, other: "TruncSeries") -> "TruncSeries":
         n = self._align(other)
@@ -498,7 +492,7 @@ class TruncSeries:
         out = bytearray(n * slot)
         for b in range(slot):         # byte b of every moved slot at once
             out[b::pk * slot] = src[b:cnt * slot:slot]
-        return _new(field, n, int.from_bytes(out, "little"), self.inexact).galois(k)
+        return _new(field, n, int.from_bytes(out, "little")).galois(k)
 
     def shift_down(self, k: int) -> "TruncSeries":
         """Divide by t^k (index shift); consumes k digits of precision."""
@@ -509,7 +503,7 @@ class TruncSeries:
             raise DegreeMismatch(f"shift by {k} exhausts precision {self.prec}")
         K = self.field._kron
         X = self.packed >> (k * K[self.prec].L.S)
-        return _new(self.field, n, _fit(K, X, self.prec, n), self.inexact)
+        return _new(self.field, n, _fit(K, X, self.prec, n))
 
     def galois(self, act: Union[GaloisAction, int], inverse: bool = False) -> "TruncSeries":
         e = act.e if isinstance(act, GaloisAction) else act
@@ -519,29 +513,16 @@ class TruncSeries:
         k = e % field.m
         if k == 0:
             return self
-        return _new(field, self.prec, _galois(field._kron[self.prec], field, self.packed, k),
-                    self.inexact)
+        return _new(field, self.prec, _galois(field._kron[self.prec], field, self.packed, k))
 
     # -- precision management ---------------------------------------------
 
-    def zero_extend(self, n: int) -> "TruncSeries":
-        """The same digits at precision n >= prec, those from t^prec on
-        exactly zero: the series is the same polynomial, so ``inexact`` is
-        kept (change_precision marks such padding inexact)."""
-        if n == self.prec:
-            return self
-        if n < self.prec:
-            raise DegreeMismatch(f"cannot extend precision {self.prec} down to {n}")
-        _check_prec(n)
-        return _new(self.field, n, _fit(self.field._kron, self.packed, self.prec, n),
-                    self.inexact)
-
     def change_precision(self, n: int) -> "TruncSeries":
+        """The series cut to n digits, or padded with zero digits up to n."""
         if n == self.prec:
             return self
         _check_prec(n)
-        return _new(self.field, n, _fit(self.field._kron, self.packed, self.prec, n),
-                    self.inexact or n > self.prec)
+        return _new(self.field, n, _fit(self.field._kron, self.packed, self.prec, n))
 
     def eq_at_precision(self, other: "TruncSeries", n: Optional[int] = None) -> bool:
         k = self._align(other)
@@ -575,17 +556,17 @@ def _check_prec(prec: int) -> None:
         raise DegreeOverflow(f"precision {prec} exceeds the packed series limit {MAX_PREC}")
 
 
-def _new(field: FieldSpec, prec: int, packed: int, inexact: bool) -> TruncSeries:
+def _new(field: FieldSpec, prec: int, packed: int) -> TruncSeries:
     s = object.__new__(TruncSeries)
-    s.field, s.prec, s.packed, s.inexact = field, prec, packed, inexact
+    s.field, s.prec, s.packed = field, prec, packed
     return s
 
 
 def _make(field: FieldSpec, prec: int, packing) -> TruncSeries:
-    """An exact series whose packing ``packing(layout)`` computes in the
-    layout of prec, once prec is known to be in range."""
+    """The series whose packing ``packing(layout)`` computes in the layout
+    of prec, once prec is known to be in range."""
     _check_prec(prec)
-    return _new(field, prec, packing(_kron(field)[prec].L), False)
+    return _new(field, prec, packing(_kron(field)[prec].L))
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,28 @@ def rand_suite_map(rng: random.Random, prec: int = 40,
     return f
 
 
+def rand_dml(rng, F, e, A0, coeffs):
+    """DmlMap with constant matrix A0 and random G of degree p^(e-1) whose
+    coefficients, drawn from ``coeffs``, multiply series of valuation >= 1;
+    A and every G term get their own precision in 4..12."""
+    n = len(A0)
+    d = F.p ** (e - 1)
+    A = [[TruncSeries.from_constant(x, rng.randint(4, 12)) for x in row] for row in A0]
+    G = []
+    for _ in range(n):
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            exps = [0] * n
+            for _ in range(d):
+                exps[rng.randrange(n)] += 1
+            s = rand_prime_series(rng, F, rng.randint(4, 12), 1, 2)
+            terms[tuple(exps)] = s * TruncSeries.from_constant(rng.choice(coeffs), s.prec)
+        G.append(HomogPoly(F, n - 1, d, terms))
+    f = validate_map(F, F.p, e, A, G)
+    assert isinstance(f, DmlMap), f
+    return f
+
+
 def rand_residue_point(rng: random.Random, f: DmlMap) -> Tuple[FqElem, ...]:
     field = f.field
     return (field.one(),) + tuple(

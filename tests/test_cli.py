@@ -242,6 +242,15 @@ def test_twist_search_bound_is_exit_3():
     assert "SearchExhausted" in err
 
 
+@pytest.mark.parametrize("command,fixture", [("twist", TWIST), ("normalize", F1)],
+                         ids=["twist", "normalize"])
+@pytest.mark.parametrize("rmax", ["0", "-5"])
+def test_rmax_below_one_is_exit_2(command, fixture, rmax):
+    code, out, err = run([command, fixture, "--rmax", rmax])
+    assert code == 2 and out == ""
+    assert err == "error: ParseError: --rmax must be >= 1\n"
+
+
 def test_twist_singular_matrix_is_exit_2(tmp_path):
     path = tmp_path / "singular.json"
     path.write_text(json.dumps({

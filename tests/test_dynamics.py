@@ -216,12 +216,12 @@ def orbit_reference(f, P, H):
 
 def orbit_outcome(fn, f, P, H):
     """Every point with its consumed precision and, per coordinate, the
-    precision, packing and inexact flag; or the error type and message."""
+    precision and packing; or the error type and message."""
     try:
         pts = fn(f, P, H)
     except Exception as ex:  # compared, never swallowed
         return type(ex), str(ex)
-    return [(Q.consumed, [(c.prec, c.packed, c.inexact) for c in Q.coords])
+    return [(Q.consumed, [(c.prec, c.packed) for c in Q.coords])
             for Q in pts]
 
 
@@ -240,30 +240,16 @@ def test_orbit_matches_reference_on_random_maps():
             assert orbit_outcome(orbit, g, P, H) == orbit_outcome(orbit_reference, g, P, H)
 
 
-def test_orbit_replays_the_inexact_flags_of_the_cycle():
-    """The f1 orbit of (1 : t) is fixed from step 2.  Marking the fixed
-    point's pivot inexact gives a point with the same packing that maps to
-    the exact one, so the walk must key on the flags: entries 1.. are exact.
-    The consumed precision is part of the key for the same reason."""
+def test_orbit_keys_on_consumed_precision():
+    """The f1 orbit of (1 : t) is fixed from step 2.  The same fixed point
+    reached by dividing out t has the same packings, but only the start
+    point records the consumed digit, so the walk must key on it."""
     Q = orbit(F1, ProjPoint(F2, [ser(F2, "1"), ser(F2, "t")]), 2)[2]
-    Qx = ProjPoint(F2, [Q.coords[0].change_precision(9).change_precision(8),
-                        Q.coords[1]], _trusted=True)
-    assert Qx.coords[0].inexact and Qx.coords == Q.coords
-    pts = orbit(F1, Qx, 6)
-    assert [P.coords[0].inexact for P in pts] == [True] + [False] * 6
-    assert orbit_outcome(orbit, F1, Qx, 6) == orbit_outcome(orbit_reference, F1, Qx, 6)
-    # an inexact non-pivot coordinate stays inexact around the cycle
-    Px = ProjPoint(F2, [ser(F2, "1"), ser(F2, "t", 4).change_precision(8)])
-    pts = orbit(F1, Px, 6)
-    assert all(P.coords[1].inexact for P in pts)
-    assert pts[4] is pts[2]
-    assert orbit_outcome(orbit, F1, Px, 6) == orbit_outcome(orbit_reference, F1, Px, 6)
-    # the same fixed point reached by dividing out t: only the start point
-    # records the consumed digit
     t = TruncSeries.t_power(F2, 1, 9)
-    Pt = ProjPoint(F2, [t * c.zero_extend(9) for c in Q.coords])
+    Pt = ProjPoint(F2, [t * c.change_precision(9) for c in Q.coords])
     assert Pt.consumed == 1 and Pt.coords == Q.coords
     assert [P.consumed for P in orbit(F1, Pt, 4)] == [1, 0, 0, 0, 0]
+    assert orbit_outcome(orbit, F1, Pt, 4) == orbit_outcome(orbit_reference, F1, Pt, 4)
 
 
 def test_compose_golden_and_iterate_agree():
@@ -310,17 +296,14 @@ def iterate_reference(f, k):
 
 
 def map_key(F):
-    """Every coefficient with its digits and precision.  The inexact flag is
-    left out: it is the "or" over the products that survive truncation, and
-    a product that cancels below its precision is dropped with its flag, so
-    the flag depends on the order of multiplication."""
+    """Every coefficient with its digits and precision."""
     return [(h.degree, sorted((e, c.coeffs, c.prec) for e, c in h.terms.items()))
             for h in F.coords]
 
 
 def rand_mixed_map(rng, prec):
     """(x0 : .. : xN) -> random forms of degree 2 or 3 whose coefficients
-    are known to different precisions, some of them inexact."""
+    are known to different precisions, some of them zero-padded."""
     F = field_for(rng.choice((2, 3, 5)), rng.randint(1, 2))
     N, d = rng.randint(1, 2), rng.randint(2, 3)
     coords = []

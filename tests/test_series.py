@@ -227,7 +227,7 @@ def test_packed_inverse_matches_recursion(fs):
     # precisions that are not powers of two end Newton with a step k - h < h
     field, (s,) = fs
     inv = s.inverse()
-    assert inv.prec == s.prec and not inv.inexact and (s * inv).is_one()
+    assert inv.prec == s.prec and (s * inv).is_one()
     if s.prec <= 40:   # the recursion is quadratic in FqElem operations
         assert inv.coeffs == naive_inverse(s)
 
@@ -260,12 +260,9 @@ def test_packed_precision_ops(fs, data):
     n = data.draw(st.integers(1, 14))
     t = s.change_precision(n)
     assert t.coeffs == (cs + (field.zero(),) * n)[:n]
-    assert t.inexact == (n > s.prec)
-    x = s.zero_extend(s.prec + n)
-    assert x.coeffs == cs + (field.zero(),) * n and x.inexact == s.inexact
-    assert x.zero_extend(x.prec) is x
-    with pytest.raises(DegreeMismatch):
-        x.zero_extend(s.prec)
+    x = s.change_precision(s.prec + n)
+    assert x.coeffs == cs + (field.zero(),) * n
+    assert x.change_precision(x.prec) is x
     n = data.draw(st.integers(1, min(s.prec, u.prec)))
     assert s.eq_at_precision(u, n) == (cs[:n] == u.coeffs[:n])
     assert s.eq_at_precision(s.change_precision(n), n)
@@ -366,7 +363,7 @@ def test_tier_edges_with_largest_digits(F, top):
             assert s.shift_down(1) == TruncSeries(F, n - 1, [c] * n)
     wide, narrow = TruncSeries(F, top + 1, [c] * (top + 1)), TruncSeries(F, top, [c] * top)
     assert wide.change_precision(top) == narrow and wide.shift_down(1) == narrow
-    assert narrow.zero_extend(top + 1) == TruncSeries(F, top + 1, [c] * top + [zero])
+    assert narrow.change_precision(top + 1) == TruncSeries(F, top + 1, [c] * top + [zero])
     assert wide * narrow == square[top] and wide.eq_at_precision(narrow)
 
 
@@ -381,7 +378,7 @@ def across_an_edge(draw, count=2, unit=False):
 
 def rebuilt(s, n):
     """s at precision n <= s.prec, built afresh from its coefficients."""
-    return TruncSeries(s.field, n, s.coeffs[:n], s.inexact)
+    return TruncSeries(s.field, n, s.coeffs[:n])
 
 
 @settings(max_examples=40, deadline=None)
@@ -406,9 +403,9 @@ def test_precision_changes_and_inverse_across_an_edge(fs, data):
     cs, zero = s.coeffs, F.zero()
     n = data.draw(st.integers(max(1, top - 3), top + 4))
     t = s.change_precision(n)
-    assert t == TruncSeries(F, n, (cs + (zero,) * n)[:n]) and t.inexact == (n > s.prec)
-    x = s.zero_extend(s.prec + data.draw(st.integers(0, 8)))
-    assert x == TruncSeries(F, x.prec, cs) and x.inexact == s.inexact
+    assert t == TruncSeries(F, n, (cs + (zero,) * n)[:n])
+    x = s.change_precision(s.prec + data.draw(st.integers(0, 8)))
+    assert x == TruncSeries(F, x.prec, cs)
     k = data.draw(st.integers(0, s.prec - 1))
     assert s.shift_down(k) == TruncSeries(F, s.prec - k, cs[k:])
     inv = s.inverse()      # the Newton ramp crosses the edge when s.prec > top
@@ -430,7 +427,7 @@ def test_one_precision_one_packing(fs, k, extra):
     ways = [TruncSeries(F, n + extra, head + [zero] * (n - j) + [top_digits(F)] * extra
                         ).change_precision(n),
             TruncSeries(F, n + k, [zero] * k + head).shift_down(k),
-            short.zero_extend(n), short.change_precision(n)]
+            short.change_precision(n)]
     for w in ways:
         assert w == want and w.packed == want.packed and hash(w) == hash(want)
 
@@ -548,7 +545,7 @@ def frobenius_reference(s, k):
     pk, S = F.p ** k, series._kron(F)[n].L.S
     moved = sum(((s.packed >> (i * S)) & ((1 << S) - 1)) << (i * pk * S)
                 for i in range((n - 1) // pk + 1))
-    return series._new(F, n, moved, s.inexact).galois(k)
+    return series._new(F, n, moved).galois(k)
 
 
 def test_strided_frobenius_power_matches_the_slot_loop():

@@ -17,7 +17,7 @@ from frobdml import twist
 from frobdml.twist import (count_solutions_exhaustive, normalize_conjugate,
                            solve_twist)
 
-from conftest import field_for, fq_det, identity_matrix, rand_gl, rand_prime_series
+from conftest import field_for, fq_det, identity_matrix, rand_dml, rand_gl
 
 F2 = field_for(2, 1)
 F3 = field_for(3, 1)
@@ -205,7 +205,7 @@ def normalize_reference(f, R_max=64):
 
 
 def series_key(s):
-    return (s.field, s.prec, s.packed, s.inexact)
+    return (s.field, s.prec, s.packed)
 
 
 def normalize_outcome(route, f):
@@ -219,28 +219,6 @@ def normalize_outcome(route, f):
             [[series_key(s) for s in row] for row in g.A],
             [(h.degree, {exp: series_key(c) for exp, c in h.terms.items()})
              for h in g.G])
-
-
-def rand_dml(rng, F, e, A0, coeffs):
-    """DmlMap with constant matrix A0 and random G of degree p^(e-1) whose
-    coefficients, drawn from ``coeffs``, multiply series of valuation >= 1;
-    A and every G term get their own precision in 4..12."""
-    n = len(A0)
-    d = F.p ** (e - 1)
-    A = [[TruncSeries.from_constant(x, rng.randint(4, 12)) for x in row] for row in A0]
-    G = []
-    for _ in range(n):
-        terms = {}
-        for _ in range(rng.randint(0, 3)):
-            exps = [0] * n
-            for _ in range(d):
-                exps[rng.randrange(n)] += 1
-            s = rand_prime_series(rng, F, rng.randint(4, 12), 1, 2)
-            terms[tuple(exps)] = s * TruncSeries.from_constant(rng.choice(coeffs), s.prec)
-        G.append(HomogPoly(F, n - 1, d, terms))
-    f = validate_map(F, F.p, e, A, G)
-    assert isinstance(f, DmlMap), f
-    return f
 
 
 def test_normalize_matches_composition_reference():
