@@ -2,13 +2,15 @@
 
 The package is organized bottom-up:
 
-    poly      dense polynomials and row echelon form over small finite
-              rings; Rabin's sieve
+    poly      dense polynomials over small finite rings, powers and
+              digits; Rabin's sieve
     field     finite fields F_(p^m) with explicit moduli
     series    truncated power series k[[t]]/(t^prec) and the Galois action
     geometry  projective points, homogeneous polynomials, subvarieties
-    dynamics  the structured map family, validation, orbits, composition
-    twist     the semilinear equation B^(q) = A*B and map normalization
+    dynamics  the structured map family, validation, orbits, composition;
+              determinants and inverses over O_K
+    twist     the semilinear equation B^(q) = A*B and map normalization;
+              inverses over k, row echelon form over F_q
     lifting   sigma-fixed lifts, witnesses, periods
     returns   return sets and arithmetic-progression decompositions
     instances JSON instance files and shipped fixtures

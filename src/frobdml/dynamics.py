@@ -184,38 +184,11 @@ AnyMap = Union[DmlMap, GeneralMap]
 # ---------------------------------------------------------------------------
 
 def series_det(A: Sequence[Sequence[TruncSeries]]) -> TruncSeries:
-    """Determinant of the exact zero-padded lifts of the entries, at the
-    precision ``_cofactor_prec`` assigns it."""
-    return _eliminate(A, _cofactor_prec(A))[0]
-
-
-def _cofactor_prec(A: Sequence[Sequence[TruncSeries]]) -> int:
-    """Precision of det(A) under first-row cofactor expansion of the entries:
-    sums and products keep the least precision, and an entry zero at its
-    precision is skipped, so the result carries the least precision over the
-    entries the expansion reaches.  States are the column sets left after
-    the rows above; a row with no live entry ends its path at the least
-    precision of its whole block."""
-    precs = {s.prec for row in A for s in row}
-    if len(precs) == 1:
-        return precs.pop()
-    n = len(A)
-    out = max(precs)
-    frontier = {tuple(range(n))}
-    for r in range(n):
-        nxt = set()
-        for cols in frontier:
-            live = [j for j in cols if not A[r][j].is_zero_at_precision()]
-            if r == n - 1:
-                reached = [A[r][cols[0]]]
-            elif live:
-                reached = [A[r][j] for j in live]
-                nxt.update(tuple(c for c in cols if c != j) for j in live)
-            else:
-                reached = [A[i][j] for i in range(r, n) for j in cols]
-            out = min(out, min(s.prec for s in reached))
-        frontier = nxt
-    return out
+    """det(A) at the least precision n of its entries.  The determinant is a
+    polynomial in the entries, so det mod t^n depends only on their digits
+    below t^n: every completion of the input has these digits, and knowing
+    any entry to more digits never lowers n."""
+    return _eliminate(A, min(s.prec for row in A for s in row))[0]
 
 
 def _eliminate(A: Sequence[Sequence[TruncSeries]], prec: int,
@@ -664,5 +637,6 @@ def preimage_qp(f: DmlMap, P: ProjPoint) -> ProjPoint:
     Q = [TruncSeries(field, cprec, [r.coeffs[p * j].frobenius(-1) for j in range(cprec)])
          for r in R]
     out = normalize(Q)
-    assert out.consumed == 0
+    if out.consumed:
+        raise AssertionError("normalizing the preimage consumed precision")
     return out

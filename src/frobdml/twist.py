@@ -3,7 +3,15 @@
 For A in GL_{N+1} over F_{q^s} the solution set of beta^(q) = A beta in the
 algebraic closure is an F_q-vector space of dimension N+1 whose F_q-bases
 are automatically linearly independent over the big field, so they assemble
-into an invertible B.  All solutions are rational over F_{q^r} exactly when
+into an invertible B.  Proof: let solutions beta_1..beta_k be F_q-independent
+but dependent over a field E, and take a shortest relation
+sum c_i beta_i = 0 with c_1 = 1.  Applying ^(q) gives sum c_i^q A beta_i = 0,
+and A^{-1} turns it into sum c_i^q beta_i = 0.  The difference
+sum (c_i^q - c_i) beta_i = 0 has no beta_1 term, so it is a shorter relation
+and all its coefficients vanish: every c_i lies in F_q, a contradiction.
+The solver therefore needs no determinant over the tower: A invertible, n
+F_q-independent echelon rows and a zero residue B^(q) - A B make B
+invertible.  All solutions are rational over F_{q^r} exactly when
 the twisted norm N_r(A) = A^(q^{r-1}) ... A^(q) A equals the identity, so
 the search visits r = s, 2s, ... <= R_max and solves only at qualifying r.
 
@@ -425,10 +433,11 @@ def _solve_at(fq: FqStructure, A: Sequence[Sequence[FqElem]],
     basis = [tuple(_fit(K, (v >> (k * D)) & dmask, N, d) for k in range(n))
              for _, v in echelon]
     B = [[basis[j][i] for j in range(n)] for i in range(n)]
-    if not _ext_nonsingular(ext, B):
-        raise AssertionError("echelon basis assembled into a singular B")
+    # with A invertible and the columns F_q-independent, a zero residue makes
+    # B invertible over E (module docstring)
     residue = _residue(ext, [[x.index() for x in row] for row in A], B, q)
-    assert all(ext.is_zero(x) for row in residue for x in row)
+    if not all(ext.is_zero(x) for row in residue for x in row):
+        raise AssertionError("echelon basis fails B^(q) = A B")
     return TwistSolution(q, r, field, ext, basis, B, flat, residue)
 
 
@@ -448,25 +457,6 @@ def _residue(ext: ExtContext, A: Sequence[Sequence[int]], B: Sequence[Sequence[V
             row.append(ext.sub(ext.pow(B[i][j], q), rhs))
         out.append(row)
     return out
-
-
-def _ext_nonsingular(ext: ExtContext, M: List[List[Vec]]) -> bool:
-    """Full rank over the tower, by elimination that cross-multiplies rows
-    (row_i <- a*row_i - b*row_piv) instead of dividing by the pivot."""
-    rows = [list(row) for row in M]
-    n = len(rows)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if not ext.is_zero(rows[i][col])), None)
-        if piv is None:
-            return False
-        rows[col], rows[piv] = rows[piv], rows[col]
-        a = rows[col][col]
-        for i in range(col + 1, n):
-            b = rows[i][col]
-            if not ext.is_zero(b):
-                rows[i] = [ext.sub(ext.mul(a, x), ext.mul(b, y))
-                           for x, y in zip(rows[i], rows[col])]
-    return True
 
 
 def count_solutions_exhaustive(A: Sequence[Sequence[FqElem]], q: int,

@@ -142,6 +142,19 @@ def fq_det(A: Sequence[Sequence[FqElem]]) -> FqElem:
     return det
 
 
+def ext_det(ext, M):
+    """Determinant over the twist tower E by first-row cofactor expansion
+    (test-scale only: n! products)."""
+    if len(M) == 1:
+        return M[0][0]
+    out = ext.zero
+    for j in range(len(M)):
+        minor = [[row[k] for k in range(len(M)) if k != j] for row in M[1:]]
+        term = ext.mul(M[0][j], ext_det(ext, minor))
+        out = ext.add(out, term) if j % 2 == 0 else ext.sub(out, term)
+    return out
+
+
 def rand_gl(rng: random.Random, field: FieldSpec, n: int) -> List[List[FqElem]]:
     while True:
         A = [[field.from_int(rng.randrange(field.order)) for _ in range(n)]

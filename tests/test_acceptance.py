@@ -29,8 +29,8 @@ from frobdml.series import TruncSeries, parse_series
 from frobdml.twist import (count_solutions_exhaustive, normalize_conjugate,
                            solve_twist)
 
-from conftest import (field_for, identity_matrix, rand_exponents, rand_gl,
-                      rand_point, rand_prime_series, rand_residue_point,
+from conftest import (ext_det, field_for, identity_matrix, rand_exponents,
+                      rand_gl, rand_point, rand_prime_series, rand_residue_point,
                       rand_suite_map)
 
 F1_PATH = fixture_path("f1.json")
@@ -126,19 +126,7 @@ def test_criterion_04_twist_solver():
                     rhs = ext.add(rhs,
                                   ext.scalar(A[r][k].index(), sol.B_raw[k][c]))
                 assert lhs == rhs, (i, r, c)
-
-        def det(M):
-            if len(M) == 1:
-                return M[0][0]
-            out = ext.zero
-            for j in range(len(M)):
-                minor = [[row[k] for k in range(len(M)) if k != j]
-                         for row in M[1:]]
-                term = ext.mul(M[0][j], det(minor))
-                out = ext.add(out, term) if j % 2 == 0 else ext.sub(out, term)
-            return out
-
-        assert not ext.is_zero(det(sol.B_raw)), i
+        assert not ext.is_zero(ext_det(ext, sol.B_raw)), i
 
     field, A, q = parse_twist_file(TWIST_PATH)
     sol = solve_twist(A, q, 64)

@@ -219,6 +219,19 @@ def test_validate_reports_diagnostics_on_stdout(tmp_path):
     assert code == 2 and out == "" and "unit coefficient" in err
 
 
+def test_non_unit_determinant_states_only_known_digits(tmp_path):
+    # completing both O(t^2) entries as t^2 gives det t^2 + t^4, as 0 gives
+    # t^2: only the digits below t^2 are determined
+    doc = {"label": "det2", "field": {"p": 2, "m": 1, "modulus": [0, 1]},
+           "map": {"p": 2, "e": 1, "A": [["t + O(t^8)", "O(t^2)"], ["O(t^2)", "t + O(t^8)"]],
+                   "G": [[], []]}}
+    bad = tmp_path / "det2.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(["validate", str(bad)])
+    assert code == 2 and err == ""
+    assert out == "invalid\nNonUnitDeterminant: det(A) = O(t^2) has valuation >= 2\n"
+
+
 def test_every_diagnostic_in_one_stderr_line(tmp_path):
     doc = render_instance(parse_instance(F1))
     doc["map"]["A"] = [["1", "1"], ["1", "1"]]

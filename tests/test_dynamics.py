@@ -38,8 +38,14 @@ def test_series_det_golden():
 
 
 def cofactor_det(A):
-    """Reference: first-row cofactor expansion of the truncated entries,
-    skipping entries zero at their precision."""
+    """Reference: first-row cofactor expansion of the entries cut to their
+    least precision n.  The determinant is a polynomial in the entries, so
+    its digits below t^n are determined by theirs.  Without the cut the
+    expansion skips an entry zero at its own low precision, as in
+    [[t, O(t^2)], [O(t^2), t]] at t^8, and states digits the input does not
+    determine.  Entries zero at precision n are skipped."""
+    prec = min(s.prec for row in A for s in row)
+    A = [[s.change_precision(prec) for s in row] for row in A]
     n = len(A)
     if n == 1:
         return A[0][0]

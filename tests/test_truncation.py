@@ -155,17 +155,29 @@ def test_truncation_oracle_normalize():
     assert positive >= 20
 
 
+def rand_entry(rng, F, n):
+    """Known to n digits: a unit, a non-unit, or zero at its precision."""
+    return rand_series(rng, F, n, rng.choice((0, 0, 1, 2, n)))
+
+
 def test_truncation_oracle_series_det_and_inverse():
+    """series_det on entries of independent precisions, each extended by its
+    own k, so low-precision zeros sit beside long entries; then series_det
+    and the inverse, which works at one given precision, on a matrix known to
+    n digits throughout."""
     rng = random.Random(1303)
     inverted = singular = 0
-    for _ in range(120):
+    for _ in range(200):
         F = rng.choice(FIELDS)
-        n, k, size = rng.randint(1, 10), rng.randint(1, 6), rng.randint(1, 4)
-        M = [[rand_series(rng, F, n, rng.choice((0, 0, 1, 2, n))) for _ in range(size)]
+        size = rng.randint(1, 4)
+        D = [[rand_entry(rng, F, rng.randint(1, 10)) for _ in range(size)]
              for _ in range(size)]
+        Dx = [[extend(rng, s, rng.randint(0, 6)) for s in row] for row in D]
+        assert agrees(series_det(D), series_det(Dx))
+        n, k = rng.randint(1, 10), rng.randint(1, 6)
+        M = [[rand_entry(rng, F, n) for _ in range(size)] for _ in range(size)]
         Mx = [[extend(rng, s, k) for s in row] for row in M]
-        det = series_det(M)
-        assert agrees(det, series_det(Mx))
+        assert agrees(series_det(M), series_det(Mx))
         inv = run(invert_series_matrix, M, n)
         if inv is None:
             singular += 1

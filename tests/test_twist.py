@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +21,7 @@ from frobdml import twist
 from frobdml.twist import (count_solutions_exhaustive, normalize_conjugate,
                            solve_twist)
 
-from conftest import field_for, fq_det, identity_matrix, rand_dml, rand_gl
+from conftest import ext_det, field_for, fq_det, identity_matrix, rand_dml, rand_gl
 
 F2 = field_for(2, 1)
 F3 = field_for(3, 1)
@@ -109,7 +113,24 @@ def test_base_f4_q2_offdiagonal_tower():
     assert sol.r == 6
     assert sol.field is None  # degree-3 tower over F_4 does not flatten
     assert all(sol.entry_str(x) == "0" for row in sol.residue() for x in row)
+    assert not sol.ext.is_zero(ext_det(sol.ext, sol.B_raw))
     assert count_solutions_exhaustive(A, 2, sol) == 4
+
+
+def test_zero_residue_check_survives_python_O():
+    """B's invertibility rests on the zero-residue check (module docstring),
+    so it must not be an assert that ``python -O`` strips."""
+    code = ("from frobdml import twist\n"
+            "from frobdml.field import make_field\n"
+            "assert False, 'asserts are on'\n"
+            "F = make_field(2, 1, [0, 1])\n"
+            "twist._residue = lambda ext, A, B, q: [[ext.one]]\n"
+            "twist.solve_twist([[F.zero(), F.one()], [F.one(), F.zero()]], 2)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert res.returncode == 1
+    assert res.stderr.splitlines()[-1] == "AssertionError: echelon basis fails B^(q) = A B"
 
 
 def test_search_bound_respected():
@@ -320,6 +341,7 @@ def test_singular_matrix_is_not_invertible():
 def test_tower_basis_golden(F, rows, q, r, basis):
     sol = solve_twist(elems(F, rows), q)
     assert sol.r == r and sol.field is None
+    assert not sol.ext.is_zero(ext_det(sol.ext, sol.B_raw))
     assert [list(v) for v in sol.basis] == basis
     assert sol.B == [[v[i] for v in basis] for i in range(len(basis))]
 
@@ -333,6 +355,7 @@ def test_f8_3x3_basis_raw_golden():
         ((0, 2, 3, 0, 1, 0, 0), (0, 0, 6, 0, 2, 0, 0), (0, 6, 7, 0, 0, 0, 0)),
         ((0, 4, 7, 0, 6, 0, 0), (0, 0, 5, 0, 7, 0, 0), (0, 7, 1, 0, 0, 0, 0))]
     assert sol.B_raw == [[v[i] for v in sol.basis_raw] for i in range(3)]
+    assert not sol.ext.is_zero(ext_det(sol.ext, sol.B_raw))
 
 
 def test_cyclic_9x9_solves_under_a_second():
