@@ -37,7 +37,6 @@ from .geometry import (
     eval_hom_coords,
     normalize,
     poly_mul,
-    reduce_point,
 )
 from .record import Record
 from .series import AtPrecisionZero, TruncSeries
@@ -342,8 +341,13 @@ def _at_prec(s: TruncSeries, prec: int) -> TruncSeries:
     return s.change_precision(prec) if s.prec > prec else s
 
 
-def apply_map(f: AnyMap, P: ProjPoint) -> ProjPoint:
-    """One application, canonical output at the same absolute precision."""
+def apply_map(f: AnyMap, P: ProjPoint,
+              pivot_inv: Optional[TruncSeries] = None) -> ProjPoint:
+    """One application, canonical output at the same absolute precision.
+
+    G is evaluated at the p-th powers: for e = 1 the dilated x^q, for e >= 2
+    monomials formed at ceil(prec/p) digits, then dilated.  ``pivot_inv``
+    goes to normalize as a start for the image's pivot inverse."""
     if f.field != P.field:
         raise FieldMismatch("map and point over different fields")
     if f.N != P.N:
@@ -351,10 +355,8 @@ def apply_map(f: AnyMap, P: ProjPoint) -> ProjPoint:
     prec = P.prec
     if isinstance(f, GeneralMap):
         imgs = [eval_hom_coords(h, P.coords) for h in f.coords]
-        Q = normalize(imgs)
     else:
         xq = [c.frobenius_power(f.e) for c in P.coords]
-        xp = [c.frobenius_power(1) for c in P.coords] if f.e != 1 else xq
         imgs = []
         for i, entries in enumerate(f._nonzero_rows()):
             acc: Optional[TruncSeries] = None
@@ -363,10 +365,11 @@ def apply_map(f: AnyMap, P: ProjPoint) -> ProjPoint:
                 acc = term if acc is None else acc + term
             g = f.G[i]
             if not g.is_zero():
-                gval = eval_hom_coords(g, xp)
+                gval = (eval_hom_coords(g, xq) if f.e == 1
+                        else eval_hom_coords(g, P.coords, pth_powers=True))
                 acc = gval if acc is None else acc + gval
             imgs.append(acc if acc is not None else TruncSeries.zeros(f.field, prec))
-        Q = normalize(imgs)
+    Q = normalize(imgs, pivot_inv=pivot_inv)
     if Q.consumed:
         raise PrecisionExhausted(
             f"image lies in t^{Q.consumed}*O^(N+1); the map drops precision here")

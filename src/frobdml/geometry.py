@@ -30,7 +30,8 @@ ExpVec = Tuple[int, ...]
 
 
 class ProjPoint:
-    __slots__ = ("field", "N", "prec", "coords", "consumed")
+    # pivot_inv: set by normalize, the inverse of the pivot it divided by
+    __slots__ = ("field", "N", "prec", "coords", "consumed", "pivot_inv")
 
     def __init__(self, field: FieldSpec, coords: Sequence[TruncSeries],
                  consumed: int = 0, _trusted: bool = False):
@@ -43,6 +44,7 @@ class ProjPoint:
         self.coords = tuple(coords)
         self.prec = coords[0].prec
         self.consumed = consumed
+        self.pivot_inv: Optional[TruncSeries] = None
 
     def __eq__(self, other):
         return (isinstance(other, ProjPoint) and self.field == other.field
@@ -56,12 +58,15 @@ class ProjPoint:
         return f"[{inner}]"
 
 
-def normalize(raw: Sequence[TruncSeries]) -> ProjPoint:
+def normalize(raw: Sequence[TruncSeries],
+              pivot_inv: Optional[TruncSeries] = None) -> ProjPoint:
     """Canonicalize homogeneous coordinates.
 
     Aligns precisions, shifts out the common t-power (consuming that much
     absolute precision), then scales so the first unit coordinate is
-    exactly 1.
+    exactly 1.  ``pivot_inv`` is a start for the pivot's inverse (see
+    TruncSeries.inverse; a wrong one costs a product, never a digit), and
+    the inverse found is kept on the point as its ``pivot_inv``.
     """
     coords = list(raw)
     if len(coords) < 2:
@@ -87,10 +92,12 @@ def normalize(raw: Sequence[TruncSeries]) -> ProjPoint:
         coords = [c.shift_down(v) for c in coords]
         prec -= v
     pivot = next(i for i, c in enumerate(coords) if c.is_unit())
-    u_inv = coords[pivot].inverse()
+    u_inv = coords[pivot].inverse(pivot_inv)
     out = [c * u_inv if i != pivot else TruncSeries.one(field, prec)
            for i, c in enumerate(coords)]
-    return ProjPoint(field, out, consumed=v, _trusted=True)
+    P = ProjPoint(field, out, consumed=v, _trusted=True)
+    P.pivot_inv = u_inv
+    return P
 
 
 def reduce_point(P: ProjPoint) -> Tuple[FqElem, ...]:
@@ -207,8 +214,13 @@ def eval_hom(h: HomogPoly, P: ProjPoint) -> TruncSeries:
     return eval_hom_coords(h, P.coords)
 
 
-def eval_hom_coords(h: HomogPoly, coords: Sequence[TruncSeries]) -> TruncSeries:
-    """Evaluate at series coordinates; result at the coordinate precision."""
+def eval_hom_coords(h: HomogPoly, coords: Sequence[TruncSeries],
+                    pth_powers: bool = False) -> TruncSeries:
+    """Evaluate at series coordinates; result at the coordinate precision.
+
+    With ``pth_powers``, evaluate at the coordinates' p-th powers instead:
+    each monomial x^k is formed at r = ceil(prec/p) digits, then padded to
+    prec and dilated into x^(pk) by frobenius_power(1), which is exact."""
     if len(coords) != h.N + 1:
         raise DimensionMismatch(
             f"{len(coords)} coordinates for {h.N + 1} variables")
@@ -217,13 +229,14 @@ def eval_hom_coords(h: HomogPoly, coords: Sequence[TruncSeries]) -> TruncSeries:
     out = TruncSeries.zeros(field, prec)
     if not h.terms:
         return out
-    # powers[j][k-1] = coords[j]^k at prec, up to the top exponent of x_j
+    r = -(-prec // field.p) if pth_powers else prec
+    # powers[j][k-1] = coords[j]^k at r, up to the top exponent of x_j
     powers: List[List[TruncSeries]] = []
     for j, c in enumerate(coords):
         top = max(exps[j] for exps in h.terms)
-        row = [c.change_precision(prec)] if top else []
+        row = [c.change_precision(r)] if top else []
         for _ in range(top - 1):
-            row.append(row[-1] * c)
+            row.append(row[-1] * row[0])
         powers.append(row)
 
     for exps, coeff in h.terms.items():
@@ -235,6 +248,8 @@ def eval_hom_coords(h: HomogPoly, coords: Sequence[TruncSeries]) -> TruncSeries:
             if k:
                 part = powers[j][k - 1]
                 mono = part if mono is None else mono * part
+        if mono is not None and pth_powers:
+            mono = mono.change_precision(prec).frobenius_power(1)
         term = coeff.change_precision(prec) if mono is None else mono * coeff
         out = out + term
     return out

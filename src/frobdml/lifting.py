@@ -14,11 +14,19 @@ sigma_fixed_lift spends precision only as it is earned.  It starts from P0 at
 precision 1; a step takes the approximation from n digits to
 min(prec, largest power of two <= p*n) and applies sigma^{-1} o f there,
 padding the n known digits with exact zeros (the padded digits are
-recomputed by the step).  Powers of two are the lengths Newton inversion
-already packs, so the ramp adds no packing shapes.  At prec the plain
-iteration runs until it repeats a point; that final exact fixed-point test at
-full precision, not the rate, certifies the result, which by uniqueness is
-the same point whatever the path.
+recomputed by the step).  Powers of two are shared by lifts to every
+precision, so the ramp adds few packing shapes.  At prec the plain iteration
+runs until it repeats a point; that final exact fixed-point test at full
+precision, not the rate, certifies the result, which by uniqueness is the
+same point whatever the path.
+
+Each step passes its image's pivot inverse to the next apply_map as a start.
+The raw image of the step to n' digits agrees mod t^n with that of the step
+to n, so Newton needs one step per doubling from n to n' (one for p = 2, 3,
+two for p = 5, 7), and the certificate's inverse costs only the product that
+measures its start.  TruncSeries.inverse trusts a start only as far as that
+product shows, so no digit of any result changes, and the certificate is
+the same test as without it.
 
 Induction gives f^n(P~) = sigma^n(P~), so the forward orbit of P~ is periodic
 with period dividing the degree over F_q of the coefficient field of P~, and
@@ -119,12 +127,16 @@ def sigma_fixed_lift(f: DmlMap, P0: Sequence[FqElem], prec: int) -> SigmaFixedLi
     # n correct digits earn p*n.  A map known below prec climbs only to its
     # own precision, so the full-precision loop reports the shortfall.
     top = min(prec, f.coefficient_precision())
+    inv = None      # the last image's pivot inverse, a start for the next
     while cur.prec < top:
         n = min(top, 1 << ((f.p * cur.prec).bit_length() - 1))
-        cur = point_galois(apply_map(f, _zero_extend(cur, n)), f.e, inverse=True)
+        img = apply_map(f, _zero_extend(cur, n), pivot_inv=inv)
+        inv = img.pivot_inv
+        cur = point_galois(img, f.e, inverse=True)
     cur = _zero_extend(cur, prec)
     for _ in range(prec + 2):
-        img = apply_map(f, cur)
+        img = apply_map(f, cur, pivot_inv=inv)
+        inv = img.pivot_inv
         nxt = point_galois(img, f.e, inverse=True)
         if nxt.coords == cur.coords:
             break

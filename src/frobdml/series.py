@@ -37,12 +37,12 @@ bit over the slot width), division by t^k (a shift) and truncation (a mask)
 read the integer directly.  Whatever changes the precision repacks when the
 new precision has another width: an operation whose operands differ in
 precision cuts the longer one to the common precision, and change_precision,
-shift_down, eq_at_precision and the Newton steps of inverse pass through
-_fit.  A repack copies the low bytes of every digit into a buffer of the
-other width, which is exact because a reduced digit is below p < 2^(w-1) in
-every width the precision admits.  FqElem values appear only at the
-boundaries: the list constructor used by parsing, and ``coeffs`` and
-``constant_term``, which decode on every call.
+shift_down and eq_at_precision pass through _fit.  A repack copies the low
+bytes of every digit into a buffer of the other width, which is exact
+because a reduced digit is below p < 2^(w-1) in every width the precision
+admits.  FqElem values appear only at the boundaries: the list constructor
+used by parsing, and ``coeffs`` and ``constant_term``, which decode on every
+call.
 
 The spare top bit serves addition: digits are added, then p is subtracted
 from exactly the digits that reached p, read off as bit w-1 after adding
@@ -447,32 +447,50 @@ class TruncSeries:
         sh = self.field._kron[n]
         return _new(self.field, n, _reduce(sh, (X * Y) & sh.mask))
 
-    def inverse(self) -> "TruncSeries":
+    def inverse(self, start: Optional["TruncSeries"] = None) -> "TruncSeries":
         """Inverse of a unit by Newton iteration with precision doubling
         (R. P. Brent, H. T. Kung, "Fast algorithms for manipulating formal
-        power series", J. ACM 1978).
+        power series", J. ACM 1978), on the packings alone.
 
-        When v is right mod t^h, u*v = 1 + t^h*d (d is u*v shifted down by
-        h), and for k = min(2h, prec) the step v - t^h*((v mod t^(k-h))*d)
-        is right mod t^k.  The low h digits of v are kept as they are, so the
-        correction costs one (k-h)-slot product besides the k-by-h product
-        u*v.  Every operand is fitted to the precision of its step, so each
-        product packs in the width that precision allows."""
+        When v is right mod t^h, u*v = 1 + t^h*d, and for k = min(2h, prec)
+        the step v - t^h*((v mod t^(k-h))*d) is right mod t^k, whatever the
+        digits of v above h: the correction costs one (k-h)-slot product
+        besides the product u*v that gives d.  Every step works in the digit
+        width of prec, whose bound also holds for the shorter products, and
+        truncates with a mask, so no step repacks or builds a TruncSeries.
+
+        ``start``, a guess of any precision, is trusted only as far as it is
+        measured: the product u*start shows its first wrong slot h, and
+        Newton continues from there with d read off that product (from u's
+        constant term if slot 0 is wrong)."""
         if not self.is_unit():
             raise NonUnitDivisor(
                 f"valuation {self.valuation()} > 0, cannot invert at fixed precision")
-        field, prec = self.field, self.prec
-        K = field._kron
-        v = K[1].L.pack(self.constant_term().inv().coeffs)
-        h = 1
+        field, prec, U = self.field, self.prec, self.packed
+        sh = field._kron[prec]
+        S = sh.L.S
+        h = 0
+        if start is not None:
+            self._align(start)
+            v = _fit(field._kron, start.packed, start.prec, prec)
+            P = _reduce(sh, (U * v) & sh.mask)
+            if P == 1:
+                return _new(field, prec, v)
+            D = P ^ 1     # its lowest set bit lies in the first slot of P that is wrong
+            h = ((D & -D).bit_length() - 1) // S
+        if not h:
+            one = (U & sh.L.slot) == 1  # 1 is its own inverse
+            v = 1 if one else sh.L.pack(self.constant_term().inv().coeffs)
+            h, P = 1, None
         while h < prec:
             k = min(2 * h, prec)
-            v = _fit(K, v, h, k)
-            u = _new(field, k, _fit(K, self.packed, prec, k))
-            d = (u * _new(field, k, v)).shift_down(h)
-            c = -(_new(field, k - h, _fit(K, v, k, k - h)) * d)
-            v |= _fit(K, c.packed, k - h, k) << (h * K[k].L.S)
-            h = k
+            mk, mc = (1 << (k * S)) - 1, (1 << ((k - h) * S)) - 1
+            vk = v & mk
+            if P is None:
+                P = _reduce(sh, ((U & mk) * vk) & mk)
+            c = _reduce(sh, ((v & mc) * ((P >> (h * S)) & mc)) & mc)
+            v = _sub(sh, vk, c << (h * S))
+            h, P = k, None
         return _new(field, prec, v)
 
     def __truediv__(self, other: "TruncSeries") -> "TruncSeries":
@@ -483,7 +501,11 @@ class TruncSeries:
         """self^(p^k) via the char-p identity (sum c_j t^j)^p = sum c_j^p t^(pj):
         slot j moves to slot j*p^k, then Frob_{p^k} acts on every coefficient.
 
-        Exact, one pass; absolute precision is conservatively kept."""
+        Exact, one pass; absolute precision is conservatively kept.  Only the
+        first r = ceil(prec/p^k) digits reach the result, since (x + t^r*y)^(p^k)
+        = x^(p^k) + t^(r*p^k)*y^(p^k): x known mod t^r and padded with zero
+        digits to prec has the same x^(p^k) mod t^prec.  eval_hom_coords
+        forms monomials at r digits on this identity."""
         field, n = self.field, self.prec
         pk = field.p ** k
         slot = field._kron[n].L.S // 8

@@ -7,8 +7,7 @@ import pytest
 
 from frobdml.cli import RETURNS_NOTE, main
 from frobdml.field import PRIME_BOUND
-from frobdml.instances import (fixture_path, parse_instance,
-                               parse_instance_dict, render_instance)
+from frobdml.instances import fixture_path, parse_instance, render_instance
 
 F1 = fixture_path("f1.json")
 F3 = fixture_path("f3.json")

@@ -10,15 +10,17 @@ from frobdml.dynamics import (CoefficientFieldTooLarge,
                               dml_to_general, invert_series_matrix, iterate_map,
                               orbit, preimage_qp, recognize_dml_form, series_det,
                               validate_map)
-from frobdml.errors import DegreeMismatch, NonUnitDivisor, NotInImage, UnsupportedQ
-from frobdml.geometry import HomogPoly, ProjPoint, format_poly, poly_mul, proj_eq
+from frobdml.errors import (DegreeMismatch, NonUnitDivisor, NotInImage,
+                            PrecisionExhausted, UnsupportedQ)
+from frobdml.geometry import (HomogPoly, ProjPoint, eval_hom_coords, format_poly,
+                              normalize, poly_mul, proj_eq)
 from frobdml.instances import fixture_path, parse_instance
 from frobdml.lifting import point_galois, sigma_fixed_lift
 from frobdml.series import (AtPrecisionZero, GaloisAction, TruncSeries,
                             format_series, parse_series)
 
-from conftest import (field_for, identity_matrix, rand_point, rand_suite_map,
-                      rand_residue_point)
+from conftest import (field_for, identity_matrix, rand_exponents, rand_point,
+                      rand_suite_map, rand_residue_point)
 
 F2 = field_for(2, 1)
 F4 = field_for(2, 2)
@@ -462,3 +464,102 @@ def test_apply_commutes_with_galois_at_large_p():
         fP = apply_map(f, P)
         sigma_fP = ProjPoint(f.field, [c.galois(sigma) for c in fP.coords])
         assert proj_eq(apply_map(f, sigmaP), sigma_fP)
+
+
+# ---------------------------------------------------------------------------
+# G(x^p) from monomials at ceil(n/p) digits against the full-precision route
+# ---------------------------------------------------------------------------
+
+def eval_at_pth_powers_reference(g, coords):
+    """Reference: dilate every coordinate, then evaluate at full precision."""
+    return eval_hom_coords(g, [c.frobenius_power(1) for c in coords])
+
+
+def apply_map_reference(f, P):
+    """apply_map of a DmlMap with G evaluated by the full-precision route,
+    row by row in the order that fixes the error precedence."""
+    prec = P.prec
+    xq = [c.frobenius_power(f.e) for c in P.coords]
+    imgs = []
+    for i, entries in enumerate(f._nonzero_rows()):
+        acc = TruncSeries.zeros(f.field, prec)
+        for j, s, _ in entries:
+            if s.prec < prec:
+                raise PrecisionExhausted(
+                    f"map coefficient known only to t^{s.prec} < point precision {prec}")
+            acc = acc + s * xq[j]
+        if not f.G[i].is_zero():
+            acc = acc + eval_at_pth_powers_reference(f.G[i], P.coords)
+        imgs.append(acc)
+    Q = normalize(imgs)
+    if Q.consumed:
+        raise PrecisionExhausted(
+            f"image lies in t^{Q.consumed}*O^(N+1); the map drops precision here")
+    return Q
+
+
+def outcome(fn, *args):
+    """The result (a series, or a point's coordinates), or the error type
+    and message."""
+    try:
+        out = fn(*args)
+    except Exception as ex:  # compared, never swallowed
+        return type(ex), str(ex)
+    return out.coords if isinstance(out, ProjPoint) else out
+
+
+def rand_coeff_prec(rng, n):
+    """A coefficient precision: usually at or above n, now and then below."""
+    return rng.choice((n, n + 1, n + 7, 2 * n + 3, max(1, n - 1), max(1, n - rng.randint(1, 3))))
+
+
+def rand_ideal_series(rng, F, prec, v=1):
+    """Prime-subfield digits (fixed by every Frobenius) from t^v on."""
+    return TruncSeries(F, prec, [F.zero()] * v + [F.from_int(rng.randrange(F.p))
+                                                  for _ in range(prec - v)])
+
+
+def rand_g_map(rng, F, e, N, n):
+    """A = I + t*B and G of degree p^(e-1) over the prime subfield, each
+    coefficient at its own precision around n."""
+    d = F.p ** (e - 1)
+    A = []
+    for i in range(N + 1):
+        row = []
+        for j in range(N + 1):
+            s = rand_ideal_series(rng, F, rand_coeff_prec(rng, n) + 1)
+            row.append(s + TruncSeries.one(F, s.prec) if i == j else s)
+        A.append(row)
+    G = [HomogPoly(F, N, d, {rand_exponents(rng, N + 1, d):
+                             rand_ideal_series(rng, F, rand_coeff_prec(rng, n) + 1)
+                             for _ in range(rng.randint(0, 3))})
+         for _ in range(N + 1)]
+    f = validate_map(F, F.p, e, A, G)
+    assert isinstance(f, DmlMap), f
+    return f
+
+
+G_CASES = [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)] + [(257, 1), (257, 2), (65537, 1)]
+
+
+@pytest.mark.parametrize("p,e", G_CASES, ids=[f"p{p}e{e}" for p, e in G_CASES])
+def test_g_at_pth_powers_matches_the_full_precision_route(p, e):
+    rng = random.Random(1500 + 10 * p + e)
+    for _ in range(20):
+        F = field_for(p, rng.randint(1, 3))
+        N = rng.randint(1, 2)
+        n = rng.choice((1, 2, 3, rng.randint(4, 40)))
+        f = rand_g_map(rng, F, e, N, n)
+        P = rand_point(rng, F, N, n)
+        for g in f.G:
+            assert (outcome(eval_hom_coords, g, P.coords, True)
+                    == outcome(eval_at_pth_powers_reference, g, P.coords))
+        assert outcome(apply_map, f, P) == outcome(apply_map_reference, f, P)
+        # forms of degree 1-3 too, so that ceil(n/p) = 1 meets monomials of
+        # degree 2 and 3 at p = 65537, where a map's G would have degree 65537
+        deg = rng.randint(1, 3)
+        h = HomogPoly(F, N, deg, {rand_exponents(rng, N + 1, deg):
+                                  rand_ideal_series(rng, F, rand_coeff_prec(rng, n), 0)
+                                  for _ in range(rng.randint(1, 4))})
+        assert (outcome(eval_hom_coords, h, P.coords, True)
+                == outcome(eval_at_pth_powers_reference, h, P.coords))

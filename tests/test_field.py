@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from frobdml.errors import (DegreeMismatch, DegreeOverflow, DivisionByZero,
                             FieldMismatch, NonPrimeP, ReducibleModulus)
-from frobdml.field import (PRIME_BOUND, FieldSpec, _is_prime, _poly_str,
+from frobdml.field import (PRIME_BOUND, _is_prime, _poly_str,
                            format_element, frobenius_pow, make_field, parse_element)
 
 from conftest import field_for

@@ -6,7 +6,7 @@ import pytest
 from frobdml.dynamics import DmlMap, GeneralMap
 from frobdml.errors import ParseError, ValidationFailure
 from frobdml.geometry import ProjPoint
-from frobdml.instances import (Instance, Parameters, fixture_path,
+from frobdml.instances import (Parameters, fixture_path,
                                format_instance, parse_instance,
                                parse_instance_dict, parse_twist_file,
                                render_instance)

@@ -2,15 +2,15 @@ import random
 
 import pytest
 
-from frobdml.dynamics import apply_map, orbit
+from frobdml.dynamics import apply_map
 from frobdml.errors import (NonCanonicalBasePoint, PrecisionExhausted,
                             PrecisionTooLow, PreconditionMatrixNotIdentityModT)
-from frobdml.geometry import ProjPoint, point_variety, proj_eq, reduce_point
+from frobdml.geometry import ProjPoint, proj_eq, reduce_point
 from frobdml.instances import fixture_path, parse_instance
 from frobdml.lifting import (critical_witness, detect_residue_degree,
                              invariance_evidence, minimal_period, point_galois,
                              sigma_fixed_lift)
-from frobdml.series import TruncSeries, format_series, parse_series
+from frobdml.series import TruncSeries, format_series
 
 from conftest import field_for, rand_point, rand_residue_point, rand_suite_map
 
@@ -71,6 +71,28 @@ def test_earned_precision_lift_matches_full_precision_reference():
             assert L.sigma_exponent == f.e
     p, e, m, N = (set(col) for col in zip(*seen))
     assert p == {2, 3, 5} and e == {1, 2} and m == {1, 2, 3} and N == {1, 2, 3}
+
+
+def test_lift_carries_each_pivot_inverse_into_the_next_step(monkeypatch):
+    # every pivot inverse after the first ramp step gets the last image's as
+    # a start, and the certificate's start is already its exact inverse
+    starts = []
+    inverse = TruncSeries.inverse
+
+    def spy(u, start=None):
+        inv = inverse(u, start)
+        starts.append(None if start is None else start == inv)
+        return inv
+
+    monkeypatch.setattr(TruncSeries, "inverse", spy)
+    rng = random.Random(5151)
+    for _ in range(6):
+        f = rand_suite_map(rng, prec=64)
+        starts.clear()
+        sigma_fixed_lift(f, rand_residue_point(rng, f), 64)
+        # the constant lift and the first ramp step start cold
+        assert starts[:2] == [None, None] and None not in starts[2:]
+        assert starts[-1] is True
 
 
 def test_lift_beyond_map_precision_fails_at_the_requested_precision():

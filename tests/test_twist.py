@@ -21,7 +21,7 @@ from frobdml import twist
 from frobdml.twist import (count_solutions_exhaustive, normalize_conjugate,
                            solve_twist)
 
-from conftest import ext_det, field_for, fq_det, identity_matrix, rand_dml, rand_gl
+from conftest import ext_det, field_for, fq_det, rand_dml, rand_gl
 
 F2 = field_for(2, 1)
 F3 = field_for(3, 1)
