@@ -7,9 +7,10 @@ variables y_j standing for x_j^p, every G coefficient in the maximal ideal
 used for symbolic composition and for maps that only acquire the structured
 form after iteration.
 
-q-th powers of series are Frobenius (coefficientwise p-power with index
-dilation), never repeated multiplication, so applying a map costs a handful
-of genuine series multiplications for the G part only.
+Every monomial of a DmlMap is a p-th power, so apply_map evaluates it
+through the p-sections of its coefficients when they are long enough: each
+product runs at ceil(n/p) digits, and one interleave and one Frobenius per
+coordinate give the image at n digits (see apply_map).
 """
 from __future__ import annotations
 
@@ -39,9 +40,17 @@ from .geometry import (
     poly_mul,
 )
 from .record import Record
-from .series import AtPrecisionZero, TruncSeries
+from .series import (AtPrecisionZero, TruncSeries, _Shape, _add, _fit, _galois, _gather,
+                     _new, _reduce, _scatter)
 
 DEFAULT_TERM_BOUND = 10 ** 6
+# precisions whose coefficient sections a DmlMap keeps: a lift meets about
+# log2(prec) + 1 of them, the ramp and the requested one
+SECTIONS_KEPT = 16
+# apply_map splits into p-sections only when each holds at least this many
+# digits: below it the work per section costs more than the shorter products
+# save (measured crossover, p = 2 to 257; see BENCH_16.json)
+SECTION_MIN_R = 32
 
 
 def term_bound() -> int:
@@ -116,7 +125,7 @@ class ConditionsReport(Record):
 # ---------------------------------------------------------------------------
 
 class DmlMap:
-    __slots__ = ("field", "p", "e", "N", "A", "G", "e0", "label", "_rows")
+    __slots__ = ("field", "p", "e", "N", "A", "G", "e0", "label", "_secs")
 
     def __init__(self, field: FieldSpec, p: int, e: int, A: Sequence[Sequence[TruncSeries]],
                  G: Sequence[HomogPoly], e0: int, label: str = ""):
@@ -128,7 +137,7 @@ class DmlMap:
         self.G = tuple(G)
         self.e0 = e0
         self.label = label
-        self._rows: Optional[list] = None
+        self._secs: Dict[int, tuple] = {}
 
     @property
     def q(self) -> int:
@@ -139,11 +148,17 @@ class DmlMap:
         precs += [c.prec for g in self.G for c in g.terms.values()]
         return min(precs)
 
-    def _nonzero_rows(self):
-        if self._rows is None:
-            self._rows = [[(j, s, s.is_one()) for j, s in enumerate(row)
-                           if not s.is_zero_at_precision()] for row in self.A]
-        return self._rows
+    def _sections(self, n: int) -> tuple:
+        """The monomials and sections of the coefficients at precision n
+        (see _build_sections), built on the first call at n and kept for the
+        last SECTIONS_KEPT precisions."""
+        secs = self._secs.get(n)
+        if secs is None:
+            secs = _build_sections(self, n)
+            if len(self._secs) >= SECTIONS_KEPT:   # evict the oldest
+                del self._secs[next(iter(self._secs))]
+            self._secs[n] = secs
+        return secs
 
     def __repr__(self):
         return f"DmlMap(p={self.p}, e={self.e}, N={self.N}, label={self.label!r})"
@@ -341,34 +356,163 @@ def _at_prec(s: TruncSeries, prec: int) -> TruncSeries:
     return s.change_precision(prec) if s.prec > prec else s
 
 
+def _build_sections(f: DmlMap, n: int) -> tuple:
+    """(monos, rows): the exponent vectors of the monomials the F_ik read
+    (see apply_map), x_j^(q/p) first, one per variable, then every other
+    one of G; and per coordinate i the terms of the F_ik at precision n as
+    a list of (k, chunks): each chunk a list of (D, v), D the packing of a
+    nonzero section d_k at r = ceil(n/p) slots in the width of n, v the
+    index of its monomial in monos.  Coefficients of one monomial are added
+    first.  A chunk holds at most as many products as the digit bound of
+    the Barrett pass admits unreduced.  When r < SECTION_MIN_R the only k
+    is 0 and D is the coefficient itself at n digits.
+
+    Every coefficient must be known to n digits, an entry of A that is
+    exactly 0 or 1 included: A row by row, then G, in that order."""
+    for row in f.A:
+        for s in row:
+            if s.prec < n:
+                raise PrecisionExhausted(
+                    f"map coefficient known only to t^{s.prec} < point precision {n}")
+    for g in f.G:
+        for c in g.terms.values():
+            if c.prec < n:
+                raise PrecisionExhausted(
+                    f"coefficient known only to t^{c.prec} < evaluation precision {n}")
+    field, p, m = f.field, f.p, f.field.m
+    K = field._kron
+    sh = K[n]
+    r = -(-n // p)
+    # a sum of c products of r-slot packings has digits below
+    # c*r*m*(p-1)^2; the fold in _reduce adds less than m*p^2
+    cap = ((1 << (sh.L.w - 1)) - 1 - m * p * p) // (r * m * (p - 1) ** 2)
+    d, N = p ** (f.e - 1), f.N
+    index = {tuple(d if k == j else 0 for k in range(N + 1)): j for j in range(N + 1)}
+    for g in f.G:
+        for exps in g.terms:
+            index.setdefault(exps, len(index))
+    rows = []
+    for i in range(N + 1):
+        coeffs: Dict[int, int] = {}
+        terms = list(enumerate(f.A[i]))
+        terms += [(index[exps], c) for exps, c in f.G[i].terms.items()]
+        for v, c in terms:
+            X = _fit(K, c.packed, c.prec, n)
+            coeffs[v] = _add(sh, coeffs[v], X) if v in coeffs else X
+        groups: Dict[int, List[Tuple[int, int]]] = {}
+        for v, X in coeffs.items():
+            if r < SECTION_MIN_R:
+                sections = [X]
+            else:
+                sections = _gather(sh.L, _galois(sh, field, X, -1 % m) if m > 1 else X, n, p)
+            for k, D in enumerate(sections):
+                if D:
+                    groups.setdefault(k, []).append((D, v))
+        rows.append([(k, [ts[a:a + cap] for a in range(0, len(ts), cap)])
+                     for k, ts in sorted(groups.items())])
+    return list(index), rows
+
+
+def _monomials(f: DmlMap, monos: List[ExpVec], sh: _Shape, X: List[int],
+               r: int) -> List[int]:
+    """The monomials ``monos`` (see _build_sections) at the coordinates X,
+    canonical packings of r slots in the width of sh: x_j^(q/p) by moving
+    slot i to slot i*q/p and one Frob_(q/p), the others by products masked
+    to r."""
+    field, N, L = f.field, f.N, sh.L
+    mask = (1 << (r * L.S)) - 1
+    d = f.q // f.p
+    if d == 1:
+        vals = list(X)
+    else:
+        cut = (1 << (-(-r // d) * L.S)) - 1
+        frob = (f.e - 1) % field.m
+        vals = [_scatter(L, r, d, [(0, x & cut)]) for x in X]
+        if frob:
+            vals = [_galois(sh, field, y, frob) for y in vals]
+    powers = [[x] for x in X]      # powers[j][k-1] = x_j^k, extended on demand
+    for exps in monos[N + 1:]:
+        mono = None
+        for j, k in enumerate(exps):
+            if k:
+                pw = powers[j]
+                while len(pw) < k:
+                    pw.append(_reduce(sh, (pw[-1] * pw[0]) & mask))
+                mono = pw[k - 1] if mono is None else _reduce(sh, (mono * pw[k - 1]) & mask)
+        vals.append(mono)
+    return vals
+
+
 def apply_map(f: AnyMap, P: ProjPoint,
               pivot_inv: Optional[TruncSeries] = None) -> ProjPoint:
     """One application, canonical output at the same absolute precision.
 
-    G is evaluated at the p-th powers: for e = 1 the dilated x^q, for e >= 2
-    monomials formed at ceil(prec/p) digits, then dilated.  ``pivot_inv``
+    A DmlMap is evaluated through p-sections when r = ceil(n/p) >=
+    SECTION_MIN_R.  Every coefficient splits as
+    c = sum_(k<p) t^k * d_k(c)^p (see TruncSeries.frobenius_power), and
+    every monomial of f is a p-th power, so
+
+        f_i(x) = sum_(k<p) t^k * F_ik(x)^p,
+        F_ik(x) = sum_j d_k(A_ij) * x_j^(q/p) + sum_e d_k(c_ie) * x^e,
+
+    where G_i = sum_e c_ie * y^e.  Slot j of F_ik lands at slot p*j + k of
+    f_i(x), so modulo t^n only the slots j < r of F_ik count,
+    and those read x and the d_k only mod t^r: a digit of d_k whose slot
+    lands at p*j + k >= n never reaches the result.  The F_ik are formed at
+    r digits from monomials shared by every row and section (sections that
+    are zero are skipped, sections equal to 1 not multiplied), then moved
+    into place by one interleave per coordinate, with no additions, and
+    Frob_p acts once on the whole packing.
+
+    Sections shorter than SECTION_MIN_R digits cost more per section than
+    their shorter products save.  There the same monomials, formed at r
+    digits, are dilated to their p-th powers at n digits (one slot move and
+    one Frob_p each), and f_i(x) = sum c * monomial^p with every c at n
+    digits.  Both routes sum the products of a coordinate unreduced as far
+    as the digit bound allows, and give the same packings.
+
+    A map coefficient known below the point precision raises
+    PrecisionExhausted (_build_sections gives the order).  ``pivot_inv``
     goes to normalize as a start for the image's pivot inverse."""
     if f.field != P.field:
         raise FieldMismatch("map and point over different fields")
     if f.N != P.N:
         raise DimensionMismatch(f"map on P^{f.N}, point in P^{P.N}")
-    prec = P.prec
     if isinstance(f, GeneralMap):
         imgs = [eval_hom_coords(h, P.coords) for h in f.coords]
     else:
-        xq = [c.frobenius_power(f.e) for c in P.coords]
+        field, n, p = f.field, P.prec, f.p
+        monos, rows = f._sections(n)
+        sh = field._kron[n]
+        r = -(-n // p)
+        mask = (1 << (r * sh.L.S)) - 1
+        vals = _monomials(f, monos, sh, [c.packed & mask for c in P.coords], r)
+        frob = 1 % field.m
+        sectioned = r >= SECTION_MIN_R
+        if not sectioned:
+            mask = sh.mask
+            vals = [_scatter(sh.L, n, p, [(0, v)]) for v in vals]
+            if frob:
+                vals = [_galois(sh, field, v, 1) for v in vals]
         imgs = []
-        for i, entries in enumerate(f._nonzero_rows()):
-            acc: Optional[TruncSeries] = None
-            for j, s, is_one in entries:
-                term = xq[j] if is_one else _at_prec(s, prec) * xq[j]
-                acc = term if acc is None else acc + term
-            g = f.G[i]
-            if not g.is_zero():
-                gval = (eval_hom_coords(g, xq) if f.e == 1
-                        else eval_hom_coords(g, P.coords, pth_powers=True))
-                acc = gval if acc is None else acc + gval
-            imgs.append(acc if acc is not None else TruncSeries.zeros(f.field, prec))
+        for row in rows:
+            parts = []
+            for k, chunks in row:
+                F = None
+                for chunk in chunks:
+                    acc = 0
+                    for D, v in chunk:
+                        acc += vals[v] if D == 1 else D * vals[v]
+                    acc &= mask
+                    F = acc if F is None else _add(sh, _reduce(sh, F), _reduce(sh, acc))
+                parts.append((k, F))
+            if not sectioned:
+                X = _reduce(sh, parts[0][1]) if parts else 0
+            else:
+                X = _reduce(sh, _scatter(sh.L, n, p, parts))
+                if frob:
+                    X = _galois(sh, field, X, 1)
+            imgs.append(_new(field, n, X))
     Q = normalize(imgs, pivot_inv=pivot_inv)
     if Q.consumed:
         raise PrecisionExhausted(

@@ -358,11 +358,6 @@ class FqElem:
         return _poly_str(self.coeffs)
 
 
-def frobenius_pow(x: FqElem, e: int) -> FqElem:
-    """x^(p^e) for any integer e; e is reduced mod the order m of Frobenius."""
-    return x.frobenius(e)
-
-
 # ---------------------------------------------------------------------------
 # element text syntax:  a+1   2*a^3+1   0
 # ---------------------------------------------------------------------------

@@ -214,13 +214,8 @@ def eval_hom(h: HomogPoly, P: ProjPoint) -> TruncSeries:
     return eval_hom_coords(h, P.coords)
 
 
-def eval_hom_coords(h: HomogPoly, coords: Sequence[TruncSeries],
-                    pth_powers: bool = False) -> TruncSeries:
-    """Evaluate at series coordinates; result at the coordinate precision.
-
-    With ``pth_powers``, evaluate at the coordinates' p-th powers instead:
-    each monomial x^k is formed at r = ceil(prec/p) digits, then padded to
-    prec and dilated into x^(pk) by frobenius_power(1), which is exact."""
+def eval_hom_coords(h: HomogPoly, coords: Sequence[TruncSeries]) -> TruncSeries:
+    """Evaluate at series coordinates; result at the coordinate precision."""
     if len(coords) != h.N + 1:
         raise DimensionMismatch(
             f"{len(coords)} coordinates for {h.N + 1} variables")
@@ -229,12 +224,11 @@ def eval_hom_coords(h: HomogPoly, coords: Sequence[TruncSeries],
     out = TruncSeries.zeros(field, prec)
     if not h.terms:
         return out
-    r = -(-prec // field.p) if pth_powers else prec
-    # powers[j][k-1] = coords[j]^k at r, up to the top exponent of x_j
+    # powers[j][k-1] = coords[j]^k, up to the top exponent of x_j
     powers: List[List[TruncSeries]] = []
     for j, c in enumerate(coords):
         top = max(exps[j] for exps in h.terms)
-        row = [c.change_precision(r)] if top else []
+        row = [c.change_precision(prec)] if top else []
         for _ in range(top - 1):
             row.append(row[-1] * row[0])
         powers.append(row)
@@ -248,8 +242,6 @@ def eval_hom_coords(h: HomogPoly, coords: Sequence[TruncSeries],
             if k:
                 part = powers[j][k - 1]
                 mono = part if mono is None else mono * part
-        if mono is not None and pth_powers:
-            mono = mono.change_precision(prec).frobenius_power(1)
         term = coeff.change_precision(prec) if mono is None else mono * coeff
         out = out + term
     return out

@@ -141,11 +141,14 @@ class _Layout:
     and the Frobenius columns as packed slots."""
 
     __slots__ = ("p", "m", "w", "S", "slot", "ones_slot", "red", "_frob", "mu", "shift",
-                 "qbits")
+                 "qbits", "unit", "U")
 
     def __init__(self, field: FieldSpec, w: int):
         p, m = field.p, field.m
         self.p, self.m, self.w, self.S = p, m, w, (2 * m - 1) * w
+        # a slot as U memoryview items of format unit, for strided slot moves
+        self.unit = _STRUCT_CODES[min(w, 64)]
+        self.U = (2 * m - 1) * max(1, w // 64)
         self.slot = (1 << (m * w)) - 1
         # Barrett: d // p == (d * mu) >> shift for every d < 2^(w-1); the
         # quotient is below 2^(w-b+1), its window's qbits
@@ -328,6 +331,41 @@ def _galois(sh: _Shape, field: FieldSpec, X: int, k: int) -> int:
     return _reduce_low(sh, acc)
 
 
+def _scatter(L: _Layout, n: int, step: int, parts) -> int:
+    """The n-slot packing whose slot k + step*j is slot j of F, for every
+    (k, F) of ``parts`` and k + step*j < n, and zero elsewhere.  Each F has
+    at most ceil(n/step) slots (canonical or not: whole slots move), and
+    each k is below step, so no two slots meet.  One strided memoryview
+    assignment per item of a slot and per part."""
+    U, sb = L.U, L.S // 8
+    out = bytearray(n * sb)
+    dst = memoryview(out).cast(L.unit)
+    r = -(-n // step)
+    for k, F in parts:
+        cnt = (n - k - 1) // step + 1
+        src = memoryview(F.to_bytes(r * sb, "little")).cast(L.unit)
+        for i in range(U):
+            dst[k * U + i::step * U] = src[i:cnt * U:U]
+    return int.from_bytes(out, "little")
+
+
+def _gather(L: _Layout, X: int, n: int, p: int) -> List[int]:
+    """The p-sections of the n-slot packing X: for k < min(p, n), the
+    packing of ceil(n/p) slots whose slot j is slot k + p*j of X."""
+    U, sb = L.U, L.S // 8
+    r = -(-n // p)
+    src = memoryview(X.to_bytes(n * sb, "little")).cast(L.unit)
+    out = []
+    for k in range(min(p, n)):
+        cnt = (n - k - 1) // p + 1
+        buf = bytearray(r * sb)
+        dst = memoryview(buf).cast(L.unit)
+        for i in range(U):
+            dst[i:cnt * U:U] = src[k * U + i::p * U]
+        out.append(int.from_bytes(buf, "little"))
+    return out
+
+
 def _unpack(field: FieldSpec, sh: _Shape, X: int) -> Tuple[FqElem, ...]:
     """The coefficients of the canonical packing X with sh's slots."""
     m = field.m
@@ -369,10 +407,6 @@ class TruncSeries:
     @staticmethod
     def one(field: FieldSpec, prec: int) -> "TruncSeries":
         return _make(field, prec, lambda L: 1)
-
-    @staticmethod
-    def t_power(field: FieldSpec, j: int, prec: int) -> "TruncSeries":
-        return _make(field, prec, lambda L: 1 << (j * L.S) if j < prec else 0)
 
     # -- inspection -------------------------------------------------------
 
@@ -504,17 +538,20 @@ class TruncSeries:
         Exact, one pass; absolute precision is conservatively kept.  Only the
         first r = ceil(prec/p^k) digits reach the result, since (x + t^r*y)^(p^k)
         = x^(p^k) + t^(r*p^k)*y^(p^k): x known mod t^r and padded with zero
-        digits to prec has the same x^(p^k) mod t^prec.  eval_hom_coords
-        forms monomials at r digits on this identity."""
+        digits to prec has the same x^(p^k) mod t^prec.
+
+        Read backwards, the identity splits any series into p sections,
+        c = sum_(k<p) t^k * d_k^p, where slot j of d_k is Frob_p^(-1) of slot
+        k + p*j of c.  Then c mod t^n is the interleave of the d_k mod
+        t^ceil(n/p): slot j of d_k lands at slot p*j + k, and a digit whose
+        slot lands at or above n never reaches the result.  apply_map
+        evaluates structured maps on this identity."""
         field, n = self.field, self.prec
         pk = field.p ** k
-        slot = field._kron[n].L.S // 8
+        sh = field._kron[n]
         cnt = (n - 1) // pk + 1       # the slots j with j*p^k < n
-        src = self.packed.to_bytes(n * slot, "little")
-        out = bytearray(n * slot)
-        for b in range(slot):         # byte b of every moved slot at once
-            out[b::pk * slot] = src[b:cnt * slot:slot]
-        return _new(field, n, int.from_bytes(out, "little")).galois(k)
+        X = _scatter(sh.L, n, pk, [(0, self.packed & ((1 << (cnt * sh.L.S)) - 1))])
+        return _new(field, n, X).galois(k)
 
     def shift_down(self, k: int) -> "TruncSeries":
         """Divide by t^k (index shift); consumes k digits of precision."""

@@ -43,6 +43,16 @@ def rand_prime_series(rng: random.Random, field: FieldSpec, prec: int,
     return TruncSeries(field, prec, cs)
 
 
+def t_power(field: FieldSpec, j: int, prec: int) -> TruncSeries:
+    """The series t^j at precision prec (zero when j >= prec)."""
+    return TruncSeries(field, prec, [field.zero()] * j + [field.one()])
+
+
+def frobenius_pow(x: FqElem, e: int) -> FqElem:
+    """x^(p^e) for any integer e; e is reduced mod the order m of Frobenius."""
+    return x.frobenius(e)
+
+
 def rand_exponents(rng: random.Random, n: int, degree: int) -> Tuple[int, ...]:
     exps = [0] * n
     for _ in range(degree):

@@ -231,6 +231,23 @@ def test_non_unit_determinant_states_only_known_digits(tmp_path):
     assert out == "invalid\nNonUnitDeterminant: det(A) = O(t^2) has valuation >= 2\n"
 
 
+def test_orbit_refuses_a_map_known_below_the_point(tmp_path):
+    # A = I known to t^4 cannot give an image known to t^16, although its
+    # entries are exactly 0 and 1; with A[0][0] = 1 + t the same holds
+    P = ["1 + O(t^16)", "t + t^3 + t^9 + O(t^16)"]
+    for a00 in ("1 + O(t^4)", "1 + t + O(t^4)"):
+        doc = {"label": "short", "field": {"p": 2, "m": 1, "modulus": [0, 1]},
+               "map": {"p": 2, "e": 1, "A": [[a00, "O(t^4)"], ["O(t^4)", "1 + O(t^4)"]],
+                       "G": [[], []]},
+               "points": {"P": {"coords": P}}}
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(["orbit", str(path), "--point", "P", "--horizon", "2"])
+        assert (code, out) == (2, "")
+        assert err == ("error: PrecisionExhausted: map coefficient known only to "
+                       "t^4 < point precision 16\n")
+
+
 def test_every_diagnostic_in_one_stderr_line(tmp_path):
     doc = render_instance(parse_instance(F1))
     doc["map"]["A"] = [["1", "1"], ["1", "1"]]

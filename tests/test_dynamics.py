@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from frobdml.dynamics import (CoefficientFieldTooLarge,
+from frobdml.dynamics import (SECTION_MIN_R, CoefficientFieldTooLarge,
                               CoefficientNotInMaximalIdeal, DmlMap, GeneralMap,
                               NonUnitDeterminant, NotInForm, WrongDegree,
                               apply_map, check_conditions, compose_maps,
@@ -19,7 +19,7 @@ from frobdml.lifting import point_galois, sigma_fixed_lift
 from frobdml.series import (AtPrecisionZero, GaloisAction, TruncSeries,
                             format_series, parse_series)
 
-from conftest import (field_for, identity_matrix, rand_exponents, rand_point,
+from conftest import (field_for, identity_matrix, rand_exponents, rand_point, t_power,
                       rand_suite_map, rand_residue_point)
 
 F2 = field_for(2, 1)
@@ -253,7 +253,7 @@ def test_orbit_keys_on_consumed_precision():
     reached by dividing out t has the same packings, but only the start
     point records the consumed digit, so the walk must key on it."""
     Q = orbit(F1, ProjPoint(F2, [ser(F2, "1"), ser(F2, "t")]), 2)[2]
-    t = TruncSeries.t_power(F2, 1, 9)
+    t = t_power(F2, 1, 9)
     Pt = ProjPoint(F2, [t * c.change_precision(9) for c in Q.coords])
     assert Pt.consumed == 1 and Pt.coords == Q.coords
     assert [P.consumed for P in orbit(F1, Pt, 4)] == [1, 0, 0, 0, 0]
@@ -467,7 +467,7 @@ def test_apply_commutes_with_galois_at_large_p():
 
 
 # ---------------------------------------------------------------------------
-# G(x^p) from monomials at ceil(n/p) digits against the full-precision route
+# apply_map through p-sections against the full-precision route
 # ---------------------------------------------------------------------------
 
 def eval_at_pth_powers_reference(g, coords):
@@ -476,20 +476,25 @@ def eval_at_pth_powers_reference(g, coords):
 
 
 def apply_map_reference(f, P):
-    """apply_map of a DmlMap with G evaluated by the full-precision route,
-    row by row in the order that fixes the error precedence."""
+    """apply_map of a DmlMap by the full-precision route: x^q dilated, every
+    product at the point precision, G at the dilated coordinates.  Every
+    entry of A, exactly 0 or 1 included, is checked against the point
+    precision, row by row and before G: the order that fixes the error
+    precedence."""
     prec = P.prec
-    xq = [c.frobenius_power(f.e) for c in P.coords]
-    imgs = []
-    for i, entries in enumerate(f._nonzero_rows()):
-        acc = TruncSeries.zeros(f.field, prec)
-        for j, s, _ in entries:
+    for row in f.A:
+        for s in row:
             if s.prec < prec:
                 raise PrecisionExhausted(
                     f"map coefficient known only to t^{s.prec} < point precision {prec}")
-            acc = acc + s * xq[j]
-        if not f.G[i].is_zero():
-            acc = acc + eval_at_pth_powers_reference(f.G[i], P.coords)
+    xq = [c.frobenius_power(f.e) for c in P.coords]
+    imgs = []
+    for row, g in zip(f.A, f.G):
+        acc = TruncSeries.zeros(f.field, prec)
+        for s, x in zip(row, xq):
+            acc = acc + s * x
+        if not g.is_zero():
+            acc = acc + eval_at_pth_powers_reference(g, P.coords)
         imgs.append(acc)
     Q = normalize(imgs)
     if Q.consumed:
@@ -513,27 +518,45 @@ def rand_coeff_prec(rng, n):
     return rng.choice((n, n + 1, n + 7, 2 * n + 3, max(1, n - 1), max(1, n - rng.randint(1, 3))))
 
 
-def rand_ideal_series(rng, F, prec, v=1):
-    """Prime-subfield digits (fixed by every Frobenius) from t^v on."""
-    return TruncSeries(F, prec, [F.zero()] * v + [F.from_int(rng.randrange(F.p))
-                                                  for _ in range(prec - v)])
+def rand_ideal_series(rng, F, prec, v=1, full=False):
+    """Digits from t^v on: from the prime subfield (fixed by every Frobenius),
+    or with ``full`` from all of F."""
+    digit = (lambda: F.from_int(rng.randrange(F.order))) if full else (
+        lambda: F.from_int(rng.randrange(F.p)))
+    return TruncSeries(F, prec, [F.zero()] * v + [digit() for _ in range(prec - v)])
 
 
-def rand_g_map(rng, F, e, N, n):
-    """A = I + t*B and G of degree p^(e-1) over the prime subfield, each
-    coefficient at its own precision around n."""
-    d = F.p ** (e - 1)
+def rand_g_map(rng, F, e, N, n, short):
+    """A = I + t*B and G of degree p^(e-1), each coefficient at its own
+    precision: at least n, or with ``short`` around n.  Now and
+    then an entry of A is exactly 0 or 1, and a G term sits at a pure power
+    y_j^(q/p), where it meets A's column j.  Digits come from all of F when
+    Frob_(p^e) fixes F, else from F_p."""
+    d, full = F.p ** (e - 1), e % F.m == 0
+
+    def cprec():
+        return rand_coeff_prec(rng, n) if short else rng.choice((n, n + 1, n + 7, 2 * n + 3))
+
     A = []
     for i in range(N + 1):
         row = []
         for j in range(N + 1):
-            s = rand_ideal_series(rng, F, rand_coeff_prec(rng, n) + 1)
-            row.append(s + TruncSeries.one(F, s.prec) if i == j else s)
+            prec = cprec()
+            if rng.random() < 0.25:
+                s = TruncSeries.one(F, prec) if i == j else TruncSeries.zeros(F, prec)
+            else:
+                s = rand_ideal_series(rng, F, prec, full=full)
+                s = s + TruncSeries.one(F, prec) if i == j else s
+            row.append(s)
         A.append(row)
-    G = [HomogPoly(F, N, d, {rand_exponents(rng, N + 1, d):
-                             rand_ideal_series(rng, F, rand_coeff_prec(rng, n) + 1)
-                             for _ in range(rng.randint(0, 3))})
-         for _ in range(N + 1)]
+    G = []
+    for _ in range(N + 1):
+        terms = {rand_exponents(rng, N + 1, d): None for _ in range(rng.randint(0, 3))}
+        if rng.random() < 0.3:
+            j = rng.randrange(N + 1)
+            terms[tuple(d if k == j else 0 for k in range(N + 1))] = None
+        G.append(HomogPoly(F, N, d, {exps: rand_ideal_series(rng, F, cprec() + 1, full=full)
+                                     for exps in terms}))
     f = validate_map(F, F.p, e, A, G)
     assert isinstance(f, DmlMap), f
     return f
@@ -544,22 +567,65 @@ G_CASES = [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)] + [(257, 1), (257, 2), 
 
 @pytest.mark.parametrize("p,e", G_CASES, ids=[f"p{p}e{e}" for p, e in G_CASES])
 def test_g_at_pth_powers_matches_the_full_precision_route(p, e):
+    # apply_map forms its products at r = ceil(n/p) digits, through
+    # p-sections when r >= SECTION_MIN_R, the reference at n: the images, the
+    # PrecisionExhausted messages and their precedence agree.  Precisions
+    # fall on both sides of n = p and, for small p, of the sections' rule
     rng = random.Random(1500 + 10 * p + e)
-    for _ in range(20):
+    long = SECTION_MIN_R * p
+    routes = set()
+    for i in range(20):
         F = field_for(p, rng.randint(1, 3))
         N = rng.randint(1, 2)
-        n = rng.choice((1, 2, 3, rng.randint(4, 40)))
-        f = rand_g_map(rng, F, e, N, n)
+        ns = [1, 2, 3, rng.randint(4, 40)]
+        if p < 1000:
+            ns += [p, p + 1, rng.randint(p + 1, p + 40)]
+        if p < 10:
+            ns += [long - p, long - p + 1, rng.randint(long - p + 1, long + 40)]
+        n = ns[i // 2 % len(ns)]
+        f = rand_g_map(rng, F, e, N, n, short=i % 2 == 1)
         P = rand_point(rng, F, N, n)
-        for g in f.G:
-            assert (outcome(eval_hom_coords, g, P.coords, True)
-                    == outcome(eval_at_pth_powers_reference, g, P.coords))
-        assert outcome(apply_map, f, P) == outcome(apply_map_reference, f, P)
-        # forms of degree 1-3 too, so that ceil(n/p) = 1 meets monomials of
-        # degree 2 and 3 at p = 65537, where a map's G would have degree 65537
-        deg = rng.randint(1, 3)
-        h = HomogPoly(F, N, deg, {rand_exponents(rng, N + 1, deg):
-                                  rand_ideal_series(rng, F, rand_coeff_prec(rng, n), 0)
-                                  for _ in range(rng.randint(1, 4))})
-        assert (outcome(eval_hom_coords, h, P.coords, True)
-                == outcome(eval_at_pth_powers_reference, h, P.coords))
+        got = outcome(apply_map, f, P)
+        assert got == outcome(apply_map_reference, f, P)
+        if not isinstance(got[0], type):
+            routes.add(-(-n // p) >= SECTION_MIN_R)
+    assert routes == ({False, True} if p < 10 else {False})
+
+
+def test_apply_map_checks_entries_exactly_zero_or_one():
+    # A = [[1, 0], [0, 1]] known to t^4 at a point known to t^16: no entry is
+    # known below t^4, whatever the zero and one digits suggest
+    P = ProjPoint(F2, [ser(F2, "1", 16), ser(F2, "t + t^3 + t^9", 16)])
+    one, zero = ser(F2, "1", 4), ser(F2, "0", 4)
+    for A in ([[one, zero], [zero, one]], [[ser(F2, "1", 16), zero], [zero, one]]):
+        f = validate_map(F2, 2, 1, A, [HomogPoly.zero(F2, 1, 1)] * 2)
+        with pytest.raises(PrecisionExhausted,
+                           match="map coefficient known only to t\\^4 < point precision 16$"):
+            apply_map(f, P)
+
+
+@pytest.mark.parametrize("p,m,e,N", [(2, 1, 1, 7), (3, 1, 1, 7), (5, 1, 1, 7), (3, 2, 2, 3),
+                                     (2, 3, 3, 3)])
+def test_apply_map_with_largest_digits_at_tier_edges(p, m, e, N):
+    # every digit as large as the field allows, every coefficient dense, at
+    # the last precision of the narrowest digit width and the next: the sums
+    # of products that form an F_ik stay below the Barrett bound only when
+    # they are reduced in chunks
+    F = field_for(p, m)
+    top = ((1 << 7) - 1 - m * p * p) // (m * (p - 1) ** 2)
+    big = F.el([p - 1] * m) if e % m == 0 else F.from_int(p - 1)
+    d = p ** (e - 1)
+    for n in (top, top + 1):
+        tail = [F.zero()] + [big] * (n - 1)
+        A = [[TruncSeries(F, n, tail) + (TruncSeries.one(F, n) if i == j
+                                         else TruncSeries.zeros(F, n))
+              for j in range(N + 1)] for i in range(N + 1)]
+        mixed = [exps for exps in {rand_exponents(random.Random(k), N + 1, d) for k in range(8)}
+                 if max(exps) < d]
+        G = [HomogPoly(F, N, d, {exps: TruncSeries(F, n, tail) for exps in mixed})
+             for _ in range(N + 1)]
+        f = validate_map(F, p, e, A, G)
+        assert isinstance(f, DmlMap), f
+        x = TruncSeries(F, n, [F.el([p - 1] * m)] * n)
+        P = ProjPoint(F, [TruncSeries.one(F, n)] + [x] * N, _trusted=True)
+        assert apply_map(f, P).coords == apply_map_reference(f, P).coords

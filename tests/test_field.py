@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from frobdml.errors import (DegreeMismatch, DegreeOverflow, DivisionByZero,
                             FieldMismatch, NonPrimeP, ReducibleModulus)
 from frobdml.field import (PRIME_BOUND, _is_prime, _poly_str,
-                           format_element, frobenius_pow, make_field, parse_element)
+                           format_element, make_field, parse_element)
 
-from conftest import field_for
+from conftest import field_for, frobenius_pow
 
 F2 = field_for(2, 1)
 F4 = field_for(2, 2)

@@ -96,9 +96,10 @@ def test_lift_carries_each_pivot_inverse_into_the_next_step(monkeypatch):
 
 
 def test_lift_beyond_map_precision_fails_at_the_requested_precision():
-    # f1's G coefficient t is known to t^65; the error names the lift precision
+    # f1's A[0][0] = 1 is known to t^65, and every entry of A is checked
+    # before G; the error names the lift precision
     with pytest.raises(PrecisionExhausted,
-                       match="known only to t\\^65 < evaluation precision 80$"):
+                       match="map coefficient known only to t\\^65 < point precision 80$"):
         sigma_fixed_lift(F1, (F2.one(), F2.zero()), 80)
 
 

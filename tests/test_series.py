@@ -10,7 +10,7 @@ from frobdml.field import make_field
 from frobdml.series import (AtPrecisionZero, GaloisAction, TruncSeries,
                             format_series, parse_series)
 
-from conftest import MODULI, field_for
+from conftest import MODULI, field_for, t_power
 
 F2 = field_for(2, 1)
 F4 = field_for(2, 2)
@@ -152,7 +152,7 @@ def test_parse_errors():
 
 
 def test_t_power_and_one():
-    assert format_series(TruncSeries.t_power(F2, 3, 6)) == "t^3 + O(t^6)"
+    assert format_series(t_power(F2, 3, 6)) == "t^3 + O(t^6)"
     assert format_series(TruncSeries.one(F2, 3)) == "1 + O(t^3)"
     assert format_series(TruncSeries.zeros(F2, 3)) == "O(t^3)"
 
@@ -323,7 +323,7 @@ def test_digit_width_follows_the_bound():
 def test_shape_cache_is_bounded():
     F = make_field(3, 2, [1, 0, 1])
     for n in range(1, 3 * series.SHAPES_KEPT):
-        s = TruncSeries.t_power(F, n - 1, n) * TruncSeries.one(F, n) - TruncSeries.zeros(F, n)
+        s = t_power(F, n - 1, n) * TruncSeries.one(F, n) - TruncSeries.zeros(F, n)
         assert s.valuation() == n - 1 and s.coeffs[n - 1] == F.one()
     K = series._kron(F)
     assert len(K) <= series.SHAPES_KEPT
@@ -602,3 +602,39 @@ def test_strided_frobenius_power_matches_the_slot_loop():
             for k in (1, 2, 3):
                 assert s.frobenius_power(k) == frobenius_reference(s, k)
     assert widths == {8, 16, 32, 64, 128}
+
+
+@st.composite
+def sectioned(draw):
+    """A series over a field of WARM_FIELDS at a precision from 1 to 300 or
+    on either side of one of the field's short tier edges."""
+    F = draw(st.sampled_from(WARM_FIELDS))
+    precs = st.integers(1, 12) | st.integers(13, 300)
+    edges = [top for top in tier_tops(F) if top < 700]
+    if edges:
+        precs |= st.sampled_from(edges).flatmap(
+            lambda top: st.integers(max(1, top - 3), top + 4))
+    return draw(series_in(F, draw(precs)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sectioned())
+def test_interleaving_the_sections_gives_back_the_series(s):
+    # c = sum_(k<p) t^k * d_k^p, where slot j of d_k is Frob_p^(-1) of slot
+    # k + p*j of c: the sections have ceil(n/p) slots in the width of n
+    F, n, p = s.field, s.prec, s.field.p
+    L, r = series._kron(F)[n].L, -(-n // p)
+    ds = series._gather(L, s.galois(-1).packed, n, p)
+    assert len(ds) == min(p, n)
+    cs, zero = s.coeffs, F.zero()
+    for k, D in enumerate(ds):
+        assert D >> (r * L.S) == 0
+        d = series._new(F, n, D)
+        assert d.coeffs == tuple(cs[k + p * j].frobenius(-1) if k + p * j < n else zero
+                                 for j in range(r)) + (zero,) * (n - r)
+    assert series._new(F, n, series._scatter(L, n, p, list(enumerate(ds)))).galois(1) == s
+    # the identity itself, by public operations at n digits
+    total = TruncSeries.zeros(F, n)
+    for k, D in enumerate(ds):
+        total = total + t_power(F, k, n) * series._new(F, n, D).frobenius_power(1)
+    assert total == s
