@@ -40,8 +40,8 @@ from .geometry import (
     poly_mul,
 )
 from .record import Record
-from .series import (AtPrecisionZero, TruncSeries, _Shape, _add, _fit, _galois, _gather,
-                     _new, _reduce, _scatter)
+from .series import (AtPrecisionZero, TruncSeries, _Shape, _add, _dilate, _fit, _galois,
+                     _gather, _new, _reduce, _scatter)
 
 DEFAULT_TERM_BOUND = 10 ** 6
 # precisions whose coefficient sections a DmlMap keeps: a lift meets about
@@ -416,22 +416,12 @@ def _build_sections(f: DmlMap, n: int) -> tuple:
 def _monomials(f: DmlMap, monos: List[ExpVec], sh: _Shape, X: List[int],
                r: int) -> List[int]:
     """The monomials ``monos`` (see _build_sections) at the coordinates X,
-    canonical packings of r slots in the width of sh: x_j^(q/p) by moving
-    slot i to slot i*q/p and one Frob_(q/p), the others by products masked
-    to r."""
-    field, N, L = f.field, f.N, sh.L
-    mask = (1 << (r * L.S)) - 1
-    d = f.q // f.p
-    if d == 1:
-        vals = list(X)
-    else:
-        cut = (1 << (-(-r // d) * L.S)) - 1
-        frob = (f.e - 1) % field.m
-        vals = [_scatter(L, r, d, [(0, x & cut)]) for x in X]
-        if frob:
-            vals = [_galois(sh, field, y, frob) for y in vals]
+    canonical packings of r slots in the width of sh: x_j^(q/p) by one
+    dilation, the others by products masked to r."""
+    mask = (1 << (r * sh.L.S)) - 1
+    vals = [_dilate(sh, f.field, x, r, f.e - 1) for x in X]
     powers = [[x] for x in X]      # powers[j][k-1] = x_j^k, extended on demand
-    for exps in monos[N + 1:]:
+    for exps in monos[f.N + 1:]:
         mono = None
         for j, k in enumerate(exps):
             if k:
@@ -487,13 +477,10 @@ def apply_map(f: AnyMap, P: ProjPoint,
         r = -(-n // p)
         mask = (1 << (r * sh.L.S)) - 1
         vals = _monomials(f, monos, sh, [c.packed & mask for c in P.coords], r)
-        frob = 1 % field.m
         sectioned = r >= SECTION_MIN_R
         if not sectioned:
             mask = sh.mask
-            vals = [_scatter(sh.L, n, p, [(0, v)]) for v in vals]
-            if frob:
-                vals = [_galois(sh, field, v, 1) for v in vals]
+            vals = [_dilate(sh, field, v, n, 1) for v in vals]
         imgs = []
         for row in rows:
             parts = []
@@ -510,7 +497,7 @@ def apply_map(f: AnyMap, P: ProjPoint,
                 X = _reduce(sh, parts[0][1]) if parts else 0
             else:
                 X = _reduce(sh, _scatter(sh.L, n, p, parts))
-                if frob:
+                if field.m > 1:
                     X = _galois(sh, field, X, 1)
             imgs.append(_new(field, n, X))
     Q = normalize(imgs, pivot_inv=pivot_inv)

@@ -366,6 +366,20 @@ def _gather(L: _Layout, X: int, n: int, p: int) -> List[int]:
     return out
 
 
+def _dilate(sh: _Shape, field: FieldSpec, X: int, n: int, k: int) -> int:
+    """X^(p^k) mod t^n, n slots in the width of sh, for a canonical packing
+    X, by (sum c_j t^j)^(p^k) = sum c_j^(p^k) t^(j*p^k): slot j moves to
+    slot j*p^k, then Frob_(p^k) acts on every coefficient.  Only the slots
+    j < ceil(n/p^k) of X are read."""
+    pk = field.p ** k
+    X &= (1 << (-(-n // pk) * sh.L.S)) - 1
+    if k == 0:
+        return X
+    X = _scatter(sh.L, n, pk, [(0, X)])
+    k %= field.m
+    return _galois(sh, field, X, k) if k else X
+
+
 def _unpack(field: FieldSpec, sh: _Shape, X: int) -> Tuple[FqElem, ...]:
     """The coefficients of the canonical packing X with sh's slots."""
     m = field.m
@@ -547,11 +561,7 @@ class TruncSeries:
         slot lands at or above n never reaches the result.  apply_map
         evaluates structured maps on this identity."""
         field, n = self.field, self.prec
-        pk = field.p ** k
-        sh = field._kron[n]
-        cnt = (n - 1) // pk + 1       # the slots j with j*p^k < n
-        X = _scatter(sh.L, n, pk, [(0, self.packed & ((1 << (cnt * sh.L.S)) - 1))])
-        return _new(field, n, X).galois(k)
+        return _new(field, n, _dilate(field._kron[n], field, self.packed, n, k))
 
     def shift_down(self, k: int) -> "TruncSeries":
         """Divide by t^k (index shift); consumes k digits of precision."""
