@@ -4,7 +4,9 @@ The package is organized bottom-up:
 
     poly      dense polynomials over small finite rings, powers and
               digits; Rabin's sieve
-    field     finite fields F_(p^m) with explicit moduli
+    field     finite fields F_(p^m) with explicit moduli; the packed digit
+              layout and its kernels, which every element, series and
+              tower element uses
     series    truncated power series k[[t]]/(t^prec) and the Galois action
     geometry  projective points, homogeneous polynomials, subvarieties
     dynamics  the structured map family, validation, orbits, composition;

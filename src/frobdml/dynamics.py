@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedQ,
 )
 from . import poly
-from .field import FieldSpec, FqElem, p_power_exponent
+from .field import FieldSpec, FqElem, _Shape, _add, _fit, _galois, _reduce, p_power_exponent
 from .geometry import (
     ExpVec,
     HomogPoly,
@@ -40,8 +40,7 @@ from .geometry import (
     poly_mul,
 )
 from .record import Record
-from .series import (AtPrecisionZero, TruncSeries, _Shape, _add, _dilate, _fit, _galois,
-                     _gather, _new, _reduce, _scatter)
+from .series import AtPrecisionZero, TruncSeries, _dilate, _gather, _new, _scatter
 
 DEFAULT_TERM_BOUND = 10 ** 6
 # precisions whose coefficient sections a DmlMap keeps: a lift meets about
@@ -404,7 +403,7 @@ def _build_sections(f: DmlMap, n: int) -> tuple:
             if r < SECTION_MIN_R:
                 sections = [X]
             else:
-                sections = _gather(sh.L, _galois(sh, field, X, -1 % m) if m > 1 else X, n, p)
+                sections = _gather(sh.L, _galois(sh, X, -1 % m) if m > 1 else X, n, p)
             for k, D in enumerate(sections):
                 if D:
                     groups.setdefault(k, []).append((D, v))
@@ -498,7 +497,7 @@ def apply_map(f: AnyMap, P: ProjPoint,
             else:
                 X = _reduce(sh, _scatter(sh.L, n, p, parts))
                 if field.m > 1:
-                    X = _galois(sh, field, X, 1)
+                    X = _galois(sh, X, 1)
             imgs.append(_new(field, n, X))
     Q = normalize(imgs, pivot_inv=pivot_inv)
     if Q.consumed:
@@ -760,16 +759,21 @@ def preimage_qp(f: DmlMap, P: ProjPoint) -> ProjPoint:
     u = R[i0]
     if not u.is_one():
         R = [r / u for r in R]
-    p = f.p
+    # r = sum_(k<p) t^k * d_k^p (TruncSeries.frobenius_power): r is a p-th
+    # power exactly when every section k >= 1 vanishes, and then Q = d_0
+    p, K = f.p, field._kron
+    sh, cprec = K[prec], -(-prec // p)
+    Q = []
     for i, r in enumerate(R):
-        for k, c in enumerate(r.coeffs):
-            if k % p and not c.is_zero():
-                raise NotInImage(
-                    f"coordinate {i}: solved series has a t^{k} term, "
-                    f"not a p-th power at this precision")
-    cprec = -(-prec // p)
-    Q = [TruncSeries(field, cprec, [r.coeffs[p * j].frobenius(-1) for j in range(cprec)])
-         for r in R]
+        sections = _gather(sh.L, r.packed, prec, p)
+        bad = [p * (((D & -D).bit_length() - 1) // sh.L.S) + k
+               for k, D in enumerate(sections) if k and D]
+        if bad:
+            raise NotInImage(
+                f"coordinate {i}: solved series has a t^{min(bad)} term, "
+                f"not a p-th power at this precision")
+        D = _galois(sh, sections[0], -1 % field.m)
+        Q.append(_new(field, cprec, _fit(K, D, prec, cprec)))
     out = normalize(Q)
     if out.consumed:
         raise AssertionError("normalizing the preimage consumed precision")

@@ -1,18 +1,45 @@
-"""Finite fields F_{p^m} presented as F_p[a]/(modulus).
+"""Finite fields F_{p^m} presented as F_p[a]/(modulus), and the packed digit
+layout that their elements, the series over them and the twist tower share.
 
-Elements are coefficient vectors over F_p in ascending powers of the
-generator ``a``, so (c0, c1, c2) means c0 + c1*a + c2*a^2.  The modulus is
-monic, user supplied, and checked for irreducibility by Rabin's
-distinct-degree sieve in ``poly``, so large p costs a few modular powerings.
-There are no Conway polynomial tables and no cross-field coercion except the
-constant embedding F_p -> F_{p^m}.
+The modulus is monic, user supplied, and checked for irreducibility by
+Rabin's distinct-degree sieve in ``poly``, so large p costs a few modular
+powerings.  ``poly`` also gives the reduction rows ``_red`` (a^(m+k) mod
+the modulus).  There are no Conway polynomial tables and no cross-field
+coercion except the constant embedding F_p -> F_{p^m}.  ``_poly_str``
+prints field elements in ``a`` and the twist solver's tower elements in
+``b``.
 
-All element arithmetic is ``poly``'s: a product is ``poly.mul`` reduced by
-``poly.divmod``, a power is ``poly.powmod``, an inverse is extended Euclid
-on ``poly.divmod``, and ``from_int`` reads ``poly.digits``.  The reduction
-rows ``_red`` (a^(m+k) mod modulus) are kept for the packed series kernels,
-which fold their products with them.  ``_poly_str`` prints field elements in
-``a`` and the twist solver's tower elements in ``b``.
+The layout.  A packing of n coefficients (a precision-n series) gives
+coefficient j slot j, 2m-1 digits of w bits starting at bit j*(2m-1)*w.  Its
+F_p coordinates (ascending powers of a) sit in the low m digits of the slot,
+each reduced to [0, p); the high m-1 digits are zero.  The high digits make
+room for products: one bignum multiply performs a whole convolution, slot j
+receiving the 2m-1 digits of sum_i c_i d_(j-i); every digit is reduced mod
+p, digits m..2m-2 are folded back through the rows of ``_red``, and the low
+digits are reduced again (``_reduce``).  Each reduction is one Barrett pass
+over all digits at once, SIMD within a register (T. Granlund, P. Montgomery,
+"Division by invariant integers using multiplication", PLDI 1994): a few
+bignum operations, exact for every digit below 2^(w-1).  A product digit of
+a precision-n result sums at most n*m terms below (p-1)^2 and the fold adds
+less than m*p^2, so n coefficients pack at the least digit width w in
+{8, 16, 32, 64, ..} with
+
+    n * m * (p-1)^2 + m * p^2 < 2^(w-1),
+
+which is that precondition.  Each field has a _Layout per width it meets
+(the rows and Frobenius columns in that width) and one table of _Shapes, the
+masks and digit struct per precision, each pointing at the layout of its
+width.  The spare top bit serves addition: digits are added, then p is
+subtracted from exactly the digits that reached p, read off as bit w-1
+after adding 2^(w-1)-p to every digit.  Over F_2 addition is XOR and a
+digit mod 2 is its low bit.
+
+An FqElem is one packed slot in the layout of precision 1, so the field's
+arithmetic is these kernels: a sum is ``_add``, a product one multiply and
+``_reduce``, a Frobenius power ``_galois`` on the powers of a^(p^k), and an
+inverse ``_inv`` (Itoh-Tsujii), which the twist tower and the series
+inverse also call in their own widths.  For m = 1 the slot is the residue
+itself, and a product is ``% p``.
 
 Frobenius powers x -> x^(p^e) are first-class, including negative e: the
 inverse Frobenius is x -> x^(p^(((e mod m) + m) mod m)), never a root
@@ -20,7 +47,8 @@ computation.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+import struct
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from . import poly
 from .errors import (
@@ -131,15 +159,298 @@ def p_power_exponent(p: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the packed digit layout
+# ---------------------------------------------------------------------------
+
+# Shapes kept per field: a shape costs a few integers of n slots, and a walk
+# that loses precision step by step meets a new n at every step.
+SHAPES_KEPT = 64
+_STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+class _WideDigits:
+    """struct.Struct stand-in for digits wider than 64 bits: reads and writes
+    the wb-byte digits at the given byte offsets, zero elsewhere."""
+
+    __slots__ = ("size", "wb", "offsets")
+
+    def __init__(self, size: int, wb: int, offsets: List[int]):
+        self.size, self.wb, self.offsets = size, wb, offsets
+
+    def unpack(self, buf: bytes) -> Tuple[int, ...]:
+        wb = self.wb
+        return tuple(int.from_bytes(buf[o:o + wb], "little") for o in self.offsets)
+
+    def pack(self, *digits: int) -> bytes:
+        out = bytearray(self.size)
+        wb = self.wb
+        for o, d in zip(self.offsets, digits):
+            out[o:o + wb] = d.to_bytes(wb, "little")
+        return bytes(out)
+
+
+def _digit_struct(L: "_Layout", n: int, first: int, count: int):
+    """Reader/writer of digits first..first+count-1 of each of n slots."""
+    wb, slot = L.w // 8, L.S // 8
+    code = _STRUCT_CODES.get(L.w)
+    if code is None:
+        return _WideDigits(n * slot, wb, [j * slot + (first + i) * wb
+                                          for j in range(n) for i in range(count)])
+    pre, post = first * wb, slot - (first + count) * wb
+    if not pre and not post:     # every digit of every slot
+        return struct.Struct(f"<{n * count}{code}")
+    item = (f"{pre}x" if pre else "") + f"{count}{code}" + (f"{post}x" if post else "")
+    return struct.Struct("<" + item * n)
+
+
+def _tile(x: int, bits: int, nbytes: int) -> int:
+    """The bits-wide pattern x repeated over nbytes bytes, cut at the top."""
+    b = bits // 8
+    return int.from_bytes((x.to_bytes(b, "little") * -(-nbytes // b))[:nbytes], "little")
+
+
+class _Layout:
+    """One digit width of a field: slot width, the reduction rows a^(m+k)
+    and the Frobenius columns as packed slots."""
+
+    __slots__ = ("p", "m", "w", "S", "slot", "ones_slot", "red", "_frob", "mu", "shift",
+                 "qbits", "unit", "U", "single")
+
+    def __init__(self, field: FieldSpec, w: int):
+        p, m = field.p, field.m
+        self.p, self.m, self.w, self.S = p, m, w, (2 * m - 1) * w
+        # a slot as U memoryview items of format unit, for strided slot moves
+        self.unit = _STRUCT_CODES[min(w, 64)]
+        self.U = (2 * m - 1) * max(1, w // 64)
+        self.slot = (1 << (m * w)) - 1
+        # Barrett: d // p == (d * mu) >> shift for every d < 2^(w-1); the
+        # quotient is below 2^(w-b+1), its window's qbits
+        b = p.bit_length()
+        self.shift = w - 1 + b
+        self.mu = (1 << self.shift) // p + 1
+        self.qbits = (1 << (w - b + 1)) - 1
+        self.ones_slot = self.pack((1,) * m)
+        self.red = [self.pack(row) for row in field._red[:m - 1]]
+        self._frob: Dict[int, List[int]] = {}
+        self.single = _Shape(self, 1)  # one coefficient: a field element
+
+    def pack(self, digits: Sequence[int]) -> int:
+        """One coefficient's digits as a packed slot."""
+        w = self.w
+        return sum(d << (i * w) for i, d in enumerate(digits))
+
+    def mul(self, x: int, y: int) -> int:
+        """The product of two packed coefficients."""
+        return x * y % self.p if self.m == 1 else _reduce(self.single, x * y)
+
+    def frob_cols(self, k: int) -> List[int]:
+        """The images of 1, a, .., a^(m-1) under x -> x^(p^k), packed: the
+        powers of a^(p^k).  For m > 1 the slot of a is digit 1."""
+        cols = self._frob.get(k)
+        if cols is None:
+            cols = [1]
+            if self.m > 1:
+                apk = poly.power(self.mul, 1 << self.w, self.p ** k)
+                for _ in range(self.m - 1):
+                    cols.append(self.mul(cols[-1], apk))
+            self._frob[k] = cols
+        return cols
+
+
+class _Shape:
+    """The layout, masks and digit struct of an n-coefficient packing.  For
+    p > 2 the Barrett pass reads two more: ``even``, every digit at an even
+    global index, and ``qmask``, the low w-b+1 bits of each such digit (b
+    the bit length of p), where the quotient of its 2w-bit window lands."""
+
+    __slots__ = ("L", "mask", "rep", "ones", "bias", "pones", "digit", "low", "lo",
+                 "even", "qmask")
+
+    def __init__(self, L: _Layout, n: int):
+        p, m, w, S = L.p, L.m, L.w, L.S
+        nb = n * S // 8
+        self.L = L
+        self.mask = (1 << (n * S)) - 1                 # all n slots
+        self.rep = _tile(1, S, nb)                     # bit 0 of each slot
+        self.ones = _tile(L.ones_slot, S, nb)          # 1 in every stored digit
+        self.digit = _tile((1 << w) - 1, S, nb)        # all of digit 0 of each slot
+        self.low = _tile(L.slot, S, nb)                # all of the stored digits
+        self.lo = _digit_struct(L, n, 0, m)
+        self.bias = self.pones = self.even = self.qmask = None
+        if p > 2:
+            # add/sub: digits reaching p gain bit w-1 from bias; pones - x negates
+            self.bias = _tile(L.ones_slot * ((1 << (w - 1)) - p), S, nb)
+            self.pones = _tile(L.ones_slot * p, S, nb)
+            self.even = _tile((1 << w) - 1, 2 * w, nb)
+            self.qmask = _tile(L.qbits, 2 * w, nb)
+
+
+def _width(field: FieldSpec, n: int) -> int:
+    """The least w in {8, 16, 32, ..} with n*m*(p-1)^2 + m*p^2 < 2^(w-1)."""
+    p, m = field.p, field.m
+    need, w = n * m * (p - 1) ** 2 + m * p * p, 8
+    while need >= 1 << (w - 1):
+        w *= 2
+    return w
+
+
+class _Kron(dict):
+    """The packings of one field: a table of _Shapes by precision, the last
+    SHAPES_KEPT used, and a _Layout per digit width they point at."""
+
+    __slots__ = ("field", "layouts")
+
+    def __init__(self, field: FieldSpec):
+        super().__init__()
+        self.field = field
+        self.layouts: Dict[int, _Layout] = {}
+
+    def __missing__(self, n: int) -> _Shape:
+        F = self.field
+        w = _width(F, n)
+        L = self.layouts.get(w)
+        if L is None:
+            L = self.layouts[w] = _Layout(F, w)
+        if len(self) >= SHAPES_KEPT:   # evict the oldest
+            del self[next(iter(self))]
+        sh = self[n] = _Shape(L, n)
+        return sh
+
+
+_KRONS: Dict[Tuple[int, int, Tuple[int, ...]], _Kron] = {}
+
+
+def _repack(src: bytes, ab: int, bb: int) -> bytes:
+    """The digits of src, ab bytes each, as digits of bb bytes.  A reduced
+    digit is below p < 2^(w-1) in every width its layouts admit, so copying
+    the low bytes of every digit is exact both ways."""
+    if ab == bb:
+        return src
+    out = bytearray(len(src) // ab * bb)
+    for i in range(min(ab, bb)):
+        out[i::bb] = src[i::ab]
+    return out
+
+
+def _move(x: int, A: _Layout, B: _Layout) -> int:
+    """The packed coefficient x of layout A in the width of layout B."""
+    if A.w == B.w:
+        return x
+    return int.from_bytes(_repack(x.to_bytes(A.S // 8, "little"), A.w // 8, B.w // 8), "little")
+
+
+def _fit(K: _Kron, X: int, a: int, b: int) -> int:
+    """The packing X of a precision-a series as one of precision b: cut to b
+    slots when b < a (zero digits are added when b > a), in the width of b."""
+    A, B = K[a].L, K[b]
+    if A is B.L:
+        return X & B.mask if b < a else X
+    B = B.L
+    if b < a:
+        X &= (1 << (b * A.S)) - 1
+    count = min(a, b) * (2 * A.m - 1)
+    return int.from_bytes(_repack(X.to_bytes(count * A.w // 8, "little"), A.w // 8, B.w // 8),
+                          "little")
+
+
+def _barrett(sh: _Shape, X: int) -> int:
+    """X with every digit reduced mod p, for p > 2 and digits below 2^(w-1).
+
+    The digits at even and at odd global index are split apart, so each lies
+    alone in a 2w-bit window starting at an even digit.  There d * mu <
+    2^(2w-1) stays inside the window, its quotient (d * mu) >> shift is exact
+    for d < 2^(w-1), and qmask drops the fraction bits the next window shifts
+    down into it."""
+    L = sh.L
+    w, p, mu, s, ev, qm = L.w, L.p, L.mu, L.shift, sh.even, sh.qmask
+    E, O = X & ev, (X >> w) & ev
+    E -= (((E * mu) >> s) & qm) * p
+    O -= (((O * mu) >> s) & qm) * p
+    return E | (O << w)
+
+
+def _reduce_low(sh: _Shape, P: int) -> int:
+    """Canonical packing of P, whose slots hold m low digits below 2^(w-1)
+    and zero high digits."""
+    return P & sh.ones if sh.L.p == 2 else _barrett(sh, P)
+
+
+def _reduce(sh: _Shape, P: int) -> int:
+    """Canonical packing of P, whose slots hold 2m-1 digits below 2^(w-1)."""
+    L = sh.L
+    if L.m > 1:
+        w = L.w
+        if L.p == 2:
+            H, dig = P, sh.rep          # a digit mod 2 is its low bit
+        else:
+            H = P = _barrett(sh, P)
+            dig = sh.digit
+        P &= sh.low
+        for k, row in enumerate(L.red, L.m):
+            P += ((H >> (k * w)) & dig) * row
+    return _reduce_low(sh, P)
+
+
+def _add(sh: _Shape, X: int, Y: int) -> int:
+    """Canonical packing of X + Y for canonical X and Y; for p > 2 any
+    packings whose digit sums stay below 2p."""
+    L = sh.L
+    if L.p == 2:
+        return X ^ Y
+    Z = X + Y
+    return Z - (((Z + sh.bias) >> (L.w - 1)) & sh.ones) * L.p
+
+
+def _sub(sh: _Shape, X: int, Y: int) -> int:
+    """Canonical packing of X - Y, for canonical X and Y."""
+    return X ^ Y if sh.L.p == 2 else _add(sh, X, sh.pones - Y)
+
+
+def _galois(sh: _Shape, X: int, k: int) -> int:
+    """x -> x^(p^k) on every coefficient of the canonical packing X."""
+    w = sh.L.w
+    acc = 0
+    for j, col in enumerate(sh.L.frob_cols(k)):
+        acc += ((X >> (j * w)) & sh.digit) * col
+    return _reduce_low(sh, acc)
+
+
+def _inv(L: _Layout, x: int) -> int:
+    """Inverse of the packed coefficient x of layout L.
+
+    For m = 1 it is x^(p-2) mod p.  Else Itoh-Tsujii (T. Itoh, S. Tsujii,
+    "A fast algorithm for computing multiplicative inverses in GF(2^m) using
+    normal bases", Inf. Comput. 78, 1988): with r = (p^m - 1)/(p - 1),
+    x^(-1) = (x^r)^(-1) * x^(r-1), and x^r, the norm of x, lies in F_p.
+    x^(r-1) = b_(m-1)^p for b_k = x^(1 + p + .. + p^(k-1)), which the bits of
+    m - 1 reach by b_(2k) = b_k^(p^k) * b_k and b_(k+1) = b_k^p * x: about
+    2 log2(m) products and Frobenius powers."""
+    if not x:
+        raise DivisionByZero("inverse of 0")
+    p, m = L.p, L.m
+    if m == 1:
+        return pow(x, p - 2, p)
+    sh, mul = L.single, L.mul
+    b, k = x, 1
+    for bit in bin(m - 1)[3:]:
+        b, k = mul(_galois(sh, b, k), b), 2 * k
+        if bit == "1":
+            b, k = mul(_galois(sh, b, 1), x), k + 1
+    y = _galois(sh, b, 1)  # x^(r-1)
+    return _reduce_low(sh, y * pow(mul(y, x), p - 2, p))
+
+
+# ---------------------------------------------------------------------------
 # FieldSpec
 # ---------------------------------------------------------------------------
 
 class FieldSpec:
-    """Immutable description of F_{p^m} together with cached tables."""
+    """Immutable description of F_{p^m}; its elements are packed in ``_L``,
+    the layout of precision 1."""
 
     __slots__ = (
         "p", "m", "modulus", "order",
-        "_fp", "_red", "_frob_mats", "_zero", "_one", "_gen", "_kron",
+        "_fp", "_red", "_L", "_zero", "_one", "_kron",
     )
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
@@ -166,12 +477,16 @@ class FieldSpec:
         self.m = m
         self.modulus = mod
         self.order = p ** m
-        self._red = poly.reduction_rows(self._fp, mod)  # read by series._Layout
-        self._frob_mats: dict = {}
-        self._kron = None  # the series packings, also the twist tower's, built by series._kron
-        self._zero = FqElem(self, (0,) * m)
-        self._one = FqElem(self, (1,) + (0,) * (m - 1))
-        self._gen = FqElem(self, poly.padded(poly.divmod(self._fp, [0, 1], mod)[1], m))
+        self._red = poly.reduction_rows(self._fp, mod)  # read by _Layout
+        # the packings, also the twist tower's, shared by every equal
+        # FieldSpec (each parsed instance file builds its own)
+        K = _KRONS.get((p, m, mod))
+        if K is None:
+            K = _KRONS[p, m, mod] = _Kron(self)
+        self._kron = K
+        self._L = K[1].L
+        self._zero = FqElem(self, 0)
+        self._one = FqElem(self, 1)
 
     # -- basic elements ------------------------------------------------
 
@@ -184,82 +499,26 @@ class FieldSpec:
     def gen(self) -> "FqElem":
         if self.m == 1:
             raise DegreeMismatch("F_p has no generator symbol a")
-        return self._gen
+        return FqElem(self, 1 << self._L.w)
 
     def el(self, coeffs: Sequence[int]) -> "FqElem":
         c = [x % self.p for x in coeffs]
         if len(c) > self.m:
             raise DegreeMismatch(f"{len(c)} coefficients for degree-{self.m} field")
-        c += [0] * (self.m - len(c))
-        return FqElem(self, tuple(c))
+        return FqElem(self, self._L.pack(c))
 
     def from_int(self, idx: int) -> "FqElem":
         """Element with base-p digit vector idx (little-endian); the fixed
         total order on elements is this integer index."""
-        return FqElem(self, tuple(poly.digits(idx, self.p, self.m)))
+        p, w, x = self.p, self._L.w, 0
+        for i in range(self.m):
+            idx, d = divmod(idx, p)
+            x |= d << (i * w)
+        return FqElem(self, x)
 
     def elements(self) -> Iterator["FqElem"]:
         for idx in range(self.order):
             yield self.from_int(idx)
-
-    # -- coefficient arithmetic (tuples in, tuples out) ------------------
-
-    def _mul(self, u: Coeffs, v: Coeffs) -> Coeffs:
-        if self.m == 1:
-            return ((u[0] * v[0]) % self.p,)
-        R = self._fp
-        return poly.padded(poly.divmod(R, poly.mul(R, u, v), self.modulus)[1], self.m)
-
-    def _inv(self, u: Coeffs) -> Coeffs:
-        if not any(u):
-            raise DivisionByZero("inverse of 0")
-        p, m = self.p, self.m
-        if m == 1:
-            return (pow(u[0], p - 2, p),)
-        # extended Euclid on (modulus, u); invariant s_i * u = r_i mod modulus
-        R = self._fp
-        r0, r1 = list(self.modulus), poly.trim(list(u))
-        s0: List[int] = []
-        s1: List[int] = [1]
-        while r1:
-            q, r = poly.divmod(R, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly.sub(R, s0, poly.mul(R, q, s1))
-        # r0 = gcd is a nonzero constant
-        c_inv = R.inv(r0[0])
-        return poly.padded([R.mul(x, c_inv) for x in s0], m)
-
-    # -- Frobenius -------------------------------------------------------
-
-    def _frob_mat(self, k: int) -> Tuple[Coeffs, ...]:
-        """Matrix (columns) of x -> x^(p^k) in the basis 1, a, .., a^(m-1)."""
-        k %= self.m
-        mat = self._frob_mats.get(k)
-        if mat is None:
-            apk = self._pow(self._gen.coeffs, self.p ** k)  # a^(p^k)
-            cols = [self._one.coeffs]
-            for _ in range(self.m - 1):
-                cols.append(self._mul(cols[-1], apk))
-            mat = self._frob_mats[k] = tuple(cols)
-        return mat
-
-    def _pow(self, u: Coeffs, n: int) -> Coeffs:
-        return poly.padded(poly.powmod(self._fp, u, n, self.modulus), self.m)
-
-    def _frob(self, u: Coeffs, e: int) -> Coeffs:
-        k = e % self.m
-        if k == 0:
-            return u
-        cols = self._frob_mat(k)
-        p, m = self.p, self.m
-        acc = [0] * m
-        for j in range(m):
-            c = u[j]
-            if c:
-                col = cols[j]
-                for i in range(m):
-                    acc[i] += c * col[i]
-        return tuple(x % p for x in acc)
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec) and self.p == other.p
@@ -281,53 +540,63 @@ def make_field(p: int, m: int, modulus: Sequence[int]) -> FieldSpec:
 # ---------------------------------------------------------------------------
 
 class FqElem:
-    """Element of a FieldSpec; immutable coefficient vector over F_p."""
+    """Element of a FieldSpec: ``packed``, its coordinates as one slot of the
+    field's precision-1 layout (the residue itself when m = 1)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "packed")
 
-    def __init__(self, field: FieldSpec, coeffs: Coeffs):
+    def __init__(self, field: FieldSpec, packed: int):
         self.field = field
-        self.coeffs = coeffs
+        self.packed = packed
+
+    @property
+    def coeffs(self) -> Coeffs:
+        """The m coordinates over F_p, decoded afresh on every access."""
+        lo = self.field._L.single.lo
+        return lo.unpack(self.packed.to_bytes(lo.size, "little"))
 
     def _check(self, other: "FqElem") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     def __add__(self, other: "FqElem") -> "FqElem":
         self._check(other)
-        p = self.field.p
-        return FqElem(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FqElem(self.field, _add(self.field._L.single, self.packed, other.packed))
 
     def __sub__(self, other: "FqElem") -> "FqElem":
         self._check(other)
-        p = self.field.p
-        return FqElem(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FqElem(self.field, _sub(self.field._L.single, self.packed, other.packed))
 
     def __neg__(self) -> "FqElem":
-        p = self.field.p
-        return FqElem(self.field, tuple((-a) % p for a in self.coeffs))
+        return FqElem(self.field, _sub(self.field._L.single, 0, self.packed))
 
     def __mul__(self, other: "FqElem") -> "FqElem":
         self._check(other)
-        return FqElem(self.field, self.field._mul(self.coeffs, other.coeffs))
+        return FqElem(self.field, self.field._L.mul(self.packed, other.packed))
 
     def __truediv__(self, other: "FqElem") -> "FqElem":
         self._check(other)
-        return FqElem(self.field, self.field._mul(self.coeffs, self.field._inv(other.coeffs)))
+        L = self.field._L
+        return FqElem(self.field, L.mul(self.packed, _inv(L, other.packed)))
 
     def inv(self) -> "FqElem":
-        return FqElem(self.field, self.field._inv(self.coeffs))
+        return FqElem(self.field, _inv(self.field._L, self.packed))
 
     def __pow__(self, n: int) -> "FqElem":
         if n < 0:
             return self.inv() ** (-n)
-        return FqElem(self.field, self.field._pow(self.coeffs, n))
+        if not n:
+            return self.field._one
+        return FqElem(self.field, poly.power(self.field._L.mul, self.packed, n))
 
     def frobenius(self, e: int) -> "FqElem":
-        return FqElem(self.field, self.field._frob(self.coeffs, e))
+        k = e % self.field.m
+        if not k:
+            return self
+        return FqElem(self.field, _galois(self.field._L.single, self.packed, k))
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.packed
 
     def index(self) -> int:
         """Position in the fixed total element order (base-p digit value)."""
@@ -338,18 +607,18 @@ class FqElem:
 
     def subfield_degree(self) -> int:
         """Least d (a divisor of m) with self in F_{p^d}."""
-        m = self.field.m
-        for d in range(1, m + 1):
-            if m % d == 0 and self.field._frob(self.coeffs, d) == self.coeffs:
+        m, sh = self.field.m, self.field._L.single
+        for d in range(1, m):
+            if m % d == 0 and _galois(sh, self.packed, d) == self.packed:
                 return d
         return m
 
     def __eq__(self, other):
-        return (isinstance(other, FqElem) and self.field == other.field
-                and self.coeffs == other.coeffs)
+        return (isinstance(other, FqElem) and self.packed == other.packed
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
-        return hash((self.field.p, self.field.m, self.coeffs))
+        return hash((self.field.p, self.field.m, self.packed))
 
     def __str__(self):
         return _poly_str(self.coeffs)
@@ -401,7 +670,7 @@ def parse_element(field: FieldSpec, text: str) -> FqElem:
                 coeffs[k] = (coeffs[k] + contrib.coeffs[k]) % field.p
         else:
             coeffs[j] = (coeffs[j] + sgn * c) % field.p
-    return FqElem(field, tuple(coeffs))
+    return field.el(coeffs)
 
 
 def _parse_term(field: FieldSpec, t: str, full: str) -> Tuple[int, int]:

@@ -8,13 +8,13 @@ operations add, sub, mul and inv (of a nonzero element).  ``prime_field`` is
 F_p on 0..p-1, used by FieldSpec; the twist solver's ``_base_ring`` is
 F_(p^m) on packed coefficients.
 
-FieldSpec multiplies, reduces, powers and inverts its elements here, and
-the twist tower builds its reduction rows here; only the tower's own
-multiply and the packed series kernels keep hand-written loops, because
-they are on the hot path.  ``power`` is the one square-and-multiply
-(J. von zur Gathen, J. Gerhard, *Modern Computer Algebra*, ch. 4), for any
-associative product: residues mod f here, field and tower elements, and the
-coordinate powers of symbolic composition.  ``digits`` is the one
+FieldSpec checks its modulus and builds its reduction rows here, and so
+does the twist tower; element arithmetic is the packed kernels of
+``field``, which keep hand-written loops because they are on the hot path.
+``power`` is the one square-and-multiply (J. von zur Gathen, J. Gerhard,
+*Modern Computer Algebra*, ch. 4), for any associative product: residues
+mod f here, packed field elements and Frobenius columns, tower elements,
+and the coordinate powers of symbolic composition.  ``digits`` is the one
 index -> digit vector conversion.
 
 Irreducibility has one test, Rabin's distinct-degree sieve (M. O. Rabin,

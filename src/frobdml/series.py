@@ -2,34 +2,14 @@
 
 A TruncSeries over k = F_{p^m} is one integer, the Kronecker packing of its
 prec coefficients (D. Harvey, "Faster polynomial multiplication via
-multipoint Kronecker substitution", J. Symbolic Comput. 2009).  The
-coefficient of t^j owns slot j, 2m-1 digits of w bits starting at bit
-j*(2m-1)*w.  Its F_p coordinates (ascending powers of the generator a) sit
-in the low m digits of the slot, each reduced to [0, p); the high m-1 digits
-are zero.
-
-The high digits make room for products.  One bignum multiply performs the
-whole convolution, slot j receiving the 2m-1 digits of sum_i c_i d_(j-i);
-every digit is reduced mod p, digits m..2m-2 are folded back through the
-rows a^(m+k) mod the modulus, and the low digits are reduced again.  Each
-reduction is one Barrett pass over all digits at once, SIMD within a
-register (T. Granlund, P. Montgomery, "Division by invariant integers using
-multiplication", PLDI 1994): a few bignum operations, exact for every digit
-below 2^(w-1).  A product digit of a precision-n result sums at most n*m
-terms below (p-1)^2 and the fold adds less than m*p^2, so a series of
-precision n packs at the least digit width w in {8, 16, 32, 64, ..} with
-
-    n * m * (p-1)^2 + m * p^2 < 2^(w-1),
-
-which is that precondition.
+multipoint Kronecker substitution", J. Symbolic Comput. 2009) in the digit
+layout of ``field``: the coefficient of t^j owns slot j, and one bignum
+multiply followed by one ``_reduce`` is the whole truncated product.
 
 The cost of the product follows the operand bit size, so a series is as
 narrow as its own precision allows: over F_4, precisions up to 59 pack
-8-bit digits and 60 to 16,379 pack 16-bit ones.  Each field has a
-_Layout per width it meets (the rows and Frobenius columns in that width)
-and one table of _Shapes, the masks and digit struct per precision, each
-pointing at the layout of its width.  A precision above MAX_PREC is rejected
-rather than given ever wider digits.
+8-bit digits and 60 to 16,379 pack 16-bit ones.  A precision above MAX_PREC
+is rejected rather than given ever wider digits.
 
 The width is a function of (field, prec), so every precision has exactly one
 packing: equality, hashing, the zero test, is_one, the valuation (lowest set
@@ -37,17 +17,10 @@ bit over the slot width), division by t^k (a shift) and truncation (a mask)
 read the integer directly.  Whatever changes the precision repacks when the
 new precision has another width: an operation whose operands differ in
 precision cuts the longer one to the common precision, and change_precision,
-shift_down and eq_at_precision pass through _fit.  A repack copies the low
-bytes of every digit into a buffer of the other width, which is exact
-because a reduced digit is below p < 2^(w-1) in every width the precision
-admits.  FqElem values appear only at the boundaries: the list constructor
-used by parsing, and ``coeffs`` and ``constant_term``, which decode on every
-call.
-
-The spare top bit serves addition: digits are added, then p is subtracted
-from exactly the digits that reached p, read off as bit w-1 after adding
-2^(w-1)-p to every digit.  Over F_2 addition is XOR and a digit mod 2 is its
-low bit.
+shift_down and eq_at_precision pass through _fit.  A coefficient is an
+FqElem holding its slot in the width of precision 1: ``coeffs`` and
+``constant_term`` repack the slots on every call, and the list constructor
+packs FqElems the same way.
 
 Precision is absolute: arithmetic results carry min(prec_a, prec_b);
 division by a unit preserves precision; truncation is exact, and padding
@@ -60,9 +33,8 @@ it rather than an integer.
 """
 from __future__ import annotations
 
-import struct
 from itertools import islice
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DegreeMismatch,
@@ -71,14 +43,11 @@ from .errors import (
     NonUnitDivisor,
     ParseError,
 )
-from .field import FieldSpec, FqElem, parse_element, format_element
+from .field import (FieldSpec, FqElem, _Layout, _Shape, _add, _fit, _galois, _inv, _move,
+                    _reduce, _repack, _sub, format_element, parse_element)
 from .record import Record
 
 MAX_PREC = 1 << 16
-# Shapes kept per field: a shape costs a few integers of n slots, and a walk
-# that loses precision step by step meets a new n at every step.
-SHAPES_KEPT = 64
-_STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 class AtPrecisionZero(Record):
@@ -92,244 +61,8 @@ class GaloisAction(Record):
 
 
 # ---------------------------------------------------------------------------
-# the packings of one field
+# slot moves
 # ---------------------------------------------------------------------------
-
-class _WideDigits:
-    """struct.Struct stand-in for digits wider than 64 bits: reads and writes
-    the wb-byte digits at the given byte offsets, zero elsewhere."""
-
-    __slots__ = ("size", "wb", "offsets")
-
-    def __init__(self, size: int, wb: int, offsets: List[int]):
-        self.size, self.wb, self.offsets = size, wb, offsets
-
-    def unpack(self, buf: bytes) -> Tuple[int, ...]:
-        wb = self.wb
-        return tuple(int.from_bytes(buf[o:o + wb], "little") for o in self.offsets)
-
-    def pack(self, *digits: int) -> bytes:
-        out = bytearray(self.size)
-        wb = self.wb
-        for o, d in zip(self.offsets, digits):
-            out[o:o + wb] = d.to_bytes(wb, "little")
-        return bytes(out)
-
-
-def _digit_struct(L: "_Layout", n: int, first: int, count: int):
-    """Reader/writer of digits first..first+count-1 of each of n slots."""
-    wb, slot = L.w // 8, L.S // 8
-    code = _STRUCT_CODES.get(L.w)
-    if code is None:
-        return _WideDigits(n * slot, wb, [j * slot + (first + i) * wb
-                                          for j in range(n) for i in range(count)])
-    pre, post = first * wb, slot - (first + count) * wb
-    if not pre and not post:     # every digit of every slot
-        return struct.Struct(f"<{n * count}{code}")
-    item = (f"{pre}x" if pre else "") + f"{count}{code}" + (f"{post}x" if post else "")
-    return struct.Struct("<" + item * n)
-
-
-def _tile(x: int, bits: int, nbytes: int) -> int:
-    """The bits-wide pattern x repeated over nbytes bytes, cut at the top."""
-    b = bits // 8
-    return int.from_bytes((x.to_bytes(b, "little") * -(-nbytes // b))[:nbytes], "little")
-
-
-class _Layout:
-    """One digit width of a field: slot width, the reduction rows a^(m+k)
-    and the Frobenius columns as packed slots."""
-
-    __slots__ = ("p", "m", "w", "S", "slot", "ones_slot", "red", "_frob", "mu", "shift",
-                 "qbits", "unit", "U")
-
-    def __init__(self, field: FieldSpec, w: int):
-        p, m = field.p, field.m
-        self.p, self.m, self.w, self.S = p, m, w, (2 * m - 1) * w
-        # a slot as U memoryview items of format unit, for strided slot moves
-        self.unit = _STRUCT_CODES[min(w, 64)]
-        self.U = (2 * m - 1) * max(1, w // 64)
-        self.slot = (1 << (m * w)) - 1
-        # Barrett: d // p == (d * mu) >> shift for every d < 2^(w-1); the
-        # quotient is below 2^(w-b+1), its window's qbits
-        b = p.bit_length()
-        self.shift = w - 1 + b
-        self.mu = (1 << self.shift) // p + 1
-        self.qbits = (1 << (w - b + 1)) - 1
-        self.ones_slot = self.pack((1,) * m)
-        self.red = [self.pack(row) for row in field._red[:m - 1]]
-        self._frob: Dict[int, List[int]] = {}
-
-    def pack(self, digits: Sequence[int]) -> int:
-        """One coefficient's digits as a packed slot."""
-        w = self.w
-        return sum(d << (i * w) for i, d in enumerate(digits))
-
-    def frob_cols(self, field: FieldSpec, k: int) -> List[int]:
-        """The images of 1, a, .., a^(m-1) under x -> x^(p^k), packed."""
-        cols = self._frob.get(k)
-        if cols is None:
-            cols = self._frob[k] = [self.pack(c) for c in field._frob_mat(k)]
-        return cols
-
-
-class _Shape:
-    """The layout, masks and digit struct of an n-coefficient packing.  For
-    p > 2 the Barrett pass reads two more: ``even``, every digit at an even
-    global index, and ``qmask``, the low w-b+1 bits of each such digit (b
-    the bit length of p), where the quotient of its 2w-bit window lands."""
-
-    __slots__ = ("L", "mask", "rep", "ones", "bias", "pones", "digit", "low", "lo",
-                 "even", "qmask")
-
-    def __init__(self, L: _Layout, n: int):
-        p, m, w, S = L.p, L.m, L.w, L.S
-        nb = n * S // 8
-        self.L = L
-        self.mask = (1 << (n * S)) - 1                 # all n slots
-        self.rep = _tile(1, S, nb)                     # bit 0 of each slot
-        self.ones = _tile(L.ones_slot, S, nb)          # 1 in every stored digit
-        self.digit = _tile((1 << w) - 1, S, nb)        # all of digit 0 of each slot
-        self.low = _tile(L.slot, S, nb)                # all of the stored digits
-        self.lo = _digit_struct(L, n, 0, m)
-        self.bias = self.pones = self.even = self.qmask = None
-        if p > 2:
-            # add/sub: digits reaching p gain bit w-1 from bias; pones - x negates
-            self.bias = _tile(L.ones_slot * ((1 << (w - 1)) - p), S, nb)
-            self.pones = _tile(L.ones_slot * p, S, nb)
-            self.even = _tile((1 << w) - 1, 2 * w, nb)
-            self.qmask = _tile(L.qbits, 2 * w, nb)
-
-
-def _width(field: FieldSpec, n: int) -> int:
-    """The least w in {8, 16, 32, ..} with n*m*(p-1)^2 + m*p^2 < 2^(w-1)."""
-    p, m = field.p, field.m
-    need, w = n * m * (p - 1) ** 2 + m * p * p, 8
-    while need >= 1 << (w - 1):
-        w *= 2
-    return w
-
-
-class _Kron(dict):
-    """The packings of one field: a table of _Shapes by precision, the last
-    SHAPES_KEPT used, and a _Layout per digit width they point at."""
-
-    __slots__ = ("field", "layouts")
-
-    def __init__(self, field: FieldSpec):
-        super().__init__()
-        self.field = field
-        self.layouts: Dict[int, _Layout] = {}
-
-    def __missing__(self, n: int) -> _Shape:
-        F = self.field
-        w = _width(F, n)
-        L = self.layouts.get(w)
-        if L is None:
-            L = self.layouts[w] = _Layout(F, w)
-        if len(self) >= SHAPES_KEPT:   # evict the oldest
-            del self[next(iter(self))]
-        sh = self[n] = _Shape(L, n)
-        return sh
-
-
-_KRONS: Dict[Tuple[int, int, Tuple[int, ...]], _Kron] = {}
-
-
-def _kron(field: FieldSpec) -> _Kron:
-    """The packings of ``field``, shared by every equal FieldSpec (each parsed
-    instance file builds its own) and kept on the field for direct access."""
-    K = field._kron
-    if K is None:
-        key = (field.p, field.m, field.modulus)
-        K = _KRONS.get(key)
-        if K is None:
-            K = _KRONS[key] = _Kron(field)
-        field._kron = K
-    return K
-
-
-def _fit(K: _Kron, X: int, a: int, b: int) -> int:
-    """The packing X of a precision-a series as one of precision b: cut to b
-    slots when b < a (zero digits are added when b > a), in the width of b."""
-    A, B = K[a].L, K[b]
-    if A is B.L:
-        return X & B.mask if b < a else X
-    B = B.L
-    if b < a:
-        X &= (1 << (b * A.S)) - 1
-    # a digit of a precision-n series is below p < 2^(w-1) in the width w of
-    # n, so copying the low bytes of every digit is exact both ways
-    ab, bb = A.w // 8, B.w // 8
-    count = min(a, b) * (2 * A.m - 1)
-    src = X.to_bytes(count * ab, "little")
-    out = bytearray(count * bb)
-    for i in range(min(ab, bb)):
-        out[i::bb] = src[i::ab]
-    return int.from_bytes(out, "little")
-
-
-def _barrett(sh: _Shape, X: int) -> int:
-    """X with every digit reduced mod p, for p > 2 and digits below 2^(w-1).
-
-    The digits at even and at odd global index are split apart, so each lies
-    alone in a 2w-bit window starting at an even digit.  There d * mu <
-    2^(2w-1) stays inside the window, its quotient (d * mu) >> shift is exact
-    for d < 2^(w-1), and qmask drops the fraction bits the next window shifts
-    down into it."""
-    L = sh.L
-    w, p, mu, s, ev, qm = L.w, L.p, L.mu, L.shift, sh.even, sh.qmask
-    E, O = X & ev, (X >> w) & ev
-    E -= (((E * mu) >> s) & qm) * p
-    O -= (((O * mu) >> s) & qm) * p
-    return E | (O << w)
-
-
-def _reduce_low(sh: _Shape, P: int) -> int:
-    """Canonical packing of P, whose slots hold m low digits below 2^(w-1)
-    and zero high digits."""
-    return P & sh.ones if sh.L.p == 2 else _barrett(sh, P)
-
-
-def _reduce(sh: _Shape, P: int) -> int:
-    """Canonical packing of P, whose slots hold 2m-1 digits below 2^(w-1)."""
-    L = sh.L
-    if L.m > 1:
-        w = L.w
-        if L.p == 2:
-            H, dig = P, sh.rep          # a digit mod 2 is its low bit
-        else:
-            H = P = _barrett(sh, P)
-            dig = sh.digit
-        P &= sh.low
-        for k, row in enumerate(L.red, L.m):
-            P += ((H >> (k * w)) & dig) * row
-    return _reduce_low(sh, P)
-
-
-def _add(sh: _Shape, X: int, Y: int) -> int:
-    """Canonical packing of X + Y for canonical X and Y; for p > 2 any
-    packings whose digit sums stay below 2p."""
-    L = sh.L
-    if L.p == 2:
-        return X ^ Y
-    Z = X + Y
-    return Z - (((Z + sh.bias) >> (L.w - 1)) & sh.ones) * L.p
-
-
-def _sub(sh: _Shape, X: int, Y: int) -> int:
-    """Canonical packing of X - Y, for canonical X and Y."""
-    return X ^ Y if sh.L.p == 2 else _add(sh, X, sh.pones - Y)
-
-
-def _galois(sh: _Shape, field: FieldSpec, X: int, k: int) -> int:
-    """x -> x^(p^k) on every coefficient of the canonical packing X."""
-    w = sh.L.w
-    acc = 0
-    for j, col in enumerate(sh.L.frob_cols(field, k)):
-        acc += ((X >> (j * w)) & sh.digit) * col
-    return _reduce_low(sh, acc)
-
 
 def _scatter(L: _Layout, n: int, step: int, parts) -> int:
     """The n-slot packing whose slot k + step*j is slot j of F, for every
@@ -377,14 +110,16 @@ def _dilate(sh: _Shape, field: FieldSpec, X: int, n: int, k: int) -> int:
         return X
     X = _scatter(sh.L, n, pk, [(0, X)])
     k %= field.m
-    return _galois(sh, field, X, k) if k else X
+    return _galois(sh, X, k) if k else X
 
 
 def _unpack(field: FieldSpec, sh: _Shape, X: int) -> Tuple[FqElem, ...]:
     """The coefficients of the canonical packing X with sh's slots."""
-    m = field.m
-    ds = sh.lo.unpack(X.to_bytes(sh.lo.size, "little"))
-    return tuple(FqElem(field, ds[i:i + m]) for i in range(0, len(ds), m))
+    E = field._L
+    src = _repack(X.to_bytes(sh.lo.size, "little"), sh.L.w // 8, E.w // 8)
+    sb, eb = E.S // 8, E.m * E.w // 8
+    return tuple(FqElem(field, int.from_bytes(src[o:o + eb], "little"))
+                 for o in range(0, len(src), sb))
 
 
 # ---------------------------------------------------------------------------
@@ -393,20 +128,19 @@ def _unpack(field: FieldSpec, sh: _Shape, X: int) -> Tuple[FqElem, ...]:
 
 class TruncSeries:
     """Series over ``field`` known to absolute precision ``prec``, stored as
-    the packed integer ``packed`` (see the module docstring).  Every
-    TruncSeries has built the packings of its field, so methods read
-    ``self.field._kron`` directly."""
+    the packed integer ``packed`` (see the module docstring)."""
 
     __slots__ = ("field", "prec", "packed")
 
     def __init__(self, field: FieldSpec, prec: int, coeffs: Sequence[FqElem]):
         _check_prec(prec)
-        m = field.m
-        digits = [d for c in islice(coeffs, prec) for d in c.coeffs]
-        digits += [0] * (prec * m - len(digits))
+        E = field._L
+        sb = E.S // 8
+        src = b"".join([c.packed.to_bytes(sb, "little") for c in islice(coeffs, prec)])
         self.field = field
         self.prec = prec
-        self.packed = int.from_bytes(_kron(field)[prec].lo.pack(*digits), "little")
+        self.packed = int.from_bytes(_repack(src, E.w // 8, field._kron[prec].L.w // 8),
+                                     "little")
 
     # -- constructors ----------------------------------------------------
 
@@ -416,7 +150,7 @@ class TruncSeries:
 
     @staticmethod
     def from_constant(c: FqElem, prec: int) -> "TruncSeries":
-        return _make(c.field, prec, lambda L: L.pack(c.coeffs))
+        return _make(c.field, prec, lambda L: _move(c.packed, c.field._L, L))
 
     @staticmethod
     def one(field: FieldSpec, prec: int) -> "TruncSeries":
@@ -441,8 +175,7 @@ class TruncSeries:
 
     def constant_term(self) -> FqElem:
         L = self.field._kron[self.prec].L
-        x, w, dm = self.packed & L.slot, L.w, (1 << L.w) - 1
-        return FqElem(self.field, tuple((x >> (i * w)) & dm for i in range(L.m)))
+        return FqElem(self.field, _move(self.packed & L.slot, L, self.field._L))
 
     def valuation(self) -> Union[int, AtPrecisionZero]:
         X = self.packed
@@ -487,7 +220,7 @@ class TruncSeries:
         if c.field is not field and c.field != field:
             raise FieldMismatch(f"{field} vs {c.field}")
         sh = field._kron[self.prec]
-        P = self.packed * sh.L.pack(c.coeffs)
+        P = self.packed * _move(c.packed, field._L, sh.L)
         return _new(field, self.prec, _reduce(sh, P))
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
@@ -527,8 +260,8 @@ class TruncSeries:
             D = P ^ 1     # its lowest set bit lies in the first slot of P that is wrong
             h = ((D & -D).bit_length() - 1) // S
         if not h:
-            one = (U & sh.L.slot) == 1  # 1 is its own inverse
-            v = 1 if one else sh.L.pack(self.constant_term().inv().coeffs)
+            c = U & sh.L.slot
+            v = 1 if c == 1 else _inv(sh.L, c)  # 1 is its own inverse
             h, P = 1, None
         while h < prec:
             k = min(2 * h, prec)
@@ -582,7 +315,7 @@ class TruncSeries:
         k = e % field.m
         if k == 0:
             return self
-        return _new(field, self.prec, _galois(field._kron[self.prec], field, self.packed, k))
+        return _new(field, self.prec, _galois(field._kron[self.prec], self.packed, k))
 
     # -- precision management ---------------------------------------------
 
@@ -635,7 +368,7 @@ def _make(field: FieldSpec, prec: int, packing) -> TruncSeries:
     """The series whose packing ``packing(layout)`` computes in the layout
     of prec, once prec is known to be in range."""
     _check_prec(prec)
-    return _new(field, prec, packing(_kron(field)[prec].L))
+    return _new(field, prec, packing(field._kron[prec].L))
 
 
 # ---------------------------------------------------------------------------

@@ -30,21 +30,21 @@ route; a closed form that fails to span is an internal error.  The returned
 basis is the reduced row echelon basis of the solutions' F_q-coordinates,
 canonical for the solution space and so independent of search order.
 
-Everything is packed in ``series``' layout over Fbase: an element of E as
-its d coefficients, a matrix row as its n entries, a vector of E^n as its
-n*d coefficients.  A product is one bignum multiply and ``series._reduce``:
-E folds the high slots back through the packed rows Y^(d+k) mod h, and row
-i of X*Y is the sum over k of X_ik times row k of Y, reduced once.  Row
+Everything is packed in ``field``'s digit layout over Fbase: an element of
+E as its d coefficients, a matrix row as its n entries, a vector of E^n as
+its n*d coefficients.  A product is one bignum multiply and ``_reduce``: E
+folds the high slots back through the packed rows Y^(d+k) mod h, and row i
+of X*Y is the sum over k of X_ik times row k of Y, reduced once.  Row
 reduction over F_q reads F_q-coordinates only at pivots.  Fbase itself is
-FieldSpec arithmetic (``_base_ring``) with no tables, so its order is not
-bounded.
+the field's own packed kernels on one coefficient (``_base_ring``), its
+inverse Itoh-Tsujii's, with no tables, so its order is not bounded.
 """
 from __future__ import annotations
 
 from bisect import insort
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import poly, series
+from . import poly
 from .errors import (
     DegreeMismatch,
     DimensionMismatch,
@@ -54,9 +54,10 @@ from .errors import (
     NotInvertible,
     SearchExhausted,
 )
-from .field import FieldSpec, FqElem, _poly_str, p_power_exponent
+from .field import (FieldSpec, FqElem, _Layout, _Shape, _add, _fit, _galois, _inv, _poly_str,
+                    _reduce, _sub, p_power_exponent)
 from .geometry import HomogPoly
-from .series import TruncSeries, _Layout, _Shape, _add, _fit, _reduce, _sub, _unpack
+from .series import TruncSeries, _unpack
 from . import dynamics
 from .dynamics import DmlMap, compose_maps
 
@@ -75,21 +76,15 @@ def _join(L: _Layout, slots: Sequence[int]) -> int:
     return sum(c << (j * L.S) for j, c in enumerate(slots))
 
 
-def _inv(field: FieldSpec, L: _Layout, x: int) -> int:
-    """Inverse of the nonzero packed coefficient x."""
-    dm = (1 << L.w) - 1
-    return L.pack(field._inv(tuple((x >> (i * L.w)) & dm for i in range(L.m))))
-
-
 def _base_ring(field: FieldSpec, L: _Layout) -> poly.Ring:
     """Fbase on the packed coefficients of L: ``field._fp`` for a prime field,
-    whose coefficients are their own values, else the series kernels on one
-    coefficient."""
+    whose coefficients are their own values, else the field's own kernels
+    on one coefficient, the inverse by Itoh-Tsujii."""
     if field.m == 1:
         return field._fp
-    sh = _Shape(L, 1)
+    sh = L.single
     return poly.Ring(field.order, lambda a, b: _add(sh, a, b), lambda a, b: _sub(sh, a, b),
-                     lambda a, b: _reduce(sh, a * b), lambda a: _inv(field, L, a))
+                     L.mul, lambda a: _inv(L, a))
 
 
 def first_irreducible(field: FieldSpec, d: int
@@ -100,7 +95,7 @@ def first_irreducible(field: FieldSpec, d: int
     prime Fbase, whose packed indices are the digits of h."""
     if d == 1:
         return (0, 1), field
-    L = series._kron(field)[1].L
+    L = field._L
     R = _base_ring(field, L)
     Q = field.order
     for idx in range(Q ** d):
@@ -122,7 +117,7 @@ class ExtContext:
         self.field = field
         self.h = tuple(h)
         self.d = d = len(h) - 1
-        self.sh = sh = series._kron(field)[d]
+        self.sh = sh = field._kron[d]
         self.L = L = sh.L
         self.wide = _Shape(L, 2 * d - 1)
         R = _base_ring(field, L)
@@ -198,14 +193,14 @@ def _mat_mul(sh: _Shape, X: Mat, Y: Mat) -> Mat:
 
 def _mat_frob(field: FieldSpec, sh: _Shape, X: Mat, e: int) -> Mat:
     k = e % field.m
-    return tuple(series._galois(sh, field, x, k) for x in X) if k else X
+    return tuple(_galois(sh, x, k) for x in X) if k else X
 
 
 def _mat_inv(A: Sequence[Sequence[FqElem]]) -> Optional[List[List[FqElem]]]:
     """Inverse of a square matrix over Fbase by row reduction of [A | I];
     None when A is singular."""
     field, n = A[0][0].field, len(A)
-    sh = series._kron(field)[n]
+    sh = field._kron[n]
     S = sh.L.S
     rows = [x | 1 << ((n + i) * S) for i, x in enumerate(_mat_pack(sh.L, A))]
     out = _echelon(FqStructure(field, field.m), _Shape(sh.L, 2 * n), rows, [])
@@ -232,7 +227,7 @@ def _echelon(fq: "FqStructure", sh: _Shape, rows: Sequence[int],
             continue
         j = ((v & -v).bit_length() - 1) // S
         i, c = next(ic for ic in enumerate(fq.coords(L, (v >> (j * S)) & slot)) if ic[1])
-        v = _reduce(sh, _inv(fq.field, L, c) * v)
+        v = _reduce(sh, _inv(L, c) * v)
         for k, (key, r) in enumerate(out):
             c = fq.coords(L, (r >> (j * S)) & slot)[i]
             if c:
@@ -309,7 +304,7 @@ class TwistSolution:
             return self.ext.to_str(u)
         cs = self.ext.coeffs(u)
         if self.ext.d == 1:
-            return FqElem(self.base_field, cs[0].coeffs)
+            return FqElem(self.base_field, cs[0].packed)
         return self.field.el([c.coeffs[0] for c in cs])  # base field is F_p here
 
     @property
@@ -357,7 +352,7 @@ def _solve(fq: FqStructure, A: Sequence[Sequence[FqElem]],
     """B^(q) = A B for an invertible A over Fbase with its inverse Ainv, at
     the least qualifying r <= R_max."""
     field = fq.field
-    sh = series._kron(field)[len(A)]
+    sh = field._kron[len(A)]
     Ncur = Ap = _mat_pack(sh.L, A)
     ident = tuple(1 << (i * sh.L.S) for i in range(len(A)))
     for r in range(1, R_max + 1):
@@ -379,7 +374,7 @@ def _solve_at(fq: FqStructure, A: Sequence[Sequence[FqElem]],
     ext, flat = _TOWERS[field, d]
     # the solve's vectors sum up to max(r, n) products before one reduction,
     # so they take the digit width of that precision
-    K = series._kron(field)
+    K = field._kron
     N = max(r, n)
     W = K[N].L
     S, D = W.S, d * W.S

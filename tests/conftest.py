@@ -6,6 +6,7 @@ explicit seed so failures replay exactly.
 import random
 from typing import Dict, List, Sequence, Tuple
 
+from frobdml import poly
 from frobdml.dynamics import DmlMap, validate_map
 from frobdml.field import FieldSpec, FqElem, make_field
 from frobdml.geometry import HomogPoly, ProjPoint
@@ -51,6 +52,25 @@ def t_power(field: FieldSpec, j: int, prec: int) -> TruncSeries:
 def frobenius_pow(x: FqElem, e: int) -> FqElem:
     """x^(p^e) for any integer e; e is reduced mod the order m of Frobenius."""
     return x.frobenius(e)
+
+
+def fq_reference(F: FieldSpec):
+    """F's product and power on coefficient tuples, the slow way: poly.mul
+    reduced by poly.divmod mod the modulus, powers by square-and-multiply on
+    that product from x^0 = 1.  The inverse is x^(q-2)."""
+    R = poly.prime_field(F.p)
+
+    def mul(u, v):
+        return poly.padded(poly.divmod(R, poly.mul(R, u, v), F.modulus)[1], F.m)
+
+    def power(u, n):
+        out = poly.padded([1], F.m)
+        for bit in bin(n)[2:]:
+            out = mul(out, out)
+            if bit == "1":
+                out = mul(out, u)
+        return out
+    return mul, power
 
 
 def rand_exponents(rng: random.Random, n: int, degree: int) -> Tuple[int, ...]:

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from frobdml.dynamics import (SECTION_MIN_R, CoefficientFieldTooLarge,
+from frobdml.dynamics import (SECTION_MIN_R, CoefficientFieldTooLarge, _at_prec,
                               CoefficientNotInMaximalIdeal, DmlMap, GeneralMap,
                               NonUnitDeterminant, NotInForm, WrongDegree,
                               apply_map, check_conditions, compose_maps,
@@ -411,6 +411,63 @@ def test_preimage_not_in_image():
     P = ProjPoint(F2, [ser(F2, "1", 8), ser(F2, "t^3", 8)])
     with pytest.raises(NotInImage):
         preimage_qp(F1, P)
+
+
+def preimage_qp_reference(f, P):
+    """preimage_qp reading the solved series one coefficient at a time: any
+    t^k with p not dividing k refuses, and Q takes every p-th coefficient
+    through the inverse Frobenius."""
+    n, prec, field, p = f.N + 1, P.prec, f.field, f.p
+    M = [[_at_prec(f.A[i][j], prec) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            c = f.G[i].terms.get(tuple(int(k == j) for k in range(n)))
+            if c is not None:
+                M[i][j] = M[i][j] + _at_prec(c, prec)
+    Minv = invert_series_matrix(M, prec)
+    R = [sum((Minv[i][j] * P.coords[j] for j in range(n)), TruncSeries.zeros(field, prec))
+         for i in range(n)]
+    u = next((r for r in R if not r.constant_term().is_zero()), None)
+    if u is None:
+        raise NotInImage("solved vector has no unit coordinate at this precision")
+    R = [r / u for r in R]
+    for i, r in enumerate(R):
+        for k, c in enumerate(r.coeffs):
+            if k % p and not c.is_zero():
+                raise NotInImage(
+                    f"coordinate {i}: solved series has a t^{k} term, "
+                    f"not a p-th power at this precision")
+    cprec = -(-prec // p)
+    return normalize([TruncSeries(field, cprec, [r.coeffs[p * j].frobenius(-1)
+                                                 for j in range(cprec)]) for r in R])
+
+
+def test_preimage_sections_match_the_coefficient_loop():
+    # q = p maps over F_(p^m), m <= 3, p = 257 above every precision used;
+    # random points, images of points, and images with one term c*t^k added
+    rng = random.Random(1717)
+    seen = {"point": 0, "refused": 0}
+    for case in range(90):
+        f = rand_suite_map(rng, prec=24, primes=(2, 3, 5, 257), max_e=1)
+        P = rand_point(rng, f.field, f.N, rng.choice((1, 2, 5, 9, 16, 24)))
+        if case % 3:
+            P = apply_map(f, P)
+        if case % 3 == 2 and P.prec > 2:
+            j, k = rng.randrange(f.N + 1), rng.randrange(2, P.prec)
+            c = f.field.from_int(rng.randrange(1, f.field.order))
+            coords = list(P.coords)
+            coords[j] = coords[j] + TruncSeries.from_constant(c, P.prec) * t_power(f.field, k, P.prec)
+            P = ProjPoint(f.field, coords)
+        outcome = []
+        for solve in (preimage_qp, preimage_qp_reference):
+            try:
+                Q = solve(f, P)
+                outcome.append((Q.prec, [(c.prec, c.packed) for c in Q.coords]))
+            except NotInImage as exc:
+                outcome.append(str(exc))
+        assert outcome[0] == outcome[1], (case, outcome)
+        seen["refused" if isinstance(outcome[0], str) else "point"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_preimage_requires_q_equal_p():

@@ -1,15 +1,17 @@
 import itertools
+import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobdml import poly
 from frobdml.errors import (DegreeMismatch, DegreeOverflow, DivisionByZero,
                             FieldMismatch, NonPrimeP, ReducibleModulus)
 from frobdml.field import (PRIME_BOUND, _is_prime, _poly_str,
                            format_element, make_field, parse_element)
 
-from conftest import field_for, frobenius_pow
+from conftest import field_for, fq_reference, frobenius_pow
 
 F2 = field_for(2, 1)
 F4 = field_for(2, 2)
@@ -239,3 +241,59 @@ def test_large_characteristic_reducible_modulus_names_factor():
     assert time.perf_counter() - t0 < 1.0
     assert str(ei.value) == \
         "modulus 15+2147483639*a^2+a^4 is divisible by 2147483642+a^2"
+
+
+FQ_FIELDS = [(p, m) for p in (2, 3, 5) for m in range(1, 13)] + \
+    [(p, m) for p in (257, 2 ** 31 - 1, 2 ** 64 - 59) for m in range(1, 5)]
+
+
+def first_field(p, m):
+    """F_(p^m) by the first irreducible modulus from x^m + x on, in index
+    order (over F_(2^31-1) every x^4 + c is reducible)."""
+    R = poly.prime_field(p)
+    for idx in itertools.count(p):
+        mod = poly.digits(idx, p, m) + [1]
+        if m == 1 or poly.least_factor_degree(R, mod) is None:
+            return make_field(p, m, mod)
+
+
+@pytest.mark.parametrize("p,m", FQ_FIELDS, ids=[f"p{p}m{m}" for p, m in FQ_FIELDS])
+def test_packed_element_ops_match_reference(p, m):
+    # 2^64 - 59 needs digits wider than 64 bits, read through _WideDigits
+    F = first_field(p, m)
+    mul, power = fq_reference(F)
+    q, rng = F.order, random.Random(p * 100 + m)
+    xs = [F.from_int(rng.randrange(1, q)), F.el([p - 1] * m)]
+    if m % 2 == 0:
+        xs.append(xs[0] * xs[0].frobenius(m // 2))  # in F_(p^(m/2))
+    for x in xs:
+        y = F.from_int(rng.randrange(q))
+        u, v = x.coeffs, y.coeffs
+        assert (x + y).coeffs == tuple((a + b) % p for a, b in zip(u, v))
+        assert (x - y).coeffs == tuple((a - b) % p for a, b in zip(u, v))
+        assert (-x).coeffs == tuple(-a % p for a in u)
+        assert (x * y).coeffs == mul(u, v)
+        inv = power(u, q - 2)
+        assert x.inv().coeffs == inv and (y / x).coeffs == mul(v, inv)
+        for n, want in ((-3, power(inv, 3)), (0, power(u, 0)), (1, u), (2, mul(u, u)),
+                        (3 * q + 5, power(u, 3 * q + 5))):
+            assert (x ** n).coeffs == want, n
+        frob = [u]
+        for _ in range(m - 1):
+            frob.append(power(frob[-1], p))
+        for e in range(-m, 2 * m + 1):
+            assert x.frobenius(e).coeffs == frob[e % m], e
+        assert x.subfield_degree() == min(d for d in range(1, m + 1)
+                                          if m % d == 0 and frob[d % m] == u)
+        i = rng.randrange(q)
+        assert F.from_int(i).index() == i
+        assert F.from_int(i).coeffs == tuple(poly.digits(i, p, m))
+    # equal fields built separately have equal, equally hashed elements
+    twin = make_field(p, m, F.modulus)
+    for x in xs:
+        y = twin.from_int(x.index())
+        assert y == x and hash(y) == hash(x) and y != x + F.one()
+    with pytest.raises(DivisionByZero):
+        F.zero().inv()
+    with pytest.raises(DivisionByZero):
+        F.one() / twin.zero()

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobdml import series, twist
+from frobdml import field as layout, series, twist
 from frobdml.errors import (DegreeMismatch, DegreeOverflow, FieldMismatch,
                             NonUnitDivisor, ParseError)
 from frobdml.field import make_field
@@ -306,11 +306,11 @@ def test_digit_width_follows_the_bound():
     for F in WIDE_FIELDS:
         edges = {n for top in tier_tops(F) for n in (top, top + 1)}
         for n in sorted(edges | {1, 2, series.MAX_PREC}):
-            w = series._width(F, n)
+            w = layout._width(F, n)
             assert bound(F, n) < 2 ** (w - 1) and (w == 8 or bound(F, n) >= 2 ** (w // 2 - 1))
         # the packings use it (a shape at MAX_PREC is megabytes, so none is built)
-        K = series._kron(F)
-        assert all(K[n].L.w == series._width(F, n) for n in edges | {1, 2})
+        K = F._kron
+        assert all(K[n].L.w == layout._width(F, n) for n in edges | {1, 2})
     assert [top for F, top in EDGES if F.p == 2 and F.m == 1] == [123, 32763]
     with pytest.raises(DegreeOverflow):
         TruncSeries.zeros(F2, series.MAX_PREC + 1)
@@ -322,11 +322,11 @@ def test_digit_width_follows_the_bound():
 
 def test_shape_cache_is_bounded():
     F = make_field(3, 2, [1, 0, 1])
-    for n in range(1, 3 * series.SHAPES_KEPT):
+    for n in range(1, 3 * layout.SHAPES_KEPT):
         s = t_power(F, n - 1, n) * TruncSeries.one(F, n) - TruncSeries.zeros(F, n)
         assert s.valuation() == n - 1 and s.coeffs[n - 1] == F.one()
-    K = series._kron(F)
-    assert len(K) <= series.SHAPES_KEPT
+    K = F._kron
+    assert len(K) <= layout.SHAPES_KEPT
     # precision 13 is the last at width 8; each shape points into the layouts
     assert {8, 16} <= set(K.layouts) and all(K.layouts[sh.L.w] is sh.L for sh in K.values())
 
@@ -486,11 +486,11 @@ def assert_barrett_matches(sh, n, X):
     """The Barrett pass of sh reduces X, its stored digits 0..m-1 alone and
     its product digits m..2m-2 alone as modp_reference does."""
     L = sh.L
-    every = series._digit_struct(L, n, 0, 2 * L.m - 1)
+    every = layout._digit_struct(L, n, 0, 2 * L.m - 1)
     lo = X & sh.low
     for Y in (X, lo, X ^ lo):
-        assert series._barrett(sh, Y) == modp_reference(every, L.p, Y)
-    assert series._reduce_low(sh, lo) == modp_reference(sh.lo, L.p, X)
+        assert layout._barrett(sh, Y) == modp_reference(every, L.p, Y)
+    assert layout._reduce_low(sh, lo) == modp_reference(sh.lo, L.p, X)
 
 
 def extension(p, m):
@@ -510,7 +510,7 @@ def test_barrett_at_tier_edges(F, top):
     # digits 0, p-1, p and 2^(w-1)-1 at every third digit (both parities,
     # every place in a slot), alone and between the largest digits; each
     # digit's % p is read off its comb
-    K = series._kron(F)
+    K = F._kron
     for n in (top, top + 1):
         sh = K[n]
         w, p = sh.L.w, F.p
@@ -522,8 +522,8 @@ def test_barrett_at_tier_edges(F, top):
             for v in (0, p - 1, p, big):
                 for X, want in ((v * comb, v % p * comb),
                                 (v * comb + big * rest, v % p * comb + big % p * rest)):
-                    assert series._barrett(sh, X) == want
-                    assert series._reduce_low(sh, X & sh.low) == want & sh.low
+                    assert layout._barrett(sh, X) == want
+                    assert layout._reduce_low(sh, X & sh.low) == want & sh.low
             assert_barrett_matches(sh, n, big * comb + (p - 1) * rest)
 
 
@@ -539,10 +539,10 @@ def test_barrett_quotient_is_exact_for_every_digit(w, primes):
     # every digit below 2^(w-1), at even and at odd index: a shift one bit
     # shorter than w-1+b is exact at the tier edges but not for all of these
     for p in primes:
-        L = series._Layout(make_field(p, 1, [0, 1]), w)
+        L = layout._Layout(make_field(p, 1, [0, 1]), w)
         for ds in (list(range(1 << (w - 1))), [0] + list(range(1 << (w - 1)))):
-            sh = series._Shape(L, len(ds))
-            assert series._barrett(sh, packed_digits(ds, w)) == packed_digits(
+            sh = layout._Shape(L, len(ds))
+            assert layout._barrett(sh, packed_digits(ds, w)) == packed_digits(
                 [d % p for d in ds], w)
 
 
@@ -553,10 +553,10 @@ def test_barrett_at_wide_digits(p):
     for m in (1, 2, 3):
         F = field_for(p, m) if (p, m) in MODULI else extension(p, m)
         for w in (64, 128, 256):
-            L = series._Layout(F, w)
+            L = layout._Layout(F, w)
             edge = (0, 1, p - 1, p, p + 1, (1 << (w - 1)) - 1)
             for n in (1, 2, 3, 8):
-                sh = series._Shape(L, n)
+                sh = layout._Shape(L, n)
                 for _ in range(10):
                     ds = [rng.choice(edge + (rng.randrange(1 << (w - 1)),))
                           for _ in range(n * (2 * m - 1))]
@@ -569,7 +569,7 @@ def test_barrett_on_both_selections_up_to_m_12(p):
     for m in range(1, 13):
         F = extension(p, m)
         for n in (1, 2, 3, 4, 7):
-            sh = series._kron(F)[n]
+            sh = F._kron[n]
             w = sh.L.w
             edge = (0, p - 1, p, (1 << (w - 1)) - 1)
             for _ in range(8):
@@ -581,7 +581,7 @@ def test_barrett_on_both_selections_up_to_m_12(p):
 def frobenius_reference(s, k):
     """s^(p^k) with one slot moved per loop iteration, then Frob_{p^k}."""
     F, n = s.field, s.prec
-    pk, S = F.p ** k, series._kron(F)[n].L.S
+    pk, S = F.p ** k, F._kron[n].L.S
     moved = sum(((s.packed >> (i * S)) & ((1 << S) - 1)) << (i * pk * S)
                 for i in range((n - 1) // pk + 1))
     return series._new(F, n, moved).galois(k)
@@ -596,7 +596,7 @@ def test_strided_frobenius_power_matches_the_slot_loop():
         ns = {1, 2, 3, 5, 9, 17, 30} | {n for top in tier_tops(F) if top < 200
                                           for n in (top, top + 1)}
         for n in sorted(ns):
-            widths.add(series._kron(F)[n].L.w)
+            widths.add(F._kron[n].L.w)
             s = TruncSeries(F, n, [F.el([rng.randrange(F.p) for _ in range(F.m)])
                                    for _ in range(n)])
             for k in (1, 2, 3):
@@ -623,7 +623,7 @@ def test_interleaving_the_sections_gives_back_the_series(s):
     # c = sum_(k<p) t^k * d_k^p, where slot j of d_k is Frob_p^(-1) of slot
     # k + p*j of c: the sections have ceil(n/p) slots in the width of n
     F, n, p = s.field, s.prec, s.field.p
-    L, r = series._kron(F)[n].L, -(-n // p)
+    L, r = F._kron[n].L, -(-n // p)
     ds = series._gather(L, s.galois(-1).packed, n, p)
     assert len(ds) == min(p, n)
     cs, zero = s.coeffs, F.zero()

@@ -388,7 +388,7 @@ def test_echelon_is_canonical_and_incremental():
     rng = random.Random(808)
     for F, e in ((F2, 1), (field_for(5, 1), 1), (F4, 1), (F4, 2), (F9, 1), (F16, 2)):
         fq = twist.FqStructure(F, e)
-        one = series._kron(F)[1]
+        one = F._kron[1]
         powers = [F.one()] + [F.gen() ** t for t in range(1, fq.s)]
         for x in F.elements():  # x = sum_i c_i a^i with every c_i in F_q
             cs = [series._unpack(F, one, c)[0] for c in fq.coords(one.L, one.L.pack(x.coeffs))]
@@ -396,7 +396,7 @@ def test_echelon_is_canonical_and_incremental():
             assert sum((c * w for c, w in zip(cs, powers)), F.zero()) == x
         for _ in range(60):
             width = rng.randint(1, 6)
-            sh = series._kron(F)[width]
+            sh = F._kron[width]
             rows = [sum(sh.L.pack(F.from_int(rng.randrange(F.order)).coeffs) << (k * sh.L.S)
                         for k in range(width) if rng.random() < 0.6)
                     for _ in range(rng.randint(1, 6))]
