@@ -164,6 +164,14 @@ def _dml_only(f, command: str) -> DmlMap:
 # commands
 # ---------------------------------------------------------------------------
 
+def _conditions(f) -> Tuple[List[str], dict]:
+    """The three structural conditions of f as text lines and JSON keys."""
+    rep = check_conditions(f)
+    obj = {k: getattr(rep, k) for k in
+           ("zero_differential", "special_fiber_is_frobenius", "frobenius_power")}
+    return [f"{k}: {_scalar(v)}" for k, v in obj.items()], obj
+
+
 def cmd_validate(args) -> int:
     try:
         inst = _load(args)
@@ -172,30 +180,16 @@ def cmd_validate(args) -> int:
         obj = {"valid": False, "diagnostics": [str(d) for d in ex.diagnostics]}
         sys.stdout.write(Report(lines, obj).render(args.format))
         return 2
-    rep = check_conditions(inst.map)
+    text, conditions = _conditions(inst.map)
     label = inst.label or "(unlabeled)"
-    lines = [f"valid: {label}",
-             f"map: {inst.map!r}",
-             f"zero_differential: {_scalar(rep.zero_differential)}",
-             f"special_fiber_is_frobenius: {_scalar(rep.special_fiber_is_frobenius)}",
-             f"frobenius_power: {_scalar(rep.frobenius_power)}"]
-    obj = {"valid": True, "label": inst.label, "map": repr(inst.map),
-           "zero_differential": rep.zero_differential,
-           "special_fiber_is_frobenius": rep.special_fiber_is_frobenius,
-           "frobenius_power": rep.frobenius_power}
+    lines = [f"valid: {label}", f"map: {inst.map!r}"] + text
+    obj = {"valid": True, "label": inst.label, "map": repr(inst.map), **conditions}
     sys.stdout.write(Report(lines, obj).render(args.format))
     return 0
 
 
 def cmd_check_conditions(args) -> int:
-    inst = _load(args)
-    rep = check_conditions(inst.map)
-    lines = [f"zero_differential: {_scalar(rep.zero_differential)}",
-             f"special_fiber_is_frobenius: {_scalar(rep.special_fiber_is_frobenius)}",
-             f"frobenius_power: {_scalar(rep.frobenius_power)}"]
-    obj = {"zero_differential": rep.zero_differential,
-           "special_fiber_is_frobenius": rep.special_fiber_is_frobenius,
-           "frobenius_power": rep.frobenius_power}
+    lines, obj = _conditions(_load(args).map)
     sys.stdout.write(Report(lines, obj).render(args.format))
     return 0
 
@@ -215,14 +209,21 @@ def cmd_orbit(args) -> int:
     return 0
 
 
-def cmd_lift(args) -> int:
+def _lift(args, command: str):
+    """(f, prec, the sigma-fixed lift of --point0 to prec) for lift, witness
+    and period: the instance is loaded, f checked to be structured, the
+    point read and the precision found, in this order."""
     from .lifting import sigma_fixed_lift
     inst = _load(args)
-    f = _dml_only(inst.map, "lift")
+    f = _dml_only(inst.map, command)
     P0 = _residue_point(inst, args.point0)
     prec = _need(args.prec if args.prec is not None else inst.parameters.prec,
                  "--prec", "prec")
-    L = sigma_fixed_lift(f, P0, prec)
+    return f, prec, sigma_fixed_lift(f, P0, prec)
+
+
+def cmd_lift(args) -> int:
+    _, prec, L = _lift(args, "lift")
     verification = f"f(P~) - σ(P~) = 0 mod t^{prec}"
     lines = [f"P~ = {_fmt_point(L.lift)}",
              verification,
@@ -355,13 +356,8 @@ def cmd_compose(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    from .lifting import critical_witness, sigma_fixed_lift
-    inst = _load(args)
-    f = _dml_only(inst.map, "witness")
-    P0 = _residue_point(inst, args.point0)
-    prec = _need(args.prec if args.prec is not None else inst.parameters.prec,
-                 "--prec", "prec")
-    L = sigma_fixed_lift(f, P0, prec)
+    from .lifting import critical_witness
+    f, _, L = _lift(args, "witness")
     Q = critical_witness(f, L, args.index)
     lines = [f"Q = σ^(-{args.index})(P~) = {_fmt_point(Q)}",
              f"f^{args.index}(Q) = P~ (verified exactly)"]
@@ -372,13 +368,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_period(args) -> int:
-    from .lifting import minimal_period, sigma_fixed_lift
-    inst = _load(args)
-    f = _dml_only(inst.map, "period")
-    P0 = _residue_point(inst, args.point0)
-    prec = _need(args.prec if args.prec is not None else inst.parameters.prec,
-                 "--prec", "prec")
-    L = sigma_fixed_lift(f, P0, prec)
+    from .lifting import minimal_period
+    f, _, L = _lift(args, "period")
     d = minimal_period(f, L)
     lines = [f"residue_degree: {_scalar(L.residue_degree)}",
              f"minimal_period: {d}"]

@@ -44,9 +44,16 @@ itself, and a product is ``% p``.
 Frobenius powers x -> x^(p^e) are first-class, including negative e: the
 inverse Frobenius is x -> x^(p^(((e mod m) + m) mod m)), never a root
 computation.
+
+The text grammar of elements is two patterns, which ``series`` extends to
+series: TERM, a decimal coefficient, a power a^j, or both joined by *, and
+ELEMENT, terms joined by signs.  Every digit string of the grammar and of
+an instance file is read by ``parse_int``, which refuses more than
+MAX_INT_DIGITS digits as a ParseError.
 """
 from __future__ import annotations
 
+import re
 import struct
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -236,8 +243,10 @@ class _Layout:
 
     def pack(self, digits: Sequence[int]) -> int:
         """One coefficient's digits as a packed slot."""
-        w = self.w
-        return sum(d << (i * w) for i, d in enumerate(digits))
+        w, x = self.w, 0
+        for d in reversed(digits):
+            x = (x << w) + d
+        return x
 
     def mul(self, x: int, y: int) -> int:
         """The product of two packed coefficients."""
@@ -628,72 +637,60 @@ class FqElem:
 
 
 # ---------------------------------------------------------------------------
-# element text syntax:  a+1   2*a^3+1   0
+# text syntax:  a+1   2*a^3+1   -a^5   0
+#
+# An element term is a coefficient, a power of a, or both joined by *; an
+# element is terms joined by signs, the first sign optional; spaces are
+# ignored.  \d is a Unicode decimal digit, exactly the characters int()
+# reads.  The groups of TERM: the coefficient, the *a part after it, and
+# the exponent of a in either alternative.
 # ---------------------------------------------------------------------------
 
-def parse_element(field: FieldSpec, text: str) -> FqElem:
+MAX_INT_DIGITS = 4300     # CPython's default limit of int() on a string
+TERM = r"(\d+)(\*a(?:\^(\d+))?)?|a(?:\^(\d+))?"
+ELEMENT = rf"[+-]?(?:{TERM})(?:[+-](?:{TERM}))*"
+_ELEMENT = re.compile(ELEMENT)
+_SIGNED_TERM = re.compile(rf"([+-]?)(?:{TERM})")
+
+
+def parse_int(text: str) -> int:
+    """The integer a decimal literal spells, refused past MAX_INT_DIGITS
+    digits (the sign not counted); also json's integer hook."""
+    digits = len(text.lstrip("+-"))
+    if digits > MAX_INT_DIGITS:
+        raise ParseError(
+            f"integer literal of {digits} digits exceeds the {MAX_INT_DIGITS}-digit limit")
+    return int(text)
+
+
+def _unspaced(text: str, what: str) -> str:
     if not isinstance(text, str):
-        raise ParseError(f"element must be a string, not {type(text).__name__}")
-    s = text.replace(" ", "")
-    if not s:
-        raise ParseError("empty element string")
-    coeffs = [0] * field.m
-    sign = 1
-    i = 0
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        i = 1
-    term = ""
-    tokens: List[Tuple[int, str]] = []
-    while i <= len(s):
-        ch = s[i] if i < len(s) else None
-        if ch in ("+", "-", None):
-            if not term:
-                raise ParseError(f"malformed element {text!r}")
-            tokens.append((sign, term))
-            if ch is None:
-                break
-            sign = -1 if ch == "-" else 1
-            term = ""
-        else:
-            term += ch
-        i += 1
-    for sgn, t in tokens:
-        c, j = _parse_term(field, t, text)
-        if j >= field.m:
-            # reduce a^j via field arithmetic
-            val = field.gen() ** j if field.m > 1 else field.one()
-            contrib = field.el([c]) * val
-            if sgn < 0:
-                contrib = -contrib
-            for k in range(field.m):
-                coeffs[k] = (coeffs[k] + contrib.coeffs[k]) % field.p
-        else:
-            coeffs[j] = (coeffs[j] + sgn * c) % field.p
+        raise ParseError(f"{what} must be a string, not {type(text).__name__}")
+    return text.replace(" ", "")
+
+
+def parse_element(field: FieldSpec, text: str) -> FqElem:
+    s = _unspaced(text, "element")
+    if not _ELEMENT.fullmatch(s):
+        raise ParseError(f"malformed element {text!r}")
+    return _element_value(field, s)
+
+
+def _element_value(field: FieldSpec, s: str) -> FqElem:
+    """The element that s, a match of ELEMENT, denotes."""
+    m = field.m
+    if m == 1 and "a" in s:
+        raise ParseError(f"generator a used over prime field in {s!r}")
+    coeffs = [0] * m
+    for sign, c, a, i, k in _SIGNED_TERM.findall(s):
+        e = i or k
+        j = parse_int(e) if e else 1 if a or not c else 0
+        c = parse_int(sign + (c or "1"))
+        if j < m:
+            coeffs[j] += c
+        else:   # a^j reduced by the modulus
+            coeffs = [x + c * y for x, y in zip(coeffs, (field.gen() ** j).coeffs)]
     return field.el(coeffs)
-
-
-def _parse_term(field: FieldSpec, t: str, full: str) -> Tuple[int, int]:
-    """One element term -> (coefficient, power of a)."""
-    if t.isdigit():
-        return int(t) % field.p, 0
-    if "*" in t:
-        cs, _, rest = t.partition("*")
-        if not cs.isdigit():
-            raise ParseError(f"malformed term {t!r} in {full!r}")
-        c = int(cs) % field.p
-    else:
-        rest = t
-        c = 1
-    if rest == "a":
-        j = 1
-    elif rest.startswith("a^") and rest[2:].isdigit():
-        j = int(rest[2:])
-    else:
-        raise ParseError(f"malformed term {t!r} in {full!r}")
-    if field.m == 1:
-        raise ParseError(f"generator a used over prime field in {full!r}")
-    return c, j
 
 
 def format_element(x: FqElem) -> str:

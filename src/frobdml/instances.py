@@ -28,12 +28,11 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .dynamics import AnyMap, DmlMap, GeneralMap, term_bound, validate_map
 from .errors import DegreeOverflow, ParseError, ValidationFailure
-from .field import FieldSpec, FqElem, format_element, make_field, parse_element
+from .field import FieldSpec, FqElem, format_element, make_field, parse_element, parse_int
 from .geometry import HomogPoly, ProjPoint, Subvariety
 from .record import MutableRecord
 from .series import TruncSeries, format_series, parse_series
 
-MAX_INT_DIGITS = 4300
 ResiduePoint = Tuple[FqElem, ...]
 NamedPoint = Union[ProjPoint, ResiduePoint]
 
@@ -199,19 +198,10 @@ def parse_instance_dict(doc: dict, where: str = "instance") -> Instance:
     return Instance(label, field, fmap, points, varieties, params)
 
 
-def _json_int(text: str) -> int:
-    """json's integer hook; CPython's int() refuses longer literals."""
-    digits = len(text.lstrip("-"))
-    if digits > MAX_INT_DIGITS:
-        raise ParseError(
-            f"integer literal of {digits} digits exceeds the {MAX_INT_DIGITS}-digit limit")
-    return int(text)
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_int=_json_int)
+            return json.load(fh, parse_int=parse_int)
     except OSError as ex:
         raise ParseError(f"cannot read {path}: {ex}") from ex
     except json.JSONDecodeError as ex:

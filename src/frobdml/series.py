@@ -30,9 +30,13 @@ digits.
 The zero-at-precision series is not "zero", it is "indistinguishable from
 zero below t^prec"; ``valuation`` returns the AtPrecisionZero sentinel for
 it rather than an integer.
+
+``parse_series`` reads the element grammar of ``field`` extended by t and
+the precision marker O(t^n) (see "text syntax" below).
 """
 from __future__ import annotations
 
+import re
 from itertools import islice
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -43,8 +47,9 @@ from .errors import (
     NonUnitDivisor,
     ParseError,
 )
-from .field import (FieldSpec, FqElem, _Layout, _Shape, _add, _fit, _galois, _inv, _move,
-                    _reduce, _repack, _sub, format_element, parse_element)
+from .field import (ELEMENT, TERM, FieldSpec, FqElem, _Layout, _Shape, _add, _element_value,
+                    _fit, _galois, _inv, _move, _reduce, _repack, _sub, _unspaced,
+                    format_element, parse_int)
 from .record import Record
 
 MAX_PREC = 1 << 16
@@ -373,124 +378,50 @@ def _make(field: FieldSpec, prec: int, packing) -> TruncSeries:
 
 # ---------------------------------------------------------------------------
 # text syntax:  1 + (a+1)*t + t^3 + O(t^8)
+#
+# A series term is a coefficient (an element term, or an element in
+# parentheses), a power t^j after an optional *, or both; terms are joined
+# by signs, the first sign optional, and O(t^n) may only end the string,
+# added.  Without it the precision is default_prec.
 # ---------------------------------------------------------------------------
 
-def _split_top_level(s: str) -> List[Tuple[int, str]]:
-    """Split on +/- at paren depth 0; returns (sign, term) pairs."""
-    out = []
-    depth = 0
-    sign = 1
-    term = ""
-    i = 0
-    if s and s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        i = 1
-    while i < len(s):
-        ch = s[i]
-        if ch == "(":
-            depth += 1
-            term += ch
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced parens in {s!r}")
-            term += ch
-        elif ch in "+-" and depth == 0:
-            if not term:
-                raise ParseError(f"empty term in {s!r}")
-            out.append((sign, term))
-            sign = -1 if ch == "-" else 1
-            term = ""
-        else:
-            term += ch
-        i += 1
-    if depth != 0:
-        raise ParseError(f"unbalanced parens in {s!r}")
-    if not term:
-        raise ParseError(f"trailing operator or empty series string {s!r}")
-    out.append((sign, term))
-    return out
-
-
-def _strip_parens(s: str) -> str:
-    if s.startswith("(") and s.endswith(")"):
-        depth = 0
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and i < len(s) - 1:
-                    return s
-        return s[1:-1]
-    return s
+_TERM = re.compile(rf"(?P<sign>[+-]?)(?P<c>{TERM}|\({ELEMENT}\))?"
+                   rf"(?P<t>(?(c)\*?)t(?:\^(?P<j>\d+))?)?")
+_PRECISION = re.compile(r"(?:\A\+?|\+)O\(t(?:\^(\d+))?\)\Z")
 
 
 def parse_series(field: FieldSpec, text: str,
                  default_prec: Optional[int] = None) -> TruncSeries:
-    if not isinstance(text, str):
-        raise ParseError(f"series must be a string, not {type(text).__name__}")
-    s = text.replace(" ", "")
+    s = _unspaced(text, "series")
     if not s:
         raise ParseError("empty series string")
-    terms = _split_top_level(s)
-    prec: Optional[int] = None
-    pairs: List[Tuple[int, FqElem, int]] = []
-    for pos, (sign, term) in enumerate(terms):
-        if term.startswith("O("):
-            if pos != len(terms) - 1 or sign < 0:
-                raise ParseError(f"O(...) must be the final added term in {text!r}")
-            inner = term[2:-1] if term.endswith(")") else None
-            if inner == "t":
-                prec = 1
-            elif inner and inner.startswith("t^") and inner[2:].isdigit():
-                prec = int(inner[2:])
-            else:
-                raise ParseError(f"malformed precision marker {term!r}")
-            if prec < 1:
-                raise ParseError(f"precision must be >= 1 in {term!r}")
-            continue
-        c, j = _parse_series_term(field, term, text)
-        pairs.append((sign, c, j))
-    if prec is None:
-        prec = default_prec
-    if prec is None:
+    marker = _PRECISION.search(s)
+    body = s[:marker.start()] if marker else s
+    terms: List[Tuple[FqElem, int]] = []
+    pos = 0
+    while pos < len(body):
+        mt = _TERM.match(body, pos)
+        c, t = mt["c"], mt["t"]
+        if not (c or t) or (pos and not mt["sign"]):
+            raise ParseError(f"malformed term at {body[pos:]!r} in {text!r}")
+        x = field.one() if c is None else _element_value(field, c.strip("()"))
+        terms.append((-x if mt["sign"] == "-" else x,
+                      0 if t is None else parse_int(mt["j"] or "1")))
+        pos = mt.end()
+    if marker:
+        prec = parse_int(marker[1] or "1")
+        if prec < 1:
+            raise ParseError(f"precision must be >= 1 in {text!r}")
+    elif default_prec is None:
         raise ParseError(f"no O(t^n) marker and no default precision for {text!r}")
-    cs = [field.zero()] * prec
-    for sign, c, j in pairs:
-        if j >= prec:
-            continue
-        cs[j] = cs[j] + (-c if sign < 0 else c)
-    return TruncSeries(field, prec, cs)
-
-
-def _parse_series_term(field: FieldSpec, term: str, full: str) -> Tuple[FqElem, int]:
-    # locate the series variable at depth 0; element syntax never contains t
-    depth = 0
-    tpos = -1
-    for i, ch in enumerate(term):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "t" and depth == 0:
-            tpos = i
-            break
-    if tpos < 0:
-        return parse_element(field, _strip_parens(term)), 0
-    tail = term[tpos + 1:]
-    if tail == "":
-        j = 1
-    elif tail.startswith("^") and tail[1:].isdigit():
-        j = int(tail[1:])
     else:
-        raise ParseError(f"malformed t-power in term {term!r} of {full!r}")
-    head = term[:tpos]
-    if head == "":
-        return field.one(), j
-    if head.endswith("*"):
-        head = head[:-1]
-    return parse_element(field, _strip_parens(head)), j
+        prec = default_prec
+    _check_prec(prec)
+    cs = [field.zero()] * prec
+    for x, j in terms:
+        if j < prec:
+            cs[j] += x
+    return TruncSeries(field, prec, cs)
 
 
 def format_series(s: TruncSeries) -> str:

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from frobdml import poly
 from frobdml.errors import (DegreeMismatch, DegreeOverflow, DivisionByZero,
-                            FieldMismatch, NonPrimeP, ReducibleModulus)
-from frobdml.field import (PRIME_BOUND, _is_prime, _poly_str,
-                           format_element, make_field, parse_element)
+                            FieldMismatch, NonPrimeP, ParseError, ReducibleModulus)
+from frobdml.field import (MAX_INT_DIGITS, PRIME_BOUND, _is_prime, _poly_str,
+                           format_element, make_field, parse_element, parse_int)
 
 from conftest import field_for, fq_reference, frobenius_pow
 
@@ -117,6 +117,40 @@ def test_parse_element_forms():
     assert parse_element(F9, "a^2") == a * a
     assert parse_element(F9, "-1") == -F9.one()
     assert parse_element(F4, "1+a") == F4.one() + F4.gen()
+
+
+# The element grammar, pinned: (field, text, the value as printed).
+LONG = "9" * 5000  # past the 4,300-digit limit of int() on a string
+
+
+def _id(x):
+    return f"F{x.order}" if hasattr(x, "order") else x[:24]
+
+
+@pytest.mark.parametrize("field,text,printed", [
+    (F4, "a^5", "1+a"), (F4, " - a + 3 ", "1+a"), (F9, "2*a^0 + a^2", "1"),
+    (F25, "\u0663*a", "3*a"),   # an Arabic-Indic three
+], ids=_id)
+def test_element_grammar_accepts(field, text, printed):
+    assert format_element(parse_element(field, text)) == printed
+
+
+@pytest.mark.parametrize("field,text", [
+    (F4, "((a))"), (F4, "2a"), (F4, "a^"), (F4, "1++a"), (F4, "a*2"), (F4, ""),
+    (F2, "a"), (F2, "a^0"),
+    # superscript digits and over-long literals, which int() refuses
+    (F4, "\u00b2"), (F4, "a^\u00b2"), (F4, LONG), (F4, "a^" + LONG), (F4, LONG + "*a"),
+], ids=_id)
+def test_element_grammar_rejects_with_parse_error(field, text):
+    with pytest.raises(ParseError):
+        parse_element(field, text)
+
+
+def test_parse_int_counts_digits_without_the_sign():
+    assert parse_int("-" + "9" * MAX_INT_DIGITS) == -(10 ** MAX_INT_DIGITS - 1)
+    with pytest.raises(ParseError, match="^integer literal of 4301 digits exceeds "
+                                         "the 4300-digit limit$"):
+        parse_int("-" + "9" * (MAX_INT_DIGITS + 1))
 
 
 def test_field_mismatch_rejected():

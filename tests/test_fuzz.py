@@ -3,6 +3,8 @@
 Every input ends with exit 0, 1, 2 or 3 and at most one line on stderr,
 never a traceback (exit 4 is a fault of the program).  The mutations are
 seeded and cycle through their kinds, so every fixture meets each kind.
+A second test puts digits that int() cannot read into every string of
+every fixture, one string at a time.
 
 The replacement values are small or malformed on purpose: a large bound
 such as R_max lets a search run for minutes, which a unit test cannot wait
@@ -13,6 +15,7 @@ import contextlib
 import io
 import json
 import random
+import re
 
 import pytest
 
@@ -99,3 +102,45 @@ def test_mutated_fixtures_keep_the_exit_code_contract(tmp_path, name, command, p
         assert len(err.splitlines()) == (code != 0) \
             or (not err and out.getvalue().startswith("invalid")), (what, code, err)
         assert "Traceback" not in err, (what, err)
+
+
+def _string_leaves(doc, path=()):
+    """Paths of every string value below the root."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for k, v in items:
+        if isinstance(v, str):
+            yield path + (k,)
+        elif isinstance(v, (dict, list)):
+            yield from _string_leaves(v, path + (k,))
+
+
+def _literal_variants(text):
+    """text with its first digit string, or else a new exponent, made a
+    superscript digit and a 5,000-digit literal: int() reads neither."""
+    out = []
+    for digits in ("²", "9" * 5000):
+        out.append(re.sub(r"\d+", digits, text, count=1) if re.search(r"\d", text)
+                   else text + "^" + digits)
+    return out
+
+
+@pytest.mark.parametrize("name,command", [f[:2] for f in FILES], ids=[n for n, _, _ in FILES])
+def test_text_literals_keep_the_exit_code_contract(tmp_path, name, command):
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        original = fh.read()
+    path = tmp_path / name
+    runs = 0
+    for leaf in _string_leaves(json.loads(original)):
+        for variant in _literal_variants(_parent(json.loads(original), leaf)[leaf[-1]]):
+            doc = json.loads(original)
+            _parent(doc, leaf)[leaf[-1]] = variant
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, str(path)])
+            err = err.getvalue()
+            what = (list(leaf), variant[:40])
+            assert code in (0, 1, 2, 3), (what, code, err)
+            assert len(err.splitlines()) <= 1 and "Traceback" not in err, (what, err)
+            runs += 1
+    assert runs >= 8

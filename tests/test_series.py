@@ -151,6 +151,43 @@ def test_parse_errors():
         parse_series(F2, "")
 
 
+# The series grammar, pinned: (field, text, the value as printed).
+LONG = "9" * 5000  # past the 4,300-digit limit of int() on a string
+
+
+def _id(x):
+    return f"F{x.order}" if hasattr(x, "order") else x[:24]
+F3, F5 = field_for(3, 1), field_for(5, 1)
+ACCEPTED = [
+    (F3, "2t + O(t^3)", "2*t + O(t^3)"),
+    (F4, "at + O(t^2)", "a*t + O(t^2)"),
+    (F4, "a^2t+O(t^3)", "(1+a)*t + O(t^3)"),
+    (F4, "(-a)*t^2 + O(t^4)", "a*t^2 + O(t^4)"),
+    (F4, "t^03 + O(t^5)", "t^3 + O(t^5)"),
+    (F4, "O(t)", "O(t^1)"),
+    (F4, "+1 + O(t^2)", "1 + O(t^2)"),
+    (F4, "t^9 + O(t^4)", "O(t^4)"),
+    (F5, "\u0663*t + O(t^2)", "3*t + O(t^2)"),   # an Arabic-Indic three
+]
+REJECTED = [(F4, text) for text in (
+    "1++t + O(t^2)", "((a))", "O(t^0)", "O(t^3) + 1", "1 - O(t^3)", "t*2 + O(t^3)",
+    "2a", "a^", "(a)(a)t + O(t^2)", "*t + O(t^2)", "() + O(t^2)",
+    # superscript digits and over-long literals, which int() refuses
+    "\u00b2", "a^\u00b2", "t^\u00b2 + O(t^4)", "O(t^\u00b2)",
+    LONG + "*t + O(t^2)", "t^" + LONG + " + O(t^2)", "1 + O(t^" + LONG + ")")] + [(F3, "a")]
+
+
+@pytest.mark.parametrize("field,text,printed", ACCEPTED, ids=_id)
+def test_grammar_accepts(field, text, printed):
+    assert format_series(parse_series(field, text)) == printed
+
+
+@pytest.mark.parametrize("field,text", REJECTED, ids=_id)
+def test_grammar_rejects_with_parse_error(field, text):
+    with pytest.raises(ParseError):
+        parse_series(field, text)
+
+
 def test_t_power_and_one():
     assert format_series(t_power(F2, 3, 6)) == "t^3 + O(t^6)"
     assert format_series(TruncSeries.one(F2, 3)) == "1 + O(t^3)"
