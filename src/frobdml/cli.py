@@ -382,15 +382,23 @@ def cmd_period(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals are ParseErrors, reported by main
+    in one line like any other; its subparsers are _Parsers too."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "csv", "json"),
                         default="text", help="output format (default text)")
     common.add_argument("--seed", type=int, default=0, metavar="N",
                         help="seed for randomized batch operations; shipped "
                              "commands are deterministic and ignore it")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frobdml",
         description="Exact arithmetic for Frobenius-lifting self-maps of "
                     "projective space over F_q[[t]]: structural validation, "
@@ -466,9 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except FrobdmlError as ex:
         sys.stderr.write(f"error: {type(ex).__name__}: {ex}\n")

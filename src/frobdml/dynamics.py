@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DegreeMismatch,
@@ -127,14 +127,16 @@ class DmlMap:
     __slots__ = ("field", "p", "e", "N", "A", "G", "e0", "label", "_secs")
 
     def __init__(self, field: FieldSpec, p: int, e: int, A: Sequence[Sequence[TruncSeries]],
-                 G: Sequence[HomogPoly], e0: int, label: str = ""):
+                 G: Sequence[HomogPoly], label: str = ""):
         self.field = field
         self.p = p
         self.e = e
         self.N = len(A) - 1
         self.A = tuple(tuple(row) for row in A)
         self.G = tuple(G)
-        self.e0 = e0
+        # the coefficient field is F_(p^e0)
+        self.e0 = coefficient_field_exponent(
+            [s for row in self.A for s in row] + [c for g in self.G for c in g.terms.values()])
         self.label = label
         self._secs: Dict[int, tuple] = {}
 
@@ -143,9 +145,7 @@ class DmlMap:
         return self.p ** self.e
 
     def coefficient_precision(self) -> int:
-        precs = [s.prec for row in self.A for s in row]
-        precs += [c.prec for g in self.G for c in g.terms.values()]
-        return min(precs)
+        return min([s.prec for row in self.A for s in row] + [g.prec for g in self.G])
 
     def _sections(self, n: int) -> tuple:
         """The monomials and sections of the coefficients at precision n
@@ -282,11 +282,10 @@ def _sigma_fixed(s: TruncSeries, e: int) -> Optional[str]:
     return None
 
 
-def coefficient_field_exponent(f_A, f_G) -> int:
-    """lcm of the subfield degrees of every stored coefficient: the least
-    d | m whose Galois action Frob_{p^d} fixes every series."""
-    series = [s for row in f_A for s in row]
-    series += [s for g in f_G for s in g.terms.values()]
+def coefficient_field_exponent(series: Iterable[TruncSeries]) -> int:
+    """lcm of the subfield degrees of the coefficients of the series, at
+    least one: the least d | m whose Galois action Frob_{p^d} fixes each."""
+    series = list(series)
     m = series[0].field.m
     return next(d for d in range(1, m + 1)
                 if m % d == 0 and all(s.galois(d) == s for s in series))
@@ -340,8 +339,7 @@ def validate_map(field: FieldSpec, p: int, e: int,
 
     if diags:
         return diags
-    e0 = coefficient_field_exponent(A, G)
-    return DmlMap(field, p, e, A, G, e0, label)
+    return DmlMap(field, p, e, A, G, label)
 
 
 # ---------------------------------------------------------------------------
@@ -367,17 +365,17 @@ def _build_sections(f: DmlMap, n: int) -> tuple:
     is 0 and D is the coefficient itself at n digits.
 
     Every coefficient must be known to n digits, an entry of A that is
-    exactly 0 or 1 included: A row by row, then G, in that order."""
+    exactly 0 or 1 included: A row by row, then each G_i by its prec, which
+    counts the O(t^k) terms it dropped, in that order."""
     for row in f.A:
         for s in row:
             if s.prec < n:
                 raise PrecisionExhausted(
                     f"map coefficient known only to t^{s.prec} < point precision {n}")
     for g in f.G:
-        for c in g.terms.values():
-            if c.prec < n:
-                raise PrecisionExhausted(
-                    f"coefficient known only to t^{c.prec} < evaluation precision {n}")
+        if g.prec < n:
+            raise PrecisionExhausted(
+                f"coefficient known only to t^{g.prec} < evaluation precision {n}")
     field, p, m = f.field, f.p, f.field.m
     K = field._kron
     sh = K[n]
@@ -559,14 +557,12 @@ def dml_to_general(f: DmlMap) -> GeneralMap:
     for i in range(n):
         terms: Dict[ExpVec, TruncSeries] = {}
         for j in range(n):
-            s = f.A[i][j]
-            if not s.is_zero_at_precision():
-                e = tuple(q if k == j else 0 for k in range(n))
-                terms[e] = terms[e] + s if e in terms else s
+            e = tuple(q if k == j else 0 for k in range(n))
+            terms[e] = f.A[i][j]     # dropped when zero, but its precision counts
         for exps, c in f.G[i].terms.items():
             e = tuple(p * x for x in exps)
             terms[e] = terms[e] + c if e in terms else c
-        coords.append(HomogPoly(f.field, f.N, q, terms))
+        coords.append(HomogPoly(f.field, f.N, q, terms, f.G[i].prec))
     return GeneralMap(f.field, coords, f.label)
 
 
@@ -625,7 +621,7 @@ def compose_maps(F: AnyMap, G: AnyMap) -> GeneralMap:
     out = []
     deg = Fg.degree * Gg.degree
     for h in Fg.coords:
-        acc = HomogPoly.zero(Fg.field, Fg.N, deg)
+        acc = HomogPoly(Fg.field, Fg.N, deg, {}, h.prec)
         for exps, coeff in h.terms.items():
             mono: Optional[HomogPoly] = None
             for j, k in enumerate(exps):
@@ -694,12 +690,11 @@ def recognize_dml_form(F: GeneralMap, p: int, e: int) -> Union[DmlMap, NotInForm
                 return NotInForm(i, exps, "remainder coefficient is a unit")
             yexp = tuple(x // p for x in exps)
             rem[yexp] = rem[yexp] + coeff if yexp in rem else coeff
-        G.append(HomogPoly(F.field, F.N, q // p, rem))
+        G.append(HomogPoly(F.field, F.N, q // p, rem, h.prec))
     if not _unit_det(A):
         return NotInForm(None, None,
                          f"extracted matrix determinant {series_det(A)} is not a unit")
-    e0 = coefficient_field_exponent(A, G)
-    return DmlMap(F.field, p, e, A, G, e0, F.label)
+    return DmlMap(F.field, p, e, A, G, F.label)
 
 
 def _pure_power_index(exps: ExpVec, q: int) -> Optional[int]:

@@ -28,11 +28,13 @@ less than m*p^2, so n coefficients pack at the least digit width w in
 
 which is that precondition.  Each field has a _Layout per width it meets
 (the rows and Frobenius columns in that width) and one table of _Shapes, the
-masks and digit struct per precision, each pointing at the layout of its
-width.  The spare top bit serves addition: digits are added, then p is
-subtracted from exactly the digits that reached p, read off as bit w-1
-after adding 2^(w-1)-p to every digit.  Over F_2 addition is XOR and a
-digit mod 2 is its low bit.
+masks per precision, each pointing at the layout of its width.  One codec
+serves them all: ``_Layout.pack`` and its inverse ``_Layout.digits`` write
+and read one slot's digits, and ``_fit`` moves slots between widths.  The
+spare top bit serves addition: digits are added, then p is subtracted
+from exactly the digits that reached p, read off as bit w-1 after adding
+2^(w-1)-p to every digit.  Over F_2 addition is XOR and a digit mod 2 is
+its low bit.
 
 An FqElem is one packed slot in the layout of precision 1, so the field's
 arithmetic is these kernels: a sum is ``_add``, a product one multiply and
@@ -54,8 +56,7 @@ MAX_INT_DIGITS digits as a ParseError.
 from __future__ import annotations
 
 import re
-import struct
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import poly
 from .errors import (
@@ -172,42 +173,6 @@ def p_power_exponent(p: int, n: int) -> int:
 # Shapes kept per field: a shape costs a few integers of n slots, and a walk
 # that loses precision step by step meets a new n at every step.
 SHAPES_KEPT = 64
-_STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
-
-
-class _WideDigits:
-    """struct.Struct stand-in for digits wider than 64 bits: reads and writes
-    the wb-byte digits at the given byte offsets, zero elsewhere."""
-
-    __slots__ = ("size", "wb", "offsets")
-
-    def __init__(self, size: int, wb: int, offsets: List[int]):
-        self.size, self.wb, self.offsets = size, wb, offsets
-
-    def unpack(self, buf: bytes) -> Tuple[int, ...]:
-        wb = self.wb
-        return tuple(int.from_bytes(buf[o:o + wb], "little") for o in self.offsets)
-
-    def pack(self, *digits: int) -> bytes:
-        out = bytearray(self.size)
-        wb = self.wb
-        for o, d in zip(self.offsets, digits):
-            out[o:o + wb] = d.to_bytes(wb, "little")
-        return bytes(out)
-
-
-def _digit_struct(L: "_Layout", n: int, first: int, count: int):
-    """Reader/writer of digits first..first+count-1 of each of n slots."""
-    wb, slot = L.w // 8, L.S // 8
-    code = _STRUCT_CODES.get(L.w)
-    if code is None:
-        return _WideDigits(n * slot, wb, [j * slot + (first + i) * wb
-                                          for j in range(n) for i in range(count)])
-    pre, post = first * wb, slot - (first + count) * wb
-    if not pre and not post:     # every digit of every slot
-        return struct.Struct(f"<{n * count}{code}")
-    item = (f"{pre}x" if pre else "") + f"{count}{code}" + (f"{post}x" if post else "")
-    return struct.Struct("<" + item * n)
 
 
 def _tile(x: int, bits: int, nbytes: int) -> int:
@@ -227,7 +192,7 @@ class _Layout:
         p, m = field.p, field.m
         self.p, self.m, self.w, self.S = p, m, w, (2 * m - 1) * w
         # a slot as U memoryview items of format unit, for strided slot moves
-        self.unit = _STRUCT_CODES[min(w, 64)]
+        self.unit = {8: "B", 16: "H", 32: "I"}.get(w, "Q")
         self.U = (2 * m - 1) * max(1, w // 64)
         self.slot = (1 << (m * w)) - 1
         # Barrett: d // p == (d * mu) >> shift for every d < 2^(w-1); the
@@ -248,6 +213,11 @@ class _Layout:
             x = (x << w) + d
         return x
 
+    def digits(self, x: int) -> Coeffs:
+        """The m low digits of the packed slot x, inverse to ``pack``."""
+        w, dm = self.w, (1 << self.w) - 1
+        return tuple([(x >> s) & dm for s in range(0, self.m * w, w)])
+
     def mul(self, x: int, y: int) -> int:
         """The product of two packed coefficients."""
         return x * y % self.p if self.m == 1 else _reduce(self.single, x * y)
@@ -267,13 +237,12 @@ class _Layout:
 
 
 class _Shape:
-    """The layout, masks and digit struct of an n-coefficient packing.  For
+    """The layout and masks of an n-coefficient packing.  For
     p > 2 the Barrett pass reads two more: ``even``, every digit at an even
     global index, and ``qmask``, the low w-b+1 bits of each such digit (b
     the bit length of p), where the quotient of its 2w-bit window lands."""
 
-    __slots__ = ("L", "mask", "rep", "ones", "bias", "pones", "digit", "low", "lo",
-                 "even", "qmask")
+    __slots__ = ("L", "mask", "rep", "ones", "bias", "pones", "digit", "low", "even", "qmask")
 
     def __init__(self, L: _Layout, n: int):
         p, m, w, S = L.p, L.m, L.w, L.S
@@ -284,7 +253,6 @@ class _Shape:
         self.ones = _tile(L.ones_slot, S, nb)          # 1 in every stored digit
         self.digit = _tile((1 << w) - 1, S, nb)        # all of digit 0 of each slot
         self.low = _tile(L.slot, S, nb)                # all of the stored digits
-        self.lo = _digit_struct(L, n, 0, m)
         self.bias = self.pones = self.even = self.qmask = None
         if p > 2:
             # add/sub: digits reaching p gain bit w-1 from bias; pones - x negates
@@ -329,37 +297,27 @@ class _Kron(dict):
 _KRONS: Dict[Tuple[int, int, Tuple[int, ...]], _Kron] = {}
 
 
-def _repack(src: bytes, ab: int, bb: int) -> bytes:
-    """The digits of src, ab bytes each, as digits of bb bytes.  A reduced
-    digit is below p < 2^(w-1) in every width its layouts admit, so copying
-    the low bytes of every digit is exact both ways."""
-    if ab == bb:
-        return src
+def _fit(K: _Kron, X: int, a: int, b: int, n: Optional[int] = None) -> int:
+    """X, packed in the width of precision a, in that of precision b, cut to
+    n slots (by default b): a precision-a series as one of precision b, or
+    for a or b = 1 FqElem slots into or out of a series.  A reduced digit is
+    below p < 2^(w-1) in every width, so copying its low bytes is exact."""
+    A, sh = K[a].L, K[b]
+    if n is None:
+        if A is sh.L:
+            return X & sh.mask if b < a else X
+        n = b
+    if n < a:
+        X &= (1 << (n * A.S)) - 1
+    B = sh.L
+    if A is B:
+        return X
+    ab, bb = A.w // 8, B.w // 8
+    src = X.to_bytes(-(-X.bit_length() // A.S) * A.S // 8, "little")
     out = bytearray(len(src) // ab * bb)
     for i in range(min(ab, bb)):
         out[i::bb] = src[i::ab]
-    return out
-
-
-def _move(x: int, A: _Layout, B: _Layout) -> int:
-    """The packed coefficient x of layout A in the width of layout B."""
-    if A.w == B.w:
-        return x
-    return int.from_bytes(_repack(x.to_bytes(A.S // 8, "little"), A.w // 8, B.w // 8), "little")
-
-
-def _fit(K: _Kron, X: int, a: int, b: int) -> int:
-    """The packing X of a precision-a series as one of precision b: cut to b
-    slots when b < a (zero digits are added when b > a), in the width of b."""
-    A, B = K[a].L, K[b]
-    if A is B.L:
-        return X & B.mask if b < a else X
-    B = B.L
-    if b < a:
-        X &= (1 << (b * A.S)) - 1
-    count = min(a, b) * (2 * A.m - 1)
-    return int.from_bytes(_repack(X.to_bytes(count * A.w // 8, "little"), A.w // 8, B.w // 8),
-                          "little")
+    return int.from_bytes(out, "little")
 
 
 def _barrett(sh: _Shape, X: int) -> int:
@@ -519,11 +477,7 @@ class FieldSpec:
     def from_int(self, idx: int) -> "FqElem":
         """Element with base-p digit vector idx (little-endian); the fixed
         total order on elements is this integer index."""
-        p, w, x = self.p, self._L.w, 0
-        for i in range(self.m):
-            idx, d = divmod(idx, p)
-            x |= d << (i * w)
-        return FqElem(self, x)
+        return FqElem(self, self._L.pack(poly.digits(idx, self.p, self.m)))
 
     def elements(self) -> Iterator["FqElem"]:
         for idx in range(self.order):
@@ -561,8 +515,7 @@ class FqElem:
     @property
     def coeffs(self) -> Coeffs:
         """The m coordinates over F_p, decoded afresh on every access."""
-        lo = self.field._L.single.lo
-        return lo.unpack(self.packed.to_bytes(lo.size, "little"))
+        return self.field._L.digits(self.packed)
 
     def _check(self, other: "FqElem") -> None:
         if self.field is not other.field and self.field != other.field:
@@ -686,6 +639,8 @@ def _element_value(field: FieldSpec, s: str) -> FqElem:
         e = i or k
         j = parse_int(e) if e else 1 if a or not c else 0
         c = parse_int(sign + (c or "1"))
+        if j >= m:      # a != 0 has a^(q-1) = 1
+            j %= field.order - 1
         if j < m:
             coeffs[j] += c
         else:   # a^j reduced by the modulus

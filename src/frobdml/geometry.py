@@ -8,8 +8,11 @@ consumed amount is recorded), then divides by the pivot unit, which costs
 no precision.
 
 Homogeneous polynomials are exponent-vector -> coefficient maps; zero
-coefficients are never stored.  The same type serves map remainders G_i
-(variables y_j standing for x_j^p) and subvariety generators (variables x_j).
+coefficients are never stored, but their precision is: a polynomial's
+``prec`` is the least precision of the coefficients it was given, so a term
+O(t^k) still bounds what it determines.  The same type serves map
+remainders G_i (variables y_j standing for x_j^p) and subvariety generators
+(variables x_j).
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .field import FieldSpec, FqElem
-from .series import AtPrecisionZero, TruncSeries
+from .series import MAX_PREC, AtPrecisionZero, TruncSeries
 
 ExpVec = Tuple[int, ...]
 
@@ -120,12 +123,14 @@ def proj_eq(P: ProjPoint, Q: ProjPoint) -> bool:
 # ---------------------------------------------------------------------------
 
 class HomogPoly:
-    """Homogeneous polynomial in N+1 variables with TruncSeries coefficients."""
+    """Homogeneous polynomial in N+1 variables with TruncSeries coefficients,
+    known to t^prec: the least precision of the coefficients it was given
+    and of ``prec``, zero coefficients included, MAX_PREC for none."""
 
-    __slots__ = ("field", "N", "degree", "terms")
+    __slots__ = ("field", "N", "degree", "terms", "prec")
 
     def __init__(self, field: FieldSpec, N: int, degree: int,
-                 terms: Dict[ExpVec, TruncSeries]):
+                 terms: Dict[ExpVec, TruncSeries], prec: int = MAX_PREC):
         if degree < 0:
             raise DegreeMismatch(f"degree {degree} < 0")
         clean: Dict[ExpVec, TruncSeries] = {}
@@ -141,12 +146,14 @@ class HomogPoly:
                     f"term {e} has degree {sum(e)}, polynomial declares {degree}")
             if coeff.field != field:
                 raise FieldMismatch("coefficient field mismatch")
+            prec = min(prec, coeff.prec)
             if not coeff.is_zero_at_precision():
                 clean[e] = coeff
         self.field = field
         self.N = N
         self.degree = degree
         self.terms = clean
+        self.prec = prec
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -168,11 +175,12 @@ class HomogPoly:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms[e] + c if e in terms else c
-        return HomogPoly(self.field, self.N, self.degree, terms)
+        return HomogPoly(self.field, self.N, self.degree, terms, min(self.prec, other.prec))
 
     def scale(self, c: TruncSeries) -> "HomogPoly":
         return HomogPoly(self.field, self.N, self.degree,
-                         {e: coeff * c for e, coeff in self.terms.items()})
+                         {e: coeff * c for e, coeff in self.terms.items()},
+                         min(self.prec, c.prec))
 
     def _compat(self, other: "HomogPoly") -> None:
         if self.field != other.field or self.N != other.N:
@@ -207,7 +215,7 @@ def poly_mul(a: HomogPoly, b: HomogPoly,
             if max_terms is not None and len(terms) > max_terms:
                 raise DegreeOverflow(
                     f"product exceeds the symbolic size bound of {max_terms} terms")
-    return HomogPoly(a.field, a.N, a.degree + b.degree, terms)
+    return HomogPoly(a.field, a.N, a.degree + b.degree, terms, min(a.prec, b.prec))
 
 
 def eval_hom(h: HomogPoly, P: ProjPoint) -> TruncSeries:
@@ -215,11 +223,15 @@ def eval_hom(h: HomogPoly, P: ProjPoint) -> TruncSeries:
 
 
 def eval_hom_coords(h: HomogPoly, coords: Sequence[TruncSeries]) -> TruncSeries:
-    """Evaluate at series coordinates; result at the coordinate precision."""
+    """Evaluate at series coordinates; result at the coordinate precision,
+    to which h must be known."""
     if len(coords) != h.N + 1:
         raise DimensionMismatch(
             f"{len(coords)} coordinates for {h.N + 1} variables")
     prec = min(c.prec for c in coords)
+    if h.prec < prec:
+        raise PrecisionExhausted(
+            f"coefficient known only to t^{h.prec} < evaluation precision {prec}")
     field = h.field
     out = TruncSeries.zeros(field, prec)
     if not h.terms:
@@ -234,9 +246,6 @@ def eval_hom_coords(h: HomogPoly, coords: Sequence[TruncSeries]) -> TruncSeries:
         powers.append(row)
 
     for exps, coeff in h.terms.items():
-        if coeff.prec < prec:
-            raise PrecisionExhausted(
-                f"coefficient known only to t^{coeff.prec} < evaluation precision {prec}")
         mono: Optional[TruncSeries] = None
         for j, k in enumerate(exps):
             if k:

@@ -34,9 +34,10 @@ sigma^{-n}(P~) is an exact n-fold preimage of P~ under f.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from math import gcd
+from typing import List, Sequence, Tuple
 
-from .dynamics import DmlMap, apply_map, orbit
+from .dynamics import DmlMap, apply_map, coefficient_field_exponent, orbit
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -44,7 +45,6 @@ from .errors import (
     PrecisionBelowThreshold,
     PrecisionTooLow,
     PreconditionMatrixNotIdentityModT,
-    ResidueDegreeUnknown,
 )
 from .field import FqElem
 from .geometry import ProjPoint, Subvariety, eval_hom, proj_eq, reduce_point
@@ -56,7 +56,7 @@ class SigmaFixedLift:
     """A point P~ with reduce_point(P~) = P0 and f(P~) = sigma(P~)."""
 
     def __init__(self, base: Tuple[FqElem, ...], lift: ProjPoint,
-                 sigma_exponent: int, residue_degree: Optional[int]):
+                 sigma_exponent: int, residue_degree: int):
         self.base = base
         self.lift = lift
         self.sigma_exponent = sigma_exponent
@@ -102,12 +102,11 @@ def _canonical_residue(f: DmlMap, P0: Sequence[FqElem]) -> Tuple[FqElem, ...]:
     return tuple(P0)
 
 
-def detect_residue_degree(P: ProjPoint, e: int) -> Optional[int]:
-    """Least m with every stored coefficient fixed by Frob_{q^m}, q = p^e."""
-    for m in range(1, P.field.m + 1):
-        if all(s.galois(e * m) == s for s in P.coords):
-            return m
-    return None
+def detect_residue_degree(P: ProjPoint, e: int) -> int:
+    """Least k with every stored coefficient fixed by Frob_{q^k}, q = p^e:
+    with the coefficients in F_(p^d), d | e*k exactly when d/gcd(d, e) | k."""
+    d = coefficient_field_exponent(P.coords)
+    return d // gcd(d, e)
 
 
 def _zero_extend(P: ProjPoint, n: int) -> ProjPoint:
@@ -167,9 +166,6 @@ def critical_witness(f: DmlMap, L: SigmaFixedLift, n: int) -> ProjPoint:
 def minimal_period(f: DmlMap, L: SigmaFixedLift) -> int:
     """Least d >= 1 with proj_eq(f^d(P~), P~); divides the residue degree."""
     m = L.residue_degree
-    if m is None:
-        raise ResidueDegreeUnknown(
-            "lift coefficients do not lie in a detected F_(q^m)")
     cur = L.lift
     for d in range(1, m + 1):
         cur = apply_map(f, cur)

@@ -18,9 +18,10 @@ read the integer directly.  Whatever changes the precision repacks when the
 new precision has another width: an operation whose operands differ in
 precision cuts the longer one to the common precision, and change_precision,
 shift_down and eq_at_precision pass through _fit.  A coefficient is an
-FqElem holding its slot in the width of precision 1: ``coeffs`` and
-``constant_term`` repack the slots on every call, and the list constructor
-packs FqElems the same way.
+FqElem holding its slot in the width of precision 1, so it is a packing of
+precision 1: ``coeffs`` and ``constant_term`` fit slots to precision 1 on
+every call, and the list constructor, ``from_constant`` and ``scale`` fit
+FqElems to the series' precision.
 
 Precision is absolute: arithmetic results carry min(prec_a, prec_b);
 division by a unit preserves precision; truncation is exact, and padding
@@ -48,7 +49,7 @@ from .errors import (
     ParseError,
 )
 from .field import (ELEMENT, TERM, FieldSpec, FqElem, _Layout, _Shape, _add, _element_value,
-                    _fit, _galois, _inv, _move, _reduce, _repack, _sub, _unspaced,
+                    _fit, _galois, _inv, _reduce, _sub, _unspaced,
                     format_element, parse_int)
 from .record import Record
 
@@ -119,11 +120,12 @@ def _dilate(sh: _Shape, field: FieldSpec, X: int, n: int, k: int) -> int:
 
 
 def _unpack(field: FieldSpec, sh: _Shape, X: int) -> Tuple[FqElem, ...]:
-    """The coefficients of the canonical packing X with sh's slots."""
-    E = field._L
-    src = _repack(X.to_bytes(sh.lo.size, "little"), sh.L.w // 8, E.w // 8)
-    sb, eb = E.S // 8, E.m * E.w // 8
-    return tuple(FqElem(field, int.from_bytes(src[o:o + eb], "little"))
+    """The coefficients of the canonical packing X with the n slots of sh,
+    the shape of precision n: X fitted to the width of precision 1, cut up."""
+    n = sh.mask.bit_length() // sh.L.S
+    sb = field._L.S // 8
+    src = _fit(field._kron, X, n, 1, n).to_bytes(n * sb, "little")
+    return tuple(FqElem(field, int.from_bytes(src[o:o + sb], "little"))
                  for o in range(0, len(src), sb))
 
 
@@ -139,27 +141,29 @@ class TruncSeries:
 
     def __init__(self, field: FieldSpec, prec: int, coeffs: Sequence[FqElem]):
         _check_prec(prec)
-        E = field._L
-        sb = E.S // 8
-        src = b"".join([c.packed.to_bytes(sb, "little") for c in islice(coeffs, prec)])
+        sb = field._L.S // 8
+        X = int.from_bytes(b"".join([c.packed.to_bytes(sb, "little")
+                                     for c in islice(coeffs, prec)]), "little")
         self.field = field
         self.prec = prec
-        self.packed = int.from_bytes(_repack(src, E.w // 8, field._kron[prec].L.w // 8),
-                                     "little")
+        self.packed = _fit(field._kron, X, 1, prec)
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def zeros(field: FieldSpec, prec: int) -> "TruncSeries":
-        return _make(field, prec, lambda L: 0)
+        _check_prec(prec)
+        return _new(field, prec, 0)
 
     @staticmethod
     def from_constant(c: FqElem, prec: int) -> "TruncSeries":
-        return _make(c.field, prec, lambda L: _move(c.packed, c.field._L, L))
+        _check_prec(prec)
+        return _new(c.field, prec, _fit(c.field._kron, c.packed, 1, prec))
 
     @staticmethod
     def one(field: FieldSpec, prec: int) -> "TruncSeries":
-        return _make(field, prec, lambda L: 1)
+        _check_prec(prec)
+        return _new(field, prec, 1)
 
     # -- inspection -------------------------------------------------------
 
@@ -179,8 +183,7 @@ class TruncSeries:
         return bool(self.packed & self.field._kron[self.prec].L.slot)
 
     def constant_term(self) -> FqElem:
-        L = self.field._kron[self.prec].L
-        return FqElem(self.field, _move(self.packed & L.slot, L, self.field._L))
+        return FqElem(self.field, _fit(self.field._kron, self.packed, self.prec, 1))
 
     def valuation(self) -> Union[int, AtPrecisionZero]:
         X = self.packed
@@ -225,7 +228,7 @@ class TruncSeries:
         if c.field is not field and c.field != field:
             raise FieldMismatch(f"{field} vs {c.field}")
         sh = field._kron[self.prec]
-        P = self.packed * _move(c.packed, field._L, sh.L)
+        P = self.packed * _fit(field._kron, c.packed, 1, self.prec)
         return _new(field, self.prec, _reduce(sh, P))
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
@@ -367,13 +370,6 @@ def _new(field: FieldSpec, prec: int, packed: int) -> TruncSeries:
     s = object.__new__(TruncSeries)
     s.field, s.prec, s.packed = field, prec, packed
     return s
-
-
-def _make(field: FieldSpec, prec: int, packing) -> TruncSeries:
-    """The series whose packing ``packing(layout)`` computes in the layout
-    of prec, once prec is known to be in range."""
-    _check_prec(prec)
-    return _new(field, prec, packing(field._kron[prec].L))
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,11 @@ class ExtContext:
 
     def encode(self, coeffs: Sequence[FqElem]) -> Vec:
         """The element sum_j coeffs[j] Y^j."""
-        return _join(self.L, [self.L.pack(c.coeffs) for c in coeffs])
+        return _join(self.L, [self.fit(c) for c in coeffs])
+
+    def fit(self, x: FqElem) -> int:
+        """The Fbase element x as a packed coefficient of E's layout."""
+        return _fit(self.field._kron, x.packed, 1, self.d)
 
     def coeffs(self, u: Vec) -> Tuple[FqElem, ...]:
         """The d coefficients of u, inverse to ``encode``."""
@@ -174,8 +178,9 @@ _TOWERS: Dict[Tuple[FieldSpec, int], Tuple[ExtContext, Optional[FieldSpec]]] = {
 # packed Fbase matrices and row reduction over F_q
 # ---------------------------------------------------------------------------
 
-def _mat_pack(L: _Layout, A: Sequence[Sequence[FqElem]]) -> Mat:
-    return tuple(_join(L, [L.pack(x.coeffs) for x in row]) for row in A)
+def _mat_pack(A: Sequence[Sequence[FqElem]], n: int) -> Mat:
+    K = A[0][0].field._kron
+    return tuple(_join(K[n].L, [_fit(K, x.packed, 1, n) for x in row]) for row in A)
 
 
 def _mat_mul(sh: _Shape, X: Mat, Y: Mat) -> Mat:
@@ -202,7 +207,7 @@ def _mat_inv(A: Sequence[Sequence[FqElem]]) -> Optional[List[List[FqElem]]]:
     field, n = A[0][0].field, len(A)
     sh = field._kron[n]
     S = sh.L.S
-    rows = [x | 1 << ((n + i) * S) for i, x in enumerate(_mat_pack(sh.L, A))]
+    rows = [x | 1 << ((n + i) * S) for i, x in enumerate(_mat_pack(A, n))]
     out = _echelon(FqStructure(field, field.m), _Shape(sh.L, 2 * n), rows, [])
     if out[-1][0][0] >= n:
         return None
@@ -269,8 +274,7 @@ class FqStructure:
         """The s F_q-coordinates of the packed coefficient x, packed."""
         if self.s == 1:
             return [x]
-        p, w, dm = L.p, L.w, (1 << L.w) - 1
-        ds = [(x >> (t * w)) & dm for t in range(L.m)]
+        p, ds = L.p, L.digits(x)
         return [L.pack([sum(d * col[i][u] for d, col in zip(ds, self.cols)) % p
                         for u in range(L.m)]) for i in range(self.s)]
 
@@ -302,10 +306,9 @@ class TwistSolution:
     def _entry(self, u: Vec):
         if self.field is None:
             return self.ext.to_str(u)
-        cs = self.ext.coeffs(u)
-        if self.ext.d == 1:
-            return FqElem(self.base_field, cs[0].packed)
-        return self.field.el([c.coeffs[0] for c in cs])  # base field is F_p here
+        if self.ext.d == 1:     # E's layout is Fbase's own
+            return FqElem(self.base_field, u)
+        return self.field.el([c.packed for c in self.ext.coeffs(u)])  # Fbase = F_p
 
     @property
     def basis(self) -> List[Tuple]:
@@ -353,7 +356,7 @@ def _solve(fq: FqStructure, A: Sequence[Sequence[FqElem]],
     the least qualifying r <= R_max."""
     field = fq.field
     sh = field._kron[len(A)]
-    Ncur = Ap = _mat_pack(sh.L, A)
+    Ncur = Ap = _mat_pack(A, len(A))
     ident = tuple(1 << (i * sh.L.S) for i in range(len(A)))
     for r in range(1, R_max + 1):
         if r % fq.s == 0 and Ncur == ident:
@@ -381,7 +384,7 @@ def _solve_at(fq: FqStructure, A: Sequence[Sequence[FqElem]],
     msh, csh, esh = _Shape(W, n), _Shape(W, n * n * d), _Shape(W, n * d)
 
     # N_i(A)^{-1} for i = 0..r-1:  Ninv_{i+1} = Ainv * Ninv_i^(q)
-    Ainv_p = _mat_pack(W, Ainv)
+    Ainv_p = _mat_pack(Ainv, N)
     ninv = [tuple(1 << (i * S) for i in range(n))]
     for _ in range(r - 1):
         ninv.append(_mat_mul(msh, Ainv_p, _mat_frob(field, msh, ninv[-1], e)))
@@ -398,7 +401,7 @@ def _solve_at(fq: FqStructure, A: Sequence[Sequence[FqElem]],
                 x >>= S
         cols.append(M)
     spread = [cols] + [
-        [_reduce(csh, W.pack(field.from_int(field.p ** t).frobenius(e * i).coeffs) * M)
+        [_reduce(csh, _fit(K, (field.gen() ** t).frobenius(e * i).packed, 1, N) * M)
          for i, M in enumerate(cols)] for t in range(1, s)]
 
     # theta^(q^i)
@@ -430,7 +433,7 @@ def _solve_at(fq: FqStructure, A: Sequence[Sequence[FqElem]],
     B = [[basis[j][i] for j in range(n)] for i in range(n)]
     # with A invertible and the columns F_q-independent, a zero residue makes
     # B invertible over E (module docstring)
-    residue = _residue(ext, [[x.index() for x in row] for row in A], B, q)
+    residue = _residue(ext, [[ext.fit(x) for x in row] for row in A], B, q)
     if not all(ext.is_zero(x) for row in residue for x in row):
         raise AssertionError("echelon basis fails B^(q) = A B")
     return TwistSolution(q, r, field, ext, basis, B, flat, residue)
@@ -438,8 +441,8 @@ def _solve_at(fq: FqStructure, A: Sequence[Sequence[FqElem]],
 
 def _residue(ext: ExtContext, A: Sequence[Sequence[int]], B: Sequence[Sequence[Vec]],
              q: int) -> List[List[Vec]]:
-    """B^(q) - A B entrywise, for A given by Fbase indices and B with n rows
-    and any number of columns."""
+    """B^(q) - A B entrywise, for A over Fbase packed in E's layout and B
+    with n rows and any number of columns."""
     n = len(A)
     out = []
     for i in range(n):
@@ -448,7 +451,7 @@ def _residue(ext: ExtContext, A: Sequence[Sequence[int]], B: Sequence[Sequence[V
             rhs = ext.zero
             for k in range(n):
                 if A[i][k]:
-                    rhs = ext.add(rhs, ext.scalar(A[i][k], B[k][j]))
+                    rhs = ext.add(rhs, _reduce(ext.sh, A[i][k] * B[k][j]))
             row.append(ext.sub(ext.pow(B[i][j], q), rhs))
         out.append(row)
     return out
@@ -459,7 +462,7 @@ def count_solutions_exhaustive(A: Sequence[Sequence[FqElem]], q: int,
     """Enumerate all of F_{q^r}^{N+1} and count solutions (test-scale only)."""
     ext, F = sol.ext, sol.ext.field
     Q = F.order
-    A_idx = [[x.index() for x in row] for row in A]
+    A_fit = [[ext.fit(x) for x in row] for row in A]
     n = len(A)
     order = Q ** ext.d
     if order ** n > 200000:
@@ -469,7 +472,7 @@ def count_solutions_exhaustive(A: Sequence[Sequence[FqElem]], q: int,
     for code in range(order ** n):
         beta = [[ext.encode([F.from_int(c) for c in poly.digits(x, Q, ext.d)])]
                 for x in poly.digits(code, order, n)]  # one column
-        if all(ext.is_zero(row[0]) for row in _residue(ext, A_idx, beta, q)):
+        if all(ext.is_zero(row[0]) for row in _residue(ext, A_fit, beta, q)):
             count += 1
     return count
 
@@ -490,7 +493,7 @@ def normalize_conjugate(f: DmlMap, R_max: int = 64) -> Tuple[TwistSolution, DmlM
     for row in f.A:
         out = []
         for sv in row:
-            if any(not c.is_zero() for c in sv.coeffs[1:]):
+            if TruncSeries.from_constant(sv.constant_term(), sv.prec) != sv:
                 raise NonConstantMatrix(
                     "normalize_conjugate requires a residue-constant matrix A")
             out.append(sv.constant_term())
@@ -512,7 +515,7 @@ def normalize_conjugate(f: DmlMap, R_max: int = 64) -> Tuple[TwistSolution, DmlM
         G = [HomogPoly(target, f.N, g.degree,
                        {exp: TruncSeries(target, c.prec,
                                          [target.el(x.coeffs) for x in c.coeffs])
-                        for exp, c in g.terms.items()})
+                        for exp, c in g.terms.items()}, g.prec)
              for g in f.G]
     B = sol.B
     Binv = [[TruncSeries.from_constant(x, prec) for x in row] for row in _mat_inv(B)]
@@ -528,5 +531,4 @@ def normalize_conjugate(f: DmlMap, R_max: int = 64) -> Tuple[TwistSolution, DmlM
                       compose_maps(dynamics.GeneralMap(target, G), linear_map(Bp))).coords
     ident = [[TruncSeries.one(target, prec) if i == j else TruncSeries.zeros(target, prec)
               for j in range(n)] for i in range(n)]
-    return sol, DmlMap(target, f.p, f.e, ident, Gp,
-                       dynamics.coefficient_field_exponent(ident, Gp), "")
+    return sol, DmlMap(target, f.p, f.e, ident, Gp, "")

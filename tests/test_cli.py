@@ -248,6 +248,37 @@ def test_orbit_refuses_a_map_known_below_the_point(tmp_path):
                        "t^4 < point precision 16\n")
 
 
+@pytest.mark.parametrize("g", ["O(t^4)", "t^3 + O(t^4)"], ids=["dropped", "stored"])
+def test_orbit_refuses_a_remainder_known_below_the_point(tmp_path, g):
+    # a G term O(t^4) is not stored, but it still bounds what G determines
+    doc = {"label": "short", "field": {"p": 2, "m": 1, "modulus": [0, 1]},
+           "map": {"p": 2, "e": 1,
+                   "A": [["1 + O(t^16)", "O(t^16)"], ["O(t^16)", "1 + O(t^16)"]],
+                   "G": [[], [{"exponents": [1, 0], "coeff": g}]]},
+           "points": {"P": {"coords": ["1 + O(t^16)", "t + t^3 + t^9 + O(t^16)"]}}}
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(["orbit", str(path), "--point", "P", "--horizon", "2"])
+    assert (code, out) == (2, "")
+    assert err == ("error: PrecisionExhausted: coefficient known only to "
+                   "t^4 < evaluation precision 16\n")
+
+
+def test_orbit_refuses_a_general_coordinate_known_below_the_point(tmp_path):
+    doc = {"label": "short", "field": {"p": 2, "m": 1, "modulus": [0, 1]},
+           "map": {"coordinates": [
+               {"degree": 2, "terms": [{"exponents": [2, 0], "coeff": "1 + O(t^16)"},
+                                       {"exponents": [1, 1], "coeff": "O(t^4)"}]},
+               {"degree": 2, "terms": [{"exponents": [0, 2], "coeff": "1 + O(t^16)"}]}]}}
+    path = tmp_path / "general.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(["orbit", str(path), "--point", "1,t", "--prec", "16",
+                          "--horizon", "1"])
+    assert (code, out) == (2, "")
+    assert err == ("error: PrecisionExhausted: coefficient known only to "
+                   "t^4 < evaluation precision 16\n")
+
+
 def test_every_diagnostic_in_one_stderr_line(tmp_path):
     doc = render_instance(parse_instance(F1))
     doc["map"]["A"] = [["1", "1"], ["1", "1"]]
@@ -307,6 +338,17 @@ def test_twist_over_f2048_is_exit_0(tmp_path):
 def test_missing_horizon_is_exit_2():
     code, _, err = run(["orbit", F3, "--point", "1,0,1", "--prec", "4"])
     assert code == 2 and "--horizon" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["lift", F4, "--point0", "P0", "--prec", "\u00b2"],
+     "argument --prec: invalid int value: '\u00b2'"),
+    (["lift", F4], "the following arguments are required: --point0")],
+    ids=["unreadable", "missing"])
+def test_argument_errors_are_one_line(argv, message):
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: ParseError: {message}\n"
 
 
 def test_structured_command_rejects_general_map():

@@ -146,6 +146,20 @@ def test_element_grammar_rejects_with_parse_error(field, text):
         parse_element(field, text)
 
 
+def test_powers_of_a_reduce_mod_q_minus_1():
+    # a^(q-1) = 1, so an exponent counts mod q - 1 and a long one costs no
+    # long powering
+    for F in (F4, F8, F9, F25):
+        q, a = F.order, F.gen()
+        for k in range(q - 1):
+            for j in (k, q - 1 + k, 7 * (q - 1) + k):
+                assert parse_element(F, f"a^{j}") == a ** k, (q, j)
+    long = "9" * MAX_INT_DIGITS   # 10^4300 - 1 = 0 mod 3
+    assert parse_element(F4, "a^" + long) == F4.one()
+    assert parse_element(F4, "+".join(["a^" + long] * 20)) == F4.zero()
+    assert parse_element(F4, "+".join(["a^" + long] * 21)) == F4.one()
+
+
 def test_parse_int_counts_digits_without_the_sign():
     assert parse_int("-" + "9" * MAX_INT_DIGITS) == -(10 ** MAX_INT_DIGITS - 1)
     with pytest.raises(ParseError, match="^integer literal of 4301 digits exceeds "
@@ -293,7 +307,7 @@ def first_field(p, m):
 
 @pytest.mark.parametrize("p,m", FQ_FIELDS, ids=[f"p{p}m{m}" for p, m in FQ_FIELDS])
 def test_packed_element_ops_match_reference(p, m):
-    # 2^64 - 59 needs digits wider than 64 bits, read through _WideDigits
+    # 2^64 - 59 needs digits wider than 64 bits
     F = first_field(p, m)
     mul, power = fq_reference(F)
     q, rng = F.order, random.Random(p * 100 + m)

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from frobdml import twist
 from frobdml.dynamics import apply_map
 from frobdml.errors import (NonCanonicalBasePoint, PrecisionExhausted,
                             PrecisionTooLow, PreconditionMatrixNotIdentityModT)
+from frobdml.field import make_field
 from frobdml.geometry import ProjPoint, proj_eq, reduce_point
 from frobdml.instances import fixture_path, parse_instance
 from frobdml.lifting import (critical_witness, detect_residue_degree,
@@ -137,6 +139,39 @@ def test_detect_residue_degree():
     assert detect_residue_degree(L.lift, FF4.e) == 2
     L1 = sigma_fixed_lift(FF4, (F4.one(), F4.one()), 16)
     assert detect_residue_degree(L1.lift, FF4.e) == 1
+
+
+def residue_degree_scan(P, e):
+    """The scan detect_residue_degree replaced: least m <= [F:F_p] with
+    every coefficient fixed by Frob_(q^m), or None."""
+    for m in range(1, P.field.m + 1):
+        if all(s.galois(e * m) == s for s in P.coords):
+            return m
+    return None
+
+
+def subfield_series(rng, F, d, prec):
+    """A series with coefficients in F_(p^d), d | m: traces to F_(p^d)."""
+    cs = []
+    for _ in range(prec):
+        x = F.from_int(rng.randrange(F.order))
+        cs.append(sum((x.frobenius(d * i) for i in range(F.m // d)), F.zero()))
+    return TruncSeries(F, prec, cs)
+
+
+def test_detect_residue_degree_matches_the_scan():
+    rng = random.Random(6060)
+    for p in (2, 3):
+        for m in range(1, 7):
+            F = twist.first_irreducible(make_field(p, 1, [0, 1]), m)[1]
+            divisors = [d for d in range(1, m + 1) if m % d == 0]
+            for _ in range(6):
+                coords = [subfield_series(rng, F, rng.choice(divisors), rng.randint(1, 6))
+                          for _ in range(rng.randint(2, 3))]
+                coords[0] = TruncSeries.one(F, 6)
+                P = ProjPoint(F, coords)
+                for e in range(1, m + 2):
+                    assert detect_residue_degree(P, e) == residue_degree_scan(P, e), (p, m, e)
 
 
 def test_period_divides_residue_degree_randomized():

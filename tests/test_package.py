@@ -71,6 +71,17 @@ def test_module_run_writes_nothing_to_stderr():
     assert res.stdout.startswith("valid: f1\n")
 
 
+def test_import_check_ignores_docstrings_and_honours_noqa(tmp_path):
+    # a name a docstring mentions is not used; one in any other string is,
+    # and an import marked noqa is kept for its side effect
+    doc, kept = tmp_path / "doc.py", tmp_path / "kept.py"
+    doc.write_text('"""The masks and digit struct."""\nimport struct\n\n\n'
+                   'class C:\n    """A struct."""\n')
+    kept.write_text('import os  # noqa: F401\nimport struct\nNAME = "struct"\n')
+    res = python("tools/check_imports.py", str(tmp_path))
+    assert (res.returncode, res.stdout) == (1, f"{doc}:2: struct imported but unused\n")
+
+
 # ---------------------------------------------------------------------------
 # lazy exports
 # ---------------------------------------------------------------------------

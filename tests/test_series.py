@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -395,13 +396,32 @@ def test_tier_edges_with_largest_digits(F, top):
         assert s + s == TruncSeries(F, n, [c + c] * n)
         assert -s == TruncSeries(F, n, [-c] * n) and (s - s).is_zero_at_precision()
         assert s.inverse() == TruncSeries(F, n, [ci, -ci])
-        assert s.scale(c) == TruncSeries(F, n, [c2] * n)
+        scaled = TruncSeries(F, n, [c2] * n)
+        assert s.scale(c) == scaled and TruncSeries.from_constant(c, n) * s == scaled
+        assert s.constant_term() == c and square[n].constant_term() == c2
+        assert TruncSeries.from_constant(c, n) == TruncSeries(F, n, [c])
         if n > 1:
             assert s.shift_down(1) == TruncSeries(F, n - 1, [c] * n)
     wide, narrow = TruncSeries(F, top + 1, [c] * (top + 1)), TruncSeries(F, top, [c] * top)
     assert wide.change_precision(top) == narrow and wide.shift_down(1) == narrow
     assert narrow.change_precision(top + 1) == TruncSeries(F, top + 1, [c] * top + [zero])
     assert wide * narrow == square[top] and wide.eq_at_precision(narrow)
+
+
+def test_digits_invert_pack_in_every_width():
+    # every width a field's packings meet, 1 to MAX_PREC coefficients: P31
+    # reaches 128 bits and 2^64 - 59 256
+    rng = random.Random(256)
+    seen = set()
+    for F in WIDE_FIELDS + [make_field(2 ** 64 - 59, 1, [0, 1])]:
+        p, m = F.p, F.m
+        for n in [1] + [top + 1 for top in tier_tops(F)]:
+            w = layout._width(F, n)
+            seen.add(w)
+            L = layout._Layout(F, w)
+            for ds in ([0] * m, [p - 1] * m, [rng.randrange(p) for _ in range(m)]):
+                assert L.digits(L.pack(ds)) == tuple(ds)
+    assert seen == {8, 16, 32, 64, 128, 256}
 
 
 @st.composite
@@ -512,22 +532,37 @@ def test_one_precision_one_packing(fs, k, extra):
 # the Barrett pass and the strided Frobenius move against slow references
 # ---------------------------------------------------------------------------
 
-def modp_reference(st, p, X):
-    """The digits of X that the digit struct st reads, each reduced by
-    Python's % p, the others 0: one Python operation per digit."""
-    return int.from_bytes(
-        st.pack(*map(p.__rmod__, st.unpack(X.to_bytes(st.size, "little")))), "little")
+STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def modp_reference(L, n, X, count):
+    """X with digits 0..count-1 of each of its n slots of layout L reduced by
+    Python's % p and the other digits 0: one Python operation per digit,
+    read and written by a struct up to 64 bits and byte by byte above."""
+    w, k = L.w, 2 * L.m - 1
+    buf = X.to_bytes(n * L.S // 8, "little")
+    if w <= 64:
+        st = struct.Struct(f"<{n * k}{STRUCT_CODES[w]}")
+        ds = st.unpack(buf)
+    else:
+        b = w // 8
+        ds = [int.from_bytes(buf[o:o + b], "little") for o in range(0, len(buf), b)]
+    out = [d % L.p for d in ds]
+    for i in range(count, k):
+        out[i::k] = [0] * n
+    if w <= 64:
+        return int.from_bytes(st.pack(*out), "little")
+    return int.from_bytes(b"".join(d.to_bytes(b, "little") for d in out), "little")
 
 
 def assert_barrett_matches(sh, n, X):
     """The Barrett pass of sh reduces X, its stored digits 0..m-1 alone and
     its product digits m..2m-2 alone as modp_reference does."""
     L = sh.L
-    every = layout._digit_struct(L, n, 0, 2 * L.m - 1)
     lo = X & sh.low
     for Y in (X, lo, X ^ lo):
-        assert layout._barrett(sh, Y) == modp_reference(every, L.p, Y)
-    assert layout._reduce_low(sh, lo) == modp_reference(sh.lo, L.p, X)
+        assert layout._barrett(sh, Y) == modp_reference(L, n, Y, 2 * L.m - 1)
+    assert layout._reduce_low(sh, lo) == modp_reference(L, n, X, L.m)
 
 
 def extension(p, m):
@@ -585,7 +620,7 @@ def test_barrett_quotient_is_exact_for_every_digit(w, primes):
 
 @pytest.mark.parametrize("p", [3, 5, 257, 65521, 65537, P31])
 def test_barrett_at_wide_digits(p):
-    # widths above 64 bits read their digits through _WideDigits
+    # widths above 64 bits, whose digits the reference reads byte by byte
     rng = random.Random(p)
     for m in (1, 2, 3):
         F = field_for(p, m) if (p, m) in MODULI else extension(p, m)

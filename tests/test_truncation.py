@@ -10,8 +10,8 @@ claims; random digits show it.
 """
 import random
 
-from frobdml.dynamics import (DmlMap, GeneralMap, apply_map, coefficient_field_exponent,
-                              compose_maps, invert_series_matrix, orbit, series_det)
+from frobdml.dynamics import (DmlMap, GeneralMap, apply_map, compose_maps,
+                              invert_series_matrix, orbit, series_det)
 from frobdml.errors import FrobdmlError
 from frobdml.geometry import (HomogPoly, ProjPoint, Subvariety, normalize,
                               point_variety)
@@ -50,7 +50,7 @@ def map_with(f, fn, fn_A=None):
     if isinstance(f, GeneralMap):
         return GeneralMap(f.field, G, f.label)
     A = [[(fn_A or fn)(s) for s in row] for row in f.A]
-    return DmlMap(f.field, f.p, f.e, A, G, coefficient_field_exponent(A, G), f.label)
+    return DmlMap(f.field, f.p, f.e, A, G, f.label)
 
 
 def run(fn, *args):
@@ -92,7 +92,7 @@ def rand_dml_map(rng, n):
     F = f.field
     A = [[TruncSeries.from_constant(x, n) + rand_series(rng, F, n, 1) for x in row]
          for row in rand_gl(rng, F, f.N + 1)]
-    return DmlMap(F, f.p, f.e, A, f.G, coefficient_field_exponent(A, f.G))
+    return DmlMap(F, f.p, f.e, A, f.G)
 
 
 def rand_general_map(rng, F, N, d, n):

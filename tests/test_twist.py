@@ -206,7 +206,7 @@ def normalize_reference(f, R_max=64):
         femb = DmlMap(target, f.p, f.e, [[emb_series(sv) for sv in row] for row in f.A],
                       [HomogPoly(target, f.N, g.degree,
                                  {exp: emb_series(c) for exp, c in g.terms.items()})
-                       for g in f.G], f.e0, f.label)
+                       for g in f.G], f.label)
     Bconst = [[TruncSeries.from_constant(x, prec) for x in row] for row in sol.B]
     Binvconst = dynamics.invert_series_matrix(Bconst, prec)
 
