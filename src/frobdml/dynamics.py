@@ -10,7 +10,9 @@ form after iteration.
 Every monomial of a DmlMap is a p-th power, so apply_map evaluates it
 through the p-sections of its coefficients when they are long enough: each
 product runs at ceil(n/p) digits, and one interleave and one Frobenius per
-coordinate give the image at n digits (see apply_map).
+coordinate give the image at n digits (see apply_map), which keeps only the
+x_j^(q/p) dilations, sections, interleave and Frobenius to itself: the other
+monomials and the bounded sums are geometry's kernels of its one evaluator.
 """
 from __future__ import annotations
 
@@ -30,11 +32,13 @@ from .errors import (
     UnsupportedQ,
 )
 from . import poly
-from .field import FieldSpec, FqElem, _Shape, _add, _fit, _galois, _reduce, p_power_exponent
+from .field import FieldSpec, FqElem, _add, _fit, _galois, _reduce, _run_cap, p_power_exponent
 from .geometry import (
     ExpVec,
     HomogPoly,
     ProjPoint,
+    _monomials,
+    _sums,
     eval_hom_coords,
     normalize,
     poly_mul,
@@ -354,15 +358,11 @@ def _at_prec(s: TruncSeries, prec: int) -> TruncSeries:
 
 
 def _build_sections(f: DmlMap, n: int) -> tuple:
-    """(monos, rows): the exponent vectors of the monomials the F_ik read
-    (see apply_map), x_j^(q/p) first, one per variable, then every other
-    one of G; and per coordinate i the terms of the F_ik at precision n as
-    a list of (k, chunks): each chunk a list of (D, v), D the packing of a
-    nonzero section d_k at r = ceil(n/p) slots in the width of n, v the
-    index of its monomial in monos.  Coefficients of one monomial are added
-    first.  A chunk holds at most as many products as the digit bound of
-    the Barrett pass admits unreduced.  When r < SECTION_MIN_R the only k
-    is 0 and D is the coefficient itself at n digits.
+    """(monos, rows, sums) at precision n (see apply_map): G's monomials past
+    the x_j^(q/p), which are monomials 0..N; per coordinate i its nonzero
+    sections k; per (i, k) the terms (D, v) of F_ik, D a nonzero section d_k
+    at r = ceil(n/p) slots in the width of n (when r < SECTION_MIN_R, k = 0
+    and D the coefficient itself), v its monomial's index.
 
     Every coefficient must be known to n digits, an entry of A that is
     exactly 0 or 1 included: A row by row, then each G_i by its prec, which
@@ -379,16 +379,13 @@ def _build_sections(f: DmlMap, n: int) -> tuple:
     field, p, m = f.field, f.p, f.field.m
     K = field._kron
     sh = K[n]
-    r = -(-n // p)
-    # a sum of c products of r-slot packings has digits below
-    # c*r*m*(p-1)^2; the fold in _reduce adds less than m*p^2
-    cap = ((1 << (sh.L.w - 1)) - 1 - m * p * p) // (r * m * (p - 1) ** 2)
+    sectioned = -(-n // p) >= SECTION_MIN_R
     d, N = p ** (f.e - 1), f.N
     index = {tuple(d if k == j else 0 for k in range(N + 1)): j for j in range(N + 1)}
     for g in f.G:
         for exps in g.terms:
             index.setdefault(exps, len(index))
-    rows = []
+    rows, sums = [], []
     for i in range(N + 1):
         coeffs: Dict[int, int] = {}
         terms = list(enumerate(f.A[i]))
@@ -396,38 +393,15 @@ def _build_sections(f: DmlMap, n: int) -> tuple:
         for v, c in terms:
             X = _fit(K, c.packed, c.prec, n)
             coeffs[v] = _add(sh, coeffs[v], X) if v in coeffs else X
-        groups: Dict[int, List[Tuple[int, int]]] = {}
+        groups: Dict[int, List[Tuple[int, int]]] = {} if sectioned else {0: []}
         for v, X in coeffs.items():
-            if r < SECTION_MIN_R:
-                sections = [X]
-            else:
-                sections = _gather(sh.L, _galois(sh, X, -1 % m) if m > 1 else X, n, p)
+            sections = _gather(sh.L, _galois(sh, X, -1 % m), n, p) if sectioned else [X]
             for k, D in enumerate(sections):
                 if D:
                     groups.setdefault(k, []).append((D, v))
-        rows.append([(k, [ts[a:a + cap] for a in range(0, len(ts), cap)])
-                     for k, ts in sorted(groups.items())])
-    return list(index), rows
-
-
-def _monomials(f: DmlMap, monos: List[ExpVec], sh: _Shape, X: List[int],
-               r: int) -> List[int]:
-    """The monomials ``monos`` (see _build_sections) at the coordinates X,
-    canonical packings of r slots in the width of sh: x_j^(q/p) by one
-    dilation, the others by products masked to r."""
-    mask = (1 << (r * sh.L.S)) - 1
-    vals = [_dilate(sh, f.field, x, r, f.e - 1) for x in X]
-    powers = [[x] for x in X]      # powers[j][k-1] = x_j^k, extended on demand
-    for exps in monos[f.N + 1:]:
-        mono = None
-        for j, k in enumerate(exps):
-            if k:
-                pw = powers[j]
-                while len(pw) < k:
-                    pw.append(_reduce(sh, (pw[-1] * pw[0]) & mask))
-                mono = pw[k - 1] if mono is None else _reduce(sh, (mono * pw[k - 1]) & mask)
-        vals.append(mono)
-    return vals
+        rows.append(sorted(groups))
+        sums += [groups[k] for k in rows[-1]]
+    return list(index)[N + 1:], rows, sums
 
 
 def apply_map(f: AnyMap, P: ProjPoint,
@@ -455,8 +429,8 @@ def apply_map(f: AnyMap, P: ProjPoint,
     their shorter products save.  There the same monomials, formed at r
     digits, are dilated to their p-th powers at n digits (one slot move and
     one Frob_p each), and f_i(x) = sum c * monomial^p with every c at n
-    digits.  Both routes sum the products of a coordinate unreduced as far
-    as the digit bound allows, and give the same packings.
+    digits.  A dilated monomial has at most r nonzero slots, so both routes
+    sum in runs for r-slot products, with one call of geometry._sums.
 
     A map coefficient known below the point precision raises
     PrecisionExhausted (_build_sections gives the order).  ``pivot_inv``
@@ -466,36 +440,27 @@ def apply_map(f: AnyMap, P: ProjPoint,
     if f.N != P.N:
         raise DimensionMismatch(f"map on P^{f.N}, point in P^{P.N}")
     if isinstance(f, GeneralMap):
-        imgs = [eval_hom_coords(h, P.coords) for h in f.coords]
+        imgs = eval_hom_coords(f.coords, P.coords)
     else:
         field, n, p = f.field, P.prec, f.p
-        monos, rows = f._sections(n)
+        monos, rows, sums = f._sections(n)
         sh = field._kron[n]
         r = -(-n // p)
         mask = (1 << (r * sh.L.S)) - 1
-        vals = _monomials(f, monos, sh, [c.packed & mask for c in P.coords], r)
+        X = [c.packed & mask for c in P.coords]
+        vals = [_dilate(sh, field, x, r, f.e - 1) for x in X] + _monomials(sh, mask, X, monos)
         sectioned = r >= SECTION_MIN_R
         if not sectioned:
             mask = sh.mask
             vals = [_dilate(sh, field, v, n, 1) for v in vals]
+        Fs = iter(_sums(sh, mask, _run_cap(field, sh.L.w, r), vals, sums))
         imgs = []
-        for row in rows:
-            parts = []
-            for k, chunks in row:
-                F = None
-                for chunk in chunks:
-                    acc = 0
-                    for D, v in chunk:
-                        acc += vals[v] if D == 1 else D * vals[v]
-                    acc &= mask
-                    F = acc if F is None else _add(sh, _reduce(sh, F), _reduce(sh, acc))
-                parts.append((k, F))
-            if not sectioned:
-                X = _reduce(sh, parts[0][1]) if parts else 0
+        for ks in rows:
+            if sectioned:
+                X = _reduce(sh, _scatter(sh.L, n, p, [(k, next(Fs)) for k in ks]))
+                X = _galois(sh, X, 1) if field.m > 1 else X
             else:
-                X = _reduce(sh, _scatter(sh.L, n, p, parts))
-                if field.m > 1:
-                    X = _galois(sh, X, 1)
+                X = _reduce(sh, next(Fs))
             imgs.append(_new(field, n, X))
     Q = normalize(imgs, pivot_inv=pivot_inv)
     if Q.consumed:

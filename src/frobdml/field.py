@@ -26,15 +26,16 @@ less than m*p^2, so n coefficients pack at the least digit width w in
 
     n * m * (p-1)^2 + m * p^2 < 2^(w-1),
 
-which is that precondition.  Each field has a _Layout per width it meets
-(the rows and Frobenius columns in that width) and one table of _Shapes, the
-masks per precision, each pointing at the layout of its width.  One codec
-serves them all: ``_Layout.pack`` and its inverse ``_Layout.digits`` write
-and read one slot's digits, and ``_fit`` moves slots between widths.  The
-spare top bit serves addition: digits are added, then p is subtracted
-from exactly the digits that reached p, read off as bit w-1 after adding
-2^(w-1)-p to every digit.  Over F_2 addition is XOR and a digit mod 2 is
-its low bit.
+which is that precondition; solved for the number of products, it is how
+many a sum may add before one reduction (``_run_cap``).  Each field has a
+_Layout per width it meets (the rows and Frobenius columns in that width)
+and one table of _Shapes, the masks per precision, each pointing at the
+layout of its width.  One codec serves them all: ``_Layout.pack`` and its
+inverse ``_Layout.digits`` write and read one slot's digits, and ``_fit``
+moves slots between widths.  The spare top bit serves addition: digits are
+added, then p is subtracted from exactly the digits that reached p, read
+off as bit w-1 after adding 2^(w-1)-p to every digit.  Over F_2 addition is
+XOR and a digit mod 2 is its low bit.
 
 An FqElem is one packed slot in the layout of precision 1, so the field's
 arithmetic is these kernels: a sum is ``_add``, a product one multiply and
@@ -262,11 +263,17 @@ class _Shape:
             self.qmask = _tile(L.qbits, 2 * w, nb)
 
 
-def _width(field: FieldSpec, n: int) -> int:
-    """The least w in {8, 16, 32, ..} with n*m*(p-1)^2 + m*p^2 < 2^(w-1)."""
+def _run_cap(field: FieldSpec, w: int, r: int) -> int:
+    """How many products of canonical r-slot packings a sum in w-bit digits
+    may add before _reduce: the c with c*r*m*(p-1)^2 + m*p^2 < 2^(w-1)."""
     p, m = field.p, field.m
-    need, w = n * m * (p - 1) ** 2 + m * p * p, 8
-    while need >= 1 << (w - 1):
+    return ((1 << (w - 1)) - 1 - m * p * p) // (r * m * (p - 1) ** 2)
+
+
+def _width(field: FieldSpec, n: int) -> int:
+    """The least w in {8, 16, 32, ..} that holds one product of n slots."""
+    w = 8
+    while _run_cap(field, w, n) < 1:
         w *= 2
     return w
 

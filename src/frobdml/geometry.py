@@ -13,10 +13,15 @@ coefficients are never stored, but their precision is: a polynomial's
 O(t^k) still bounds what it determines.  The same type serves map
 remainders G_i (variables y_j standing for x_j^p) and subvariety generators
 (variables x_j).
+
+One evaluator, ``eval_hom_coords``, fits coordinates and coefficients to the
+least coordinate precision n, builds one table of all the forms' monomials
+(``_monomials``), and sums each form's products unreduced in runs as long as
+the digit bound allows (``_sums``); apply_map runs on the same two kernels.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DegreeMismatch,
@@ -26,8 +31,8 @@ from .errors import (
     IndistinguishableFromZero,
     PrecisionExhausted,
 )
-from .field import FieldSpec, FqElem
-from .series import MAX_PREC, AtPrecisionZero, TruncSeries
+from .field import FieldSpec, FqElem, _Shape, _add, _fit, _reduce, _run_cap
+from .series import MAX_PREC, AtPrecisionZero, TruncSeries, _new
 
 ExpVec = Tuple[int, ...]
 
@@ -219,40 +224,69 @@ def poly_mul(a: HomogPoly, b: HomogPoly,
 
 
 def eval_hom(h: HomogPoly, P: ProjPoint) -> TruncSeries:
-    return eval_hom_coords(h, P.coords)
+    return eval_hom_coords([h], P.coords)[0]
 
 
-def eval_hom_coords(h: HomogPoly, coords: Sequence[TruncSeries]) -> TruncSeries:
-    """Evaluate at series coordinates; result at the coordinate precision,
-    to which h must be known."""
-    if len(coords) != h.N + 1:
-        raise DimensionMismatch(
-            f"{len(coords)} coordinates for {h.N + 1} variables")
-    prec = min(c.prec for c in coords)
-    if h.prec < prec:
-        raise PrecisionExhausted(
-            f"coefficient known only to t^{h.prec} < evaluation precision {prec}")
-    field = h.field
-    out = TruncSeries.zeros(field, prec)
-    if not h.terms:
-        return out
-    # powers[j][k-1] = coords[j]^k, up to the top exponent of x_j
-    powers: List[List[TruncSeries]] = []
-    for j, c in enumerate(coords):
-        top = max(exps[j] for exps in h.terms)
-        row = [c.change_precision(prec)] if top else []
-        for _ in range(top - 1):
-            row.append(row[-1] * row[0])
-        powers.append(row)
+def eval_hom_coords(forms: Sequence[HomogPoly],
+                    coords: Sequence[TruncSeries]) -> List[TruncSeries]:
+    """The forms at series coordinates, at their least precision n; the first
+    form in order with another number of variables, or known below n, raises."""
+    n = min((c.prec for c in coords), default=MAX_PREC)
+    index: Dict[ExpVec, int] = {}
+    sums = []
+    for h in forms:
+        if len(coords) != h.N + 1:
+            raise DimensionMismatch(
+                f"{len(coords)} coordinates for {h.N + 1} variables")
+        if h.prec < n:
+            raise PrecisionExhausted(
+                f"coefficient known only to t^{h.prec} < evaluation precision {n}")
+        for c in coords:
+            if c.field is not h.field and c.field != h.field:
+                raise FieldMismatch(f"{c.field} vs {h.field}")
+        K = h.field._kron
+        sums.append([(D, index.setdefault(exps, len(index))) for exps, c in h.terms.items()
+                     if (D := _fit(K, c.packed, c.prec, n))])
+    if not forms:
+        return []
+    field = forms[0].field      # every form's, and every coordinate's
+    sh = K[n]
+    vals = _monomials(sh, sh.mask, [_fit(K, c.packed, c.prec, n) for c in coords], index)
+    return [_new(field, n, _reduce(sh, F))
+            for F in _sums(sh, sh.mask, _run_cap(field, sh.L.w, n), vals, sums)]
 
-    for exps, coeff in h.terms.items():
-        mono: Optional[TruncSeries] = None
+
+def _monomials(sh: _Shape, mask: int, X: Sequence[int], monos: Iterable[ExpVec]) -> List[int]:
+    """The x^e for e in monos at the canonical packings X in the width of
+    sh, every product cut by mask and reduced, each power x_j^k formed once."""
+    powers = [[x] for x in X]      # powers[j][k-1] = x_j^k, extended on demand
+    vals = []
+    for exps in monos:
+        mono = None
         for j, k in enumerate(exps):
             if k:
-                part = powers[j][k - 1]
-                mono = part if mono is None else mono * part
-        term = coeff.change_precision(prec) if mono is None else mono * coeff
-        out = out + term
+                pw = powers[j]
+                while len(pw) < k:
+                    pw.append(_reduce(sh, (pw[-1] * pw[0]) & mask))
+                mono = pw[k - 1] if mono is None else _reduce(sh, (mono * pw[k - 1]) & mask)
+        vals.append(1 if mono is None else mono)
+    return vals
+
+
+def _sums(sh: _Shape, mask: int, cap: int, vals: Sequence[int],
+          sums: Iterable[Sequence[Tuple[int, int]]]) -> List[int]:
+    """Per list of terms (D, v), sum D * vals[v]: runs of cap products added
+    unreduced and cut by mask, reduced between runs; one _reduce ends each."""
+    out = []
+    for terms in sums:
+        F = None
+        for a in range(0, len(terms), cap):
+            acc = 0
+            for D, v in terms[a:a + cap]:
+                acc += vals[v] if D == 1 else D * vals[v]
+            acc &= mask
+            F = acc if F is None else _add(sh, _reduce(sh, F), _reduce(sh, acc))
+        out.append(0 if F is None else F)
     return out
 
 
@@ -296,6 +330,12 @@ class Subvariety:
     def __repr__(self):
         gens = "; ".join(format_poly(g, "x") for g in self.generators)
         return f"V({gens})"
+
+
+def _meets(v: Union[int, AtPrecisionZero], tau: int) -> bool:
+    """The one membership rule: a valuation, AtPrecisionZero counting as its
+    prec, is at least tau."""
+    return (v.prec if isinstance(v, AtPrecisionZero) else v) >= tau
 
 
 def point_variety(P: ProjPoint) -> Subvariety:

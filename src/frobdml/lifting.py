@@ -37,7 +37,7 @@ from __future__ import annotations
 from math import gcd
 from typing import List, Sequence, Tuple
 
-from .dynamics import DmlMap, apply_map, coefficient_field_exponent, orbit
+from .dynamics import DmlMap, apply_map, coefficient_field_exponent, orbit, orbit_cycle
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -47,9 +47,9 @@ from .errors import (
     PreconditionMatrixNotIdentityModT,
 )
 from .field import FqElem
-from .geometry import ProjPoint, Subvariety, eval_hom, proj_eq, reduce_point
+from .geometry import ProjPoint, Subvariety, _meets, eval_hom_coords, proj_eq, reduce_point
 from .record import MutableRecord
-from .series import AtPrecisionZero, GaloisAction, TruncSeries
+from .series import GaloisAction, TruncSeries
 
 
 class SigmaFixedLift:
@@ -164,14 +164,13 @@ def critical_witness(f: DmlMap, L: SigmaFixedLift, n: int) -> ProjPoint:
 
 
 def minimal_period(f: DmlMap, L: SigmaFixedLift) -> int:
-    """Least d >= 1 with proj_eq(f^d(P~), P~); divides the residue degree."""
+    """Least d >= 1 with f^d(P~) = P~, dividing the residue degree; iterates
+    are canonical with nothing consumed, so equal packings are proj_eq."""
     m = L.residue_degree
-    cur = L.lift
-    for d in range(1, m + 1):
-        cur = apply_map(f, cur)
-        if proj_eq(cur, L.lift):
-            return d
-    raise AssertionError(f"no period <= residue degree {m}")
+    pts, start = orbit_cycle(f, L.lift, m)
+    if start:
+        raise AssertionError(f"no period <= residue degree {m}")
+    return len(pts)
 
 
 class InvarianceEntry(MutableRecord):
@@ -192,18 +191,11 @@ class InvarianceReport(MutableRecord):
         return self.checked > 0 and self.stable == self.checked
 
 
-def _vanishes(s: TruncSeries, tau: int) -> bool:
-    v = s.valuation()
-    if isinstance(v, AtPrecisionZero):
-        return v.prec >= tau
-    return v >= tau
-
-
 def _on_variety(V: Subvariety, P: ProjPoint, tau: int) -> bool:
     if tau > P.prec:
         raise PrecisionBelowThreshold(
             f"threshold {tau} exceeds point precision {P.prec}")
-    return all(_vanishes(eval_hom(h, P), tau) for h in V.generators)
+    return all(_meets(s.valuation(), tau) for s in eval_hom_coords(V.generators, P.coords))
 
 
 def invariance_evidence(f: DmlMap, V: Subvariety,

@@ -18,7 +18,7 @@ from typing import List, Sequence, Set, Tuple, Union
 
 from .dynamics import AnyMap, orbit_cycle, replay
 from .errors import DegreeMismatch, PrecisionBelowThreshold
-from .geometry import ProjPoint, Subvariety, eval_hom
+from .geometry import ProjPoint, Subvariety, _meets, eval_hom_coords
 from .record import Record
 from .series import AtPrecisionZero
 
@@ -41,12 +41,6 @@ class ReturnSet(Record):
         return n in set(self.hits)
 
 
-def _meets(v: Valuation, tau: int) -> bool:
-    if isinstance(v, AtPrecisionZero):
-        return v.prec >= tau
-    return v >= tau
-
-
 def return_set(f: AnyMap, x: ProjPoint, V: Subvariety, H: int,
                tau: int) -> ReturnSet:
     """n is a hit iff every generator of V evaluates at f^n(x) to valuation
@@ -62,7 +56,7 @@ def return_set(f: AnyMap, x: ProjPoint, V: Subvariety, H: int,
         raise PrecisionBelowThreshold("threshold must be >= 1")
     rows: List[Tuple[Valuation, ...]] = []
     _, start = orbit_cycle(f, x, H, lambda P: rows.append(
-        tuple(eval_hom(h, P).valuation() for h in V.generators)))
+        tuple(s.valuation() for s in eval_hom_coords(V.generators, P.coords))))
     vals = replay(rows, start, H)
     hits = [n for n, row in enumerate(vals) if all(_meets(v, tau) for v in row)]
     return ReturnSet(H, tau, tuple(hits), tuple(vals))

@@ -42,6 +42,7 @@ inverse Itoh-Tsujii's, with no tables, so its order is not bounded.
 from __future__ import annotations
 
 from bisect import insort
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import poly
@@ -98,7 +99,12 @@ def first_irreducible(field: FieldSpec, d: int
     L = field._L
     R = _base_ring(field, L)
     Q = field.order
-    for idx in range(Q ** d):
+    # the candidates 1..Q-1 are the Y^d + c; one of them is irreducible
+    # exactly when every prime factor of d divides Q - 1 (d | (Q-1)^d) and
+    # Q = 1 mod 4 if 4 | d (R. Lidl, H. Niederreiter, "Finite Fields",
+    # Thm 3.75); else the scan starts past them, at Y^d + Y + 1
+    binomials = pow(Q - 1, d, d) == 0 and (d % 4 or Q % 4 == 1)
+    for idx in range(1 if binomials else Q + 1, Q ** d):
         if idx % Q == 0:
             continue  # constant term zero: divisible by Y
         h = poly.digits(idx, Q, d) + [1]  # monic; idx orders the candidates
@@ -310,13 +316,15 @@ class TwistSolution:
             return FqElem(self.base_field, u)
         return self.field.el([c.packed for c in self.ext.coeffs(u)])  # Fbase = F_p
 
-    @property
+    @cached_property
     def basis(self) -> List[Tuple]:
+        """The basis vectors' entries, decoded on the first access and kept."""
         return [tuple(map(self._entry, vec)) for vec in self.basis_raw]
 
-    @property
+    @cached_property
     def B(self) -> List[List]:
-        return [list(map(self._entry, row)) for row in self.B_raw]
+        """The matrix whose columns are the basis vectors."""
+        return [list(row) for row in zip(*self.basis)]
 
     def entry_str(self, u: Vec) -> str:
         return self.ext.to_str(u)

@@ -8,6 +8,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from frobdml import poly
 from frobdml.dynamics import DmlMap, validate_map
+from frobdml.errors import DimensionMismatch, PrecisionExhausted
 from frobdml.field import FieldSpec, FqElem, make_field
 from frobdml.geometry import HomogPoly, ProjPoint
 from frobdml.series import TruncSeries
@@ -71,6 +72,38 @@ def fq_reference(F: FieldSpec):
                 out = mul(out, u)
         return out
     return mul, power
+
+
+def eval_reference(h: HomogPoly, coords: Sequence[TruncSeries]) -> TruncSeries:
+    """h at series coordinates by TruncSeries products and sums, at the
+    coordinate precision, to which h must be known: each power of a
+    coordinate from the one below, each monomial a product of powers."""
+    if len(coords) != h.N + 1:
+        raise DimensionMismatch(
+            f"{len(coords)} coordinates for {h.N + 1} variables")
+    prec = min(c.prec for c in coords)
+    if h.prec < prec:
+        raise PrecisionExhausted(
+            f"coefficient known only to t^{h.prec} < evaluation precision {prec}")
+    out = TruncSeries.zeros(h.field, prec)
+    if not h.terms:
+        return out
+    # powers[j][k-1] = coords[j]^k, up to the top exponent of x_j
+    powers: List[List[TruncSeries]] = []
+    for j, c in enumerate(coords):
+        top = max(exps[j] for exps in h.terms)
+        row = [c.change_precision(prec)] if top else []
+        for _ in range(top - 1):
+            row.append(row[-1] * row[0])
+        powers.append(row)
+    for exps, coeff in h.terms.items():
+        mono = None
+        for j, k in enumerate(exps):
+            if k:
+                part = powers[j][k - 1]
+                mono = part if mono is None else mono * part
+        out = out + (coeff.change_precision(prec) if mono is None else mono * coeff)
+    return out
 
 
 def rand_exponents(rng: random.Random, n: int, degree: int) -> Tuple[int, ...]:

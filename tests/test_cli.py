@@ -49,6 +49,29 @@ def test_orbit_text_golden():
                    "3: [1 + O(t^8), t + t^2 + t^4 + O(t^8)]\n")
 
 
+def test_orbit_of_a_general_map_golden():
+    # f3 is a GeneralMap, which no criterion-10 command applies
+    code, out, err = run(["orbit", F3, "--point", "1, t + t^3, 1 + t^5", "--horizon", "4"])
+    assert code == 0 and err == ""
+    assert out == ("0: [1 + O(t^8), t + t^3 + O(t^8), 1 + t^5 + O(t^8)]\n"
+                   "1: [1 + O(t^8), t^2 + t^6 + O(t^8), 1 + t^2 + t^4 + O(t^8)]\n"
+                   "2: [1 + O(t^8), t^4 + O(t^8), 1 + t^3 + t^4 + t^7 + O(t^8)]\n"
+                   "3: [1 + O(t^8), O(t^8), 1 + t^5 + t^6 + O(t^8)]\n"
+                   "4: [1 + O(t^8), O(t^8), 1 + O(t^8)]\n")
+
+
+def test_twist_of_a_4_cycle_over_a_large_prime_field(tmp_path):
+    # no Y^4 + c is irreducible over F_(2^31-1), so the tower's modulus is
+    # found past them
+    p = 2 ** 31 - 1
+    A = [[str(int(j == (i + 1) % 4)) for j in range(4)] for i in range(4)]
+    path = tmp_path / "cycle4.json"
+    path.write_text(json.dumps({"q": p, "field": {"p": p, "m": 1, "modulus": [0, 1]}, "A": A}))
+    code, out, err = run(["twist", str(path)])
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "r = 4"
+
+
 def test_orbit_literal_point_and_csv():
     code, out, _ = run(["orbit", F1, "--point", "1,t", "--horizon", "1",
                         "--prec", "4", "--format", "csv"])

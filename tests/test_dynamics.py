@@ -12,15 +12,15 @@ from frobdml.dynamics import (SECTION_MIN_R, CoefficientFieldTooLarge, _at_prec,
                               validate_map)
 from frobdml.errors import (DegreeMismatch, NonUnitDivisor, NotInImage,
                             PrecisionExhausted, UnsupportedQ)
-from frobdml.geometry import (HomogPoly, ProjPoint, eval_hom_coords, format_poly,
+from frobdml.geometry import (HomogPoly, ProjPoint, format_poly,
                               normalize, poly_mul, proj_eq)
 from frobdml.instances import fixture_path, parse_instance
 from frobdml.lifting import point_galois, sigma_fixed_lift
 from frobdml.series import (AtPrecisionZero, GaloisAction, TruncSeries,
                             format_series, parse_series)
 
-from conftest import (field_for, identity_matrix, rand_exponents, rand_point, t_power,
-                      rand_suite_map, rand_residue_point)
+from conftest import (eval_reference, field_for, identity_matrix, rand_exponents, rand_point,
+                      t_power, rand_suite_map, rand_residue_point)
 
 F2 = field_for(2, 1)
 F4 = field_for(2, 2)
@@ -529,7 +529,7 @@ def test_apply_commutes_with_galois_at_large_p():
 
 def eval_at_pth_powers_reference(g, coords):
     """Reference: dilate every coordinate, then evaluate at full precision."""
-    return eval_hom_coords(g, [c.frobenius_power(1) for c in coords])
+    return eval_reference(g, [c.frobenius_power(1) for c in coords])
 
 
 def apply_map_reference(f, P):

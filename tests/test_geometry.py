@@ -3,15 +3,17 @@ import random
 
 import pytest
 
+from frobdml import twist
 from frobdml.errors import (DegreeMismatch, DimensionMismatch,
                             IndistinguishableFromZero)
-from frobdml.geometry import (HomogPoly, ProjPoint, Subvariety, eval_hom,
+from frobdml.field import make_field
+from frobdml.geometry import (HomogPoly, ProjPoint, Subvariety, eval_hom, eval_hom_coords,
                               format_poly, point_variety, poly_mul, proj_eq,
                               reduce_point)
 from frobdml.instances import fixture_path, parse_instance
 from frobdml.series import TruncSeries, format_series, parse_series
 
-from conftest import field_for, rand_point
+from conftest import eval_reference, field_for, rand_exponents, rand_point
 
 F2 = field_for(2, 1)
 F4 = field_for(2, 2)
@@ -86,6 +88,116 @@ def test_eval_hom_leaves_no_garbage_cycles():
     finally:
         gc.enable()
     assert freed == 0
+
+
+# ---------------------------------------------------------------------------
+# the one evaluator against the TruncSeries reference
+# ---------------------------------------------------------------------------
+
+EVAL_FIELDS = [(2, 1), (2, 2), (2, 5), (2, 12), (3, 1), (3, 4), (3, 12), (5, 3), (7, 2),
+               (257, 2), (65537, 1), (2 ** 31 - 1, 3), (2 ** 64 - 59, 1), (2 ** 64 - 59, 2)]
+_EXTENSIONS = {}
+
+
+def extension(p, m):
+    """F_(p^m) by the first irreducible modulus of degree m."""
+    if (p, m) not in _EXTENSIONS:
+        _EXTENSIONS[p, m] = twist.first_irreducible(make_field(p, 1, [0, 1]), m)[1]
+    return _EXTENSIONS[p, m]
+
+
+def rand_series(rng, F, prec, big=False):
+    """Random digits, or with ``big`` every digit p - 1."""
+    top = F.el([F.p - 1] * F.m)
+    return TruncSeries(F, prec, [top if big else F.from_int(rng.randrange(F.order))
+                                 for _ in range(prec)])
+
+
+def rand_forms(rng, F, N, n):
+    """Up to five forms in N+1 variables whose monomials come from one small
+    pool per degree, so they share monomials: zero forms, degree-0 forms,
+    coefficients at n or longer, and now and then a coefficient zero at n."""
+    forms = []
+    for _ in range(rng.randint(1, 5)):
+        d = rng.choice((0, 1, 1, 2, 3))
+        pool = list({rand_exponents(random.Random(d * 10 + k), N + 1, d) for k in range(4)})
+        terms = {}
+        for exps in rng.sample(pool, rng.randint(0, len(pool))):
+            prec = n + rng.choice((0, 0, 1, 5))
+            c = rand_series(rng, F, prec)
+            if rng.random() < 0.1:   # zero below t^n, nonzero above
+                c = c - c.change_precision(n).change_precision(prec)
+            terms[exps] = c
+        forms.append(HomogPoly(F, N, d, terms))
+    return forms
+
+
+def assert_evaluates_like_the_reference(forms, coords):
+    assert eval_hom_coords(forms, coords) == [eval_reference(h, coords) for h in forms]
+
+
+@pytest.mark.parametrize("p,m", EVAL_FIELDS, ids=[f"p{p}m{m}" for p, m in EVAL_FIELDS])
+def test_eval_hom_coords_matches_the_reference(p, m):
+    # coordinates of mixed precision, n = 1 among them
+    F = extension(p, m)
+    rng = random.Random(p * 31 + m)
+    for i in range(12):
+        N = rng.randint(1, 3)
+        n = (1, 2, rng.randint(3, 40))[i % 3]
+        coords = [rand_series(rng, F, n + rng.choice((0, 0, 2, 9))) for _ in range(N + 1)]
+        coords[rng.randrange(N + 1)] = rand_series(rng, F, n)
+        assert_evaluates_like_the_reference(rand_forms(rng, F, N, n), coords)
+
+
+def width_tops(p, m, widths):
+    """(w, n): n the last precision that packs w-bit digits, by the bound
+    n*m*(p-1)^2 + m*p^2 < 2^(w-1)."""
+    return [(w, ((1 << (w - 1)) - 1 - m * p * p) // (m * (p - 1) ** 2)) for w in widths]
+
+
+TOPS = [(p, m, w, n) for p, m, widths in [(3, 1, (8, 16)), (3, 2, (8,)), (5, 2, (16,)),
+                                          (7, 1, (16,)), (7, 2, (16,)), (31, 1, (16,)),
+                                          (2 ** 31 - 1, 1, (64,))]
+        for w, n in width_tops(p, m, widths)]
+
+
+@pytest.mark.parametrize("p,m,w,n", TOPS, ids=[f"p{p}m{m}w{w}" for p, m, w, n in TOPS])
+def test_eval_hom_coords_with_largest_digits_at_width_tops(p, m, w, n):
+    # every digit p - 1 at the last precision of a digit width, where a sum
+    # of products must be reduced after each one: with two products per run
+    # the digits of p = 7 at w = 16 reach the Barrett pass's blind spots
+    F = extension(p, m)
+    assert ((1 << (w - 1)) - 1 - m * p * p) // (n * m * (p - 1) ** 2) == 1
+    assert F._kron[n].L.w == w
+    rng = random.Random(n)
+    for N in (1, 2):
+        coords = [rand_series(rng, F, n, big=True) for _ in range(N + 1)]
+        forms = [HomogPoly(F, N, d, {exps: rand_series(rng, F, n, big=True)
+                                     for exps in {rand_exponents(rng, N + 1, d) for _ in range(4)}})
+                 for d in (1, 1, 2)]
+        assert_evaluates_like_the_reference(forms, coords)
+
+
+def test_eval_hom_coords_reports_the_first_failing_form():
+    # a form with another number of variables, or known below the point
+    # precision, raises as the reference does on the forms in order
+    F = field_for(3, 2)
+    coords = [TruncSeries.one(F, 6), ser(F, "t + a", 8), ser(F, "2*t^2", 7)]
+    ok = HomogPoly(F, 2, 1, {(1, 0, 0): ser(F, "t", 9)})
+    short = HomogPoly(F, 2, 2, {(0, 1, 1): ser(F, "1 + t", 5)})
+    dropped = HomogPoly(F, 2, 1, {(0, 0, 1): ser(F, "1", 9)}, prec=4)
+    narrow = HomogPoly(F, 1, 1, {(1, 0): ser(F, "1", 9)})
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except Exception as ex:  # compared, never swallowed
+            return type(ex), str(ex)
+
+    for forms in ([ok, short, narrow], [ok, narrow, short], [dropped, short], [narrow, dropped]):
+        want = outcome(lambda: [eval_reference(h, coords) for h in forms])
+        assert isinstance(want, tuple) and outcome(eval_hom_coords, forms, coords) == want
+    assert eval_hom_coords([], coords) == []
 
 
 def test_poly_mul_against_naive():

@@ -9,7 +9,7 @@ from frobdml.errors import (NonCanonicalBasePoint, PrecisionExhausted,
 from frobdml.field import make_field
 from frobdml.geometry import ProjPoint, proj_eq, reduce_point
 from frobdml.instances import fixture_path, parse_instance
-from frobdml.lifting import (critical_witness, detect_residue_degree,
+from frobdml.lifting import (SigmaFixedLift, critical_witness, detect_residue_degree,
                              invariance_evidence, minimal_period, point_galois,
                              sigma_fixed_lift)
 from frobdml.series import TruncSeries, format_series
@@ -182,6 +182,43 @@ def test_period_divides_residue_degree_randomized():
         m = L.residue_degree
         assert m is not None and m >= 1
         assert m % minimal_period(f, L) == 0
+
+
+def minimal_period_reference(f, L):
+    """The plain walk: apply_map until proj_eq with the lift, at most the
+    residue degree times."""
+    m = L.residue_degree
+    cur = L.lift
+    for d in range(1, m + 1):
+        cur = apply_map(f, cur)
+        if proj_eq(cur, L.lift):
+            return d
+    raise AssertionError(f"no period <= residue degree {m}")
+
+
+def test_minimal_period_matches_the_walk():
+    # the seeded lift suite of criterion 2, and each lift with a residue
+    # degree one below its period, where both raise
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except AssertionError as ex:  # compared, never swallowed
+            return str(ex)
+
+    rng = random.Random(40202)
+    periods = set()
+    for _ in range(100):
+        f = rand_suite_map(rng)
+        L = sigma_fixed_lift(f, rand_residue_point(rng, f), 40)
+        d = outcome(minimal_period, f, L)
+        assert d == outcome(minimal_period_reference, f, L)
+        periods.add(d)
+        if d > 1:
+            short = SigmaFixedLift(L.base, L.lift, L.sigma_exponent, d - 1)
+            want = f"no period <= residue degree {d - 1}"
+            assert outcome(minimal_period, f, short) == want
+            assert outcome(minimal_period_reference, f, short) == want
+    assert {1, 2, 3} <= periods
 
 
 def test_critical_witness_golden():

@@ -1,6 +1,7 @@
 """The package surface: what ``import frobdml`` and each CLI command load,
 the lazily resolved exports, and the value records that replaced the
 dataclasses."""
+import ast
 import importlib
 import os
 import subprocess
@@ -80,6 +81,15 @@ def test_import_check_ignores_docstrings_and_honours_noqa(tmp_path):
     kept.write_text('import os  # noqa: F401\nimport struct\nNAME = "struct"\n')
     res = python("tools/check_imports.py", str(tmp_path))
     assert (res.returncode, res.stdout) == (1, f"{doc}:2: struct imported but unused\n")
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert statements, so internal checks raise explicitly
+    paths = sorted((ROOT / "src" / "frobdml").glob("*.py"))
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert paths and found == []
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,16 @@ import pytest
 
 from frobdml.dynamics import GeneralMap, apply_map
 from frobdml.errors import DegreeMismatch, PrecisionBelowThreshold
-from frobdml.geometry import (HomogPoly, Subvariety, eval_hom, point_variety,
+from frobdml.geometry import (HomogPoly, Subvariety, _meets, point_variety,
                               proj_eq)
 from frobdml.instances import fixture_path, parse_instance
 from frobdml.lifting import point_galois, sigma_fixed_lift
-from frobdml.returns import (EXACT, NO_DECOMPOSITION, ReturnSet, _meets,
+from frobdml.returns import (EXACT, NO_DECOMPOSITION, ReturnSet,
                              ap_decompose, decompose_oracle, default_threshold,
                              return_set)
 from frobdml.series import AtPrecisionZero, TruncSeries
 
-from conftest import field_for, rand_point, rand_residue_point, rand_suite_map
+from conftest import eval_reference, field_for, rand_point, rand_residue_point, rand_suite_map
 
 INST4 = parse_instance(fixture_path("f4.json"))
 INST1 = parse_instance(fixture_path("f1.json"))
@@ -165,7 +165,7 @@ def return_set_reference(f, x, V, H, tau):
     vals = []
     cur = x
     for n in range(H + 1):
-        row = tuple(eval_hom(h, cur).valuation() for h in V.generators)
+        row = tuple(eval_reference(h, cur.coords).valuation() for h in V.generators)
         vals.append(row)
         if all(_meets(v, tau) for v in row):
             hits.append(n)

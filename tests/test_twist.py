@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from frobdml import dynamics
+from frobdml import dynamics, poly
 from frobdml.dynamics import DmlMap, recognize_dml_form, validate_map
 from frobdml.errors import (DegreeMismatch, FrobdmlError, NonConstantMatrix,
                             NonFlattenableExtension, NotInvertible,
                             SearchExhausted)
-from frobdml.field import format_element, make_field
+from frobdml.field import FqElem, format_element, make_field
 from frobdml.geometry import HomogPoly
 from frobdml.instances import fixture_path, parse_twist_file
 from frobdml import series
@@ -376,6 +376,52 @@ def test_f2048_twist_solves():
     assert sol.r == 11 and sol.field == F
     assert sol.B == [[a, zero], [zero, one]]
     assert all(sol.entry_str(x) == "0" for row in sol.residue() for x in row)
+
+
+def test_basis_and_b_are_decoded_once(monkeypatch):
+    # a tower that does not flatten renders every entry as a string; B is
+    # the transpose of basis and shares its entries
+    sol = solve_twist(rand_gl(random.Random(5), F4, 5), 2)
+    assert sol.r == 30 and sol.field is None
+    calls = []
+    coeffs = FqElem.coeffs
+    monkeypatch.setattr(FqElem, "coeffs", property(lambda x: calls.append(1) or coeffs.fget(x)))
+    basis = sol.basis
+    assert calls
+    calls.clear()
+    B = sol.B
+    assert sol.basis is basis and sol.B is B and not calls
+    assert B == [[v[i] for v in basis] for i in range(5)]
+    assert B == [[sol.entry_str(u) for u in row] for row in sol.B_raw]
+
+
+def test_first_irreducible_skips_only_reducible_binomials():
+    # Y^4 + c is reducible for every c over F_p with p = 3 mod 4
+    # (Lidl-Niederreiter, Thm 3.75): the scan starts at Y^4 + Y + c
+    P31 = make_field(2 ** 31 - 1, 1, [0, 1])
+    assert twist.first_irreducible(P31, 4)[0] == (1, 1, 0, 0, 1)
+    cycle = [[P31.from_int(int(j == (i + 1) % 4)) for j in range(4)] for i in range(4)]
+    sol = solve_twist(cycle, P31.p)
+    assert sol.r == 4
+    assert all(sol.entry_str(x) == "0" for row in sol.residue() for x in row)
+
+
+def first_irreducible_scan(F, d):
+    """Reference: every monic degree-d candidate in index order."""
+    L, Q = F._L, F.order
+    R = twist._base_ring(F, L)
+    for idx in range(Q ** d):
+        h = poly.digits(idx, Q, d) + [1]
+        if idx % Q and poly.least_factor_degree(R, [twist._slot(L, c) for c in h]) is None:
+            return tuple(h)
+
+
+def test_first_irreducible_matches_the_plain_scan():
+    small = [q for q in range(2, 44) if all(q % k for k in range(2, q))]
+    fields = [make_field(q, 1, [0, 1]) for q in small] + [F4, F8, F9]
+    for F in fields:
+        for d in range(2, 7):
+            assert twist.first_irreducible(F, d)[0] == first_irreducible_scan(F, d), (F, d)
 
 
 def coordinates(fq, sh, v, count):
