@@ -31,9 +31,9 @@ _EXPORTS = {
               "NonPrimeP NonUnitDivisor NotInImage NotInvertible ParseError "
               "PrecisionBelowThreshold PrecisionExhausted PrecisionTooLow "
               "PreconditionMatrixNotIdentityModT ReducibleModulus "
-              "ResidueDegreeUnknown SearchExhausted UnsupportedQ ValidationFailure",
+              "SearchExhausted UnsupportedQ ValidationFailure",
     "field": "FieldSpec FqElem format_element make_field parse_element",
-    "series": "AtPrecisionZero GaloisAction TruncSeries format_series parse_series",
+    "series": "AtPrecisionZero TruncSeries format_series parse_series",
     "geometry": "HomogPoly ProjPoint Subvariety eval_hom format_poly point_variety "
                 "proj_eq reduce_point",
     "dynamics": "ConditionsReport DmlMap GeneralMap NotInForm apply_map "

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import os
 from functools import partial
+from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DegreeMismatch,
-    DegreeOverflow,
     DimensionMismatch,
     FieldMismatch,
     NotInImage,
@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedQ,
 )
 from . import poly
-from .field import FieldSpec, FqElem, _add, _fit, _galois, _reduce, _run_cap, p_power_exponent
+from .field import FieldSpec, FqElem, _fit, _galois, _reduce, _run_cap, p_power_exponent
 from .geometry import (
     ExpVec,
     HomogPoly,
@@ -128,7 +128,7 @@ class ConditionsReport(Record):
 # ---------------------------------------------------------------------------
 
 class DmlMap:
-    __slots__ = ("field", "p", "e", "N", "A", "G", "e0", "label", "_secs")
+    __slots__ = ("field", "p", "e", "N", "A", "G", "e0", "label", "_secs", "_rows")
 
     def __init__(self, field: FieldSpec, p: int, e: int, A: Sequence[Sequence[TruncSeries]],
                  G: Sequence[HomogPoly], label: str = ""):
@@ -143,6 +143,7 @@ class DmlMap:
             [s for row in self.A for s in row] + [c for g in self.G for c in g.terms.values()])
         self.label = label
         self._secs: Dict[int, tuple] = {}
+        self._rows: Optional[tuple] = None
 
     @property
     def q(self) -> int:
@@ -150,6 +151,19 @@ class DmlMap:
 
     def coefficient_precision(self) -> int:
         return min([s.prec for row in self.A for s in row] + [g.prec for g in self.G])
+
+    def _coefficient_rows(self) -> tuple:
+        """(index, rows): the index of every monomial of G, the x_j^(q/p)
+        first, and per coordinate i, A_i and G_i collected as one form of
+        degree q/p; built on the first call."""
+        if self._rows is None:
+            d, n = self.p ** (self.e - 1), self.N + 1
+            units = [tuple(d if k == j else 0 for k in range(n)) for j in range(n)]
+            monos = dict.fromkeys(units + [exps for g in self.G for exps in g.terms])
+            self._rows = ({exps: v for v, exps in enumerate(monos)},
+                          [HomogPoly(self.field, self.N, d, chain(zip(units, row), g.terms.items()))
+                           for row, g in zip(self.A, self.G)])
+        return self._rows
 
     def _sections(self, n: int) -> tuple:
         """The monomials and sections of the coefficients at precision n
@@ -362,7 +376,8 @@ def _build_sections(f: DmlMap, n: int) -> tuple:
     the x_j^(q/p), which are monomials 0..N; per coordinate i its nonzero
     sections k; per (i, k) the terms (D, v) of F_ik, D a nonzero section d_k
     at r = ceil(n/p) slots in the width of n (when r < SECTION_MIN_R, k = 0
-    and D the coefficient itself), v its monomial's index.
+    and D the coefficient itself), v its monomial's index in
+    f._coefficient_rows().
 
     Every coefficient must be known to n digits, an entry of A that is
     exactly 0 or 1 included: A row by row, then each G_i by its prec, which
@@ -380,28 +395,19 @@ def _build_sections(f: DmlMap, n: int) -> tuple:
     K = field._kron
     sh = K[n]
     sectioned = -(-n // p) >= SECTION_MIN_R
-    d, N = p ** (f.e - 1), f.N
-    index = {tuple(d if k == j else 0 for k in range(N + 1)): j for j in range(N + 1)}
-    for g in f.G:
-        for exps in g.terms:
-            index.setdefault(exps, len(index))
+    index, forms = f._coefficient_rows()
     rows, sums = [], []
-    for i in range(N + 1):
-        coeffs: Dict[int, int] = {}
-        terms = list(enumerate(f.A[i]))
-        terms += [(index[exps], c) for exps, c in f.G[i].terms.items()]
-        for v, c in terms:
-            X = _fit(K, c.packed, c.prec, n)
-            coeffs[v] = _add(sh, coeffs[v], X) if v in coeffs else X
+    for coeffs in forms:
         groups: Dict[int, List[Tuple[int, int]]] = {} if sectioned else {0: []}
-        for v, X in coeffs.items():
+        for exps, c in coeffs.terms.items():
+            X = _fit(K, c.packed, c.prec, n)
             sections = _gather(sh.L, _galois(sh, X, -1 % m), n, p) if sectioned else [X]
             for k, D in enumerate(sections):
                 if D:
-                    groups.setdefault(k, []).append((D, v))
+                    groups.setdefault(k, []).append((D, index[exps]))
         rows.append(sorted(groups))
         sums += [groups[k] for k in rows[-1]]
-    return list(index)[N + 1:], rows, sums
+    return list(index)[f.N + 1:], rows, sums
 
 
 def apply_map(f: AnyMap, P: ProjPoint,
@@ -520,13 +526,9 @@ def dml_to_general(f: DmlMap) -> GeneralMap:
     q, p, n = f.q, f.p, f.N + 1
     coords = []
     for i in range(n):
-        terms: Dict[ExpVec, TruncSeries] = {}
-        for j in range(n):
-            e = tuple(q if k == j else 0 for k in range(n))
-            terms[e] = f.A[i][j]     # dropped when zero, but its precision counts
-        for exps, c in f.G[i].terms.items():
-            e = tuple(p * x for x in exps)
-            terms[e] = terms[e] + c if e in terms else c
+        # a zero A_ij is dropped, but its precision counts
+        terms = [(tuple(q if k == j else 0 for k in range(n)), f.A[i][j]) for j in range(n)]
+        terms += [(tuple(p * x for x in exps), c) for exps, c in f.G[i].terms.items()]
         coords.append(HomogPoly(f.field, f.N, q, terms, f.G[i].prec))
     return GeneralMap(f.field, coords, f.label)
 
@@ -567,9 +569,11 @@ def check_conditions(f: AnyMap) -> ConditionsReport:
 # ---------------------------------------------------------------------------
 
 def compose_maps(F: AnyMap, G: AnyMap) -> GeneralMap:
-    """(F o G)(x) = F(G(x)) by sparse substitution with like-term collection;
-    the powers G_j^k are taken by square-and-multiply, and any product or
-    coordinate above term_bound() terms raises DegreeOverflow."""
+    """(F o G)(x) = F(G(x)) by sparse substitution: the powers G_j^k are
+    taken by square-and-multiply, and each coordinate is collected once from
+    all of its coefficient * monomial products.  The term budget
+    term_bound() counts distinct exponent vectors: a product of forms or a
+    composed coordinate that collects more raises DegreeOverflow."""
     Fg = dml_to_general(F) if isinstance(F, DmlMap) else F
     Gg = dml_to_general(G) if isinstance(G, DmlMap) else G
     if Fg.field != Gg.field or Fg.N != Gg.N:
@@ -586,21 +590,19 @@ def compose_maps(F: AnyMap, G: AnyMap) -> GeneralMap:
     out = []
     deg = Fg.degree * Gg.degree
     for h in Fg.coords:
-        acc = HomogPoly(Fg.field, Fg.N, deg, {}, h.prec)
+        monos = []
         for exps, coeff in h.terms.items():
             mono: Optional[HomogPoly] = None
             for j, k in enumerate(exps):
                 if k:
                     part = gpow(j, k)
                     mono = part if mono is None else mul(mono, part)
-            term = mono.scale(coeff) if mono is not None else None
-            if term is None:
+            if mono is None:
                 raise DegreeMismatch("degree-0 coordinate in composition")
-            acc = acc + term
-            if len(acc.terms) > bound:
-                raise DegreeOverflow(
-                    f"composed coordinate exceeds the symbolic size bound of {bound} terms")
-        out.append(acc)
+            monos.append((mono, coeff))
+        terms = ((e, c * coeff) for mono, coeff in monos for e, c in mono.terms.items())
+        prec = min([h.prec] + [mono.prec for mono, _ in monos])
+        out.append(HomogPoly(Fg.field, Fg.N, deg, terms, prec, bound))
     return GeneralMap(Fg.field, out, label=f"{Fg.label}o{Gg.label}" if Fg.label else "")
 
 
@@ -636,25 +638,21 @@ def recognize_dml_form(F: GeneralMap, p: int, e: int) -> Union[DmlMap, NotInForm
     A: List[List[TruncSeries]] = [[zero] * n for _ in range(n)]
     G: List[HomogPoly] = []
     for i, h in enumerate(F.coords):
-        rem: Dict[ExpVec, TruncSeries] = {}
+        rem = []
         for exps, coeff in h.terms.items():
             j = _pure_power_index(exps, q)
             if j is not None:
                 c0 = coeff.constant_term()
                 if not c0.is_zero():
                     A[i][j] = TruncSeries.from_constant(c0, coeff.prec)
-                tail = coeff - A[i][j] if not c0.is_zero() else coeff
-                if not tail.is_zero_at_precision():
-                    yexp = tuple(q // p if k == j else 0 for k in range(n))
-                    rem[yexp] = rem[yexp] + tail if yexp in rem else tail
-                continue
-            if any(x % p for x in exps):
+                    coeff = coeff - A[i][j]
+            elif any(x % p for x in exps):
                 return NotInForm(i, exps, "exponent vector is not divisible by p")
-            v = coeff.valuation()
-            if not isinstance(v, AtPrecisionZero) and v == 0:
-                return NotInForm(i, exps, "remainder coefficient is a unit")
-            yexp = tuple(x // p for x in exps)
-            rem[yexp] = rem[yexp] + coeff if yexp in rem else coeff
+            else:
+                v = coeff.valuation()
+                if not isinstance(v, AtPrecisionZero) and v == 0:
+                    return NotInForm(i, exps, "remainder coefficient is a unit")
+            rem.append((tuple(x // p for x in exps), coeff))
         G.append(HomogPoly(F.field, F.N, q // p, rem, h.prec))
     if not _unit_det(A):
         return NotInForm(None, None,

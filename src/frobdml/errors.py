@@ -105,10 +105,6 @@ class PrecisionTooLow(FrobdmlError):
     pass
 
 
-class ResidueDegreeUnknown(FrobdmlError):
-    pass
-
-
 # -- returns ----------------------------------------------------------------
 
 class PrecisionBelowThreshold(FrobdmlError):

@@ -7,10 +7,12 @@ by t^v via an index shift, consuming v digits of absolute precision (the
 consumed amount is recorded), then divides by the pivot unit, which costs
 no precision.
 
-Homogeneous polynomials are exponent-vector -> coefficient maps; zero
-coefficients are never stored, but their precision is: a polynomial's
-``prec`` is the least precision of the coefficients it was given, so a term
-O(t^k) still bounds what it determines.  The same type serves map
+Homogeneous polynomials are exponent-vector -> coefficient maps.  Their
+constructor is the one collector of like terms: it sums repeated vectors and
+drops zero sums only once every term is in, keeping their precision in
+``prec``, so a term O(t^k) or a cancellation known to t^k still bounds what
+the form determines.  A chain of ``+`` can restart a cancelled coefficient,
+so package code builds a sum in one call.  The same type serves map
 remainders G_i (variables y_j standing for x_j^p) and subvariety generators
 (variables x_j).
 
@@ -21,6 +23,9 @@ the digit bound allows (``_sums``); apply_map runs on the same two kernels.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
+from itertools import chain
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -35,6 +40,7 @@ from .field import FieldSpec, FqElem, _Shape, _add, _fit, _reduce, _run_cap
 from .series import MAX_PREC, AtPrecisionZero, TruncSeries, _new
 
 ExpVec = Tuple[int, ...]
+Terms = Union[Mapping[ExpVec, TruncSeries], Iterable[Tuple[ExpVec, TruncSeries]]]
 
 
 class ProjPoint:
@@ -129,27 +135,42 @@ def proj_eq(P: ProjPoint, Q: ProjPoint) -> bool:
 
 class HomogPoly:
     """Homogeneous polynomial in N+1 variables with TruncSeries coefficients,
-    known to t^prec: the least precision of the coefficients it was given
-    and of ``prec``, zero coefficients included, MAX_PREC for none."""
+    known to t^prec: the least precision of the sums of its terms and of
+    ``prec``, zero sums included, MAX_PREC for none.
+
+    ``terms`` is a mapping or an iterable of (exponents, coefficient) pairs.
+    Repeated vectors are summed, and DegreeOverflow is raised at the first
+    distinct vector past ``max_terms``; then each vector is validated once
+    and zero sums are dropped.  ``a + b + c`` collects once per ``+``, so a
+    sum cancelled in a + b restarts at c's precision."""
 
     __slots__ = ("field", "N", "degree", "terms", "prec")
 
     def __init__(self, field: FieldSpec, N: int, degree: int,
-                 terms: Dict[ExpVec, TruncSeries], prec: int = MAX_PREC):
+                 terms: Terms, prec: int = MAX_PREC, max_terms: Optional[int] = None):
         if degree < 0:
             raise DegreeMismatch(f"degree {degree} < 0")
+        sums: Dict[ExpVec, TruncSeries] = {}
+        for exps, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+            if exps in sums:
+                sums[exps] = sums[exps] + coeff
+            else:
+                sums[exps] = coeff
+                if max_terms is not None and len(sums) > max_terms:
+                    raise DegreeOverflow(
+                        f"product exceeds the symbolic size bound of {max_terms} terms")
         clean: Dict[ExpVec, TruncSeries] = {}
-        for exps, coeff in terms.items():
-            e = tuple(int(x) for x in exps)
+        for exps, coeff in sums.items():
+            e = tuple(map(int, exps))
             if len(e) != N + 1:
                 raise DimensionMismatch(
                     f"exponent vector {e} has {len(e)} entries, expected {N + 1}")
-            if any(x < 0 for x in e):
+            if min(e, default=0) < 0:
                 raise DegreeMismatch(f"negative exponent in {e}")
             if sum(e) != degree:
                 raise DegreeMismatch(
                     f"term {e} has degree {sum(e)}, polynomial declares {degree}")
-            if coeff.field != field:
+            if coeff.field is not field and coeff.field != field:
                 raise FieldMismatch("coefficient field mismatch")
             prec = min(prec, coeff.prec)
             if not coeff.is_zero_at_precision():
@@ -177,15 +198,9 @@ class HomogPoly:
 
     def __add__(self, other: "HomogPoly") -> "HomogPoly":
         self._compat(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms[e] + c if e in terms else c
-        return HomogPoly(self.field, self.N, self.degree, terms, min(self.prec, other.prec))
-
-    def scale(self, c: TruncSeries) -> "HomogPoly":
         return HomogPoly(self.field, self.N, self.degree,
-                         {e: coeff * c for e, coeff in self.terms.items()},
-                         min(self.prec, c.prec))
+                         chain(self.terms.items(), other.terms.items()),
+                         min(self.prec, other.prec))
 
     def _compat(self, other: "HomogPoly") -> None:
         if self.field != other.field or self.N != other.N:
@@ -211,16 +226,10 @@ def poly_mul(a: HomogPoly, b: HomogPoly,
              max_terms: Optional[int] = None) -> HomogPoly:
     if a.field != b.field or a.N != b.N:
         raise DimensionMismatch("polynomials over different spaces")
-    terms: Dict[ExpVec, TruncSeries] = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            prod = ca * cb
-            terms[e] = terms[e] + prod if e in terms else prod
-            if max_terms is not None and len(terms) > max_terms:
-                raise DegreeOverflow(
-                    f"product exceeds the symbolic size bound of {max_terms} terms")
-    return HomogPoly(a.field, a.N, a.degree + b.degree, terms, min(a.prec, b.prec))
+    return HomogPoly(a.field, a.N, a.degree + b.degree,
+                     ((tuple(map(add, ea, eb)), ca * cb)
+                      for ea, ca in a.terms.items() for eb, cb in b.terms.items()),
+                     min(a.prec, b.prec), max_terms)
 
 
 def eval_hom(h: HomogPoly, P: ProjPoint) -> TruncSeries:

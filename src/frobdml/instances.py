@@ -31,7 +31,7 @@ from .errors import DegreeOverflow, ParseError, ValidationFailure
 from .field import FieldSpec, FqElem, format_element, make_field, parse_element, parse_int
 from .geometry import HomogPoly, ProjPoint, Subvariety
 from .record import MutableRecord
-from .series import TruncSeries, format_series, parse_series
+from .series import format_series, parse_series
 
 ResiduePoint = Tuple[FqElem, ...]
 NamedPoint = Union[ProjPoint, ResiduePoint]
@@ -81,7 +81,7 @@ def _parse_poly(obj, field: FieldSpec, N: int, prec: Optional[int],
         raise ParseError(f"{where}: polynomial must be an object or a term list")
     if not isinstance(degree, (int, type(None))):
         raise ParseError(f"{where}: degree must be an integer")
-    terms: Dict[Tuple[int, ...], TruncSeries] = {}
+    terms = []
     for k, term in enumerate(terms_in):
         exps = _require(term, "exponents", f"{where} term {k}")
         if not isinstance(exps, list) or len(exps) != N + 1 \
@@ -90,10 +90,9 @@ def _parse_poly(obj, field: FieldSpec, N: int, prec: Optional[int],
                 f"{where} term {k}: exponents must be {N + 1} nonnegative integers")
         coeff = parse_series(field, _require(term, "coeff", f"{where} term {k}"),
                              default_prec=prec)
-        key = tuple(exps)
-        terms[key] = terms[key] + coeff if key in terms else coeff
+        terms.append((tuple(exps), coeff))
         if degree is None:
-            degree = sum(key)
+            degree = sum(exps)
     if degree is None:
         raise ParseError(f"{where}: empty polynomial needs an explicit degree")
     return HomogPoly(field, N, degree, terms)

@@ -49,7 +49,7 @@ from .errors import (
 from .field import FqElem
 from .geometry import ProjPoint, Subvariety, _meets, eval_hom_coords, proj_eq, reduce_point
 from .record import MutableRecord
-from .series import GaloisAction, TruncSeries
+from .series import TruncSeries
 
 
 class SigmaFixedLift:
@@ -71,8 +71,7 @@ def point_galois(P: ProjPoint, e: int, inverse: bool = False,
                  times: int = 1) -> ProjPoint:
     """Coefficientwise Frob_{p^e}^(+-times) on every coordinate; canonical
     form is preserved (the pivot 1 is fixed and valuations do not move)."""
-    act = GaloisAction(e * times)
-    coords = [c.galois(act, inverse=inverse) for c in P.coords]
+    coords = [c.galois(e * times, inverse=inverse) for c in P.coords]
     return ProjPoint(P.field, coords, _trusted=True)
 
 

@@ -61,11 +61,6 @@ class AtPrecisionZero(Record):
     __slots__ = ("prec",)
 
 
-class GaloisAction(Record):
-    """The semilinear action sigma = Frob_{p^e}, coefficientwise, fixing t."""
-    __slots__ = ("e",)
-
-
 # ---------------------------------------------------------------------------
 # slot moves
 # ---------------------------------------------------------------------------
@@ -315,8 +310,9 @@ class TruncSeries:
         X = self.packed >> (k * K[self.prec].L.S)
         return _new(self.field, n, _fit(K, X, self.prec, n))
 
-    def galois(self, act: Union[GaloisAction, int], inverse: bool = False) -> "TruncSeries":
-        e = act.e if isinstance(act, GaloisAction) else act
+    def galois(self, e: int, inverse: bool = False) -> "TruncSeries":
+        """The semilinear action sigma = Frob_(p^e) (its inverse with
+        ``inverse``) on every coefficient; t is fixed."""
         if inverse:
             e = -e
         field = self.field

@@ -16,7 +16,7 @@ from frobdml.series import TruncSeries
 MODULI = {
     (2, 1): [0, 1], (2, 2): [1, 1, 1], (2, 3): [1, 1, 0, 1],
     (3, 1): [0, 1], (3, 2): [1, 0, 1], (3, 3): [1, 2, 0, 1],
-    (5, 1): [0, 1], (5, 2): [2, 0, 1], (5, 3): [1, 1, 0, 1],
+    (5, 1): [0, 1], (5, 2): [2, 0, 1], (5, 3): [1, 1, 0, 1], (7, 1): [0, 1],
     (257, 1): [0, 1], (257, 2): [3, 0, 1], (257, 3): [1, 1, 0, 1],
     (65537, 1): [0, 1], (65537, 2): [3, 0, 1], (65537, 3): [4, 1, 0, 1],
     (2 ** 31 - 1, 1): [0, 1], (2 ** 31 - 1, 2): [1, 0, 1],

@@ -402,6 +402,25 @@ def test_term_bound_is_exit_3(monkeypatch):
     assert err == "error: DegreeOverflow: product exceeds the symbolic size bound of 1 terms\n"
 
 
+def test_compose_keeps_the_precision_of_a_cancelled_sum(tmp_path):
+    # in f^2[0] the x0 terms (1 + O(t))*1 and (1 + O(t))*2 cancel at
+    # precision 1, so (1 + O(t^5))*(2 + t + O(t^5)) must not restart the
+    # coefficient at t^5: only its digit mod t is determined
+    def form(*terms):
+        return {"degree": 1, "terms": [{"exponents": [int(k == j) for k in range(3)], "coeff": c}
+                                       for j, c in terms]}
+    path = tmp_path / "cancel.json"
+    path.write_text(json.dumps({
+        "field": {"p": 3, "m": 1, "modulus": [0, 1]},
+        "map": {"coordinates": [form((0, "1 + O(t)"), (1, "1 + O(t)"), (2, "1 + O(t^5)")),
+                                form((0, "2 + O(t)"), (1, "1 + O(t^5)")),
+                                form((0, "2 + t + O(t^5)"), (2, "1 + O(t^5)"))]}}))
+    code, out, err = run(["compose", str(path), "--times", "2"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == \
+        "f^2[0] = (2 + O(t^1))*x0 + (2 + O(t^1))*x1 + (2 + O(t^1))*x2"
+
+
 def test_deep_compose_is_exit_0():
     """f^11 has coordinate powers of exponent 1024, which must not cost one
     product (or one stack frame) per unit of exponent."""

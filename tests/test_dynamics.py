@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import frobdml.dynamics as dynamics
 from frobdml.dynamics import (SECTION_MIN_R, CoefficientFieldTooLarge, _at_prec,
                               CoefficientNotInMaximalIdeal, DmlMap, GeneralMap,
                               NonUnitDeterminant, NotInForm, WrongDegree,
@@ -16,7 +17,7 @@ from frobdml.geometry import (HomogPoly, ProjPoint, format_poly,
                               normalize, poly_mul, proj_eq)
 from frobdml.instances import fixture_path, parse_instance
 from frobdml.lifting import point_galois, sigma_fixed_lift
-from frobdml.series import (AtPrecisionZero, GaloisAction, TruncSeries,
+from frobdml.series import (MAX_PREC, AtPrecisionZero, TruncSeries,
                             format_series, parse_series)
 
 from conftest import (eval_reference, field_for, identity_matrix, rand_exponents, rand_point,
@@ -275,13 +276,15 @@ def test_compose_golden_and_iterate_agree():
 
 def compose_reference(F, G):
     """Reference: (F o G) with each power G_j^k built by k - 1 products in
-    a row, as compose_maps did before it powered by square-and-multiply."""
+    a row, as compose_maps did before it powered by square-and-multiply,
+    and every contribution to a coordinate summed in a plain dict, whose
+    zero sums are dropped once at the end."""
     Fg = dml_to_general(F) if isinstance(F, DmlMap) else F
     Gg = dml_to_general(G) if isinstance(G, DmlMap) else G
     powers = {}
     out = []
     for h in Fg.coords:
-        acc = HomogPoly.zero(Fg.field, Fg.N, Fg.degree * Gg.degree)
+        sums, prec = {}, h.prec
         for exps, coeff in h.terms.items():
             mono = None
             for j, k in enumerate(exps):
@@ -291,8 +294,13 @@ def compose_reference(F, G):
                             powers[j, i] = Gg.coords[j] if i == 1 else \
                                 poly_mul(powers[j, i - 1], Gg.coords[j])
                     mono = powers[j, k] if mono is None else poly_mul(mono, powers[j, k])
-            acc = acc + mono.scale(coeff)
-        out.append(acc)
+            prec = min(prec, mono.prec)
+            for e, c in mono.terms.items():
+                sums[e] = sums[e] + c * coeff if e in sums else c * coeff
+        prec = min([prec] + [c.prec for c in sums.values()])
+        out.append(HomogPoly(Fg.field, Fg.N, Fg.degree * Gg.degree,
+                             {e: c for e, c in sums.items() if not c.is_zero_at_precision()},
+                             prec))
     return GeneralMap(Fg.field, out)
 
 
@@ -504,10 +512,9 @@ def test_apply_commutes_with_galois():
     for _ in range(20):
         f = rand_suite_map(rng, prec=12)
         P = rand_point(rng, f.field, f.N, 12)
-        sigma = GaloisAction(f.e)
-        sigmaP = ProjPoint(f.field, [c.galois(sigma) for c in P.coords])
+        sigmaP = ProjPoint(f.field, [c.galois(f.e) for c in P.coords])
         fP = apply_map(f, P)
-        sigma_fP = ProjPoint(f.field, [c.galois(sigma) for c in fP.coords])
+        sigma_fP = ProjPoint(f.field, [c.galois(f.e) for c in fP.coords])
         assert proj_eq(apply_map(f, sigmaP), sigma_fP)
 
 
@@ -516,10 +523,9 @@ def test_apply_commutes_with_galois_at_large_p():
     for _ in range(15):
         f = rand_suite_map(rng, prec=12, primes=(257, 65537, 2 ** 31 - 1), max_e=1)
         P = rand_point(rng, f.field, f.N, 12)
-        sigma = GaloisAction(f.e)
-        sigmaP = ProjPoint(f.field, [c.galois(sigma) for c in P.coords])
+        sigmaP = ProjPoint(f.field, [c.galois(f.e) for c in P.coords])
         fP = apply_map(f, P)
-        sigma_fP = ProjPoint(f.field, [c.galois(sigma) for c in fP.coords])
+        sigma_fP = ProjPoint(f.field, [c.galois(f.e) for c in fP.coords])
         assert proj_eq(apply_map(f, sigmaP), sigma_fP)
 
 
@@ -661,15 +667,23 @@ def test_apply_map_checks_entries_exactly_zero_or_one():
             apply_map(f, P)
 
 
-@pytest.mark.parametrize("p,m,e,N", [(2, 1, 1, 7), (3, 1, 1, 7), (5, 1, 1, 7), (3, 2, 2, 3),
-                                     (2, 3, 3, 3)])
-def test_apply_map_with_largest_digits_at_tier_edges(p, m, e, N):
+EDGES = [(2, 1, 1, 7, 8), (3, 1, 1, 7, 8), (5, 1, 1, 7, 8), (3, 2, 2, 3, 8), (2, 3, 3, 3, 8),
+         (7, 1, 1, 10, 16)]
+
+
+@pytest.mark.parametrize("p,m,e,N,w", EDGES, ids=[f"{p}-{m}-{e}-{N}" + (f"-w{w}" if w > 8 else "")
+                                                  for p, m, e, N, w in EDGES])
+def test_apply_map_with_largest_digits_at_tier_edges(p, m, e, N, w, monkeypatch):
     # every digit as large as the field allows, every coefficient dense, at
-    # the last precision of the narrowest digit width and the next: the sums
+    # the last precision of the w-bit digit width and the next: the sums
     # of products that form an F_ik stay below the Barrett bound only when
-    # they are reduced in chunks
+    # they are reduced in runs.  At p = 7, w = 16 (n = 908, r = 130) a run
+    # holds _run_cap = 6 of the 11 products of a sum, on both routes:
+    # p-sections, and dilated monomials when SECTION_MIN_R is raised past r.
+    # Runs of 11 reach the digits where the Barrett pass errs (from 43,693);
+    # runs of 7 cannot (7 * 130 * 36 < 2^15), so no input tells them apart
     F = field_for(p, m)
-    top = ((1 << 7) - 1 - m * p * p) // (m * (p - 1) ** 2)
+    top = ((1 << (w - 1)) - 1 - m * p * p) // (m * (p - 1) ** 2)
     big = F.el([p - 1] * m) if e % m == 0 else F.from_int(p - 1)
     d = p ** (e - 1)
     for n in (top, top + 1):
@@ -681,8 +695,10 @@ def test_apply_map_with_largest_digits_at_tier_edges(p, m, e, N):
                  if max(exps) < d]
         G = [HomogPoly(F, N, d, {exps: TruncSeries(F, n, tail) for exps in mixed})
              for _ in range(N + 1)]
-        f = validate_map(F, p, e, A, G)
-        assert isinstance(f, DmlMap), f
         x = TruncSeries(F, n, [F.el([p - 1] * m)] * n)
         P = ProjPoint(F, [TruncSeries.one(F, n)] + [x] * N, _trusted=True)
-        assert apply_map(f, P).coords == apply_map_reference(f, P).coords
+        for min_r in (SECTION_MIN_R, MAX_PREC):
+            monkeypatch.setattr(dynamics, "SECTION_MIN_R", min_r)
+            f = validate_map(F, p, e, A, G)
+            assert isinstance(f, DmlMap), f
+            assert apply_map(f, P).coords == apply_map_reference(f, P).coords

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from frobdml import twist
-from frobdml.errors import (DegreeMismatch, DimensionMismatch,
+from frobdml.errors import (DegreeMismatch, DegreeOverflow, DimensionMismatch,
                             IndistinguishableFromZero)
 from frobdml.field import make_field
 from frobdml.geometry import (HomogPoly, ProjPoint, Subvariety, eval_hom, eval_hom_coords,
@@ -67,6 +67,42 @@ def test_homog_poly_validation():
         HomogPoly(F2, 1, 2, {(1, 1, 0): ser(F2, "1")})
     g = HomogPoly(F2, 1, 2, {(2, 0): TruncSeries.zeros(F2, 4)})
     assert g.is_zero()
+
+
+def test_homog_poly_sums_repeated_vectors():
+    g = HomogPoly(F9, 1, 2, [((2, 0), ser(F9, "1 + t", 6)), ((1, 1), ser(F9, "a")),
+                             ((2, 0), ser(F9, "a*t^2", 5))])
+    assert list(g.terms) == [(2, 0), (1, 1)] and g.prec == 5
+    assert format_series(g.terms[2, 0]) == "1 + t + a*t^2 + O(t^5)"
+    assert g == HomogPoly(F9, 1, 2, {(1, 1): ser(F9, "a"), (2, 0): ser(F9, "1 + t + a*t^2", 5)})
+
+
+def test_homog_poly_keeps_the_precision_of_a_cancelled_sum():
+    # 1 + O(t) and 2 + O(t^5) cancel at precision 1: the sum is dropped only
+    # once every term is in, so t + O(t^5) does not restart it, and prec is 1
+    x0 = [((1, 0), ser(F9, "1", 1)), ((1, 0), ser(F9, "2", 5)), ((1, 0), ser(F9, "t", 5))]
+    g = HomogPoly(F9, 1, 1, x0 + [((0, 1), ser(F9, "a"))])
+    assert list(g.terms) == [(0, 1)] and g.prec == 1
+    # a chain of + collects once per +, so there the last summand restarts it
+    a, b, c = (HomogPoly(F9, 1, 1, [term]) for term in x0)
+    assert format_poly(a + b + c) == "(t + O(t^5))*x0" and (a + b + c).prec == 1
+
+
+def test_homog_poly_raises_at_the_first_vector_past_max_terms():
+    drawn = []
+
+    def terms():
+        for k in range(5):
+            drawn.append(k)
+            yield (k, 4 - k), ser(F2, "1")
+
+    with pytest.raises(DegreeOverflow) as exc:
+        HomogPoly(F2, 1, 4, terms(), max_terms=3)
+    assert str(exc.value) == "product exceeds the symbolic size bound of 3 terms"
+    assert drawn == [0, 1, 2, 3]
+    # repeated vectors are one term each
+    g = HomogPoly(F2, 1, 4, [((k % 3, 4 - k % 3), ser(F2, "1")) for k in range(9)], max_terms=3)
+    assert len(g.terms) == 3
 
 
 def test_eval_hom_golden():

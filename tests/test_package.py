@@ -17,7 +17,7 @@ from frobdml.dynamics import (CoefficientFieldTooLarge,
 from frobdml.instances import Instance, Parameters
 from frobdml.lifting import InvarianceEntry, InvarianceReport
 from frobdml.returns import APDecomposition, ReturnSet
-from frobdml.series import AtPrecisionZero, GaloisAction
+from frobdml.series import AtPrecisionZero
 
 ROOT = Path(__file__).resolve().parent.parent
 FIX = "src/frobdml/fixtures"
@@ -97,7 +97,7 @@ def test_no_assert_statement_in_the_package():
 # ---------------------------------------------------------------------------
 
 def test_every_export_is_the_submodules_own_object():
-    assert len(frobdml.__all__) == len(set(frobdml.__all__)) == 77
+    assert len(frobdml.__all__) == len(set(frobdml.__all__)) == 75
     for name in frobdml.__all__:
         owner = importlib.import_module(f"frobdml.{frobdml._MODULE_OF[name]}")
         assert getattr(frobdml, name) is getattr(owner, name)
@@ -127,7 +127,6 @@ def test_version_and_dir():
 
 FROZEN = [
     (AtPrecisionZero, {"prec": 5}),
-    (GaloisAction, {"e": 2}),
     (NonUnitDeterminant, {"detail": "det = t"}),
     (CoefficientNotInMaximalIdeal, {"coordinate": 1, "exponents": (2, 0)}),
     (WrongDegree, {"coordinate": 0, "got": 3, "want": 2}),
