@@ -48,7 +48,7 @@ from .series import AtPrecisionZero, TruncSeries, _dilate, _gather, _new, _scatt
 
 DEFAULT_TERM_BOUND = 10 ** 6
 # precisions whose coefficient sections a DmlMap keeps: a lift meets about
-# log2(prec) + 1 of them, the ramp and the requested one
+# log_p(prec) + 1 of them, the ramp and the requested one
 SECTIONS_KEPT = 16
 # apply_map splits into p-sections only when each holds at least this many
 # digits: below it the work per section costs more than the shorter products
@@ -440,7 +440,14 @@ def apply_map(f: AnyMap, P: ProjPoint,
 
     A map coefficient known below the point precision raises
     PrecisionExhausted (_build_sections gives the order).  ``pivot_inv``
-    goes to normalize as a start for the image's pivot inverse."""
+    goes to normalize as a start for the image's pivot inverse.  Without
+    one, a DmlMap whose coefficients sigma = Frob_(p^e) fixes (e % e0 == 0)
+    starts from sigma(P.pivot_inv) when P carries one: the raw image of
+    sigma(Q) is sigma of that of Q, so on a Galois orbit, such as a
+    sigma-fixed lift's forward orbit, where P = f(Q) = sigma(Q) up to
+    normalization, that start is the exact inverse.  Elsewhere it is only a
+    guess; TruncSeries.inverse trusts a start only as far as one product
+    measures it, so a wrong start costs that product and changes no digit."""
     if f.field != P.field:
         raise FieldMismatch("map and point over different fields")
     if f.N != P.N:
@@ -468,6 +475,9 @@ def apply_map(f: AnyMap, P: ProjPoint,
             else:
                 X = _reduce(sh, next(Fs))
             imgs.append(_new(field, n, X))
+    if pivot_inv is None and P.pivot_inv is not None and isinstance(f, DmlMap) \
+            and f.e % f.e0 == 0:
+        pivot_inv = P.pivot_inv.galois(f.e)
     Q = normalize(imgs, pivot_inv=pivot_inv)
     if Q.consumed:
         raise PrecisionExhausted(

@@ -11,22 +11,27 @@ coefficientwise by Frob_q and fixes t, is therefore reached from P0 with the
 number of correct digits multiplied by p at every step.
 
 sigma_fixed_lift spends precision only as it is earned.  It starts from P0 at
-precision 1; a step takes the approximation from n digits to
-min(prec, largest power of two <= p*n) and applies sigma^{-1} o f there,
-padding the n known digits with exact zeros (the padded digits are
-recomputed by the step).  Powers of two are shared by lifts to every
-precision, so the ramp adds few packing shapes.  At prec the plain iteration
-runs until it repeats a point; that final exact fixed-point test at full
+precision 1 and climbs the ladder ceil(top/p^k), k descending, which ends at
+top = min(prec, map precision).  Since p*ceil(top/p^(k+1)) >= ceil(top/p^k),
+each step goes from n digits to at most p*n, the most one step earns, and a
+lift takes about log_p(top) steps.  A step applies sigma^{-1} o f at
+its target precision, padding the n known digits with exact zeros (the
+padded digits are recomputed by the step).  At prec the plain iteration runs
+until it repeats a point; that final exact fixed-point test at full
 precision, not the rate, certifies the result, which by uniqueness is the
 same point whatever the path.
 
 Each step passes its image's pivot inverse to the next apply_map as a start.
 The raw image of the step to n' digits agrees mod t^n with that of the step
-to n, so Newton needs one step per doubling from n to n' (one for p = 2, 3,
-two for p = 5, 7), and the certificate's inverse costs only the product that
-measures its start.  TruncSeries.inverse trusts a start only as far as that
-product shows, so no digit of any result changes, and the certificate is
-the same test as without it.
+to n, so Newton needs one step per doubling from n to n' (at most
+ceil(log2(p)) of them), and the certificate's inverse costs only the product
+that measures its start.  TruncSeries.inverse trusts a start only as far as
+that product shows, so no digit of any result changes, and the certificate
+is the same test as without it.  L.lift is the certificate's last point,
+sigma^{-1} of the normalized image f(P~), so it carries sigma^{-1} of that
+image's pivot inverse, and point_galois moves the inverse with the point:
+when Frob_q fixes the map's coefficients, apply_map on a lift or on any of
+its Galois conjugates starts from the exact inverse (see apply_map).
 
 Induction gives f^n(P~) = sigma^n(P~), so the forward orbit of P~ is periodic
 with period dividing the degree over F_q of the coefficient field of P~, and
@@ -70,9 +75,19 @@ class SigmaFixedLift:
 def point_galois(P: ProjPoint, e: int, inverse: bool = False,
                  times: int = 1) -> ProjPoint:
     """Coefficientwise Frob_{p^e}^(+-times) on every coordinate; canonical
-    form is preserved (the pivot 1 is fixed and valuations do not move)."""
+    form is preserved (the pivot 1 is fixed and valuations do not move).
+
+    The same action moves P.pivot_inv, the inverse of the pivot of the raw
+    image that P was normalized from (None stays None): the raw image of
+    sigma(P) is sigma of that of P when sigma fixes the map, so the moved
+    inverse is the one that image's pivot needs, and apply_map uses it as
+    a start.  A start is only measured, never trusted, so a point whose
+    inverse does not fit gets the same digits."""
     coords = [c.galois(e * times, inverse=inverse) for c in P.coords]
-    return ProjPoint(P.field, coords, _trusted=True)
+    Q = ProjPoint(P.field, coords, _trusted=True)
+    if P.pivot_inv is not None:
+        Q.pivot_inv = P.pivot_inv.galois(e * times, inverse=inverse)
+    return Q
 
 
 def _require_identity_mod_t(f: DmlMap) -> None:
@@ -125,9 +140,13 @@ def sigma_fixed_lift(f: DmlMap, P0: Sequence[FqElem], prec: int) -> SigmaFixedLi
     # n correct digits earn p*n.  A map known below prec climbs only to its
     # own precision, so the full-precision loop reports the shortfall.
     top = min(prec, f.coefficient_precision())
+    ladder = []     # ceil(top/p^k), k = 0, 1, .. while above cur.prec
+    n = top
+    while n > cur.prec:
+        ladder.append(n)
+        n = -(-n // f.p)
     inv = None      # the last image's pivot inverse, a start for the next
-    while cur.prec < top:
-        n = min(top, 1 << ((f.p * cur.prec).bit_length() - 1))
+    for n in reversed(ladder):
         img = apply_map(f, _zero_extend(cur, n), pivot_inv=inv)
         inv = img.pivot_inv
         cur = point_galois(img, f.e, inverse=True)
@@ -136,9 +155,10 @@ def sigma_fixed_lift(f: DmlMap, P0: Sequence[FqElem], prec: int) -> SigmaFixedLi
         img = apply_map(f, cur, pivot_inv=inv)
         inv = img.pivot_inv
         nxt = point_galois(img, f.e, inverse=True)
-        if nxt.coords == cur.coords:
+        fixed = nxt.coords == cur.coords
+        cur = nxt   # once fixed, cur's coordinates with their image's pivot inverse
+        if fixed:
             break
-        cur = nxt
     else:
         raise AssertionError("contraction failed to reach a fixed point")
     if reduce_point(cur) != base:

@@ -2,16 +2,17 @@ import random
 
 import pytest
 
-from frobdml import twist
-from frobdml.dynamics import apply_map
+from frobdml import lifting, twist
+from frobdml.dynamics import DmlMap, apply_map
 from frobdml.errors import (NonCanonicalBasePoint, PrecisionExhausted,
                             PrecisionTooLow, PreconditionMatrixNotIdentityModT)
 from frobdml.field import make_field
-from frobdml.geometry import ProjPoint, proj_eq, reduce_point
+from frobdml.geometry import HomogPoly, ProjPoint, point_variety, proj_eq, reduce_point
 from frobdml.instances import fixture_path, parse_instance
 from frobdml.lifting import (SigmaFixedLift, critical_witness, detect_residue_degree,
                              invariance_evidence, minimal_period, point_galois,
                              sigma_fixed_lift)
+from frobdml.returns import default_threshold, return_set
 from frobdml.series import TruncSeries, format_series
 
 from conftest import field_for, rand_point, rand_residue_point, rand_suite_map
@@ -95,6 +96,132 @@ def test_lift_carries_each_pivot_inverse_into_the_next_step(monkeypatch):
         # the constant lift and the first ramp step start cold
         assert starts[:2] == [None, None] and None not in starts[2:]
         assert starts[-1] is True
+
+
+def test_lift_ramp_climbs_by_p(monkeypatch):
+    # the ramp runs at ceil(prec/p^k) for k descending, every value above
+    # the constant lift's precision 1, then the certificate at prec
+    precs = []
+    step = lifting.apply_map
+
+    def spy(f, P, pivot_inv=None):
+        precs.append(P.prec)
+        return step(f, P, pivot_inv)
+
+    monkeypatch.setattr(lifting, "apply_map", spy)
+    rng = random.Random(5152)
+    seen = set()
+    for _ in range(12):
+        f = rand_suite_map(rng, prec=200)
+        seen.add(f.p)
+        for prec in (1, 2, f.p, f.p + 1, 40, 64, 81, 125, 200):
+            precs.clear()
+            sigma_fixed_lift(f, rand_residue_point(rng, f), prec)
+            ladder = sorted({-(-prec // f.p ** k) for k in range(9)} - {1})
+            assert precs[:len(ladder)] == ladder, (f.p, prec, precs)
+            assert precs[len(ladder):] and set(precs[len(ladder):]) == {prec}
+    assert seen == {2, 3, 5}
+
+
+def test_point_galois_carries_the_pivot_inverse():
+    # over F_(p^3) with e = 1, sigma and sigma^{-1} move the lift's pivot
+    # inverse to different series
+    rng = random.Random(5155)
+    moved = 0
+    for _ in range(30):
+        f = rand_suite_map(rng, prec=24)
+        P = sigma_fixed_lift(f, rand_residue_point(rng, f), 24).lift
+        assert P.pivot_inv is not None
+        for times in (1, 2, 3):
+            for inverse in (False, True):
+                Q = point_galois(P, f.e, inverse=inverse, times=times)
+                assert Q.pivot_inv == P.pivot_inv.galois(f.e * times, inverse=inverse)
+        bare = ProjPoint(f.field, P.coords, _trusted=True)
+        assert point_galois(bare, f.e, times=2).pivot_inv is None
+        moved += len({P.pivot_inv.galois(f.e, inverse=inverse) for inverse in (False, True)}) > 1
+    assert moved >= 3
+
+
+def test_walks_from_a_lift_start_every_inverse_exactly(monkeypatch):
+    # f(P~) = sigma(P~): along the forward orbit of a lift and of its Galois
+    # conjugates every apply_map gets sigma of its point's pivot inverse, the
+    # exact inverse, including the first step from L.lift
+    found = []
+    inverse = TruncSeries.inverse
+
+    def spy(u, start=None):
+        inv = inverse(u, start)
+        found.append((start, inv))
+        return inv
+
+    rng = random.Random(5153)
+    seen = set()
+    for i in range(40):
+        f = rand_suite_map(rng, prec=48)
+        seen.add((f.p, f.field.m))
+        m = f.field.m
+        L = sigma_fixed_lift(f, rand_residue_point(rng, f), rng.choice((5, 17, 32, 48)))
+        V = point_variety(point_galois(L.lift, f.e, times=rng.randrange(3)))
+        tau = default_threshold(L.lift.prec)
+        monkeypatch.setattr(TruncSeries, "inverse", spy)
+        found.clear()
+        cur = L.lift
+        for _ in range(2 * m):
+            cur = apply_map(f, cur)
+        return_set(f, L.lift, V, 3 * m, tau)
+        minimal_period(f, L)
+        critical_witness(f, L, min(i % 4, L.lift.prec))
+        monkeypatch.undo()
+        assert found and all(s is not None and s == inv for s, inv in found), (i, f)
+    assert seen == {(p, m) for p in (2, 3, 5) for m in (1, 2, 3)}
+
+
+def with_start(P, start):
+    Q = ProjPoint(P.field, P.coords, consumed=P.consumed, _trusted=True)
+    Q.pivot_inv = start
+    return Q
+
+
+def outer_coefficients(f):
+    """f with every G coefficient times a generator of its field: no
+    Frob_q fixes it when q does not cover the field, so e % e0 != 0."""
+    F = f.field
+    G = [HomogPoly(F, f.N, g.degree,
+                   {exps: c * TruncSeries.from_constant(F.gen(), c.prec)
+                    for exps, c in g.terms.items()}) for g in f.G]
+    return DmlMap(F, f.p, f.e, f.A, G)
+
+
+def test_apply_map_digits_do_not_depend_on_the_start():
+    # none, the exact start, sigma^{-1} of it, a random unit, or the exact
+    # start truncated: the same image packings and the same inverse found,
+    # on lifts and their conjugates, on points off the orbit, on points that
+    # consumed precision, and on maps whose sigma moves a coefficient
+    rng = random.Random(5154)
+    kinds = set()
+    for i in range(36):
+        f = rand_suite_map(rng, prec=24)
+        if i % 3 == 2 and f.field.m > 1 and f.e % f.field.m:
+            f = outer_coefficients(f)
+        F, e = f.field, f.e
+        n = rng.choice((3, 9, 24))
+        L = sigma_fixed_lift(f, rand_residue_point(rng, f), n)
+        P = rand_point(rng, F, f.N, n)
+        t = TruncSeries(F, 2, [F.zero(), F.one()])
+        shifted = ProjPoint(F, [c * t.change_precision(n) for c in P.coords])
+        assert shifted.consumed == 1
+        for Q in (L.lift, point_galois(L.lift, e, times=2), P, apply_map(f, P), shifted):
+            ref = apply_map(f, with_start(Q, None))
+            exact = ref.pivot_inv.galois(e, inverse=True)   # sigma takes it to the inverse
+            unit = TruncSeries(F, rng.randint(1, n + 2), [F.from_int(rng.randrange(1, F.order))]
+                               + [F.from_int(rng.randrange(F.order)) for _ in range(n + 1)])
+            for start in (None, exact, exact.galois(e, inverse=True), unit,
+                          exact.change_precision(max(1, Q.prec // 2)), Q.pivot_inv):
+                got = apply_map(f, with_start(Q, start))
+                assert [c.packed for c in got.coords] == [c.packed for c in ref.coords]
+                assert got.pivot_inv == ref.pivot_inv and got.consumed == ref.consumed
+            kinds.add((Q.consumed > 0, f.e % f.e0 == 0))
+    assert kinds == {(False, True), (True, True), (False, False), (True, False)}
 
 
 def test_lift_beyond_map_precision_fails_at_the_requested_precision():

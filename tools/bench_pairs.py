@@ -11,7 +11,13 @@ machine speed falls on both sides alike.  The file records, per workload and
 side, every run's six end-to-end metrics with their median and quartiles,
 the pair count and the pairs the change won per metric (the direction comes
 from BENCHMARK.json), the machine, and the line counts of src/frobdml/*.py
-on both trees.  The change runs from a copy of the working tree's files
+on both trees.  Each side also gets ``rss_fit``, the least-squares line of
+its runs' peak_rss_mb against their attempted ops: the slope in bytes per op
+(the benchmark keeps a record of every attempted op, so a faster program
+takes more memory in a fixed run), the intercept in MB (the program's own
+memory) and the correlation r.  It is null when the side's runs have fewer
+than two distinct op counts, and r is null when every run had the same
+peak.  The change runs from a copy of the working tree's files
 that git does not ignore, so bytecode caches left in the working tree cannot
 make it start faster than the freshly exported base.  With --kernels, each
 workload also gets one ``bench/run.py --trace 1`` run per side after the
@@ -34,8 +40,10 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
+MB = 1 << 20
 
 
 def export(rev: str, dest: Path) -> str:
@@ -85,6 +93,18 @@ def summary(values: list) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
+def rss_fit(runs: list) -> Optional[dict]:
+    """peak_rss_mb = intercept_mb + bytes_per_op * attempted / MB, fitted by
+    least squares; MB is 2^20 bytes, as bench/run.py reads ru_maxrss in KiB."""
+    ops = [r["attempted"] for r in runs]
+    rss = [r["peak_rss_mb"] for r in runs]
+    if len(set(ops)) < 2:
+        return None
+    slope, intercept = statistics.linear_regression(ops, rss)
+    r = statistics.correlation(ops, rss) if len(set(rss)) > 1 else None
+    return {"bytes_per_op": slope * MB, "intercept_mb": intercept, "r": r}
+
+
 def machine() -> dict:
     cpu = platform.processor()
     try:
@@ -132,7 +152,8 @@ def main() -> None:
                 print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
                     f"{s} {runs[s][-1]['throughput_ops_per_s']:.1f} ops/s"
                     for s in ("base", "change")), file=sys.stderr)
-            entry = {side: {"runs": rs, **{m: summary([r[m] for r in rs]) for m in better}}
+            entry = {side: {"runs": rs, **{m: summary([r[m] for r in rs]) for m in better},
+                            "rss_fit": rss_fit(rs)}
                      for side, rs in runs.items()}
             entry["wins"] = {
                 m: sum((c[m] > b[m]) if better[m] == "higher" else (c[m] < b[m])
