@@ -579,28 +579,39 @@ def check_conditions(f: AnyMap) -> ConditionsReport:
 # ---------------------------------------------------------------------------
 
 def compose_maps(F: AnyMap, G: AnyMap) -> GeneralMap:
-    """(F o G)(x) = F(G(x)) by sparse substitution: the powers G_j^k are
-    taken by square-and-multiply, and each coordinate is collected once from
-    all of its coefficient * monomial products.  The term budget
-    term_bound() counts distinct exponent vectors: a product of forms or a
-    composed coordinate that collects more raises DegreeOverflow."""
+    """(F o G)(x) = F(G(x)) by sparse substitution, each coordinate collected
+    once from all of its coefficient * monomial products.  For p | k, G_j^k
+    is the Frobenius of G_j^(k/p): (sum c_e x^e)^p = sum c_e^p x^(pe), as p
+    divides every cross term's multinomial coefficient.  So each c_e^p is
+    known to c_e's precision, and the form keeps its prec, which bounds the
+    cross terms' zero sums.  Square-and-multiply takes the part of k prime
+    to p.  A product of forms, a p-th power or a composed coordinate with
+    more distinct exponent vectors than term_bound() raises DegreeOverflow."""
     Fg = dml_to_general(F) if isinstance(F, DmlMap) else F
     Gg = dml_to_general(G) if isinstance(G, DmlMap) else G
     if Fg.field != Gg.field or Fg.N != Gg.N:
         raise DimensionMismatch("cannot compose maps over different spaces")
+    field, N, p = Fg.field, Fg.N, Fg.field.p
     bound = term_bound()
     pow_cache: Dict[Tuple[int, int], HomogPoly] = {}
     mul = partial(poly_mul, max_terms=bound)
 
     def gpow(j: int, k: int) -> HomogPoly:
         if (j, k) not in pow_cache:
-            pow_cache[j, k] = poly.power(mul, Gg.coords[j], k)
+            if k % p:
+                pow_cache[j, k] = poly.power(mul, Gg.coords[j], k)
+            else:
+                h = gpow(j, k // p)
+                pow_cache[j, k] = HomogPoly(field, N, p * h.degree, (
+                    (tuple(p * x for x in e), c.frobenius_power(1), None)
+                    for e, c in h.terms.items()), h.prec, bound, _trusted=True)
         return pow_cache[j, k]
 
     out = []
     deg = Fg.degree * Gg.degree
     for h in Fg.coords:
-        monos = []
+        entries = []
+        prec = h.prec
         for exps, coeff in h.terms.items():
             mono: Optional[HomogPoly] = None
             for j, k in enumerate(exps):
@@ -609,11 +620,10 @@ def compose_maps(F: AnyMap, G: AnyMap) -> GeneralMap:
                     mono = part if mono is None else mul(mono, part)
             if mono is None:
                 raise DegreeMismatch("degree-0 coordinate in composition")
-            monos.append((mono, coeff))
-        terms = ((e, c * coeff) for mono, coeff in monos for e, c in mono.terms.items())
-        prec = min([h.prec] + [mono.prec for mono, _ in monos])
-        out.append(HomogPoly(Fg.field, Fg.N, deg, terms, prec, bound))
-    return GeneralMap(Fg.field, out, label=f"{Fg.label}o{Gg.label}" if Fg.label else "")
+            prec = min(prec, mono.prec)
+            entries += [(e, c, coeff) for e, c in mono.terms.items()]
+        out.append(HomogPoly(field, N, deg, entries, prec, bound, _trusted=True))
+    return GeneralMap(field, out, label=f"{Fg.label}o{Gg.label}" if Fg.label else "")
 
 
 def iterate_map(f: AnyMap, k: int) -> GeneralMap:
@@ -644,8 +654,8 @@ def recognize_dml_form(F: GeneralMap, p: int, e: int) -> Union[DmlMap, NotInForm
         raise DegreeMismatch(f"map degree {F.degree} != p^e = {q}")
     n = F.N + 1
     prec = min((c.prec for h in F.coords for c in h.terms.values()), default=1)
-    zero = TruncSeries.zeros(F.field, prec)
-    A: List[List[TruncSeries]] = [[zero] * n for _ in range(n)]
+    A: List[List[TruncSeries]] = [[TruncSeries.zeros(F.field, min(prec, h.prec))] * n
+                                  for h in F.coords]
     G: List[HomogPoly] = []
     for i, h in enumerate(F.coords):
         rem = []

@@ -7,14 +7,14 @@ by t^v via an index shift, consuming v digits of absolute precision (the
 consumed amount is recorded), then divides by the pivot unit, which costs
 no precision.
 
-Homogeneous polynomials are exponent-vector -> coefficient maps.  Their
-constructor is the one collector of like terms: it sums repeated vectors and
-drops zero sums only once every term is in, keeping their precision in
-``prec``, so a term O(t^k) or a cancellation known to t^k still bounds what
-the form determines.  A chain of ``+`` can restart a cancelled coefficient,
-so package code builds a sum in one call.  The same type serves map
-remainders G_i (variables y_j standing for x_j^p) and subvariety generators
-(variables x_j).
+Homogeneous polynomials are exponent-vector -> coefficient maps.  One
+collector of like terms, ``_collect``, sums checked terms and products of
+forms on packed coefficients, and drops zero sums only once every term is
+in, keeping their precision in ``prec``, so a term O(t^k) or a cancellation
+known to t^k still bounds what the form determines.  A chain of ``+`` can
+restart a cancelled coefficient, so package code builds a sum in one call.
+The same type serves map remainders G_i (variables y_j standing for x_j^p)
+and subvariety generators (variables x_j).
 
 One evaluator, ``eval_hom_coords``, fits coordinates and coefficients to the
 least coordinate precision n, builds one table of all the forms' monomials
@@ -138,48 +138,22 @@ class HomogPoly:
     known to t^prec: the least precision of the sums of its terms and of
     ``prec``, zero sums included, MAX_PREC for none.
 
-    ``terms`` is a mapping or an iterable of (exponents, coefficient) pairs.
-    Repeated vectors are summed, and DegreeOverflow is raised at the first
-    distinct vector past ``max_terms``; then each vector is validated once
-    and zero sums are dropped.  ``a + b + c`` collects once per ``+``, so a
-    sum cancelled in a + b restarts at c's precision."""
+    ``terms`` is a mapping or an iterable of (exponents, coefficient) pairs,
+    each checked as it is drawn, or with ``_trusted`` the (exponents, a, b)
+    of products of valid forms; ``_collect`` sums them.  ``a + b + c``
+    collects once per ``+``, so a sum cancelled in a + b restarts at c's
+    precision."""
 
     __slots__ = ("field", "N", "degree", "terms", "prec")
 
-    def __init__(self, field: FieldSpec, N: int, degree: int,
-                 terms: Terms, prec: int = MAX_PREC, max_terms: Optional[int] = None):
-        if degree < 0:
-            raise DegreeMismatch(f"degree {degree} < 0")
-        sums: Dict[ExpVec, TruncSeries] = {}
-        for exps, coeff in terms.items() if isinstance(terms, Mapping) else terms:
-            if exps in sums:
-                sums[exps] = sums[exps] + coeff
-            else:
-                sums[exps] = coeff
-                if max_terms is not None and len(sums) > max_terms:
-                    raise DegreeOverflow(
-                        f"product exceeds the symbolic size bound of {max_terms} terms")
-        clean: Dict[ExpVec, TruncSeries] = {}
-        for exps, coeff in sums.items():
-            e = tuple(map(int, exps))
-            if len(e) != N + 1:
-                raise DimensionMismatch(
-                    f"exponent vector {e} has {len(e)} entries, expected {N + 1}")
-            if min(e, default=0) < 0:
-                raise DegreeMismatch(f"negative exponent in {e}")
-            if sum(e) != degree:
-                raise DegreeMismatch(
-                    f"term {e} has degree {sum(e)}, polynomial declares {degree}")
-            if coeff.field is not field and coeff.field != field:
-                raise FieldMismatch("coefficient field mismatch")
-            prec = min(prec, coeff.prec)
-            if not coeff.is_zero_at_precision():
-                clean[e] = coeff
-        self.field = field
-        self.N = N
-        self.degree = degree
-        self.terms = clean
-        self.prec = prec
+    def __init__(self, field: FieldSpec, N: int, degree: int, terms: Terms, prec: int = MAX_PREC,
+                 max_terms: Optional[int] = None, _trusted: bool = False):
+        if not _trusted:
+            if degree < 0:
+                raise DegreeMismatch(f"degree {degree} < 0")
+            terms = _checked(field, N, degree, terms)
+        self.field, self.N, self.degree = field, N, degree
+        self.terms, self.prec = _collect(field, terms, prec, max_terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -222,14 +196,60 @@ class HomogPoly:
         return HomogPoly(field, N, degree, {})
 
 
+def _checked(field: FieldSpec, N: int, degree: int, terms: Terms) -> Iterable[tuple]:
+    for exps, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+        e = tuple(map(int, exps))
+        if len(e) != N + 1:
+            raise DimensionMismatch(f"exponent vector {e} has {len(e)} entries, expected {N + 1}")
+        if min(e, default=0) < 0:
+            raise DegreeMismatch(f"negative exponent in {e}")
+        if sum(e) != degree:
+            raise DegreeMismatch(f"term {e} has degree {sum(e)}, polynomial declares {degree}")
+        if coeff.field is not field and coeff.field != field:
+            raise FieldMismatch("coefficient field mismatch")
+        yield e, coeff, None
+
+
+def _collect(field: FieldSpec, entries: Iterable[tuple], prec: int,
+             max_terms: Optional[int]) -> Tuple[Dict[ExpVec, TruncSeries], int]:
+    """The one collector of like terms: (terms, prec) of the entries
+    (exponents, a, b), each a*b or, for b None, a.  A vector sums at the
+    least precision n of its products, whose digits mod t^n need only the
+    factors cut to n, in runs of ``_run_cap`` products reduced once each
+    (``_sums``).  DegreeOverflow is raised at the first distinct vector past
+    max_terms; a zero sum is dropped, its n still bounding prec."""
+    groups: Dict[ExpVec, list] = {}
+    for e, a, b in entries:
+        g = groups.get(e)
+        if g is not None:
+            g += (a, b)
+            continue
+        groups[e] = [a, b]
+        if max_terms is not None and len(groups) > max_terms:
+            raise DegreeOverflow(f"product exceeds the symbolic size bound of {max_terms} terms")
+    K, terms = field._kron, {}
+    for e, g in groups.items():
+        c = g[0]    # a lone coefficient is kept as given
+        if len(g) > 2 or g[1] is not None:
+            n = min(s.prec for s in g if s is not None)
+            sh, fit = K[n], lambda s: s.packed if s.prec == n else _fit(K, s.packed, s.prec, n)
+            run = [(1 if b is None else fit(b), v) for v, b in enumerate(g[1::2])]
+            F = _sums(sh, sh.mask, _run_cap(field, sh.L.w, n), [fit(a) for a in g[::2]], [run])
+            c = _new(field, n, _reduce(sh, F[0]))
+        prec = min(prec, c.prec)
+        if c.packed:
+            terms[e] = c
+    return terms, prec
+
+
 def poly_mul(a: HomogPoly, b: HomogPoly,
              max_terms: Optional[int] = None) -> HomogPoly:
     if a.field != b.field or a.N != b.N:
         raise DimensionMismatch("polynomials over different spaces")
     return HomogPoly(a.field, a.N, a.degree + b.degree,
-                     ((tuple(map(add, ea, eb)), ca * cb)
+                     ((tuple(map(add, ea, eb)), ca, cb)
                       for ea, ca in a.terms.items() for eb, cb in b.terms.items()),
-                     min(a.prec, b.prec), max_terms)
+                     min(a.prec, b.prec), max_terms, _trusted=True)
 
 
 def eval_hom(h: HomogPoly, P: ProjPoint) -> TruncSeries:

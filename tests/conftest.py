@@ -106,6 +106,19 @@ def eval_reference(h: HomogPoly, coords: Sequence[TruncSeries]) -> TruncSeries:
     return out
 
 
+def poly_mul_reference(a: HomogPoly, b: HomogPoly) -> HomogPoly:
+    """a*b by TruncSeries products and sums: every ca*cb a product at
+    min(ca.prec, cb.prec), the products of a vector added one by one in a
+    plain dict, and HomogPoly given each vector once, so it drops the zero
+    sums and counts their precision."""
+    sums: Dict[Tuple[int, ...], TruncSeries] = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            sums[e] = sums[e] + ca * cb if e in sums else ca * cb
+    return HomogPoly(a.field, a.N, a.degree + b.degree, sums, min(a.prec, b.prec))
+
+
 def rand_exponents(rng: random.Random, n: int, degree: int) -> Tuple[int, ...]:
     exps = [0] * n
     for _ in range(degree):

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -428,6 +431,46 @@ def test_deep_compose_is_exit_0():
     assert code == 0 and err == ""
     assert out.splitlines()[2] == \
         "f^11[2] = (t + t^2 + t^4 + O(t^8))*x0^1024*x1^1024 + x2^2048"
+
+
+def test_recognize_states_zero_entries_only_to_their_row_precision(tmp_path):
+    # f0's x1^2 term is O(t^1), so A[0][1] is known only mod t; row 1 is
+    # known to t^8
+    def form(*terms):
+        return {"degree": 2, "terms": [{"exponents": [2 * (k == j) for k in range(2)], "coeff": c}
+                                       for j, c in terms]}
+    path = tmp_path / "short_row.json"
+    path.write_text(json.dumps({
+        "field": {"p": 2, "m": 1, "modulus": [0, 1]},
+        "map": {"coordinates": [form((0, "1 + O(t^8)"), (1, "O(t^1)")),
+                                form((1, "1 + O(t^8)"))]},
+        "parameters": {"prec": 8}}))
+    code, out, err = run(["compose", str(path), "--times", "1", "--recognize", "2"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[3:5] == ["A[0] = [1 + O(t^8), O(t^1)]",
+                                     "A[1] = [O(t^8), 1 + O(t^8)]"]
+
+
+def test_compose_over_a_large_prime_field_exits_0(tmp_path):
+    """(x0^p + x1^p, x1^p) over F_(2^31-1): f^2 takes (x0^p + x1^p)^p as the
+    Frobenius, where square-and-multiply built forms of up to p + 1 terms
+    and never finished.  A subprocess with a timeout fails instead of
+    hanging."""
+    p = 2 ** 31 - 1
+    path = tmp_path / "shear.json"
+    path.write_text(json.dumps({
+        "field": {"p": p, "m": 1, "modulus": [0, 1]},
+        "map": {"p": p, "e": 1, "A": [["1", "1"], ["0", "1"]],
+                "G": [{"degree": 1, "terms": []}, {"degree": 1, "terms": []}]},
+        "parameters": {"prec": 8}}))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-m", "frobdml.cli", "compose", str(path),
+                          "--times", "2", "--recognize", str(p * p)],
+                         capture_output=True, text=True, env=env, timeout=30)
+    assert res.returncode == 0 and res.stderr == ""
+    assert res.stdout.splitlines()[3:5] == ["A[0] = [1 + O(t^8), 2 + O(t^8)]",
+                                            "A[1] = [O(t^8), 1 + O(t^8)]"]
 
 
 @pytest.mark.parametrize("flags,message", [

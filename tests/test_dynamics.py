@@ -11,17 +11,16 @@ from frobdml.dynamics import (SECTION_MIN_R, CoefficientFieldTooLarge, _at_prec,
                               dml_to_general, invert_series_matrix, iterate_map,
                               orbit, preimage_qp, recognize_dml_form, series_det,
                               validate_map)
-from frobdml.errors import (DegreeMismatch, NonUnitDivisor, NotInImage,
+from frobdml.errors import (DegreeMismatch, DegreeOverflow, NonUnitDivisor, NotInImage,
                             PrecisionExhausted, UnsupportedQ)
-from frobdml.geometry import (HomogPoly, ProjPoint, format_poly,
-                              normalize, poly_mul, proj_eq)
+from frobdml.geometry import HomogPoly, ProjPoint, format_poly, normalize, proj_eq
 from frobdml.instances import fixture_path, parse_instance
 from frobdml.lifting import point_galois, sigma_fixed_lift
 from frobdml.series import (MAX_PREC, AtPrecisionZero, TruncSeries,
                             format_series, parse_series)
 
-from conftest import (eval_reference, field_for, identity_matrix, rand_exponents, rand_point,
-                      t_power, rand_suite_map, rand_residue_point)
+from conftest import (eval_reference, field_for, identity_matrix, poly_mul_reference,
+                      rand_exponents, rand_point, t_power, rand_suite_map, rand_residue_point)
 
 F2 = field_for(2, 1)
 F4 = field_for(2, 2)
@@ -292,8 +291,9 @@ def compose_reference(F, G):
                     for i in range(1, k + 1):
                         if (j, i) not in powers:
                             powers[j, i] = Gg.coords[j] if i == 1 else \
-                                poly_mul(powers[j, i - 1], Gg.coords[j])
-                    mono = powers[j, k] if mono is None else poly_mul(mono, powers[j, k])
+                                poly_mul_reference(powers[j, i - 1], Gg.coords[j])
+                    mono = powers[j, k] if mono is None else \
+                        poly_mul_reference(mono, powers[j, k])
             prec = min(prec, mono.prec)
             for e, c in mono.terms.items():
                 sums[e] = sums[e] + c * coeff if e in sums else c * coeff
@@ -351,6 +351,90 @@ def test_iterate_matches_linear_power_reference():
         mixed += len({c.prec for h in iterate_map(f, 1).coords for c in h.terms.values()}) > 1
     assert mixed >= 10
     assert map_key(iterate_map(F3, 11)) == map_key(iterate_reference(F3, 11))
+
+
+def assert_composes_like_the_reference(F, G):
+    """The degrees and precisions of compose_reference, and its digits
+    wherever both state them, a missing term being zero at its form's prec.
+    A term's own precision above its form's depends on the products taken:
+    a cancelled cross term of a p-th power lowers it in the reference (see
+    test_frobenius_power_keeps_...), and a zero sum dropped from a factor
+    leaves it out of the products it would have lowered."""
+    for got, want in zip(compose_maps(F, G).coords, compose_reference(F, G).coords):
+        assert (got.degree, got.prec) == (want.degree, want.prec)
+        for e in got.terms.keys() | want.terms.keys():
+            a = got.terms.get(e, TruncSeries.zeros(got.field, got.prec))
+            b = want.terms.get(e, TruncSeries.zeros(got.field, want.prec))
+            n = min(a.prec, b.prec)
+            assert a.change_precision(n) == b.change_precision(n), e
+
+
+FROBENIUS_FIELDS = [(2, 1), (2, 3), (3, 2), (5, 1), (7, 1), (257, 1), (257, 2)]
+
+
+@pytest.mark.parametrize("p,m", FROBENIUS_FIELDS, ids=[f"p{p}m{m}" for p, m in FROBENIUS_FIELDS])
+def test_compose_matches_the_reference_at_frobenius_powers(p, m):
+    """F of degree k in {p, p^2, p + 1, 2p} after G, whose powers G_j^k and
+    G_0^a * G_1^(k - a) take the Frobenius where p | the exponent: precision
+    1, one precision and mixed precisions, every digit p - 1 now and then.
+    For p = 257 G has one term per coordinate and k = p^2 is left out: the
+    linear reference takes k - 1 products per power."""
+    F = field_for(p, m)
+    rng = random.Random(p * 7 + m)
+    for k in (p, p + 1, 2 * p) + ((p * p,) if p < 257 else ()):
+        for i in range(3):
+            N, n = rng.randint(1, 2), (1, rng.randint(2, 8), 8)[i]
+
+            def coeff(prec):
+                big = rng.random() < 0.2
+                return TruncSeries(F, prec, [F.el([p - 1] * m) if big
+                                             else F.from_int(rng.randrange(F.order))
+                                             for _ in range(prec)])
+
+            def form(d, size):
+                pool = {rand_exponents(rng, N + 1, d) for _ in range(size)}
+                return HomogPoly(F, N, d, {e: coeff(rng.randint(1, n) if i == 2 else n)
+                                           for e in pool})
+
+            a = rng.randint(1, k - 1)
+            outer = GeneralMap(F, [HomogPoly(F, N, k, {
+                tuple(k * (j == c) for j in range(N + 1)): coeff(n),
+                (a, k - a) + (0,) * (N - 1): coeff(n)}) for c in range(N + 1)])
+            d = rng.randint(1, 2)
+            inner = GeneralMap(F, [form(d, 1 if p == 257 else rng.randint(1, 3))
+                                   for _ in range(N + 1)])
+            assert_composes_like_the_reference(outer, inner)
+
+
+def test_frobenius_power_keeps_coefficient_precision_where_cross_terms_cancel():
+    # G = (1 + t)*x0^2 + (t + t^3)*x0*x1 + x1^2 with the squares known to t^2:
+    # in G^2 the cross term 2*(1 + t)*1 meets x0^2*x1^2, the square of the
+    # middle vector, and vanishes in characteristic 2 whatever the unknown
+    # digits, so that coefficient is (t + t^3)^2 to t^8; G^2 stays known to t^2
+    G = HomogPoly(F2, 1, 2, {(2, 0): ser(F2, "1 + t", 2), (1, 1): ser(F2, "t + t^3"),
+                             (0, 2): ser(F2, "1", 2)})
+    outer = GeneralMap(F2, [HomogPoly(F2, 1, 2, {(2, 0): ser(F2, "1")}),
+                            HomogPoly(F2, 1, 2, {(0, 2): ser(F2, "1")})])
+    sq = compose_maps(outer, GeneralMap(F2, [G, G])).coords[0]
+    assert sq.prec == 2
+    assert format_poly(sq) == "x0^4 + (t^2 + t^6 + O(t^8))*x0^2*x1^2 + x1^4"
+    assert_composes_like_the_reference(outer, GeneralMap(F2, [G, G]))
+
+
+def test_pth_power_counts_only_its_base_vectors(monkeypatch):
+    # G^3 over F_3 is the Frobenius of G: 3 vectors, where square-and-multiply
+    # collected the 5 of G^2 first; a vector past the bound still raises
+    F9 = field_for(3, 2)
+    G = HomogPoly(F9, 1, 2, {(2, 0): ser(F9, "1"), (1, 1): ser(F9, "t"), (0, 2): ser(F9, "a")})
+    cube = GeneralMap(F9, [HomogPoly(F9, 1, 3, {(3, 0): ser(F9, "1")}),
+                           HomogPoly(F9, 1, 3, {(0, 3): ser(F9, "1")})])
+    monkeypatch.setenv("FROBDML_TERM_BOUND", "3")
+    got = compose_maps(cube, GeneralMap(F9, [G, G]))
+    assert [sorted(h.terms) for h in got.coords] == [[(0, 6), (3, 3), (6, 0)]] * 2
+    monkeypatch.setenv("FROBDML_TERM_BOUND", "2")
+    with pytest.raises(DegreeOverflow) as exc:
+        compose_maps(cube, GeneralMap(F9, [G, G]))
+    assert str(exc.value) == "product exceeds the symbolic size bound of 2 terms"
 
 
 def test_composition_is_associative_on_points():

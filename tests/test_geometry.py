@@ -13,7 +13,8 @@ from frobdml.geometry import (HomogPoly, ProjPoint, Subvariety, eval_hom, eval_h
 from frobdml.instances import fixture_path, parse_instance
 from frobdml.series import TruncSeries, format_series, parse_series
 
-from conftest import eval_reference, field_for, rand_exponents, rand_point
+from conftest import (eval_reference, field_for, poly_mul_reference, rand_exponents,
+                      rand_point)
 
 F2 = field_for(2, 1)
 F4 = field_for(2, 2)
@@ -264,6 +265,88 @@ def test_poly_mul_against_naive():
         assert set(got.terms) == set(want)
         for k in want:
             assert got.terms[k].coeffs == want[k].coeffs
+
+
+# ---------------------------------------------------------------------------
+# products of forms on packed coefficients against the TruncSeries reference
+# ---------------------------------------------------------------------------
+
+MUL_FIELDS = [(p, m) for p in (2, 3, 5, 7, 257) for m in (1, 2, 3)]
+
+
+def assert_multiplies_like_the_reference(a, b):
+    got, want = poly_mul(a, b), poly_mul_reference(a, b)
+    assert (got.degree, got.prec, got.terms) == (want.degree, want.prec, want.terms)
+
+
+def rand_product_form(rng, F, N, d, n, mixed):
+    """A form of degree d on a small pool of monomials, so products share
+    vectors; coefficients at precision n, or with ``mixed`` at n..n+6, some
+    zero-padded, some with every digit p - 1, and now and then a vector given
+    as c, -c at a lower precision and c' after them: a sum cancelled below
+    the rest, whose precision the form must keep."""
+    pool = list({rand_exponents(rng, N + 1, d) for _ in range(4)})
+    terms = []
+    for exps in rng.sample(pool, rng.randint(1, len(pool))):
+        prec = n + rng.randint(0, 6) if mixed else n
+        c = rand_series(rng, F, prec, big=rng.random() < 0.2)
+        if mixed and rng.random() < 0.3:
+            c = c.change_precision(prec + 3)
+        if rng.random() < 0.2:
+            low = rand_series(rng, F, max(1, n - 1))
+            terms += [(exps, low), (exps, -low)]
+        terms.append((exps, c))
+    h = HomogPoly(F, N, d, terms)
+    assert h.prec == min(c.prec for _, c in terms)
+    return h
+
+
+def reflected(h):
+    """h(x0, -x1, x2, ..): h times it is even in x1, so every product of
+    odd x1-degree cancels, in characteristic 2 too (2*c*c' = 0)."""
+    return HomogPoly(h.field, h.N, h.degree,
+                     {e: -c if e[1] % 2 else c for e, c in h.terms.items()}, h.prec)
+
+
+@pytest.mark.parametrize("p,m", MUL_FIELDS, ids=[f"p{p}m{m}" for p, m in MUL_FIELDS])
+def test_poly_mul_matches_the_reference(p, m):
+    # precision 1, one precision and mixed precisions; cancelled sums in the
+    # factors and in the product
+    F = extension(p, m)
+    rng = random.Random(p * 17 + m)
+    for i in range(12):
+        N, mixed = rng.randint(1, 2), i % 3 == 2
+        n = (1, rng.randint(2, 12), rng.randint(1, 12))[i % 3]
+        a, b = (rand_product_form(rng, F, N, rng.randint(1, 3), n, mixed) for _ in range(2))
+        assert_multiplies_like_the_reference(a, b)
+        assert_multiplies_like_the_reference(a, reflected(a))
+        assert_multiplies_like_the_reference(a, a)
+
+
+@pytest.mark.parametrize("p,m,w,n", TOPS, ids=[f"p{p}m{m}w{w}" for p, m, w, n in TOPS])
+def test_poly_mul_with_largest_digits_at_width_tops(p, m, w, n):
+    # every digit p - 1 at the last precision of a digit width, where each
+    # run holds one product: x_i*x_j collects two products for i != j, and
+    # a vector of the square of a quadratic form up to four
+    F = extension(p, m)
+    assert F._kron[n].L.w == w
+    rng = random.Random(n + 1)
+    for N in (1, 2):
+        lin = HomogPoly(F, N, 1, {tuple(int(k == j) for k in range(N + 1)):
+                                  rand_series(rng, F, n, big=True) for j in range(N + 1)})
+        assert_multiplies_like_the_reference(lin, lin)
+        quad = poly_mul(lin, lin)
+        assert_multiplies_like_the_reference(quad, quad)
+
+
+def test_poly_mul_raises_at_the_first_vector_past_the_bound():
+    # (x0 + x1)^2 collects 3 vectors from 4 products; the message is the
+    # constructor's
+    lin = HomogPoly(F9, 1, 1, {(1, 0): ser(F9, "1"), (0, 1): ser(F9, "a")})
+    assert len(poly_mul(lin, lin, max_terms=3).terms) == 3
+    with pytest.raises(DegreeOverflow) as exc:
+        poly_mul(lin, lin, max_terms=2)
+    assert str(exc.value) == "product exceeds the symbolic size bound of 2 terms"
 
 
 def test_point_variety_vanishes_on_the_point():
