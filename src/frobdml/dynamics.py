@@ -32,7 +32,8 @@ from .errors import (
     UnsupportedQ,
 )
 from . import poly
-from .field import FieldSpec, FqElem, _fit, _galois, _reduce, _run_cap, p_power_exponent
+from .field import (FieldSpec, FqElem, _fit, _galois, _inv, _reduce, _run_cap, _sub,
+                    p_power_exponent)
 from .geometry import (
     ExpVec,
     HomogPoly,
@@ -286,8 +287,31 @@ def _eliminate(A: Sequence[Sequence[TruncSeries]], prec: int,
 
 
 def _unit_det(A: Sequence[Sequence[TruncSeries]]) -> bool:
-    """det(A) is a unit exactly when the residue matrix A mod t is invertible."""
-    return _eliminate(A, 1)[0].is_unit()
+    """det(A) is a unit exactly when the residue matrix A mod t is invertible
+    over F_q: row reduction of its rows, each the constant terms of a row of
+    A packed in the n slots of the width of precision n.  Clearing a column
+    costs each row below the pivot one product by its entry there, one
+    _reduce and one _sub."""
+    n = len(A)
+    K = A[0][0].field._kron
+    sh = K[n]
+    L = sh.L
+    S, slot = L.S, L.slot
+    rows = [sum(_fit(K, s.packed, s.prec, n, 1) << (j * S) for j, s in enumerate(row))
+            for row in A]
+    for c in range(n):
+        at = c * S
+        piv = next((r for r in range(c, n) if rows[r] >> at & slot), None)
+        if piv is None:
+            return False
+        x = rows[piv]
+        rows[piv] = rows[c]
+        x = _reduce(sh, _inv(L, x >> at & slot) * x)   # pivot 1
+        for r in range(c + 1, n):
+            y = rows[r] >> at & slot
+            if y:
+                rows[r] = _sub(sh, rows[r], _reduce(sh, y * x))
+    return True
 
 
 def _sigma_fixed(s: TruncSeries, e: int) -> Optional[str]:
@@ -302,11 +326,12 @@ def _sigma_fixed(s: TruncSeries, e: int) -> Optional[str]:
 
 def coefficient_field_exponent(series: Iterable[TruncSeries]) -> int:
     """lcm of the subfield degrees of the coefficients of the series, at
-    least one: the least d | m whose Galois action Frob_{p^d} fixes each."""
+    least one: the least d | m whose Galois action Frob_{p^d} fixes each.
+    Frob_(p^m) fixes all of F_(p^m), so d = m needs no test."""
     series = list(series)
     m = series[0].field.m
-    return next(d for d in range(1, m + 1)
-                if m % d == 0 and all(s.galois(d) == s for s in series))
+    return next((d for d in range(1, m)
+                 if m % d == 0 and all(s.galois(d) == s for s in series)), m)
 
 
 def validate_map(field: FieldSpec, p: int, e: int,

@@ -171,8 +171,9 @@ def p_power_exponent(p: int, n: int) -> int:
 # the packed digit layout
 # ---------------------------------------------------------------------------
 
-# Shapes kept per field: a shape costs a few integers of n slots, and a walk
-# that loses precision step by step meets a new n at every step.
+# Shapes kept per field and per layout: a shape costs a few integers of n
+# slots, and a walk that loses precision step by step meets a new n at every
+# step.
 SHAPES_KEPT = 64
 
 
@@ -183,11 +184,12 @@ def _tile(x: int, bits: int, nbytes: int) -> int:
 
 
 class _Layout:
-    """One digit width of a field: slot width, the reduction rows a^(m+k)
-    and the Frobenius columns as packed slots."""
+    """One digit width of a field: slot width, the reduction rows a^(m+k),
+    the Frobenius columns as packed slots, and the _Shapes of this width by
+    slot count."""
 
     __slots__ = ("p", "m", "w", "S", "slot", "ones_slot", "red", "_frob", "mu", "shift",
-                 "qbits", "unit", "U", "single")
+                 "qbits", "unit", "U", "shapes", "single")
 
     def __init__(self, field: FieldSpec, w: int):
         p, m = field.p, field.m
@@ -205,7 +207,18 @@ class _Layout:
         self.ones_slot = self.pack((1,) * m)
         self.red = [self.pack(row) for row in field._red[:m - 1]]
         self._frob: Dict[int, List[int]] = {}
-        self.single = _Shape(self, 1)  # one coefficient: a field element
+        self.shapes: Dict[int, _Shape] = {}
+        self.single = self.shape(1)  # one coefficient: a field element
+
+    def shape(self, n: int) -> "_Shape":
+        """The _Shape of n slots in this width, kept for the last
+        SHAPES_KEPT slot counts."""
+        sh = self.shapes.get(n)
+        if sh is None:
+            if len(self.shapes) >= SHAPES_KEPT:   # evict the oldest
+                del self.shapes[next(iter(self.shapes))]
+            sh = self.shapes[n] = _Shape(self, n)
+        return sh
 
     def pack(self, digits: Sequence[int]) -> int:
         """One coefficient's digits as a packed slot."""
@@ -280,7 +293,7 @@ def _width(field: FieldSpec, n: int) -> int:
 
 class _Kron(dict):
     """The packings of one field: a table of _Shapes by precision, the last
-    SHAPES_KEPT used, and a _Layout per digit width they point at."""
+    SHAPES_KEPT used, and a _Layout per digit width they belong to."""
 
     __slots__ = ("field", "layouts")
 
@@ -297,19 +310,23 @@ class _Kron(dict):
             L = self.layouts[w] = _Layout(F, w)
         if len(self) >= SHAPES_KEPT:   # evict the oldest
             del self[next(iter(self))]
-        sh = self[n] = _Shape(L, n)
+        sh = self[n] = L.shape(n)
         return sh
 
 
 _KRONS: Dict[Tuple[int, int, Tuple[int, ...]], _Kron] = {}
 
 
-def _fit(K: _Kron, X: int, a: int, b: int, n: Optional[int] = None) -> int:
+def _fit(K: _Kron, X: int, a: int, b: int, n: Optional[int] = None,
+         into: Optional[_Kron] = None) -> int:
     """X, packed in the width of precision a, in that of precision b, cut to
     n slots (by default b): a precision-a series as one of precision b, or
-    for a or b = 1 FqElem slots into or out of a series.  A reduced digit is
-    below p < 2^(w-1) in every width, so copying its low bytes is exact."""
-    A, sh = K[a].L, K[b]
+    for a or b = 1 FqElem slots into or out of a series.  With ``into``, the
+    packings of F_(p^d) when K's field is F_p, the slots land in into's
+    packing of precision b, each residue as digit 0 of its slot: the
+    constant embedding F_p -> F_(p^d).  A reduced digit is below p < 2^(w-1)
+    in every width, so copying its low bytes is exact."""
+    A, sh = K[a].L, (K if into is None else into)[b]
     if n is None:
         if A is sh.L:
             return X & sh.mask if b < a else X
@@ -320,10 +337,11 @@ def _fit(K: _Kron, X: int, a: int, b: int, n: Optional[int] = None) -> int:
     if A is B:
         return X
     ab, bb = A.w // 8, B.w // 8
+    step = bb if A.m == B.m else B.S // 8   # digit k to digit k, or F_p's one digit to digit 0
     src = X.to_bytes(-(-X.bit_length() // A.S) * A.S // 8, "little")
-    out = bytearray(len(src) // ab * bb)
+    out = bytearray(len(src) // ab * step)
     for i in range(min(ab, bb)):
-        out[i::bb] = src[i::ab]
+        out[i::step] = src[i::ab]
     return int.from_bytes(out, "little")
 
 

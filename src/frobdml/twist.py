@@ -58,7 +58,7 @@ from .errors import (
 from .field import (FieldSpec, FqElem, _Layout, _Shape, _add, _fit, _galois, _inv, _poly_str,
                     _reduce, _sub, p_power_exponent)
 from .geometry import HomogPoly
-from .series import TruncSeries, _unpack
+from .series import TruncSeries, _new, _unpack
 from . import dynamics
 from .dynamics import DmlMap, compose_maps
 
@@ -125,7 +125,7 @@ class ExtContext:
         self.d = d = len(h) - 1
         self.sh = sh = field._kron[d]
         self.L = L = sh.L
-        self.wide = _Shape(L, 2 * d - 1)
+        self.wide = L.shape(2 * d - 1)
         R = _base_ring(field, L)
         hs = [_slot(L, c) for c in h]
         self.zero: Vec = 0
@@ -214,7 +214,7 @@ def _mat_inv(A: Sequence[Sequence[FqElem]]) -> Optional[List[List[FqElem]]]:
     sh = field._kron[n]
     S = sh.L.S
     rows = [x | 1 << ((n + i) * S) for i, x in enumerate(_mat_pack(A, n))]
-    out = _echelon(FqStructure(field, field.m), _Shape(sh.L, 2 * n), rows, [])
+    out = _echelon(FqStructure(field, field.m), sh.L.shape(2 * n), rows, [])
     if out[-1][0][0] >= n:
         return None
     return [list(_unpack(field, sh, v >> (n * S))) for _, v in out]
@@ -389,7 +389,7 @@ def _solve_at(fq: FqStructure, A: Sequence[Sequence[FqElem]],
     N = max(r, n)
     W = K[N].L
     S, D = W.S, d * W.S
-    msh, csh, esh = _Shape(W, n), _Shape(W, n * n * d), _Shape(W, n * d)
+    msh, csh, esh = W.shape(n), W.shape(n * n * d), W.shape(n * d)
 
     # N_i(A)^{-1} for i = 0..r-1:  Ninv_{i+1} = Ainv * Ninv_i^(q)
     Ainv_p = _mat_pack(Ainv, N)
@@ -519,10 +519,10 @@ def normalize_conjugate(f: DmlMap, R_max: int = 64) -> Tuple[TwistSolution, DmlM
 
     G = f.G
     if target != f.field:
-        # base field is F_p; embed coefficients digitwise
+        # base field is F_p: each packing moves into target's slots
+        K, T = f.field._kron, target._kron
         G = [HomogPoly(target, f.N, g.degree,
-                       {exp: TruncSeries(target, c.prec,
-                                         [target.el(x.coeffs) for x in c.coeffs])
+                       {exp: _new(target, c.prec, _fit(K, c.packed, c.prec, c.prec, into=T))
                         for exp, c in g.terms.items()}, g.prec)
              for g in f.G]
     B = sol.B

@@ -7,11 +7,12 @@ import random
 from typing import Dict, List, Sequence, Tuple
 
 from frobdml import poly
-from frobdml.dynamics import DmlMap, validate_map
+from frobdml.dynamics import DmlMap, _eliminate, validate_map
 from frobdml.errors import DimensionMismatch, PrecisionExhausted
-from frobdml.field import FieldSpec, FqElem, make_field
+from frobdml.field import FieldSpec, FqElem, _width, make_field
 from frobdml.geometry import HomogPoly, ProjPoint
 from frobdml.series import TruncSeries
+from frobdml.twist import first_irreducible
 
 MODULI = {
     (2, 1): [0, 1], (2, 2): [1, 1, 1], (2, 3): [1, 1, 0, 1],
@@ -24,6 +25,7 @@ MODULI = {
 }
 
 _FIELDS: Dict[Tuple[int, int], FieldSpec] = {}
+_EXTENSIONS: Dict[Tuple[int, int], FieldSpec] = {}
 
 
 def field_for(p: int, m: int) -> FieldSpec:
@@ -31,6 +33,23 @@ def field_for(p: int, m: int) -> FieldSpec:
     if key not in _FIELDS:
         _FIELDS[key] = make_field(p, m, MODULI[key])
     return _FIELDS[key]
+
+
+def extension(p: int, m: int) -> FieldSpec:
+    """F_(p^m) by the first irreducible modulus of degree m."""
+    if (p, m) not in _EXTENSIONS:
+        _EXTENSIONS[p, m] = first_irreducible(make_field(p, 1, [0, 1]), m)[1]
+    return _EXTENSIONS[p, m]
+
+
+def width_changes(F: FieldSpec, limit: int = 1024) -> List[int]:
+    """1, 2 and every precision below limit after which F's digit width
+    changes, with the next one."""
+    out = {1, 2}
+    for n in range(1, limit):
+        if _width(F, n) != _width(F, n + 1):
+            out |= {n, n + 1}
+    return sorted(out)
 
 
 def rand_prime_series(rng: random.Random, field: FieldSpec, prec: int,
@@ -195,6 +214,12 @@ def rand_point(rng: random.Random, field: FieldSpec, N: int,
         cs[0] = field.one()
         coords[i] = TruncSeries(field, prec, cs)
     return ProjPoint(field, coords)
+
+
+def unit_det_reference(A: Sequence[Sequence[TruncSeries]]) -> bool:
+    """Whether det(A) is a unit, the slow way: elimination over O_K at
+    precision 1, with series objects, series inverses and series products."""
+    return _eliminate(A, 1)[0].is_unit()
 
 
 def fq_det(A: Sequence[Sequence[FqElem]]) -> FqElem:

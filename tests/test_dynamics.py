@@ -4,7 +4,8 @@ import time
 import pytest
 
 import frobdml.dynamics as dynamics
-from frobdml.dynamics import (SECTION_MIN_R, CoefficientFieldTooLarge, _at_prec,
+from frobdml.dynamics import (SECTION_MIN_R, CoefficientFieldTooLarge, _at_prec, _unit_det,
+                              coefficient_field_exponent,
                               CoefficientNotInMaximalIdeal, DmlMap, GeneralMap,
                               NonUnitDeterminant, NotInForm, WrongDegree,
                               apply_map, check_conditions, compose_maps,
@@ -19,8 +20,9 @@ from frobdml.lifting import point_galois, sigma_fixed_lift
 from frobdml.series import (MAX_PREC, AtPrecisionZero, TruncSeries,
                             format_series, parse_series)
 
-from conftest import (eval_reference, field_for, identity_matrix, poly_mul_reference,
-                      rand_exponents, rand_point, t_power, rand_suite_map, rand_residue_point)
+from conftest import (eval_reference, extension, field_for, fq_det, identity_matrix,
+                      poly_mul_reference, rand_exponents, rand_point, t_power, rand_suite_map,
+                      rand_residue_point, unit_det_reference, width_changes)
 
 F2 = field_for(2, 1)
 F4 = field_for(2, 2)
@@ -133,6 +135,118 @@ def test_invert_series_matrix_names_the_failing_column():
                               [ser(F2, "1"), ser(F2, "1 + t"), ser(F2, "0")],
                               [ser(F2, "0"), ser(F2, "0"), ser(F2, "1")]], 8)
     assert str(ei.value) == "no unit pivot in column 1; matrix not invertible over O_K"
+
+
+# (p, m) for the unit-determinant test: p up to 2^61 - 1, m up to 12, and
+# fields whose digit width changes inside the precisions drawn (width_changes)
+UNIT_DET_FIELDS = [(2, 1), (2, 12), (3, 1), (3, 6), (5, 4), (7, 2), (257, 3),
+                   (65537, 1), (2 ** 31 - 1, 2), (2 ** 61 - 1, 1), (2 ** 61 - 1, 12)]
+
+
+def residue_matrix(rng, F, n, kind):
+    """An n x n matrix over F: random (a third of its entries zero), singular
+    (a row a combination of the others, or a zero column), or invertible with
+    every diagonal entry above the last zero (the rows of an upper
+    triangular unit matrix turned by one)."""
+    def el():
+        return F.zero() if rng.random() < 0.3 else F.from_int(rng.randrange(1, F.order))
+    if kind == "turned":
+        U = [[F.zero() if j < i else F.from_int(rng.randrange(1, F.order)) if j == i else el()
+              for j in range(n)] for i in range(n)]
+        return U[1:] + U[:1]
+    M = [[el() for _ in range(n)] for _ in range(n)]
+    if kind == "singular":
+        if rng.random() < 0.25:
+            j = rng.randrange(n)
+            for row in M:
+                row[j] = F.zero()
+        else:
+            i = rng.randrange(n)
+            cs = [F.from_int(rng.randrange(F.order)) for _ in range(n)]
+            M[i] = [sum((c * M[k][j] for k, c in enumerate(cs) if k != i), F.zero())
+                    for j in range(n)]
+    return M
+
+
+def lift_entry(rng, F, r, precs):
+    """A series with constant term r at a precision drawn from precs: for r
+    zero often O(t^k) itself, else with a few random digits above t^0."""
+    prec = rng.choice(precs)
+    if r.is_zero() and rng.random() < 0.5:
+        return TruncSeries.zeros(F, prec)
+    digits = [r] + [F.from_int(rng.randrange(F.order)) for _ in range(min(prec, 4) - 1)]
+    return TruncSeries(F, prec, digits)
+
+
+def test_unit_det_matches_elimination_and_cofactor():
+    rng = random.Random(2601)
+    seen = {}
+    for p, m in UNIT_DET_FIELDS:
+        F = extension(p, m)
+        tops = width_changes(F)
+        for n in range(2, 8):
+            for kind in ("random", "singular", "turned", "random", "singular"):
+                M = residue_matrix(rng, F, n, kind)
+                mixed = rng.random() < 0.6
+                precs = tops if mixed else [rng.choice(tops)]
+                A = [[lift_entry(rng, F, r, precs) for r in row] for row in M]
+                got = _unit_det(A)
+                assert got == unit_det_reference(A), (p, m, n, kind)
+                mod_t = [[s.change_precision(1) for s in row] for row in A]
+                assert got == cofactor_det(mod_t).is_unit(), (p, m, n, kind)
+                assert got == (not fq_det(M).is_zero()), (p, m, n, kind)
+                key = (kind, got, mixed)
+                seen[key] = seen.get(key, 0) + 1
+    assert not any(kind == "singular" and got for kind, got, _ in seen)
+    assert not any(kind == "turned" and not got for kind, got, _ in seen)
+    assert all(seen.get((kind, got, mixed), 0) >= 5 for kind, got in
+               [("random", True), ("random", False), ("singular", False), ("turned", True)]
+               for mixed in (True, False)), seen
+
+
+def test_unit_det_searches_for_its_pivot():
+    # every diagonal entry is zero mod t, and so is every entry but one per row
+    for F in (F2, F4, field_for(3, 1), extension(2 ** 61 - 1, 12)):
+        for n in range(2, 8):
+            one, zero = TruncSeries.one(F, 3), TruncSeries.zeros(F, 2)
+            t = ser(F, "t", 5)
+            A = [[one if j == (i + 1) % n else t if j == i else zero for j in range(n)]
+                 for i in range(n)]
+            assert _unit_det(A) and unit_det_reference(A)
+            A[0] = [t] * n
+            assert not _unit_det(A) and not unit_det_reference(A)
+
+
+def coefficient_field_exponent_scan(series):
+    """The least d | m with Frob_(p^d) fixing every coefficient, d = m
+    included in the scan."""
+    series = list(series)
+    m = series[0].field.m
+    return next(d for d in range(1, m + 1)
+                if m % d == 0 and all(s.galois(d) == s for s in series))
+
+
+def test_coefficient_field_exponent_matches_the_full_scan():
+    rng = random.Random(2602)
+    seen = set()
+    for p, m in [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (5, 3), (2, 4), (3, 4),
+                 (2, 6), (3, 6)]:
+        F = extension(p, m)
+
+        def in_subfield(d):
+            # the norm to F_(p^d) of a random unit, or zero
+            x = F.from_int(rng.randrange(F.order))
+            return x if x.is_zero() else x ** ((F.order - 1) // (p ** d - 1))
+        for case in range(40):
+            d = rng.choice([d for d in range(1, m + 1) if m % d == 0])
+            series = [TruncSeries(F, prec, [in_subfield(d) for _ in range(prec)])
+                      for prec in (rng.randint(1, 12) for _ in range(rng.randint(1, 4)))]
+            got = coefficient_field_exponent(series)
+            assert got == coefficient_field_exponent_scan(series), (p, m, case)
+            assert d % got == 0
+            seen.add((m, got))
+    assert {(m, m) for m in (1, 2, 3, 4, 6)} <= seen
+    assert {(4, 2), (6, 2), (6, 3), (6, 1)} <= seen
 
 
 def test_validate_n7_over_f4_at_prec_20():

@@ -3,18 +3,16 @@ import random
 
 import pytest
 
-from frobdml import twist
 from frobdml.errors import (DegreeMismatch, DegreeOverflow, DimensionMismatch,
                             IndistinguishableFromZero)
-from frobdml.field import make_field
 from frobdml.geometry import (HomogPoly, ProjPoint, Subvariety, eval_hom, eval_hom_coords,
                               format_poly, point_variety, poly_mul, proj_eq,
                               reduce_point)
 from frobdml.instances import fixture_path, parse_instance
 from frobdml.series import TruncSeries, format_series, parse_series
 
-from conftest import (eval_reference, field_for, poly_mul_reference, rand_exponents,
-                      rand_point)
+from conftest import (eval_reference, extension, field_for, poly_mul_reference,
+                      rand_exponents, rand_point)
 
 F2 = field_for(2, 1)
 F4 = field_for(2, 2)
@@ -133,14 +131,6 @@ def test_eval_hom_leaves_no_garbage_cycles():
 
 EVAL_FIELDS = [(2, 1), (2, 2), (2, 5), (2, 12), (3, 1), (3, 4), (3, 12), (5, 3), (7, 2),
                (257, 2), (65537, 1), (2 ** 31 - 1, 3), (2 ** 64 - 59, 1), (2 ** 64 - 59, 2)]
-_EXTENSIONS = {}
-
-
-def extension(p, m):
-    """F_(p^m) by the first irreducible modulus of degree m."""
-    if (p, m) not in _EXTENSIONS:
-        _EXTENSIONS[p, m] = twist.first_irreducible(make_field(p, 1, [0, 1]), m)[1]
-    return _EXTENSIONS[p, m]
 
 
 def rand_series(rng, F, prec, big=False):

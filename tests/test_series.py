@@ -369,6 +369,21 @@ def test_shape_cache_is_bounded():
     assert {8, 16} <= set(K.layouts) and all(K.layouts[sh.L.w] is sh.L for sh in K.values())
 
 
+def test_layout_keeps_its_shapes_by_slot_count():
+    F = make_field(3, 2, [1, 0, 1])
+    L = layout._Layout(F, 16)
+    top = 2 * layout.SHAPES_KEPT
+    shapes = [L.shape(n) for n in range(1, top)]
+    assert len(L.shapes) == layout.SHAPES_KEPT
+    # the last SHAPES_KEPT slot counts are kept, each built once
+    assert all(L.shape(n) is shapes[n - 1] for n in range(top - layout.SHAPES_KEPT, top))
+    again = L.shape(1)
+    assert again is not shapes[0] and again.mask == shapes[0].mask
+    # the shape of a precision is its layout's shape of that many slots
+    K = F._kron
+    assert K[3001].L.shape(3001) is K[3001]
+
+
 # ---------------------------------------------------------------------------
 # the digit width tiers: both sides of every edge, mixed widths, repacks
 # ---------------------------------------------------------------------------

@@ -1,14 +1,25 @@
-"""tools/bench_pairs.py: the fit of peak RSS against attempted ops."""
+"""tools/bench_pairs.py: the fit of peak RSS against attempted ops;
+tools/compile_times.py: the compile() time of every module."""
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SPEC = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(SPEC)
-SPEC.loader.exec_module(bench_pairs)
-rss_fit = bench_pairs.rss_fit
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+rss_fit = load("bench_pairs").rss_fit
+compile_times = load("compile_times")
 
 
 def runs(points):
@@ -44,3 +55,25 @@ def test_rss_fit_is_null_without_two_op_counts():
 def test_rss_fit_of_a_flat_peak_has_no_correlation():
     fit = rss_fit(runs([(10, 30.0), (20, 30.0), (40, 30.0)]))
     assert fit == {"bytes_per_op": 0.0, "intercept_mb": 30.0, "r": None}
+
+
+def test_compile_times_prints_every_module_and_the_total(capsys):
+    assert compile_times.main(["--repeat", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = sorted(f.name for f in compile_times.DEFAULT_PATH.glob("*.py"))
+    assert sorted(Path(line.split()[0]).name for line in lines[:-1]) == names
+    ms = [float(line.split()[-2]) for line in lines]
+    assert all(x > 0 for x in ms) and lines[-1].split()[0] == "total"
+    assert ms[-1] == pytest.approx(sum(ms[:-1]), abs=0.01 * len(ms))
+
+
+def test_compile_times_writes_no_bytecode(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text("import os\nX = [i * i for i in range(9)]\n")
+    (tmp_path / "b.py").write_text("def f(x):\n    return x + 1\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    out = subprocess.run([sys.executable, str(TOOLS / "compile_times.py"), "--repeat", "3",
+                          str(tmp_path)], cwd=tmp_path, env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert [line.split()[0] for line in out] == ["b.py", str(Path("pkg") / "a.py"), "total"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.py", "b.py", "pkg"]

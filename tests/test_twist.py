@@ -12,7 +12,7 @@ from frobdml.dynamics import DmlMap, recognize_dml_form, validate_map
 from frobdml.errors import (DegreeMismatch, FrobdmlError, NonConstantMatrix,
                             NonFlattenableExtension, NotInvertible,
                             SearchExhausted)
-from frobdml.field import FqElem, format_element, make_field
+from frobdml.field import FqElem, _Shape, _fit, format_element, make_field
 from frobdml.geometry import HomogPoly
 from frobdml.instances import fixture_path, parse_twist_file
 from frobdml import series
@@ -21,7 +21,7 @@ from frobdml import twist
 from frobdml.twist import (count_solutions_exhaustive, normalize_conjugate,
                            solve_twist)
 
-from conftest import ext_det, field_for, fq_det, rand_dml, rand_gl
+from conftest import ext_det, field_for, fq_det, rand_dml, rand_gl, width_changes
 
 F2 = field_for(2, 1)
 F3 = field_for(3, 1)
@@ -278,6 +278,44 @@ def test_normalize_matches_composition_reference():
     assert {(2, "equal"), (3, "equal"), (5, "equal"), (16, "equal"),
             (4, NonFlattenableExtension), (8, DegreeMismatch),
             (5, SearchExhausted)} <= seen
+
+
+def test_fit_into_the_twist_field_matches_the_digitwise_embedding():
+    # normalize_conjugate moves G's packings over F_p into the slots of the
+    # flattened twist field; the reference decodes and re-encodes each digit
+    rng = random.Random(2603)
+    widths = set()
+    for p in (2, 3, 5, 7):
+        Fp = field_for(p, 1)
+        K = Fp._kron
+        for d in (2, 3, 4):
+            target = twist.first_irreducible(Fp, d)[1]
+            T = target._kron
+            precs = sorted(set(width_changes(Fp, 1200)) | set(width_changes(target, 1200)))
+            for a in precs:
+                widths.add(K[a].L.w == T[a].L.w)
+                top = [Fp.from_int(p - 1)] * a
+                sparse = [Fp.from_int(rng.randrange(p)) if rng.random() < 0.1 else Fp.zero()
+                          for _ in range(a)]
+                rand = [Fp.from_int(rng.randrange(p)) for _ in range(a)]
+                for digits in (top, sparse, rand, [Fp.zero()] * a):
+                    c = TruncSeries(Fp, a, digits)
+                    for b in (a, rng.choice(precs)):   # at its own precision, cut or padded
+                        want = TruncSeries(target, b, [target.el(x.coeffs) for x in c.coeffs])
+                        assert _fit(K, c.packed, a, b, into=T) == want.packed, (p, d, a, b)
+    assert widths == {True, False}
+
+
+def test_twist_solver_builds_each_shape_once(monkeypatch):
+    A = elems(F9, [[0, 1], [1, 0]])
+    solve_twist(A, 3)
+    normalize_conjugate(swap_map())
+    built = []
+    init = _Shape.__init__
+    monkeypatch.setattr(_Shape, "__init__", lambda sh, L, n: built.append(n) or init(sh, L, n))
+    solve_twist(A, 3)
+    normalize_conjugate(swap_map())
+    assert built == []
 
 
 def test_flattened_field_is_built_once():
