@@ -350,6 +350,10 @@ def validate_map(field: FieldSpec, p: int, e: int,
         raise DimensionMismatch("A must be square of size N+1 >= 2")
     if len(G) != n:
         raise DimensionMismatch(f"G has {len(G)} entries, expected {n}")
+    for row in A:
+        for s in row:
+            if s.field is not field and s.field != field:
+                raise FieldMismatch(f"an entry of A is over {s.field}, the map over {field}")
     N = n - 1
     diags: List[Diagnostic] = []
 

@@ -12,8 +12,9 @@ from frobdml.dynamics import (SECTION_MIN_R, CoefficientFieldTooLarge, _at_prec,
                               dml_to_general, invert_series_matrix, iterate_map,
                               orbit, preimage_qp, recognize_dml_form, series_det,
                               validate_map)
-from frobdml.errors import (DegreeMismatch, DegreeOverflow, NonUnitDivisor, NotInImage,
-                            PrecisionExhausted, UnsupportedQ)
+from frobdml.errors import (DegreeMismatch, DegreeOverflow, FieldMismatch, NonUnitDivisor,
+                            NotInImage, PrecisionExhausted, UnsupportedQ)
+from frobdml.field import make_field
 from frobdml.geometry import HomogPoly, ProjPoint, format_poly, normalize, proj_eq
 from frobdml.instances import fixture_path, parse_instance
 from frobdml.lifting import point_galois, sigma_fixed_lift
@@ -308,6 +309,20 @@ def test_validate_rejects_unfixed_coefficients():
           HomogPoly(F4, 1, 2, {})]
     assert isinstance(validate_map(F4, 2, 2, identity_matrix(F4, 2, prec), G2),
                       DmlMap)
+
+
+def test_validate_rejects_entries_of_A_over_another_field():
+    G = [HomogPoly(F2, 1, 1, {})] * 2
+    one2, one3 = TruncSeries.one(F2, 4), TruncSeries.one(field_for(3, 1), 4)
+    for A in ([[one2, one3], [one2, one2]],                # mixed, det a unit over F_2
+              [[one2, one2], [one2, one3]],                # mixed, det zero over F_2
+              identity_matrix(F4, 2, 4)):                  # all over F_4, map over F_2
+        with pytest.raises(FieldMismatch):
+            validate_map(F2, 2, 1, A, G)
+    # an equal field built anew is the same field
+    again = make_field(2, 1, F2.modulus)
+    assert again is not F2
+    assert isinstance(validate_map(F2, 2, 1, identity_matrix(again, 2, 4), G), DmlMap)
 
 
 def test_apply_map_golden():

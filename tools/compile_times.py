@@ -1,11 +1,10 @@
 """The compile() time of every module of the package, best of N.
 
-    python3 tools/compile_times.py [--repeat N] [PATH ...]
+    python3 tools/compile_times.py [--repeat N]
 
-Each PATH is a Python file or a directory searched for ``*.py`` files; the
-default is ``src/frobdml``.  Every source is read once, then compiled N
-times, in rounds over all the files, so drift in machine speed falls on
-every file alike.  Prints one ``path ms`` line per file, its best round in
+Every ``src/frobdml/*.py`` source is read once, then compiled N times, in
+rounds over all the files, so drift in machine speed falls on every file
+alike.  Prints one ``module ms`` line per file, its best round in
 milliseconds, and the total of those bests.  compile() writes nothing, so
 no bytecode is left behind.  This is what a command pays for each module it
 imports when no bytecode is cached (PYTHONDONTWRITEBYTECODE=1, as the
@@ -17,17 +16,10 @@ import argparse
 import sys
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_PATH = ROOT / "src" / "frobdml"
-
-
-def sources(paths: Sequence[Path]) -> List[Path]:
-    out: List[Path] = []
-    for path in paths:
-        out.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
-    return out
 
 
 def compile_times(files: Sequence[Path], repeat: int) -> Dict[Path, float]:
@@ -42,25 +34,16 @@ def compile_times(files: Sequence[Path], repeat: int) -> Dict[Path, float]:
     return best
 
 
-def shown(path: Path) -> str:
-    try:
-        return str(path.resolve().relative_to(Path.cwd()))
-    except ValueError:
-        return str(path)
-
-
 def main(argv: Sequence[str] = ()) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=15, help="rounds; the best is kept")
-    ap.add_argument("paths", nargs="*", type=Path, default=[DEFAULT_PATH])
     args = ap.parse_args(argv)
     if args.repeat < 1:
         ap.error("--repeat must be >= 1")
-    best = compile_times(sources(args.paths), args.repeat)
-    names = {f: shown(f) for f in best}
-    width = max(map(len, names.values()), default=0) + 2
+    best = compile_times(sorted(DEFAULT_PATH.glob("*.py")), args.repeat)
+    width = max((len(f.name) for f in best), default=0) + 2
     for f, s in best.items():
-        print(f"{names[f]:<{width}}{s * 1e3:8.2f} ms")
+        print(f"{f.name:<{width}}{s * 1e3:8.2f} ms")
     print(f"{'total':<{width}}{sum(best.values()) * 1e3:8.2f} ms")
     return 0
 
