@@ -6,13 +6,13 @@ The package is organized bottom-up:
               digits; Rabin's sieve
     field     finite fields F_(p^m) with explicit moduli; the packed digit
               layout and its kernels, which every element, series and
-              tower element uses
+              tower element uses; row echelon form over F_q
     series    truncated power series k[[t]]/(t^prec) and the Galois action
     geometry  projective points, homogeneous polynomials, subvarieties
     dynamics  the structured map family, validation, orbits, composition;
               determinants and inverses over O_K
     twist     the semilinear equation B^(q) = A*B and map normalization;
-              inverses over k, row echelon form over F_q
+              inverses over k
     lifting   sigma-fixed lifts, witnesses, periods
     returns   return sets and arithmetic-progression decompositions
     instances JSON instance files and shipped fixtures

@@ -271,7 +271,7 @@ def cmd_normalize(args) -> int:
     lines = [f"r = {sol.r}"]
     lines += [f"B[{i}] = [{', '.join(row)}]" for i, row in enumerate(B)]
     lines.append("conjugated matrix part: identity")
-    gstrs = [format_poly(g, "y") if not g.is_zero() else "0" for g in fprime.G]
+    gstrs = [format_poly(g, "y") for g in fprime.G]
     lines += [f"G'[{i}] = {s}" for i, s in enumerate(gstrs)]
     obj = {"r": sol.r, "B": B, "A_prime": "identity", "G_prime": gstrs}
     sys.stdout.write(Report(lines, obj).render(args.format))
@@ -344,8 +344,7 @@ def cmd_compose(args) -> int:
         else:
             lines.append(f"recognized: q = {rec.q}")
             lines += [f"A[{i}] = {_fmt_row(row)}" for i, row in enumerate(rec.A)]
-            gstrs = [format_poly(g, "y") if not g.is_zero() else "0"
-                     for g in rec.G]
+            gstrs = [format_poly(g, "y") for g in rec.G]
             lines += [f"G[{i}] = {s}" for i, s in enumerate(gstrs)]
             obj["recognized"] = {
                 "q": rec.q,

@@ -32,8 +32,8 @@ from .errors import (
     UnsupportedQ,
 )
 from . import poly
-from .field import (FieldSpec, FqElem, _fit, _galois, _inv, _reduce, _run_cap, _sub,
-                    p_power_exponent)
+from .field import (FieldSpec, FqElem, FqStructure, _echelon, _fit, _galois, _reduce,
+                    _run_cap, p_power_exponent)
 from .geometry import (
     ExpVec,
     HomogPoly,
@@ -288,30 +288,16 @@ def _eliminate(A: Sequence[Sequence[TruncSeries]], prec: int,
 
 def _unit_det(A: Sequence[Sequence[TruncSeries]]) -> bool:
     """det(A) is a unit exactly when the residue matrix A mod t is invertible
-    over F_q: row reduction of its rows, each the constant terms of a row of
-    A packed in the n slots of the width of precision n.  Clearing a column
-    costs each row below the pivot one product by its entry there, one
-    _reduce and one _sub."""
+    over F_q: its rows, each the constant terms of a row of A packed in the n
+    slots of the width of precision n, have rank n under ``field._echelon``
+    with F_q the whole residue field."""
     n = len(A)
-    K = A[0][0].field._kron
-    sh = K[n]
-    L = sh.L
-    S, slot = L.S, L.slot
+    field = A[0][0].field
+    K = field._kron
+    S = K[n].L.S
     rows = [sum(_fit(K, s.packed, s.prec, n, 1) << (j * S) for j, s in enumerate(row))
             for row in A]
-    for c in range(n):
-        at = c * S
-        piv = next((r for r in range(c, n) if rows[r] >> at & slot), None)
-        if piv is None:
-            return False
-        x = rows[piv]
-        rows[piv] = rows[c]
-        x = _reduce(sh, _inv(L, x >> at & slot) * x)   # pivot 1
-        for r in range(c + 1, n):
-            y = rows[r] >> at & slot
-            if y:
-                rows[r] = _sub(sh, rows[r], _reduce(sh, y * x))
-    return True
+    return len(_echelon(FqStructure(field, field.m), K[n], rows, [])) == n
 
 
 def _sigma_fixed(s: TruncSeries, e: int) -> Optional[str]:

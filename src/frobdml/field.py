@@ -44,6 +44,14 @@ inverse ``_inv`` (Itoh-Tsujii), which the twist tower and the series
 inverse also call in their own widths.  For m = 1 the slot is the residue
 itself, and a product is ``% p``.
 
+Row reduction over a subfield F_q of the field is ``_echelon``, on rows
+packed in one layout, a row's coefficients in its slots: a column is one
+F_q-coordinate of one slot (``FqStructure``), read only where a pivot or
+its column is, and a pivot is scaled to 1 by ``_inv``.  It has three
+callers: ``dynamics._unit_det``, the rank of A mod t over the whole field,
+in validation and recognition; ``twist._mat_inv`` on [A | I]; and the
+twist solver's F_q-basis of solutions, one row added at a time.
+
 Frobenius powers x -> x^(p^e) are first-class, including negative e: the
 inverse Frobenius is x -> x^(p^(((e mod m) + m) mod m)), never a root
 computation.
@@ -57,6 +65,7 @@ MAX_INT_DIGITS digits as a ParseError.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import poly
@@ -612,6 +621,71 @@ class FqElem:
 
     def __repr__(self):
         return _poly_str(self.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# row reduction over F_q
+# ---------------------------------------------------------------------------
+
+class FqStructure:
+    """The subfield F_q of Fbase (q = p^e) and the F_q-coordinates of Fbase
+    in the basis 1, a, .., a^(s-1), s = m/e.  These are the first powers of
+    the generator a that are F_q-independent, since the minimal polynomial
+    g of a over F_q has degree s; a^t for t >= s reduces by g."""
+
+    def __init__(self, field: FieldSpec, e: int):
+        p, m = field.p, field.m
+        if m % e:
+            raise DegreeMismatch(
+                f"F_q with q = {p}^{e} is not a subfield of F_{{{p}^{m}}}")
+        self.field, self.e, self.q, self.s = field, e, p ** e, m // e
+        s = self.s
+        self.cols: List[List[Tuple[int, ...]]] = []  # [t][i]: F_p digits of coordinate i of a^t
+        if s > 1:
+            a, zero = field.gen(), field.zero()
+            g = [field.one()]  # prod over l < s of (Y - a^(q^l))
+            for l in range(s):
+                c = -a.frobenius(e * l)
+                g = [x + c * y for x, y in zip([zero] + g, g + [zero])]
+            co = [field.one()] + [zero] * (s - 1)
+            for _ in range(m):
+                self.cols.append([x.coeffs for x in co])
+                co = [x - co[-1] * y for x, y in zip([zero] + co[:-1], g)]
+
+    def coords(self, L: _Layout, x: int) -> List[int]:
+        """The s F_q-coordinates of the packed coefficient x, packed."""
+        if self.s == 1:
+            return [x]
+        p, ds = L.p, L.digits(x)
+        return [L.pack([sum(d * col[i][u] for d, col in zip(ds, self.cols)) % p
+                        for u in range(L.m)]) for i in range(self.s)]
+
+
+def _echelon(fq: FqStructure, sh: _Shape, rows: Sequence[int],
+             out: List[Tuple[Tuple[int, int], int]]) -> List[Tuple[Tuple[int, int], int]]:
+    """Reduced row echelon form over F_q of packed rows over Fbase, whose
+    columns are the F_q-coordinates of the coefficients in order: the nonzero
+    rows as ((slot, coordinate) of the pivot, row), sorted by pivot, each
+    with pivot coordinate 1 that is 0 in every other row.  ``out`` is
+    extended in place, so adding a row costs one pass over those reduced."""
+    L = sh.L
+    S, slot = L.S, L.slot
+    for v in rows:
+        for (j, i), r in out:
+            c = fq.coords(L, (v >> (j * S)) & slot)[i]
+            if c:
+                v = _sub(sh, v, _reduce(sh, c * r))
+        if not v:
+            continue
+        j = ((v & -v).bit_length() - 1) // S
+        i, c = next(ic for ic in enumerate(fq.coords(L, (v >> (j * S)) & slot)) if ic[1])
+        v = _reduce(sh, _inv(L, c) * v)
+        for k, (key, r) in enumerate(out):
+            c = fq.coords(L, (r >> (j * S)) & slot)[i]
+            if c:
+                out[k] = (key, _sub(sh, r, _reduce(sh, c * v)))
+        insort(out, ((j, i), v))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -35,13 +35,13 @@ E as its d coefficients, a matrix row as its n entries, a vector of E^n as
 its n*d coefficients.  A product is one bignum multiply and ``_reduce``: E
 folds the high slots back through the packed rows Y^(d+k) mod h, and row i
 of X*Y is the sum over k of X_ik times row k of Y, reduced once.  Row
-reduction over F_q reads F_q-coordinates only at pivots.  Fbase itself is
+reduction over F_q is ``field._echelon``, which ``_mat_inv`` and the
+solver's basis share with ``dynamics._unit_det``.  Fbase itself is
 the field's own packed kernels on one coefficient (``_base_ring``), its
 inverse Itoh-Tsujii's, with no tables, so its order is not bounded.
 """
 from __future__ import annotations
 
-from bisect import insort
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -55,8 +55,8 @@ from .errors import (
     NotInvertible,
     SearchExhausted,
 )
-from .field import (FieldSpec, FqElem, _Layout, _Shape, _add, _fit, _galois, _inv, _poly_str,
-                    _reduce, _sub, p_power_exponent)
+from .field import (FieldSpec, FqElem, FqStructure, _Layout, _Shape, _add, _echelon, _fit,
+                    _galois, _inv, _poly_str, _reduce, _sub, p_power_exponent)
 from .geometry import HomogPoly
 from .series import TruncSeries, _new, _unpack
 from . import dynamics
@@ -181,7 +181,7 @@ _TOWERS: Dict[Tuple[FieldSpec, int], Tuple[ExtContext, Optional[FieldSpec]]] = {
 
 
 # ---------------------------------------------------------------------------
-# packed Fbase matrices and row reduction over F_q
+# packed Fbase matrices
 # ---------------------------------------------------------------------------
 
 def _mat_pack(A: Sequence[Sequence[FqElem]], n: int) -> Mat:
@@ -218,71 +218,6 @@ def _mat_inv(A: Sequence[Sequence[FqElem]]) -> Optional[List[List[FqElem]]]:
     if out[-1][0][0] >= n:
         return None
     return [list(_unpack(field, sh, v >> (n * S))) for _, v in out]
-
-
-def _echelon(fq: "FqStructure", sh: _Shape, rows: Sequence[int],
-             out: List[Tuple[Tuple[int, int], int]]) -> List[Tuple[Tuple[int, int], int]]:
-    """Reduced row echelon form over F_q of packed rows over Fbase, whose
-    columns are the F_q-coordinates of the coefficients in order: the nonzero
-    rows as ((slot, coordinate) of the pivot, row), sorted by pivot, each
-    with pivot coordinate 1 that is 0 in every other row.  ``out`` is
-    extended in place, so adding a row costs one pass over those reduced."""
-    L = sh.L
-    S, slot = L.S, L.slot
-    for v in rows:
-        for (j, i), r in out:
-            c = fq.coords(L, (v >> (j * S)) & slot)[i]
-            if c:
-                v = _sub(sh, v, _reduce(sh, c * r))
-        if not v:
-            continue
-        j = ((v & -v).bit_length() - 1) // S
-        i, c = next(ic for ic in enumerate(fq.coords(L, (v >> (j * S)) & slot)) if ic[1])
-        v = _reduce(sh, _inv(L, c) * v)
-        for k, (key, r) in enumerate(out):
-            c = fq.coords(L, (r >> (j * S)) & slot)[i]
-            if c:
-                out[k] = (key, _sub(sh, r, _reduce(sh, c * v)))
-        insort(out, ((j, i), v))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# F_q structure inside Fbase
-# ---------------------------------------------------------------------------
-
-class FqStructure:
-    """The subfield F_q of Fbase (q = p^e) and the F_q-coordinates of Fbase
-    in the basis 1, a, .., a^(s-1), s = m/e.  These are the first powers of
-    the generator a that are F_q-independent, since the minimal polynomial
-    g of a over F_q has degree s; a^t for t >= s reduces by g."""
-
-    def __init__(self, field: FieldSpec, e: int):
-        p, m = field.p, field.m
-        if m % e:
-            raise DegreeMismatch(
-                f"F_q with q = {p}^{e} is not a subfield of F_{{{p}^{m}}}")
-        self.field, self.e, self.q, self.s = field, e, p ** e, m // e
-        s = self.s
-        self.cols: List[List[Tuple[int, ...]]] = []  # [t][i]: F_p digits of coordinate i of a^t
-        if s > 1:
-            a, zero = field.gen(), field.zero()
-            g = [field.one()]  # prod over l < s of (Y - a^(q^l))
-            for l in range(s):
-                c = -a.frobenius(e * l)
-                g = [x + c * y for x, y in zip([zero] + g, g + [zero])]
-            co = [field.one()] + [zero] * (s - 1)
-            for _ in range(m):
-                self.cols.append([x.coeffs for x in co])
-                co = [x - co[-1] * y for x, y in zip([zero] + co[:-1], g)]
-
-    def coords(self, L: _Layout, x: int) -> List[int]:
-        """The s F_q-coordinates of the packed coefficient x, packed."""
-        if self.s == 1:
-            return [x]
-        p, ds = L.p, L.digits(x)
-        return [L.pack([sum(d * col[i][u] for d, col in zip(ds, self.cols)) % p
-                        for u in range(L.m)]) for i in range(self.s)]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from frobdml.instances import fixture_path, parse_instance
 from frobdml.lifting import point_galois, sigma_fixed_lift
 from frobdml.series import (MAX_PREC, AtPrecisionZero, TruncSeries,
                             format_series, parse_series)
+from frobdml.twist import _mat_inv
 
 from conftest import (eval_reference, extension, field_for, fq_det, identity_matrix,
                       poly_mul_reference, rand_exponents, rand_point, t_power, rand_suite_map,
@@ -196,6 +197,7 @@ def test_unit_det_matches_elimination_and_cofactor():
                 mod_t = [[s.change_precision(1) for s in row] for row in A]
                 assert got == cofactor_det(mod_t).is_unit(), (p, m, n, kind)
                 assert got == (not fq_det(M).is_zero()), (p, m, n, kind)
+                assert got == (_mat_inv(M) is not None), (p, m, n, kind)
                 key = (kind, got, mixed)
                 seen[key] = seen.get(key, 0) + 1
     assert not any(kind == "singular" and got for kind, got, _ in seen)

@@ -65,6 +65,15 @@ def test_twist_command_loads_neither_lifting_nor_returns():
     assert not {"frobdml.lifting", "frobdml.returns"} & loaded
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate", f"{FIX}/f1.json"),
+    ("compose", f"{FIX}/f3.json", "--times", "2", "--recognize", "4"),
+])
+def test_unit_determinant_commands_load_no_twist(argv):
+    # both run dynamics._unit_det, whose row reduction lives in field
+    assert "frobdml.twist" not in imported_by_command(*argv)
+
+
 def test_module_run_writes_nothing_to_stderr():
     # runpy warns on stderr when the package has already imported frobdml.cli
     res = python("-m", "frobdml.cli", "validate", f"{FIX}/f1.json")
