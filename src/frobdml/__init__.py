@@ -8,7 +8,8 @@ The package is organized bottom-up:
               layout and its kernels, which every element, series and
               tower element uses; row echelon form over F_q
     series    truncated power series k[[t]]/(t^prec) and the Galois action
-    geometry  projective points, homogeneous polynomials, subvarieties
+    geometry  projective points and the Galois action on them,
+              homogeneous polynomials, subvarieties
     dynamics  the structured map family, validation, orbits, composition;
               determinants and inverses over O_K
     twist     the semilinear equation B^(q) = A*B and map normalization;
@@ -34,14 +35,14 @@ _EXPORTS = {
               "SearchExhausted UnsupportedQ ValidationFailure",
     "field": "FieldSpec FqElem format_element make_field parse_element",
     "series": "AtPrecisionZero TruncSeries format_series parse_series",
-    "geometry": "HomogPoly ProjPoint Subvariety eval_hom format_poly point_variety "
-                "proj_eq reduce_point",
+    "geometry": "HomogPoly ProjPoint Subvariety eval_hom format_poly point_galois "
+                "point_variety proj_eq reduce_point",
     "dynamics": "ConditionsReport DmlMap GeneralMap NotInForm apply_map "
                 "check_conditions compose_maps iterate_map orbit preimage_qp "
                 "recognize_dml_form validate_map",
     "twist": "TwistSolution count_solutions_exhaustive normalize_conjugate solve_twist",
     "lifting": "SigmaFixedLift critical_witness detect_residue_degree "
-               "invariance_evidence minimal_period point_galois sigma_fixed_lift",
+               "invariance_evidence minimal_period sigma_fixed_lift",
     "returns": "APDecomposition ReturnSet ap_decompose decompose_oracle "
                "default_threshold return_set",
     "instances": "Instance fixture_path format_instance parse_instance "

@@ -39,6 +39,7 @@ from .geometry import (
     HomogPoly,
     ProjPoint,
     _monomials,
+    _point_galois,
     _sums,
     eval_hom_coords,
     normalize,
@@ -454,15 +455,23 @@ def apply_map(f: AnyMap, P: ProjPoint,
     sum in runs for r-slot products, with one call of geometry._sums.
 
     A map coefficient known below the point precision raises
-    PrecisionExhausted (_build_sections gives the order).  ``pivot_inv``
-    goes to normalize as a start for the image's pivot inverse.  Without
-    one, a DmlMap whose coefficients sigma = Frob_(p^e) fixes (e % e0 == 0)
-    starts from sigma(P.pivot_inv) when P carries one: the raw image of
-    sigma(Q) is sigma of that of Q, so on a Galois orbit, such as a
-    sigma-fixed lift's forward orbit, where P = f(Q) = sigma(Q) up to
-    normalization, that start is the exact inverse.  Elsewhere it is only a
-    guess; TruncSeries.inverse trusts a start only as far as one product
-    measures it, so a wrong start costs that product and changes no digit."""
+    PrecisionExhausted (_build_sections gives the order).
+
+    A Galois orbit skips the division.  When P was normalized from raw
+    coordinates R (P.raw) and the raw image of a DmlMap equals sigma(R)
+    coordinate for coordinate, sigma = Frob_(p^e), the image is
+    point_galois(P, e), with that raw image as its raw: sigma is a field
+    automorphism fixing t, so valuations, units, the pivot index, the shift
+    and the quotients commute with it, and normalize(sigma(R)) =
+    sigma(normalize(R)) = sigma(P) exactly.  On the forward orbit of a
+    sigma-fixed lift, f(P) = sigma(P) up to normalization, so every step
+    after the lift's certificate takes it.  The equality is checked, not
+    assumed from the map, and the check stops at the first coordinate that
+    differs; TruncSeries equality compares precision too, so a point that
+    consumed precision never matches.  Otherwise the raw image is
+    normalized, with ``pivot_inv`` as a start for its pivot's inverse
+    (TruncSeries.inverse measures a start with one product, so a wrong one
+    changes no digit)."""
     if f.field != P.field:
         raise FieldMismatch("map and point over different fields")
     if f.N != P.N:
@@ -490,9 +499,9 @@ def apply_map(f: AnyMap, P: ProjPoint,
             else:
                 X = _reduce(sh, next(Fs))
             imgs.append(_new(field, n, X))
-    if pivot_inv is None and P.pivot_inv is not None and isinstance(f, DmlMap) \
-            and f.e % f.e0 == 0:
-        pivot_inv = P.pivot_inv.galois(f.e)
+        R = P.raw
+        if R is not None and all(a == b.galois(f.e) for a, b in zip(imgs, R)):
+            return _point_galois(P, f.e, tuple(imgs))
     Q = normalize(imgs, pivot_inv=pivot_inv)
     if Q.consumed:
         raise PrecisionExhausted(

@@ -5,7 +5,8 @@ absolute precision, the minimum coordinate valuation is 0, and the first
 valuation-0 coordinate equals the exact series 1.  Canonicalization divides
 by t^v via an index shift, consuming v digits of absolute precision (the
 consumed amount is recorded), then divides by the pivot unit, which costs
-no precision.
+no precision.  A point keeps the coordinates it was divided from; the
+Galois action ``point_galois`` moves them with the point.
 
 Homogeneous polynomials are exponent-vector -> coefficient maps.  One
 collector of like terms, ``_collect``, sums checked terms and products of
@@ -44,8 +45,10 @@ Terms = Union[Mapping[ExpVec, TruncSeries], Iterable[Tuple[ExpVec, TruncSeries]]
 
 
 class ProjPoint:
-    # pivot_inv: set by normalize, the inverse of the pivot it divided by
-    __slots__ = ("field", "N", "prec", "coords", "consumed", "pivot_inv")
+    # pivot_inv, raw: set by normalize, the inverse of the pivot it divided
+    # by and the coordinates it divided, so normalize(P.raw) == P in coords,
+    # consumed and pivot_inv; None on a point built any other way
+    __slots__ = ("field", "N", "prec", "coords", "consumed", "pivot_inv", "raw")
 
     def __init__(self, field: FieldSpec, coords: Sequence[TruncSeries],
                  consumed: int = 0, _trusted: bool = False):
@@ -59,6 +62,7 @@ class ProjPoint:
         self.prec = coords[0].prec
         self.consumed = consumed
         self.pivot_inv: Optional[TruncSeries] = None
+        self.raw: Optional[Tuple[TruncSeries, ...]] = None
 
     def __eq__(self, other):
         return (isinstance(other, ProjPoint) and self.field == other.field
@@ -80,17 +84,18 @@ def normalize(raw: Sequence[TruncSeries],
     absolute precision), then scales so the first unit coordinate is
     exactly 1.  ``pivot_inv`` is a start for the pivot's inverse (see
     TruncSeries.inverse; a wrong one costs a product, never a digit), and
-    the inverse found is kept on the point as its ``pivot_inv``.
+    the inverse found is kept on the point as its ``pivot_inv``, and
+    ``raw`` itself as its ``raw``.
     """
-    coords = list(raw)
-    if len(coords) < 2:
+    raw = tuple(raw)
+    if len(raw) < 2:
         raise DimensionMismatch("a projective point needs at least 2 coordinates")
-    field = coords[0].field
-    for c in coords[1:]:
+    field = raw[0].field
+    for c in raw[1:]:
         if c.field != field:
             raise FieldMismatch("mixed coordinate fields")
-    prec = min(c.prec for c in coords)
-    coords = [c.change_precision(prec) for c in coords]
+    prec = min(c.prec for c in raw)
+    coords = [c.change_precision(prec) for c in raw]
     vals = []
     for c in coords:
         v = c.valuation()
@@ -111,7 +116,31 @@ def normalize(raw: Sequence[TruncSeries],
            for i, c in enumerate(coords)]
     P = ProjPoint(field, out, consumed=v, _trusted=True)
     P.pivot_inv = u_inv
+    P.raw = raw
     return P
+
+
+def point_galois(P: ProjPoint, e: int, inverse: bool = False,
+                 times: int = 1) -> ProjPoint:
+    """Coefficientwise Frob_{p^e}^(+-times) on every coordinate; canonical
+    form is preserved (the pivot 1 is fixed and valuations do not move).
+
+    The same action moves P.pivot_inv and P.raw (None stays None).  It is a
+    field automorphism fixing t, so valuations, units, the pivot index and
+    the quotients commute with it: normalize(sigma(R)) = sigma(normalize(R))
+    coordinate for coordinate, consumed precision and pivot inverse
+    included, and the moved point keeps normalize(Q.raw) == Q."""
+    k = -e * times if inverse else e * times
+    return _point_galois(P, k, None if P.raw is None else tuple(c.galois(k) for c in P.raw))
+
+
+def _point_galois(P: ProjPoint, k: int, raw: Optional[Tuple[TruncSeries, ...]]) -> ProjPoint:
+    """point_galois by Frob_(p^k), given the moved raw coordinates."""
+    Q = ProjPoint(P.field, [c.galois(k) for c in P.coords], P.consumed, _trusted=True)
+    if P.pivot_inv is not None:
+        Q.pivot_inv = P.pivot_inv.galois(k)
+    Q.raw = raw
+    return Q
 
 
 def reduce_point(P: ProjPoint) -> Tuple[FqElem, ...]:

@@ -28,10 +28,14 @@ ceil(log2(p)) of them), and the certificate's inverse costs only the product
 that measures its start.  TruncSeries.inverse trusts a start only as far as
 that product shows, so no digit of any result changes, and the certificate
 is the same test as without it.  L.lift is the certificate's last point,
-sigma^{-1} of the normalized image f(P~), so it carries sigma^{-1} of that
-image's pivot inverse, and point_galois moves the inverse with the point:
-when Frob_q fixes the map's coefficients, apply_map on a lift or on any of
-its Galois conjugates starts from the exact inverse (see apply_map).
+sigma^{-1} of the normalized image f(P~), and point_galois moves that
+image's raw coordinates and pivot inverse with it.  f(L.lift) repeats that
+image bit for bit, so apply_map finds its raw image equal to sigma of
+L.lift's raw coordinates and returns sigma(L.lift) without dividing (see
+apply_map).  When Frob_q fixes the map's coefficients the same holds at
+every step of the forward orbit of a lift or of any of its Galois
+conjugates: walks from a lift, for its period, its witnesses and its
+return sets, evaluate f at every step and never normalize.
 
 Induction gives f^n(P~) = sigma^n(P~), so the forward orbit of P~ is periodic
 with period dividing the degree over F_q of the coefficient field of P~, and
@@ -52,7 +56,8 @@ from .errors import (
     PreconditionMatrixNotIdentityModT,
 )
 from .field import FqElem
-from .geometry import ProjPoint, Subvariety, _meets, eval_hom_coords, proj_eq, reduce_point
+from .geometry import (ProjPoint, Subvariety, _meets, eval_hom_coords, point_galois, proj_eq,
+                       reduce_point)
 from .record import MutableRecord
 from .series import TruncSeries
 
@@ -70,24 +75,6 @@ class SigmaFixedLift:
     def __repr__(self):
         return (f"SigmaFixedLift(prec={self.lift.prec}, "
                 f"residue_degree={self.residue_degree})")
-
-
-def point_galois(P: ProjPoint, e: int, inverse: bool = False,
-                 times: int = 1) -> ProjPoint:
-    """Coefficientwise Frob_{p^e}^(+-times) on every coordinate; canonical
-    form is preserved (the pivot 1 is fixed and valuations do not move).
-
-    The same action moves P.pivot_inv, the inverse of the pivot of the raw
-    image that P was normalized from (None stays None): the raw image of
-    sigma(P) is sigma of that of P when sigma fixes the map, so the moved
-    inverse is the one that image's pivot needs, and apply_map uses it as
-    a start.  A start is only measured, never trusted, so a point whose
-    inverse does not fit gets the same digits."""
-    coords = [c.galois(e * times, inverse=inverse) for c in P.coords]
-    Q = ProjPoint(P.field, coords, _trusted=True)
-    if P.pivot_inv is not None:
-        Q.pivot_inv = P.pivot_inv.galois(e * times, inverse=inverse)
-    return Q
 
 
 def _require_identity_mod_t(f: DmlMap) -> None:

@@ -1,13 +1,15 @@
 import random
+from functools import partial
 
 import pytest
 
-from frobdml import lifting, twist
+from frobdml import dynamics, geometry, lifting, twist
 from frobdml.dynamics import DmlMap, apply_map
 from frobdml.errors import (NonCanonicalBasePoint, PrecisionExhausted,
                             PrecisionTooLow, PreconditionMatrixNotIdentityModT)
 from frobdml.field import make_field
-from frobdml.geometry import HomogPoly, ProjPoint, point_variety, proj_eq, reduce_point
+from frobdml.geometry import (HomogPoly, ProjPoint, normalize, point_variety, proj_eq,
+                              reduce_point)
 from frobdml.instances import fixture_path, parse_instance
 from frobdml.lifting import (SigmaFixedLift, critical_witness, detect_residue_degree,
                              invariance_evidence, minimal_period, point_galois,
@@ -142,20 +144,24 @@ def test_point_galois_carries_the_pivot_inverse():
     assert moved >= 3
 
 
-def test_walks_from_a_lift_start_every_inverse_exactly(monkeypatch):
+def counted(calls, name, fn):
+    """fn, appending name to calls on every call."""
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return spy
+
+
+def test_walks_from_a_lift_never_normalize(monkeypatch):
     # f(P~) = sigma(P~): along the forward orbit of a lift and of its Galois
-    # conjugates every apply_map gets sigma of its point's pivot inverse, the
-    # exact inverse, including the first step from L.lift
-    found = []
-    inverse = TruncSeries.inverse
-
-    def spy(u, start=None):
-        inv = inverse(u, start)
-        found.append((start, inv))
-        return inv
-
+    # conjugates every raw image is sigma of its point's raw coordinates, so
+    # no step divides, the first step from L.lift included
+    calls = []
+    spy = partial(counted, calls)
     rng = random.Random(5153)
     seen = set()
+    steps = 0
+    step = dynamics.apply_map
     for i in range(40):
         f = rand_suite_map(rng, prec=48)
         seen.add((f.p, f.field.m))
@@ -163,8 +169,11 @@ def test_walks_from_a_lift_start_every_inverse_exactly(monkeypatch):
         L = sigma_fixed_lift(f, rand_residue_point(rng, f), rng.choice((5, 17, 32, 48)))
         V = point_variety(point_galois(L.lift, f.e, times=rng.randrange(3)))
         tau = default_threshold(L.lift.prec)
-        monkeypatch.setattr(TruncSeries, "inverse", spy)
-        found.clear()
+        monkeypatch.setattr(dynamics, "normalize", spy("normalize", geometry.normalize))
+        monkeypatch.setattr(geometry, "normalize", spy("normalize", geometry.normalize))
+        monkeypatch.setattr(TruncSeries, "inverse", spy("inverse", TruncSeries.inverse))
+        monkeypatch.setattr(dynamics, "apply_map", spy("apply_map", step))
+        calls.clear()
         cur = L.lift
         for _ in range(2 * m):
             cur = apply_map(f, cur)
@@ -172,14 +181,15 @@ def test_walks_from_a_lift_start_every_inverse_exactly(monkeypatch):
         minimal_period(f, L)
         critical_witness(f, L, min(i % 4, L.lift.prec))
         monkeypatch.undo()
-        assert found and all(s is not None and s == inv for s, inv in found), (i, f)
+        assert set(calls) <= {"apply_map"}, (i, f, sorted(set(calls)))
+        steps += len(calls)
     assert seen == {(p, m) for p in (2, 3, 5) for m in (1, 2, 3)}
+    assert steps >= 40 * 4
 
 
-def with_start(P, start):
-    Q = ProjPoint(P.field, P.coords, consumed=P.consumed, _trusted=True)
-    Q.pivot_inv = start
-    return Q
+def stripped(P):
+    """P as a point built without normalize: no raw, no pivot inverse."""
+    return ProjPoint(P.field, P.coords, consumed=P.consumed, _trusted=True)
 
 
 def outer_coefficients(f):
@@ -192,10 +202,81 @@ def outer_coefficients(f):
     return DmlMap(F, f.p, f.e, f.A, G)
 
 
+def plain_first_row(f):
+    """f with G_0 = 0: f_0 = x_0^q, so a raw point whose first coordinate
+    is the series 1 keeps it under f, whatever its other coordinates."""
+    return DmlMap(f.field, f.p, f.e, f.A, (HomogPoly.zero(f.field, f.N, f.G[0].degree),) + f.G[1:])
+
+
+def sample_points(rng, f, n):
+    """Lifts, their conjugates, orbit and off-orbit points, one with
+    consumed precision, each with its raw coordinates, all at precision n."""
+    F, e = f.field, f.e
+    L = sigma_fixed_lift(f, rand_residue_point(rng, f), n).lift
+    P = normalize(rand_point(rng, F, f.N, n).coords)
+    t = TruncSeries(F, n + 1, [F.zero(), F.one()])
+    shifted = normalize([c.change_precision(n + 1) * t for c in P.coords])
+    assert shifted.consumed == 1 and shifted.prec == n
+    one = normalize([TruncSeries.one(F, n)] + list(P.coords[1:]))
+    pts = [L, point_galois(L, e, times=2), point_galois(L, e, inverse=True),
+           apply_map(f, L), P, apply_map(f, P), shifted, point_galois(shifted, e), one]
+    return pts + [apply_map(f, Q) for Q in pts[-2:]]
+
+
+def suite_maps(rng, count):
+    """Random A = I maps; every third with coefficients sigma moves when it
+    can, every third with G_0 = 0."""
+    for i in range(count):
+        f = rand_suite_map(rng, prec=24)
+        if i % 3 == 2 and f.field.m > 1 and f.e % f.field.m:
+            f = outer_coefficients(f)
+        elif i % 3 == 1:
+            f = plain_first_row(f)
+        yield f
+
+
+def test_normalize_keeps_its_raw_coordinates():
+    # normalize(P.raw) == P in coords, consumed and pivot_inv, on every point
+    # normalize, apply_map and point_galois return
+    rng = random.Random(5156)
+    kinds = set()
+    for f in suite_maps(rng, 36):
+        e = f.e
+        for Q in sample_points(rng, f, rng.choice((1, 3, 9, 24))):
+            for R in (Q, apply_map(f, Q), point_galois(Q, e), point_galois(Q, e, inverse=True)):
+                ref = normalize(R.raw)
+                assert [c.packed for c in ref.coords] == [c.packed for c in R.coords]
+                assert ref.coords == R.coords and ref.prec == R.prec
+                assert ref.consumed == R.consumed and ref.pivot_inv == R.pivot_inv
+                kinds.add((R.prec, R.consumed > 0, f.e % f.e0 == 0))
+    assert {k[1:] for k in kinds} == {(False, True), (True, True), (False, False), (True, False)}
+    assert {k[0] for k in kinds} == {1, 3, 9, 24}
+
+
+def test_apply_map_digits_do_not_depend_on_raw(monkeypatch):
+    # a point with raw and pivot_inv stripped is always normalized; the
+    # result is the same whether or not the raw image was sigma of the raw
+    divided, total = [], 0
+    rng = random.Random(5157)
+    for f in suite_maps(rng, 36):
+        for Q in sample_points(rng, f, rng.choice((1, 3, 9, 24))):
+            total += 1
+            monkeypatch.setattr(dynamics, "normalize",
+                                counted(divided, "normalize", geometry.normalize))
+            got = apply_map(f, Q)
+            monkeypatch.undo()
+            ref = apply_map(f, stripped(Q))
+            assert [c.packed for c in got.coords] == [c.packed for c in ref.coords]
+            assert got.pivot_inv == ref.pivot_inv and got.consumed == ref.consumed
+            assert got.raw == ref.raw
+    assert 0 < len(divided) < total    # both routes ran
+
+
 def test_apply_map_digits_do_not_depend_on_the_start():
-    # none, the exact start, sigma^{-1} of it, a random unit, or the exact
-    # start truncated: the same image packings and the same inverse found,
-    # on lifts and their conjugates, on points off the orbit, on points that
+    # none, the exact start, sigma^{-1} of it, a random unit, the exact
+    # start truncated, or the point's own pivot inverse as apply_map's
+    # pivot_inv: the same image packings and the same inverse found, on
+    # lifts and their conjugates, on points off the orbit, on points that
     # consumed precision, and on maps whose sigma moves a coefficient
     rng = random.Random(5154)
     kinds = set()
@@ -211,13 +292,13 @@ def test_apply_map_digits_do_not_depend_on_the_start():
         shifted = ProjPoint(F, [c * t.change_precision(n) for c in P.coords])
         assert shifted.consumed == 1
         for Q in (L.lift, point_galois(L.lift, e, times=2), P, apply_map(f, P), shifted):
-            ref = apply_map(f, with_start(Q, None))
+            ref = apply_map(f, stripped(Q))
             exact = ref.pivot_inv.galois(e, inverse=True)   # sigma takes it to the inverse
             unit = TruncSeries(F, rng.randint(1, n + 2), [F.from_int(rng.randrange(1, F.order))]
                                + [F.from_int(rng.randrange(F.order)) for _ in range(n + 1)])
             for start in (None, exact, exact.galois(e, inverse=True), unit,
                           exact.change_precision(max(1, Q.prec // 2)), Q.pivot_inv):
-                got = apply_map(f, with_start(Q, start))
+                got = apply_map(f, stripped(Q), pivot_inv=start)
                 assert [c.packed for c in got.coords] == [c.packed for c in ref.coords]
                 assert got.pivot_inv == ref.pivot_inv and got.consumed == ref.consumed
             kinds.add((Q.consumed > 0, f.e % f.e0 == 0))

@@ -4,6 +4,7 @@ dataclasses."""
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,34 @@ def test_no_assert_statement_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert paths and found == []
+
+
+def test_every_module_imports_only_layers_below_it():
+    # the order of __init__'s layer table is the import order: a module
+    # imports, at top level or inside a function, only modules listed above
+    # it, and errors and record, which import no module of the package
+    pkg = ROOT / "src" / "frobdml"
+    layers = [m.group(1) for m in re.finditer(r"^    ([a-z]+) ", frobdml.__doc__, re.M)]
+    assert layers[:4] == ["poly", "field", "series", "geometry"] and layers[-1] == "cli"
+    leaves = {"errors", "record"}
+    rank = {name: i for i, name in enumerate(layers)}
+    bad, seen = [], set()
+    for path in sorted(pkg.glob("*.py")):
+        importer = path.stem
+        if importer == "__init__":
+            continue
+        assert importer in rank or importer in leaves, importer
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom) or node.level != 1:
+                continue
+            names = [a.name for a in node.names] if node.module is None else [node.module]
+            for name in names:
+                seen.add((importer, name))
+                if importer in leaves or name not in leaves and not rank[name] < rank[importer]:
+                    bad.append(f"{path.name}:{node.lineno}: {name}")
+    assert bad == []
+    assert ("lifting", "dynamics") in seen and ("cli", "lifting") in seen
+    assert ("dynamics", "lifting") not in seen
 
 
 # ---------------------------------------------------------------------------
