@@ -426,11 +426,10 @@ def _build_sections(f: DmlMap, n: int) -> tuple:
     return list(index)[f.N + 1:], rows, sums
 
 
-def apply_map(f: AnyMap, P: ProjPoint,
-              pivot_inv: Optional[TruncSeries] = None) -> ProjPoint:
-    """One application, canonical output at the same absolute precision.
+def _raw_image(f: DmlMap, coords: Sequence[TruncSeries]) -> List[TruncSeries]:
+    """The image coordinates f_i(x), unnormalized, at the precision n of x.
 
-    A DmlMap is evaluated through p-sections when r = ceil(n/p) >=
+    They are evaluated through p-sections when r = ceil(n/p) >=
     SECTION_MIN_R.  Every coefficient splits as
     c = sum_(k<p) t^k * d_k(c)^p (see TruncSeries.frobenius_power), and
     every monomial of f is a p-th power, so
@@ -454,8 +453,34 @@ def apply_map(f: AnyMap, P: ProjPoint,
     digits.  A dilated monomial has at most r nonzero slots, so both routes
     sum in runs for r-slot products, with one call of geometry._sums.
 
-    A map coefficient known below the point precision raises
-    PrecisionExhausted (_build_sections gives the order).
+    The coordinates share one precision n.  A map coefficient known below
+    n raises PrecisionExhausted (_build_sections gives the order)."""
+    field, n, p = f.field, coords[0].prec, f.p
+    monos, rows, sums = f._sections(n)
+    sh = field._kron[n]
+    r = -(-n // p)
+    mask = (1 << (r * sh.L.S)) - 1
+    X = [c.packed & mask for c in coords]
+    vals = [_dilate(sh, field, x, r, f.e - 1) for x in X] + _monomials(sh, mask, X, monos)
+    sectioned = r >= SECTION_MIN_R
+    if not sectioned:
+        mask = sh.mask
+        vals = [_dilate(sh, field, v, n, 1) for v in vals]
+    Fs = iter(_sums(sh, mask, _run_cap(field, sh.L.w, r), vals, sums))
+    imgs = []
+    for ks in rows:
+        if sectioned:
+            X = _reduce(sh, _scatter(sh.L, n, p, [(k, next(Fs)) for k in ks]))
+            X = _galois(sh, X, 1) if field.m > 1 else X
+        else:
+            X = _reduce(sh, next(Fs))
+        imgs.append(_new(field, n, X))
+    return imgs
+
+
+def apply_map(f: AnyMap, P: ProjPoint) -> ProjPoint:
+    """One application, canonical output at the same absolute precision:
+    the raw image (_raw_image for a DmlMap), normalized.
 
     A Galois orbit skips the division.  When P was normalized from raw
     coordinates R (P.raw) and the raw image of a DmlMap equals sigma(R)
@@ -469,9 +494,7 @@ def apply_map(f: AnyMap, P: ProjPoint,
     assumed from the map, and the check stops at the first coordinate that
     differs; TruncSeries equality compares precision too, so a point that
     consumed precision never matches.  Otherwise the raw image is
-    normalized, with ``pivot_inv`` as a start for its pivot's inverse
-    (TruncSeries.inverse measures a start with one product, so a wrong one
-    changes no digit)."""
+    normalized."""
     if f.field != P.field:
         raise FieldMismatch("map and point over different fields")
     if f.N != P.N:
@@ -479,30 +502,11 @@ def apply_map(f: AnyMap, P: ProjPoint,
     if isinstance(f, GeneralMap):
         imgs = eval_hom_coords(f.coords, P.coords)
     else:
-        field, n, p = f.field, P.prec, f.p
-        monos, rows, sums = f._sections(n)
-        sh = field._kron[n]
-        r = -(-n // p)
-        mask = (1 << (r * sh.L.S)) - 1
-        X = [c.packed & mask for c in P.coords]
-        vals = [_dilate(sh, field, x, r, f.e - 1) for x in X] + _monomials(sh, mask, X, monos)
-        sectioned = r >= SECTION_MIN_R
-        if not sectioned:
-            mask = sh.mask
-            vals = [_dilate(sh, field, v, n, 1) for v in vals]
-        Fs = iter(_sums(sh, mask, _run_cap(field, sh.L.w, r), vals, sums))
-        imgs = []
-        for ks in rows:
-            if sectioned:
-                X = _reduce(sh, _scatter(sh.L, n, p, [(k, next(Fs)) for k in ks]))
-                X = _galois(sh, X, 1) if field.m > 1 else X
-            else:
-                X = _reduce(sh, next(Fs))
-            imgs.append(_new(field, n, X))
+        imgs = _raw_image(f, P.coords)
         R = P.raw
         if R is not None and all(a == b.galois(f.e) for a, b in zip(imgs, R)):
             return _point_galois(P, f.e, tuple(imgs))
-    Q = normalize(imgs, pivot_inv=pivot_inv)
+    Q = normalize(imgs)
     if Q.consumed:
         raise PrecisionExhausted(
             f"image lies in t^{Q.consumed}*O^(N+1); the map drops precision here")
@@ -753,14 +757,10 @@ def preimage_qp(f: DmlMap, P: ProjPoint) -> ProjPoint:
         R.append(acc)
     # the stored representative of P differs from M * (preimage)^(p) by a
     # unit series, so membership can only be read off after renormalizing
-    # at the first unit coordinate (which the p-power forces to be 1)
-    i0 = next((i for i, r in enumerate(R)
-               if not r.constant_term().is_zero()), None)
-    if i0 is None:
-        raise NotInImage("solved vector has no unit coordinate at this precision")
-    u = R[i0]
-    if not u.is_one():
-        R = [r / u for r in R]
+    # at the first unit coordinate (which the p-power forces to be 1).  M
+    # is invertible mod t and P is nonzero mod t, so R has a unit coordinate
+    # and normalize consumes nothing
+    R = normalize(R).coords
     # r = sum_(k<p) t^k * d_k^p (TruncSeries.frobenius_power): r is a p-th
     # power exactly when every section k >= 1 vanishes, and then Q = d_0
     p, K = f.p, field._kron

@@ -45,10 +45,10 @@ Terms = Union[Mapping[ExpVec, TruncSeries], Iterable[Tuple[ExpVec, TruncSeries]]
 
 
 class ProjPoint:
-    # pivot_inv, raw: set by normalize, the inverse of the pivot it divided
-    # by and the coordinates it divided, so normalize(P.raw) == P in coords,
-    # consumed and pivot_inv; None on a point built any other way
-    __slots__ = ("field", "N", "prec", "coords", "consumed", "pivot_inv", "raw")
+    # raw: set by normalize, the coordinates it divided, so
+    # normalize(P.raw) == P in coords and consumed; None on a point built
+    # any other way
+    __slots__ = ("field", "N", "prec", "coords", "consumed", "raw")
 
     def __init__(self, field: FieldSpec, coords: Sequence[TruncSeries],
                  consumed: int = 0, _trusted: bool = False):
@@ -61,7 +61,6 @@ class ProjPoint:
         self.coords = tuple(coords)
         self.prec = coords[0].prec
         self.consumed = consumed
-        self.pivot_inv: Optional[TruncSeries] = None
         self.raw: Optional[Tuple[TruncSeries, ...]] = None
 
     def __eq__(self, other):
@@ -76,16 +75,13 @@ class ProjPoint:
         return f"[{inner}]"
 
 
-def normalize(raw: Sequence[TruncSeries],
-              pivot_inv: Optional[TruncSeries] = None) -> ProjPoint:
+def normalize(raw: Sequence[TruncSeries]) -> ProjPoint:
     """Canonicalize homogeneous coordinates.
 
     Aligns precisions, shifts out the common t-power (consuming that much
     absolute precision), then scales so the first unit coordinate is
-    exactly 1.  ``pivot_inv`` is a start for the pivot's inverse (see
-    TruncSeries.inverse; a wrong one costs a product, never a digit), and
-    the inverse found is kept on the point as its ``pivot_inv``, and
-    ``raw`` itself as its ``raw``.
+    exactly 1, by one cold inverse of the pivot (TruncSeries.inverse).
+    ``raw`` itself is kept on the point as its ``raw``.
     """
     raw = tuple(raw)
     if len(raw) < 2:
@@ -111,11 +107,10 @@ def normalize(raw: Sequence[TruncSeries],
         coords = [c.shift_down(v) for c in coords]
         prec -= v
     pivot = next(i for i, c in enumerate(coords) if c.is_unit())
-    u_inv = coords[pivot].inverse(pivot_inv)
+    u_inv = coords[pivot].inverse()
     out = [c * u_inv if i != pivot else TruncSeries.one(field, prec)
            for i, c in enumerate(coords)]
     P = ProjPoint(field, out, consumed=v, _trusted=True)
-    P.pivot_inv = u_inv
     P.raw = raw
     return P
 
@@ -125,11 +120,11 @@ def point_galois(P: ProjPoint, e: int, inverse: bool = False,
     """Coefficientwise Frob_{p^e}^(+-times) on every coordinate; canonical
     form is preserved (the pivot 1 is fixed and valuations do not move).
 
-    The same action moves P.pivot_inv and P.raw (None stays None).  It is a
-    field automorphism fixing t, so valuations, units, the pivot index and
-    the quotients commute with it: normalize(sigma(R)) = sigma(normalize(R))
-    coordinate for coordinate, consumed precision and pivot inverse
-    included, and the moved point keeps normalize(Q.raw) == Q."""
+    The same action moves P.raw (None stays None).  It is a field
+    automorphism fixing t, so valuations, units, the pivot index and the
+    quotients commute with it: normalize(sigma(R)) = sigma(normalize(R))
+    coordinate for coordinate, consumed precision included, and the moved
+    point keeps normalize(Q.raw) == Q."""
     k = -e * times if inverse else e * times
     return _point_galois(P, k, None if P.raw is None else tuple(c.galois(k) for c in P.raw))
 
@@ -137,8 +132,6 @@ def point_galois(P: ProjPoint, e: int, inverse: bool = False,
 def _point_galois(P: ProjPoint, k: int, raw: Optional[Tuple[TruncSeries, ...]]) -> ProjPoint:
     """point_galois by Frob_(p^k), given the moved raw coordinates."""
     Q = ProjPoint(P.field, [c.galois(k) for c in P.coords], P.consumed, _trusted=True)
-    if P.pivot_inv is not None:
-        Q.pivot_inv = P.pivot_inv.galois(k)
     Q.raw = raw
     return Q
 

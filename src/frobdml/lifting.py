@@ -5,37 +5,43 @@ operator sigma^{-1} o f is a strict t-adic contraction on integral lifts of
 a fixed residue point.  If two lifts agree mod t^k, their q-th powers agree
 mod t^(qk) (char p: x^q - y^q = (x - y)^q), and G, whose coefficients lie in
 the maximal ideal, sees their p-th powers, which agree mod t^(pk); so the
-images agree mod t^(pk) at least, and normalization and sigma^{-1} keep that.
+images agree mod t^(pk) at least, and sigma^{-1} keeps that.
 The unique point P~ over P0 with f(P~) = sigma(P~), where sigma acts
 coefficientwise by Frob_q and fixes t, is therefore reached from P0 with the
 number of correct digits multiplied by p at every step.
 
-sigma_fixed_lift spends precision only as it is earned.  It starts from P0 at
-precision 1 and climbs the ladder ceil(top/p^k), k descending, which ends at
-top = min(prec, map precision).  Since p*ceil(top/p^(k+1)) >= ceil(top/p^k),
-each step goes from n digits to at most p*n, the most one step earns, and a
-lift takes about log_p(top) steps.  A step applies sigma^{-1} o f at
-its target precision, padding the n known digits with exact zeros (the
-padded digits are recomputed by the step).  At prec the plain iteration runs
-until it repeats a point; that final exact fixed-point test at full
-precision, not the rate, certifies the result, which by uniqueness is the
-same point whatever the path.
+The contraction acts on coordinate vectors, not only on points: the
+argument above compares the coordinates of two lifts, not their classes.
+So sigma^{-1} o f has a unique fixed vector X~ congruent to P0 mod t, and
+P~ = normalize(X~).  No step needs a canonical point.
 
-Each step passes its image's pivot inverse to the next apply_map as a start.
-The raw image of the step to n' digits agrees mod t^n with that of the step
-to n, so Newton needs one step per doubling from n to n' (at most
-ceil(log2(p)) of them), and the certificate's inverse costs only the product
-that measures its start.  TruncSeries.inverse trusts a start only as far as
-that product shows, so no digit of any result changes, and the certificate
-is the same test as without it.  L.lift is the certificate's last point,
-sigma^{-1} of the normalized image f(P~), and point_galois moves that
-image's raw coordinates and pivot inverse with it.  f(L.lift) repeats that
-image bit for bit, so apply_map finds its raw image equal to sigma of
-L.lift's raw coordinates and returns sigma(L.lift) without dividing (see
-apply_map).  When Frob_q fixes the map's coefficients the same holds at
-every step of the forward orbit of a lift or of any of its Galois
-conjugates: walks from a lift, for its period, its witnesses and its
-return sets, evaluate f at every step and never normalize.
+sigma_fixed_lift spends precision only as it is earned.  It starts from the
+constant series of P0, which is already canonical, at precision 1, and
+climbs the ladder ceil(top/p^k), k descending, which ends at top =
+min(prec, map precision).  Since p*ceil(top/p^(k+1)) >= ceil(top/p^k),
+each step goes from n digits to at most p*n, the most one step earns, and a
+lift takes about log_p(top) steps.  A step pads the n known digits of the
+vector with exact zeros to its target precision (the padded digits are
+recomputed by the step), takes the raw image (dynamics._raw_image) and
+applies sigma^{-1}: no step divides.  After the last step the vector is X~
+mod t^top.  It is padded to prec and normalized once, with one cold
+inverse of its pivot, and one apply_map certifies the result: sigma^{-1} of
+the image must repeat the point exactly, which fails when the map is known
+below prec.  That exact fixed-point test at full precision, not the rate,
+certifies the result, which by uniqueness is the same point whatever the
+path.  The certificate's raw image is f(X~/u) = u^{-q} sigma(X~) for the
+pivot u of X~, so it equals sigma of the point's raw coordinates X~, and
+apply_map skips the division, exactly when u = 1; otherwise it normalizes
+once more.  A lift therefore divides once or twice.
+
+L.lift is the certificate's last point, sigma^{-1} of the normalized image
+f(P~), and point_galois moves that image's raw coordinates with it.
+f(L.lift) repeats that raw image bit for bit, so apply_map finds its raw
+image equal to sigma of L.lift's raw coordinates and returns sigma(L.lift)
+without dividing (see apply_map).  When Frob_q fixes the map's coefficients
+the same holds at every step of the forward orbit of a lift or of any of
+its Galois conjugates: walks from a lift, for its period, its witnesses and
+its return sets, evaluate f at every step and never normalize.
 
 Induction gives f^n(P~) = sigma^n(P~), so the forward orbit of P~ is periodic
 with period dividing the degree over F_q of the coefficient field of P~, and
@@ -46,7 +52,8 @@ from __future__ import annotations
 from math import gcd
 from typing import List, Sequence, Tuple
 
-from .dynamics import DmlMap, apply_map, coefficient_field_exponent, orbit, orbit_cycle
+from .dynamics import (DmlMap, _raw_image, apply_map, coefficient_field_exponent, orbit,
+                       orbit_cycle)
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -56,8 +63,8 @@ from .errors import (
     PreconditionMatrixNotIdentityModT,
 )
 from .field import FqElem
-from .geometry import (ProjPoint, Subvariety, _meets, eval_hom_coords, point_galois, proj_eq,
-                       reduce_point)
+from .geometry import (ProjPoint, Subvariety, _meets, eval_hom_coords, normalize, point_galois,
+                       proj_eq, reduce_point)
 from .record import MutableRecord
 from .series import TruncSeries
 
@@ -110,44 +117,32 @@ def detect_residue_degree(P: ProjPoint, e: int) -> int:
     return d // gcd(d, e)
 
 
-def _zero_extend(P: ProjPoint, n: int) -> ProjPoint:
-    """P at precision n >= P.prec, the new digits exactly zero; the pivot
-    stays the series 1, so the point stays canonical."""
-    return ProjPoint(P.field, [c.change_precision(n) for c in P.coords], _trusted=True)
-
-
 def sigma_fixed_lift(f: DmlMap, P0: Sequence[FqElem], prec: int) -> SigmaFixedLift:
-    """Iterate sigma^{-1} o f from P0, at the precision each step has earned,
-    until the exact fixed point at the requested precision."""
+    """Iterate sigma^{-1} o f on coordinate vectors from P0, at the precision
+    each step has earned, normalize once at the requested precision, and
+    certify the fixed point with one application."""
     if prec < 1:
         raise PrecisionTooLow("lift precision must be >= 1")
     _require_identity_mod_t(f)
     base = _canonical_residue(f, P0)
-    cur = ProjPoint(f.field, [TruncSeries.from_constant(c, 1) for c in base])
+    X = [TruncSeries.from_constant(c, 1) for c in base]
     # n correct digits earn p*n.  A map known below prec climbs only to its
-    # own precision, so the full-precision loop reports the shortfall.
+    # own precision, so the certificate at prec reports the shortfall.
     top = min(prec, f.coefficient_precision())
-    ladder = []     # ceil(top/p^k), k = 0, 1, .. while above cur.prec
+    ladder = []     # ceil(top/p^k), k = 0, 1, .. while above 1
     n = top
-    while n > cur.prec:
+    while n > 1:
         ladder.append(n)
         n = -(-n // f.p)
-    inv = None      # the last image's pivot inverse, a start for the next
     for n in reversed(ladder):
-        img = apply_map(f, _zero_extend(cur, n), pivot_inv=inv)
-        inv = img.pivot_inv
-        cur = point_galois(img, f.e, inverse=True)
-    cur = _zero_extend(cur, prec)
-    for _ in range(prec + 2):
-        img = apply_map(f, cur, pivot_inv=inv)
-        inv = img.pivot_inv
-        nxt = point_galois(img, f.e, inverse=True)
-        fixed = nxt.coords == cur.coords
-        cur = nxt   # once fixed, cur's coordinates with their image's pivot inverse
-        if fixed:
-            break
-    else:
+        X = [c.galois(f.e, inverse=True)
+             for c in _raw_image(f, [c.change_precision(n) for c in X])]
+    cur = normalize([c.change_precision(prec) for c in X])
+    img = apply_map(f, cur)
+    nxt = point_galois(img, f.e, inverse=True)
+    if nxt.coords != cur.coords:
         raise AssertionError("contraction failed to reach a fixed point")
+    cur = nxt   # cur's coordinates, with sigma^{-1} of the raw image f(P~) as raw
     if reduce_point(cur) != base:
         raise AssertionError("lift does not reduce to the base point")
     if not proj_eq(img, point_galois(cur, f.e)):

@@ -231,50 +231,35 @@ class TruncSeries:
         sh = self.field._kron[n]
         return _new(self.field, n, _reduce(sh, (X * Y) & sh.mask))
 
-    def inverse(self, start: Optional["TruncSeries"] = None) -> "TruncSeries":
+    def inverse(self) -> "TruncSeries":
         """Inverse of a unit by Newton iteration with precision doubling
         (R. P. Brent, H. T. Kung, "Fast algorithms for manipulating formal
         power series", J. ACM 1978), on the packings alone.
 
-        When v is right mod t^h, u*v = 1 + t^h*d, and for k = min(2h, prec)
-        the step v - t^h*((v mod t^(k-h))*d) is right mod t^k, whatever the
-        digits of v above h: the correction costs one (k-h)-slot product
-        besides the product u*v that gives d.  Every step works in the digit
-        width of prec, whose bound also holds for the shorter products, and
-        truncates with a mask, so no step repacks or builds a TruncSeries.
-
-        ``start``, a guess of any precision, is trusted only as far as it is
-        measured: the product u*start shows its first wrong slot h, and
-        Newton continues from there with d read off that product (from u's
-        constant term if slot 0 is wrong)."""
+        Newton starts from the inverse of the constant term.  When v is right
+        mod t^h, u*v = 1 + t^h*d, and for k = min(2h, prec) the step
+        v - t^h*((v mod t^(k-h))*d) is right mod t^k, whatever the digits of
+        v above h: the correction costs one (k-h)-slot product besides the
+        product u*v that gives d.  Every step works in the digit width of
+        prec, whose bound also holds for the shorter products, and truncates
+        with a mask, so no step repacks or builds a TruncSeries."""
         if not self.is_unit():
             raise NonUnitDivisor(
                 f"valuation {self.valuation()} > 0, cannot invert at fixed precision")
         field, prec, U = self.field, self.prec, self.packed
         sh = field._kron[prec]
         S = sh.L.S
-        h = 0
-        if start is not None:
-            self._align(start)
-            v = _fit(field._kron, start.packed, start.prec, prec)
-            P = _reduce(sh, (U * v) & sh.mask)
-            if P == 1:
-                return _new(field, prec, v)
-            D = P ^ 1     # its lowest set bit lies in the first slot of P that is wrong
-            h = ((D & -D).bit_length() - 1) // S
-        if not h:
-            c = U & sh.L.slot
-            v = 1 if c == 1 else _inv(sh.L, c)  # 1 is its own inverse
-            h, P = 1, None
+        c = U & sh.L.slot
+        v = 1 if c == 1 else _inv(sh.L, c)  # 1 is its own inverse
+        h = 1
         while h < prec:
             k = min(2 * h, prec)
             mk, mc = (1 << (k * S)) - 1, (1 << ((k - h) * S)) - 1
             vk = v & mk
-            if P is None:
-                P = _reduce(sh, ((U & mk) * vk) & mk)
+            P = _reduce(sh, ((U & mk) * vk) & mk)
             c = _reduce(sh, ((v & mc) * ((P >> (h * S)) & mc)) & mc)
             v = _sub(sh, vk, c << (h * S))
-            h, P = k, None
+            h = k
         return _new(field, prec, v)
 
     def __truediv__(self, other: "TruncSeries") -> "TruncSeries":

@@ -296,21 +296,27 @@ def solve_twist(A: Sequence[Sequence[FqElem]], q: int,
 def _solve(fq: FqStructure, A: Sequence[Sequence[FqElem]],
            Ainv: Sequence[Sequence[FqElem]], R_max: int) -> TwistSolution:
     """B^(q) = A B for an invertible A over Fbase with its inverse Ainv, at
-    the least qualifying r <= R_max."""
-    field = fq.field
-    sh = field._kron[len(A)]
-    Ncur = Ap = _mat_pack(A, len(A))
-    ident = tuple(1 << (i * sh.L.S) for i in range(len(A)))
+    the least qualifying r <= R_max.  It walks the twisted norms' inverses
+    N_i(A)^{-1} = Ainv * (N_(i-1)(A)^{-1})^(q), N_0(A) = I: N_r(A) = I
+    exactly when its inverse is, and the closed forms take N_i(A)^{-1} for
+    i < r from the walk."""
+    field, n = fq.field, len(A)
+    sh = field._kron[n]
+    Ainv_p = _mat_pack(Ainv, n)
+    ninv = [tuple(1 << (i * sh.L.S) for i in range(n))]
     for r in range(1, R_max + 1):
-        if r % fq.s == 0 and Ncur == ident:
-            return _solve_at(fq, A, Ainv, r)
-        Ncur = _mat_mul(sh, _mat_frob(field, sh, Ncur, fq.e), Ap)
+        X = _mat_mul(sh, Ainv_p, _mat_frob(field, sh, ninv[-1], fq.e))
+        if r % fq.s == 0 and X == ninv[0]:
+            return _solve_at(fq, A, ninv, r)
+        ninv.append(X)
     raise SearchExhausted(
         f"no full solution space of B^(q) = A B within F_(q^{R_max})")
 
 
 def _solve_at(fq: FqStructure, A: Sequence[Sequence[FqElem]],
-              Ainv: Sequence[Sequence[FqElem]], r: int) -> TwistSolution:
+              ninv: Sequence[Mat], r: int) -> TwistSolution:
+    """The solution space at r, from N_i(A)^{-1} for i = 0..r-1, packed in
+    the digit width of n."""
     field, n = fq.field, len(A)
     s, e, q = fq.s, fq.e, fq.q
     d = r // s
@@ -324,19 +330,15 @@ def _solve_at(fq: FqStructure, A: Sequence[Sequence[FqElem]],
     N = max(r, n)
     W = K[N].L
     S, D = W.S, d * W.S
-    msh, csh, esh = W.shape(n), W.shape(n * n * d), W.shape(n * d)
+    csh, esh = W.shape(n * n * d), W.shape(n * d)
 
-    # N_i(A)^{-1} for i = 0..r-1:  Ninv_{i+1} = Ainv * Ninv_i^(q)
-    Ainv_p = _mat_pack(Ainv, N)
-    ninv = [tuple(1 << (i * S) for i in range(n))]
-    for _ in range(r - 1):
-        ninv.append(_mat_mul(msh, Ainv_p, _mat_frob(field, msh, ninv[-1], e)))
     # column k of N_i(A)^{-1} at coefficient 0 of the n components of the
     # k-th of n vectors of E^n, so that theta^(j q^i) times it is the i-th
     # term of beta(theta^j e_k) for every k at once; then times w^(q^i) for
     # each w = a^t of the F_q-basis of Fbase
     cols = []
     for X in ninv:
+        X = [_fit(K, x, n, N) for x in X]
         M = 0
         for row, x in enumerate(X):
             for k in range(n):

@@ -78,39 +78,22 @@ def test_earned_precision_lift_matches_full_precision_reference():
     assert p == {2, 3, 5} and e == {1, 2} and m == {1, 2, 3} and N == {1, 2, 3}
 
 
-def test_lift_carries_each_pivot_inverse_into_the_next_step(monkeypatch):
-    # every pivot inverse after the first ramp step gets the last image's as
-    # a start, and the certificate's start is already its exact inverse
-    starts = []
-    inverse = TruncSeries.inverse
-
-    def spy(u, start=None):
-        inv = inverse(u, start)
-        starts.append(None if start is None else start == inv)
-        return inv
-
-    monkeypatch.setattr(TruncSeries, "inverse", spy)
-    rng = random.Random(5151)
-    for _ in range(6):
-        f = rand_suite_map(rng, prec=64)
-        starts.clear()
-        sigma_fixed_lift(f, rand_residue_point(rng, f), 64)
-        # the constant lift and the first ramp step start cold
-        assert starts[:2] == [None, None] and None not in starts[2:]
-        assert starts[-1] is True
-
-
 def test_lift_ramp_climbs_by_p(monkeypatch):
     # the ramp runs at ceil(prec/p^k) for k descending, every value above
     # the constant lift's precision 1, then the certificate at prec
     precs = []
-    step = lifting.apply_map
+    rung, step = lifting._raw_image, lifting.apply_map
 
-    def spy(f, P, pivot_inv=None):
+    def rung_spy(f, coords):
+        precs.append(coords[0].prec)
+        return rung(f, coords)
+
+    def step_spy(f, P):
         precs.append(P.prec)
-        return step(f, P, pivot_inv)
+        return step(f, P)
 
-    monkeypatch.setattr(lifting, "apply_map", spy)
+    monkeypatch.setattr(lifting, "_raw_image", rung_spy)
+    monkeypatch.setattr(lifting, "apply_map", step_spy)
     rng = random.Random(5152)
     seen = set()
     for _ in range(12):
@@ -125,31 +108,36 @@ def test_lift_ramp_climbs_by_p(monkeypatch):
     assert seen == {2, 3, 5}
 
 
-def test_point_galois_carries_the_pivot_inverse():
-    # over F_(p^3) with e = 1, sigma and sigma^{-1} move the lift's pivot
-    # inverse to different series
-    rng = random.Random(5155)
-    moved = 0
-    for _ in range(30):
-        f = rand_suite_map(rng, prec=24)
-        P = sigma_fixed_lift(f, rand_residue_point(rng, f), 24).lift
-        assert P.pivot_inv is not None
-        for times in (1, 2, 3):
-            for inverse in (False, True):
-                Q = point_galois(P, f.e, inverse=inverse, times=times)
-                assert Q.pivot_inv == P.pivot_inv.galois(f.e * times, inverse=inverse)
-        bare = ProjPoint(f.field, P.coords, _trusted=True)
-        assert point_galois(bare, f.e, times=2).pivot_inv is None
-        moved += len({P.pivot_inv.galois(f.e, inverse=inverse) for inverse in (False, True)}) > 1
-    assert moved >= 3
-
-
 def counted(calls, name, fn):
     """fn, appending name to calls on every call."""
     def spy(*args, **kwargs):
         calls.append(name)
         return fn(*args, **kwargs)
     return spy
+
+
+def test_a_lift_divides_at_most_twice(monkeypatch):
+    # the ramp never divides: one normalize at prec, and one more when the
+    # certificate's raw image is not sigma of the point's raw coordinates
+    calls = []
+    spy = partial(counted, calls)
+    normalize_spy = spy("normalize", geometry.normalize)
+    for mod in (geometry, dynamics, lifting):
+        monkeypatch.setattr(mod, "normalize", normalize_spy)
+    monkeypatch.setattr(TruncSeries, "inverse", spy("inverse", TruncSeries.inverse))
+    rng = random.Random(5158)
+    seen, divisions = set(), set()
+    for _ in range(40):
+        f = rand_suite_map(rng, prec=200)
+        seen.add((f.p, f.field.m))
+        for prec in sorted({1, 2, f.p, f.p + 1, 40, 200}):
+            calls.clear()
+            sigma_fixed_lift(f, rand_residue_point(rng, f), prec)
+            n = calls.count("normalize")
+            assert 1 <= n <= 2 and calls.count("inverse") == n, (f, prec, calls)
+            divisions.add(n)
+    assert seen == {(p, m) for p in (2, 3, 5) for m in (1, 2, 3)}
+    assert divisions == {1, 2}
 
 
 def test_walks_from_a_lift_never_normalize(monkeypatch):
@@ -188,7 +176,7 @@ def test_walks_from_a_lift_never_normalize(monkeypatch):
 
 
 def stripped(P):
-    """P as a point built without normalize: no raw, no pivot inverse."""
+    """P as a point built without normalize: no raw."""
     return ProjPoint(P.field, P.coords, consumed=P.consumed, _trusted=True)
 
 
@@ -236,7 +224,7 @@ def suite_maps(rng, count):
 
 
 def test_normalize_keeps_its_raw_coordinates():
-    # normalize(P.raw) == P in coords, consumed and pivot_inv, on every point
+    # normalize(P.raw) == P in coords and consumed, on every point
     # normalize, apply_map and point_galois return
     rng = random.Random(5156)
     kinds = set()
@@ -247,14 +235,14 @@ def test_normalize_keeps_its_raw_coordinates():
                 ref = normalize(R.raw)
                 assert [c.packed for c in ref.coords] == [c.packed for c in R.coords]
                 assert ref.coords == R.coords and ref.prec == R.prec
-                assert ref.consumed == R.consumed and ref.pivot_inv == R.pivot_inv
+                assert ref.consumed == R.consumed
                 kinds.add((R.prec, R.consumed > 0, f.e % f.e0 == 0))
     assert {k[1:] for k in kinds} == {(False, True), (True, True), (False, False), (True, False)}
     assert {k[0] for k in kinds} == {1, 3, 9, 24}
 
 
 def test_apply_map_digits_do_not_depend_on_raw(monkeypatch):
-    # a point with raw and pivot_inv stripped is always normalized; the
+    # a point with raw stripped is always normalized; the
     # result is the same whether or not the raw image was sigma of the raw
     divided, total = [], 0
     rng = random.Random(5157)
@@ -267,42 +255,9 @@ def test_apply_map_digits_do_not_depend_on_raw(monkeypatch):
             monkeypatch.undo()
             ref = apply_map(f, stripped(Q))
             assert [c.packed for c in got.coords] == [c.packed for c in ref.coords]
-            assert got.pivot_inv == ref.pivot_inv and got.consumed == ref.consumed
+            assert got.consumed == ref.consumed
             assert got.raw == ref.raw
     assert 0 < len(divided) < total    # both routes ran
-
-
-def test_apply_map_digits_do_not_depend_on_the_start():
-    # none, the exact start, sigma^{-1} of it, a random unit, the exact
-    # start truncated, or the point's own pivot inverse as apply_map's
-    # pivot_inv: the same image packings and the same inverse found, on
-    # lifts and their conjugates, on points off the orbit, on points that
-    # consumed precision, and on maps whose sigma moves a coefficient
-    rng = random.Random(5154)
-    kinds = set()
-    for i in range(36):
-        f = rand_suite_map(rng, prec=24)
-        if i % 3 == 2 and f.field.m > 1 and f.e % f.field.m:
-            f = outer_coefficients(f)
-        F, e = f.field, f.e
-        n = rng.choice((3, 9, 24))
-        L = sigma_fixed_lift(f, rand_residue_point(rng, f), n)
-        P = rand_point(rng, F, f.N, n)
-        t = TruncSeries(F, 2, [F.zero(), F.one()])
-        shifted = ProjPoint(F, [c * t.change_precision(n) for c in P.coords])
-        assert shifted.consumed == 1
-        for Q in (L.lift, point_galois(L.lift, e, times=2), P, apply_map(f, P), shifted):
-            ref = apply_map(f, stripped(Q))
-            exact = ref.pivot_inv.galois(e, inverse=True)   # sigma takes it to the inverse
-            unit = TruncSeries(F, rng.randint(1, n + 2), [F.from_int(rng.randrange(1, F.order))]
-                               + [F.from_int(rng.randrange(F.order)) for _ in range(n + 1)])
-            for start in (None, exact, exact.galois(e, inverse=True), unit,
-                          exact.change_precision(max(1, Q.prec // 2)), Q.pivot_inv):
-                got = apply_map(f, stripped(Q), pivot_inv=start)
-                assert [c.packed for c in got.coords] == [c.packed for c in ref.coords]
-                assert got.pivot_inv == ref.pivot_inv and got.consumed == ref.consumed
-            kinds.add((Q.consumed > 0, f.e % f.e0 == 0))
-    assert kinds == {(False, True), (True, True), (False, False), (True, False)}
 
 
 def test_lift_beyond_map_precision_fails_at_the_requested_precision():

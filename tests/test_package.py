@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,35 @@ def test_every_module_imports_only_layers_below_it():
     assert bad == []
     assert ("lifting", "dynamics") in seen and ("cli", "lifting") in seen
     assert ("dynamics", "lifting") not in seen
+
+
+def private_names(path):
+    """(name, line) for each top-level _name a module defines: functions,
+    classes and assigned names, dunders excluded."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def test_every_private_name_is_used():
+    # a top-level _name of the package is named somewhere in src, tests,
+    # bench or tools besides its definition; one that is not is dead code
+    words = Counter(word for top in ("src", "tests", "bench", "tools")
+                    for path in (ROOT / top).rglob("*.py")
+                    for word in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", path.read_text()))
+    paths = sorted((ROOT / "src" / "frobdml").glob("*.py"))
+    found = [(path.name, line, name) for path in paths
+             for name, line in private_names(path)]
+    assert len(found) > 50
+    assert [f"{name}:{line}: {word}" for name, line, word in found if words[word] < 2] == []
 
 
 # ---------------------------------------------------------------------------

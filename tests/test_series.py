@@ -489,42 +489,6 @@ def test_precision_changes_and_inverse_across_an_edge(fs, data):
 WARM_FIELDS = [field_for(p, m) for p in (2, 3, 5, 257, P31) for m in (1, 2, 3)]
 
 
-@st.composite
-def warm_started(draw):
-    """(u, start): a unit u and a start right to a drawn h digits, random
-    above, of a drawn length; or, as often, one with a wrong constant term.
-    Precisions fall on both sides of the field's short tier edges."""
-    F = draw(st.sampled_from(WARM_FIELDS))
-    precs = st.integers(1, 12) | st.integers(13, 300)
-    edges = [top for top in tier_tops(F) if top < 700]
-    if edges:
-        precs |= st.sampled_from(edges).flatmap(
-            lambda top: st.integers(max(1, top - 3), top + 4))
-    u = draw(series_in(F, draw(precs), unit=True))
-    n = u.prec
-    length = draw(st.integers(1, n) | st.integers(n, n + 9))
-    h = min(draw(st.integers(0, n)), length)
-    guess = draw(series_in(F, length)).coeffs
-    cs = u.inverse().coeffs[:h] + guess[h:]
-    if draw(st.booleans()):     # wrong in its constant term
-        cs = (cs[0] + F.el([draw(st.integers(1, F.p - 1))] + [0] * (F.m - 1)),) + cs[1:]
-    return u, TruncSeries(F, length, cs)
-
-
-@settings(max_examples=150, deadline=None)
-@given(warm_started())
-def test_warm_started_inverse_equals_the_cold_one(us):
-    # a start is trusted only as far as u*start = 1 is measured, so neither
-    # its length nor its wrong digits may change the inverse
-    u, start = us
-    assert u.inverse(start) == u.inverse()
-
-
-def test_inverse_start_from_another_field_is_refused():
-    with pytest.raises(FieldMismatch):
-        TruncSeries.one(F2, 4).inverse(TruncSeries.one(F4, 4))
-
-
 @settings(max_examples=25, deadline=None)
 @given(across_an_edge(count=1), st.integers(0, 6), st.integers(1, 6))
 def test_one_precision_one_packing(fs, k, extra):
