@@ -11,7 +11,7 @@ The package is organized bottom-up:
     geometry  projective points and the Galois action on them,
               homogeneous polynomials, subvarieties
     dynamics  the structured map family, validation, orbits, composition;
-              determinants and inverses over O_K
+              determinants over O_K
     twist     the semilinear equation B^(q) = A*B and map normalization;
               inverses over k
     lifting   sigma-fixed lifts, witnesses, periods

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .dynamics import (DmlMap, NotInForm, check_conditions, iterate_map, orbit,
                        recognize_dml_form)
 from .errors import FrobdmlError, ParseError, ValidationFailure
-from .field import format_element, p_power_exponent, parse_element
+from .field import p_power_exponent, parse_element
 from .geometry import ProjPoint, Subvariety, format_poly, reduce_point
 from .instances import Instance, parse_instance, parse_twist_file
 from .series import AtPrecisionZero, TruncSeries, format_series, parse_series
@@ -49,8 +49,16 @@ class Report:
             return json.dumps(self.obj, indent=2) + "\n"
         if fmt == "csv":
             rows = self.csv if self.csv is not None else _kv_rows(self.obj)
-            return "".join(",".join(row) + "\n" for row in rows)
+            return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
         return "".join(line + "\n" for line in self.text)
+
+
+def _csv_field(x: str) -> str:
+    """x as one RFC 4180 field: quoted, its quotes doubled, when it holds a
+    comma, a quote, CR or LF."""
+    if any(c in x for c in ',"\r\n'):
+        return '"' + x.replace('"', '""') + '"'
+    return x
 
 
 def _kv_rows(obj: dict) -> List[List[str]]:
@@ -235,10 +243,9 @@ def cmd_lift(args) -> int:
     return 0
 
 
-def _twist_matrix_strs(sol, rows) -> List[List[str]]:
-    if sol.field is not None:
-        return [[format_element(x) for x in row] for row in rows]
-    return [[x for x in row] for row in rows]
+def _twist_matrix_strs(rows) -> List[List[str]]:
+    # FqElem entries print as format_element; tower entries are strings
+    return [[str(x) for x in row] for row in rows]
 
 
 def cmd_twist(args) -> int:
@@ -247,8 +254,8 @@ def cmd_twist(args) -> int:
     if args.rmax < 1:
         raise ParseError("--rmax must be >= 1")
     sol = solve_twist(A, q, args.rmax)
-    basis = _twist_matrix_strs(sol, sol.basis)
-    B = _twist_matrix_strs(sol, sol.B)
+    basis = _twist_matrix_strs(sol.basis)
+    B = _twist_matrix_strs(sol.B)
     residue = [[sol.entry_str(x) for x in row] for row in sol.residue()]
     lines = [f"r = {sol.r}"]
     lines += [f"basis[{i}] = [{', '.join(v)}]" for i, v in enumerate(basis)]
@@ -267,7 +274,7 @@ def cmd_normalize(args) -> int:
         raise ParseError("--rmax must be >= 1")
     rmax = args.rmax if args.rmax is not None else inst.parameters.R_max
     sol, fprime = normalize_conjugate(f, rmax)
-    B = _twist_matrix_strs(sol, sol.B)
+    B = _twist_matrix_strs(sol.B)
     lines = [f"r = {sol.r}"]
     lines += [f"B[{i}] = [{', '.join(row)}]" for i, row in enumerate(B)]
     lines.append("conjugated matrix part: identity")

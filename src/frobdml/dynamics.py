@@ -220,31 +220,21 @@ def series_det(A: Sequence[Sequence[TruncSeries]]) -> TruncSeries:
     """det(A) at the least precision n of its entries.  The determinant is a
     polynomial in the entries, so det mod t^n depends only on their digits
     below t^n: every completion of the input has these digits, and knowing
-    any entry to more digits never lowers n."""
-    return _eliminate(A, min(s.prec for row in A for s in row))[0]
+    any entry to more digits never lowers n.
 
-
-def _eliminate(A: Sequence[Sequence[TruncSeries]], prec: int,
-               inverse: bool = False
-               ) -> Tuple[TruncSeries, Optional[List[List[TruncSeries]]]]:
-    """Gaussian elimination over k[[t]] on the exact zero-padded lifts of the
+    Gaussian elimination over k[[t]] on the exact zero-padded lifts of the
     entries, column by column with the pivot of least valuation in its column
     (precision over a DVR as in X. Caruso, D. Roe, T. Vaccon, "Tracking
-    p-adic precision", ANTS XI, 2014).
-
-    Returns (det mod t^prec, inverse mod t^prec or None).  Clearing a column
-    under a pivot of valuation v costs the rows below v digits, so the first
-    non-unit pivot restarts the work at 2*prec, and once the pivot
-    valuations reach prec the determinant is 0 mod t^prec.  With ``inverse``
-    every pivot must be a unit: Gauss-Jordan then loses nothing and works at
-    prec, and a column without a unit pivot raises NonUnitDivisor."""
+    p-adic precision", ANTS XI, 2014).  Clearing a column under a pivot of
+    valuation v costs the rows below v digits, so the first non-unit pivot
+    restarts the work at 2n, and once the pivot valuations reach n the
+    determinant is 0 mod t^n."""
+    prec = min(s.prec for row in A for s in row)
     n = len(A)
     field = A[0][0].field
     work = prec
     while True:
         a = [[s if s.prec == work else s.change_precision(work) for s in row] for row in A]
-        inv = [[TruncSeries.one(field, work) if i == j else TruncSeries.zeros(field, work)
-                for j in range(n)] for i in range(n)] if inverse else None
         det = TruncSeries.one(field, work)
         lost = 0
         for col in range(n):
@@ -253,37 +243,26 @@ def _eliminate(A: Sequence[Sequence[TruncSeries]], prec: int,
                     for x in (a[r][col].valuation() for r in range(col, n))]
             v = min(vals)
             if v:
-                if inverse:
-                    raise NonUnitDivisor(
-                        f"no unit pivot in column {col}; matrix not invertible over O_K")
                 lost += v
                 if lost >= prec:
-                    return TruncSeries.zeros(field, prec), None
+                    return TruncSeries.zeros(field, prec)
                 if work == prec:
                     break
             piv = col + vals.index(v)
             if piv != col:
                 a[col], a[piv] = a[piv], a[col]
                 det = -det
-                if inv is not None:
-                    inv[col], inv[piv] = inv[piv], inv[col]
             det = det * a[col][col]
             u = a[col][col].shift_down(v).inverse()
-            if inv is not None:
-                a[col][col + 1:] = [x * u for x in a[col][col + 1:]]
-                inv[col] = [x * u for x in inv[col]]
-            for r in range(0 if inv is not None else col + 1, n):
+            for r in range(col + 1, n):
                 factor = a[r][col]
-                if r == col or factor.is_zero_at_precision():
+                if factor.is_zero_at_precision():
                     continue
-                if inv is None:
-                    factor = factor.shift_down(v) * u
+                factor = factor.shift_down(v) * u
                 a[r][col + 1:] = [x - factor * y
                                   for x, y in zip(a[r][col + 1:], a[col][col + 1:])]
-                if inv is not None:
-                    inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
         else:
-            return det.change_precision(prec), inv
+            return det.change_precision(prec)
         work = 2 * prec
 
 
@@ -722,16 +701,13 @@ def _pure_power_index(exps: ExpVec, q: int) -> Optional[int]:
 # preimages for q = p
 # ---------------------------------------------------------------------------
 
-def invert_series_matrix(M: Sequence[Sequence[TruncSeries]],
-                         prec: int) -> List[List[TruncSeries]]:
-    """Inverse over O_K with entries truncated to prec."""
-    return _eliminate([[_at_prec(s, prec) for s in row] for row in M], prec,
-                      inverse=True)[1]
-
-
 def preimage_qp(f: DmlMap, P: ProjPoint) -> ProjPoint:
     """Exact preimage when q = p: f factors as M o Frob_p with
-    M = A + Gamma, Gamma the matrix of the linear forms G_i."""
+    M = A + Gamma, Gamma the matrix of the linear forms G_i, so the preimage
+    is Frob_p^-1 of the point M^-1 P.  A point is a direction: Cramer's rule
+    gives M^-1 P = adj(M) P / det M with det M a unit, and the coordinates
+    R_i = det(M with column i replaced by P), one series_det each, name the
+    same point with no division."""
     if f.q != f.p:
         raise UnsupportedQ(f"preimage_qp requires q = p, got q = {f.q}")
     if f.field != P.field or f.N != P.N:
@@ -739,7 +715,6 @@ def preimage_qp(f: DmlMap, P: ProjPoint) -> ProjPoint:
     n = f.N + 1
     prec = P.prec
     field = f.field
-    zero = TruncSeries.zeros(field, prec)
     M = [[_at_prec(f.A[i][j], prec) for j in range(n)] for i in range(n)]
     e_basis = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
     for i in range(n):
@@ -747,14 +722,10 @@ def preimage_qp(f: DmlMap, P: ProjPoint) -> ProjPoint:
             c = f.G[i].terms.get(e_basis[j])
             if c is not None:
                 M[i][j] = M[i][j] + _at_prec(c, prec)
-    Minv = invert_series_matrix(M, prec)
-    R = []
-    for i in range(n):
-        acc = zero
-        for j in range(n):
-            if not Minv[i][j].is_zero_at_precision():
-                acc = acc + Minv[i][j] * P.coords[j]
-        R.append(acc)
+    if not _unit_det(M):
+        raise NonUnitDivisor("M = A + Gamma is singular mod t; not invertible over O_K")
+    R = [series_det([row[:i] + [x] + row[i + 1:] for row, x in zip(M, P.coords)])
+         for i in range(n)]
     # the stored representative of P differs from M * (preimage)^(p) by a
     # unit series, so membership can only be read off after renormalizing
     # at the first unit coordinate (which the p-power forces to be 1).  M

@@ -47,6 +47,12 @@ class Instance(MutableRecord):
     __slots__ = ("label", "field", "map", "points", "varieties", "parameters")
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: bool is a subclass of int in Python, but true and
+    false are not integers."""
+    return type(x) is int
+
+
 def _object(obj, where: str) -> dict:
     if not isinstance(obj, dict):
         raise ParseError(f"{where} must be an object")
@@ -63,9 +69,9 @@ def _parse_field(obj: dict) -> FieldSpec:
     p = _require(obj, "p", "field")
     m = _require(obj, "m", "field")
     modulus = _require(obj, "modulus", "field")
-    if not isinstance(p, int) or not isinstance(m, int):
+    if not _is_int(p) or not _is_int(m):
         raise ParseError("field: p and m must be integers")
-    if not isinstance(modulus, list) or not all(isinstance(c, int) for c in modulus):
+    if not isinstance(modulus, list) or not all(_is_int(c) for c in modulus):
         raise ParseError("field: modulus must be a list of integers")
     return make_field(p, m, modulus)
 
@@ -79,13 +85,13 @@ def _parse_poly(obj, field: FieldSpec, N: int, prec: Optional[int],
         terms_in = obj
     if not isinstance(terms_in, list):
         raise ParseError(f"{where}: polynomial must be an object or a term list")
-    if not isinstance(degree, (int, type(None))):
+    if degree is not None and not _is_int(degree):
         raise ParseError(f"{where}: degree must be an integer")
     terms = []
     for k, term in enumerate(terms_in):
         exps = _require(term, "exponents", f"{where} term {k}")
         if not isinstance(exps, list) or len(exps) != N + 1 \
-                or not all(isinstance(x, int) and x >= 0 for x in exps):
+                or not all(_is_int(x) and x >= 0 for x in exps):
             raise ParseError(
                 f"{where} term {k}: exponents must be {N + 1} nonnegative integers")
         coeff = parse_series(field, _require(term, "coeff", f"{where} term {k}"),
@@ -128,13 +134,13 @@ def _parse_map(obj: dict, field: FieldSpec, prec: Optional[int],
             or any(not isinstance(r, list) or len(r) != len(A_in) for r in A_in):
         raise ParseError("map: A must be a square matrix of size >= 2")
     N = len(A_in) - 1
-    if "N" in obj and obj["N"] != N:
+    if "N" in obj and (not _is_int(obj["N"]) or obj["N"] != N):
         raise ParseError(f"map: declared N = {obj['N']} but A is {N + 1}x{N + 1}")
     A = [[parse_series(field, s, default_prec=prec) for s in row] for row in A_in]
     G_in = _require(obj, "G", "map")
     if not isinstance(G_in, list) or len(G_in) != N + 1:
         raise ParseError(f"map: G must list {N + 1} polynomials")
-    if not isinstance(p, int) or not isinstance(e, int) or p < 2 or e < 1:
+    if not _is_int(p) or not _is_int(e) or p < 2 or e < 1:
         raise ParseError("map: p must be a prime >= 2 and e an integer >= 1")
     gdeg = _remainder_degree(p, e)
     G = [_parse_poly(g, field, N, prec, f"map G[{i}]", degree=gdeg)
@@ -166,7 +172,7 @@ def _parse_parameters(obj: dict) -> Parameters:
     for key in ("prec", "H", "tau", "M_max", "R_max"):
         if key in obj:
             v = obj[key]
-            if not isinstance(v, int) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ParseError(f"parameters: {key} must be a positive integer")
             setattr(params, key, v)
     return params
@@ -217,7 +223,7 @@ def parse_twist_file(path: str) -> Tuple[FieldSpec, List[List[FqElem]], int]:
     """Matrix file: {"q": int, "field": {...}, "A": [[element strings]]}."""
     doc = _load_json(path)
     q = _require(_object(doc, f"{path}: top level"), "q", path)
-    if not isinstance(q, int) or q < 2:
+    if not _is_int(q) or q < 2:
         raise ParseError(f"{path}: q must be an integer >= 2")
     field = _parse_field(_require(doc, "field", path))
     A_in = _require(doc, "A", path)

@@ -7,7 +7,7 @@ import random
 from typing import Dict, List, Sequence, Tuple
 
 from frobdml import poly
-from frobdml.dynamics import DmlMap, _eliminate, validate_map
+from frobdml.dynamics import DmlMap, series_det, validate_map
 from frobdml.errors import DimensionMismatch, PrecisionExhausted
 from frobdml.field import FieldSpec, FqElem, _width, make_field
 from frobdml.geometry import HomogPoly, ProjPoint
@@ -217,9 +217,10 @@ def rand_point(rng: random.Random, field: FieldSpec, N: int,
 
 
 def unit_det_reference(A: Sequence[Sequence[TruncSeries]]) -> bool:
-    """Whether det(A) is a unit, the slow way: elimination over O_K at
-    precision 1, with series objects, series inverses and series products."""
-    return _eliminate(A, 1)[0].is_unit()
+    """Whether det(A) is a unit, the slow way: series_det over O_K on the
+    entries cut to precision 1, with series objects, series inverses and
+    series products."""
+    return series_det([[s.change_precision(1) for s in row] for row in A]).is_unit()
 
 
 def fq_det(A: Sequence[Sequence[FqElem]]) -> FqElem:

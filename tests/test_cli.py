@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -577,3 +578,88 @@ def test_over_long_json_integer_is_exit_2(tmp_path, command, fixture, key):
     assert code == 2 and out == ""
     assert err == (f"error: ParseError: {path}: integer literal of 5000 digits "
                    "exceeds the 4300-digit limit\n")
+
+
+def _json_int_paths(node, path=()):
+    """The path of every JSON integer in a parsed document, true and false
+    not counted."""
+    if type(node) is int:
+        yield path
+    elif isinstance(node, dict):
+        for k, v in node.items():
+            yield from _json_int_paths(v, path + (k,))
+    elif isinstance(node, list):
+        for k, v in enumerate(node):
+            yield from _json_int_paths(v, path + (k,))
+
+
+def test_json_booleans_are_not_integers(tmp_path):
+    # bool is a subclass of int in Python; every integer of every fixture,
+    # and a declared N, must refuse true and false
+    docs = []
+    for fixture in (F1, F3, F4, TWIST):
+        with open(fixture, encoding="utf-8") as fh:
+            docs.append(("twist" if fixture == TWIST else "validate", json.load(fh)))
+    with open(F1, encoding="utf-8") as fh:
+        declared = json.load(fh)
+    declared["map"]["N"] = 1
+    docs.append(("validate", declared))
+    path = tmp_path / "bool.json"
+    tried = 0
+    for command, doc in docs:
+        for where in _json_int_paths(doc):
+            for value in (True, False):
+                bad = json.loads(json.dumps(doc))
+                target = bad
+                for k in where[:-1]:
+                    target = target[k]
+                target[where[-1]] = value
+                path.write_text(json.dumps(bad), encoding="utf-8")
+                code, out, err = run([command, str(path)])
+                assert code == 2 and out == "", (where, value, out)
+                assert err.startswith("error: ParseError:") and err.count("\n") == 1, \
+                    (where, value, err)
+                tried += 1
+    assert tried >= 100
+
+
+def _invalid_instance(tmp_path):
+    doc = render_instance(parse_instance(F1))
+    doc["map"]["G"][1] = [{"exponents": [1, 0], "coeff": "1 + t + O(t^65)"}]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    return str(bad)
+
+
+def test_csv_fields_are_quoted(tmp_path):
+    commands = [
+        ["validate", F1], ["validate", F3], ["validate", F4],
+        ["validate", _invalid_instance(tmp_path)],
+        ["check-conditions", F3],
+        ["orbit", F1, "--point", "P", "--horizon", "6"],
+        ["lift", F4, "--point0", "P0", "--prec", "40"],
+        ["twist", TWIST], ["normalize", F1],
+        ["returns", F4, "--point", "Ptilde", "--variety", "orbitpt", "--horizon", "40"],
+        ["returns", F1, "--point", "P", "--variety", "axis"],
+        ["compose", F3, "--times", "2", "--recognize", "4"],
+        ["witness", F4, "--point0", "P0", "--index", "2", "--prec", "40"],
+        ["period", F4, "--point0", "P0", "--prec", "40"],
+    ]
+    whole = 0
+    for argv in commands:
+        code, out, err = run(argv + ["--format", "csv"])
+        assert err == "", argv
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows and all(len(row) == len(rows[0]) for row in rows), (argv, rows)
+        if rows[0] != ["key", "value"]:
+            continue
+        # the key/value fallback: every non-scalar value is the JSON output's
+        _, out_json, _ = run(argv + ["--format", "json"])
+        obj = json.loads(out_json)
+        for key, value in rows[1:]:
+            if isinstance(obj[key], (list, dict)):
+                assert json.loads(value) == obj[key], (argv, key)
+                whole += "," in value
+    assert whole >= 5
+    _, out, _ = run(["validate", F1, "--format", "csv"])
+    assert dict(csv.reader(io.StringIO(out)))["map"] == repr(parse_instance(F1).map)

@@ -9,7 +9,7 @@ from frobdml.dynamics import (SECTION_MIN_R, CoefficientFieldTooLarge, _at_prec,
                               CoefficientNotInMaximalIdeal, DmlMap, GeneralMap,
                               NonUnitDeterminant, NotInForm, WrongDegree,
                               apply_map, check_conditions, compose_maps,
-                              dml_to_general, invert_series_matrix, iterate_map,
+                              dml_to_general, iterate_map,
                               orbit, preimage_qp, recognize_dml_form, series_det,
                               validate_map)
 from frobdml.errors import (DegreeMismatch, DegreeOverflow, FieldMismatch, NonUnitDivisor,
@@ -100,43 +100,6 @@ def test_series_det_matches_cofactor_reference():
         seen["prec1"] += want.prec == 1
         seen["mixed"] += mixed
     assert min(seen.values()) >= 30, seen
-
-
-def mat_mul(X, Y):
-    n = len(X)
-    return [[sum((X[i][k] * Y[k][j] for k in range(1, n)), X[i][0] * Y[0][j])
-             for j in range(n)] for i in range(n)]
-
-
-def test_invert_series_matrix_is_an_inverse():
-    rng = random.Random(601)
-    inverted = 0
-    for case in range(200):
-        F = rng.choice([F2, F4, field_for(3, 1)])
-        n = rng.randint(1, 4)
-        prec = rng.randint(1, 9)
-        M = [[rand_entry(rng, F, prec) for _ in range(n)] for _ in range(n)]
-        if not series_det(M).is_unit():
-            with pytest.raises(NonUnitDivisor):
-                invert_series_matrix(M, prec)
-            continue
-        inverted += 1
-        one, zero = TruncSeries.one(F, prec), TruncSeries.zeros(F, prec)
-        ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        assert mat_mul(invert_series_matrix(M, prec), M) == ident, case
-    assert inverted >= 50
-
-
-def test_invert_series_matrix_names_the_failing_column():
-    with pytest.raises(NonUnitDivisor) as ei:
-        invert_series_matrix([[ser(F2, "t"), ser(F2, "1")],
-                              [ser(F2, "t^2"), ser(F2, "1 + t")]], 8)
-    assert str(ei.value) == "no unit pivot in column 0; matrix not invertible over O_K"
-    with pytest.raises(NonUnitDivisor) as ei:
-        invert_series_matrix([[ser(F2, "1"), ser(F2, "1"), ser(F2, "0")],
-                              [ser(F2, "1"), ser(F2, "1 + t"), ser(F2, "0")],
-                              [ser(F2, "0"), ser(F2, "0"), ser(F2, "1")]], 8)
-    assert str(ei.value) == "no unit pivot in column 1; matrix not invertible over O_K"
 
 
 # (p, m) for the unit-determinant test: p up to 2^61 - 1, m up to 12, and
@@ -636,10 +599,21 @@ def test_preimage_not_in_image():
         preimage_qp(F1, P)
 
 
+def test_preimage_refuses_m_singular_mod_t():
+    # built directly, past validate_map: M = A + Gamma = [[1, 1], [1, 1 + t]]
+    # has determinant t, so f is no Frobenius lift and M^-1 P is not defined
+    A = [[ser(F2, "1"), ser(F2, "1")], [ser(F2, "1"), ser(F2, "1")]]
+    G = [HomogPoly(F2, 1, 1, {}), HomogPoly(F2, 1, 1, {(0, 1): ser(F2, "t")})]
+    f = DmlMap(F2, 2, 1, A, G, label="singular")
+    with pytest.raises(NonUnitDivisor):
+        preimage_qp(f, ProjPoint(F2, [ser(F2, "1"), ser(F2, "t")]))
+
+
 def preimage_qp_reference(f, P):
-    """preimage_qp reading the solved series one coefficient at a time: any
-    t^k with p not dividing k refuses, and Q takes every p-th coefficient
-    through the inverse Frobenius."""
+    """preimage_qp solving by first-row cofactor expansion and reading the
+    solved series one coefficient at a time: any t^k with p not dividing k
+    refuses, and Q takes every p-th coefficient through the inverse
+    Frobenius."""
     n, prec, field, p = f.N + 1, P.prec, f.field, f.p
     M = [[_at_prec(f.A[i][j], prec) for j in range(n)] for i in range(n)]
     for i in range(n):
@@ -647,8 +621,8 @@ def preimage_qp_reference(f, P):
             c = f.G[i].terms.get(tuple(int(k == j) for k in range(n)))
             if c is not None:
                 M[i][j] = M[i][j] + _at_prec(c, prec)
-    Minv = invert_series_matrix(M, prec)
-    R = [sum((Minv[i][j] * P.coords[j] for j in range(n)), TruncSeries.zeros(field, prec))
+    # Cramer's rule: R = adj(M) P = det(M) M^-1 P, the same point
+    R = [cofactor_det([row[:i] + [x] + row[i + 1:] for row, x in zip(M, P.coords)])
          for i in range(n)]
     u = next((r for r in R if not r.constant_term().is_zero()), None)
     if u is None:

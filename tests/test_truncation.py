@@ -10,8 +10,7 @@ claims; random digits show it.
 """
 import random
 
-from frobdml.dynamics import (DmlMap, GeneralMap, apply_map, compose_maps,
-                              invert_series_matrix, orbit, series_det)
+from frobdml.dynamics import DmlMap, GeneralMap, apply_map, compose_maps, orbit, series_det
 from frobdml.errors import FrobdmlError
 from frobdml.geometry import (HomogPoly, ProjPoint, Subvariety, normalize,
                               point_variety)
@@ -160,13 +159,11 @@ def rand_entry(rng, F, n):
     return rand_series(rng, F, n, rng.choice((0, 0, 1, 2, n)))
 
 
-def test_truncation_oracle_series_det_and_inverse():
+def test_truncation_oracle_series_det():
     """series_det on entries of independent precisions, each extended by its
     own k, so low-precision zeros sit beside long entries; then series_det
-    and the inverse, which works at one given precision, on a matrix known to
-    n digits throughout."""
+    on a matrix known to n digits throughout."""
     rng = random.Random(1303)
-    inverted = singular = 0
     for _ in range(200):
         F = rng.choice(FIELDS)
         size = rng.randint(1, 4)
@@ -178,14 +175,6 @@ def test_truncation_oracle_series_det_and_inverse():
         M = [[rand_entry(rng, F, n) for _ in range(size)] for _ in range(size)]
         Mx = [[extend(rng, s, k) for s in row] for row in M]
         assert agrees(series_det(M), series_det(Mx))
-        inv = run(invert_series_matrix, M, n)
-        if inv is None:
-            singular += 1
-            continue
-        more = invert_series_matrix(Mx, n + k)
-        assert all(agrees(a, b) for r, s in zip(inv, more) for a, b in zip(r, s))
-        inverted += 1
-    assert inverted >= 20 and singular >= 20
 
 
 def test_truncation_oracle_lift():

@@ -207,8 +207,15 @@ def normalize_reference(f, R_max=64):
                       [HomogPoly(target, f.N, g.degree,
                                  {exp: emb_series(c) for exp, c in g.terms.items()})
                        for g in f.G], f.label)
-    Bconst = [[TruncSeries.from_constant(x, prec) for x in row] for row in sol.B]
-    Binvconst = dynamics.invert_series_matrix(Bconst, prec)
+    # B^-1 = adj(B) / det B over the residue field, each cofactor by fq_det
+    B, dinv = sol.B, fq_det(sol.B).inv()
+
+    def cofactor(i, j):
+        d = fq_det([[x for k, x in enumerate(row) if k != j] for r, row in enumerate(B) if r != i])
+        return -d if (i + j) % 2 else d
+    Bconst = [[TruncSeries.from_constant(x, prec) for x in row] for row in B]
+    Binvconst = [[TruncSeries.from_constant(cofactor(j, i) * dinv, prec) for j in range(n)]
+                 for i in range(n)]
 
     def linear_map(M):
         return dynamics.GeneralMap(target, [
