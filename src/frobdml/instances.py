@@ -2,24 +2,11 @@
 and subvarieties, and run parameters, so every command works in a coherent
 field context.
 
-Schema (all series strings use the canonical grammar; a missing O(t^n)
-marker falls back to parameters.prec, and is an error when neither is
-present):
-
-    {
-      "label": "f1",
-      "field": {"p": 2, "m": 1, "modulus": [0, 1]},
-      "map": { "p": 2, "e": 1,
-               "A": [["1", "0"], ["0", "1"]],
-               "G": [[], [{"exponents": [1, 0], "coeff": "t"}]] }
-           | { "coordinates": [ {"degree": 2, "terms": [...]}, ... ] },
-      "points":    {"name": {"residue": ["1", "a"]} | {"coords": ["...", ...]}},
-      "varieties": {"name": {"generators": [{"degree": 1, "terms": [...]}]}},
-      "parameters": {"prec": 40, "H": 10, "tau": 30, "M_max": 12, "R_max": 64}
-    }
-
-A map with "A"/"G" is validated into a DmlMap (diagnostics become
-ValidationFailure); a map with "coordinates" is a GeneralMap.
+``SCHEMA`` lists the keys of every object; ``fixtures/f1.json`` is a full
+example.  Series strings missing an O(t^n) marker fall back to
+parameters.prec (an error when neither is present).  A map with "A"/"G" is
+validated into a DmlMap (diagnostics become ValidationFailure); a map with
+"coordinates" is a GeneralMap.
 """
 from __future__ import annotations
 
@@ -47,56 +34,67 @@ class Instance(MutableRecord):
     __slots__ = ("label", "field", "map", "points", "varieties", "parameters")
 
 
-def _is_int(x) -> bool:
-    """A JSON integer: bool is a subclass of int in Python, but true and
-    false are not integers."""
-    return type(x) is int
+_TYPES = {  # JSON type -> its test; true and false are not integers
+    "integer": lambda v: type(v) is int,
+    "string": lambda v: isinstance(v, str),
+    "list": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+    "integer list": lambda v: isinstance(v, list) and all(type(x) is int for x in v),
+    "string list": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "string matrix": lambda v: isinstance(v, list) and all(map(_TYPES["string list"], v)),
+}
+# kind -> {key: JSON type}, "?" marking a key that may be absent.  "points"
+# and "varieties" map names to points and varieties; a polynomial may be its
+# bare term list.  "field" sits at top level or in the map, not both, and a
+# point holds exactly one of "residue" and "coords".
+SCHEMA: Dict[str, Dict[str, str]] = {
+    "instance": {"label": "string?", "field": "object?", "map": "object",
+                 "points": "object?", "varieties": "object?", "parameters": "object?"},
+    "field": {"p": "integer", "m": "integer", "modulus": "integer list"},
+    "structured map": {"label": "string?", "field": "object?", "p": "integer",
+                       "e": "integer", "N": "integer?", "A": "string matrix", "G": "list"},
+    "general map": {"label": "string?", "field": "object?", "coordinates": "list"},
+    "polynomial": {"degree": "integer?", "terms": "list"},
+    "term": {"exponents": "integer list", "coeff": "string"},
+    "point": {"residue": "string list?", "coords": "string list?"},
+    "variety": {"generators": "list"},
+    "parameters": dict.fromkeys(Parameters.__slots__, "integer?"),
+    "matrix file": {"label": "string?", "q": "integer", "field": "object",
+                    "A": "string matrix"},
+}
 
 
-def _object(obj, where: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where} must be an object")
-    return obj
-
-
-def _require(obj: dict, key: str, where: str):
-    if key not in _object(obj, where):
-        raise ParseError(f"{where}: missing required key '{key}'")
-    return obj[key]
-
-
-def _parse_field(obj: dict) -> FieldSpec:
-    p = _require(obj, "p", "field")
-    m = _require(obj, "m", "field")
-    modulus = _require(obj, "modulus", "field")
-    if not _is_int(p) or not _is_int(m):
-        raise ParseError("field: p and m must be integers")
-    if not isinstance(modulus, list) or not all(_is_int(c) for c in modulus):
-        raise ParseError("field: modulus must be a list of integers")
-    return make_field(p, m, modulus)
+def _fields(obj, kind: str, where: str) -> list:
+    """obj's values of SCHEMA[kind]'s keys in the table's order, None for an
+    absent optional key, once obj is checked against the table."""
+    if not _TYPES["object"](obj):
+        raise ParseError(f"{where} must be a JSON object")
+    spec = SCHEMA[kind]
+    for key in obj:
+        if key not in spec:
+            raise ParseError(f"{where}: unknown key '{key}' in a {kind}")
+    for key, typ in spec.items():
+        if key in obj:
+            if not _TYPES[typ.rstrip("?")](obj[key]):
+                raise ParseError(f"{where}: '{key}' must be a JSON {typ.rstrip('?')}")
+        elif not typ.endswith("?"):
+            raise ParseError(f"{where}: missing required key '{key}'")
+    return [obj.get(key) for key in spec]
 
 
 def _parse_poly(obj, field: FieldSpec, N: int, prec: Optional[int],
                 where: str, degree: Optional[int] = None) -> HomogPoly:
-    if isinstance(obj, dict):
-        degree = obj.get("degree", degree)
-        terms_in = obj.get("terms", [])
-    else:
-        terms_in = obj
-    if not isinstance(terms_in, list):
-        raise ParseError(f"{where}: polynomial must be an object or a term list")
-    if degree is not None and not _is_int(degree):
-        raise ParseError(f"{where}: degree must be an integer")
+    if not isinstance(obj, dict):  # a bare term list
+        obj = {"terms": obj}
+    given, terms_in = _fields(obj, "polynomial", where)
+    degree = degree if given is None else given
     terms = []
     for k, term in enumerate(terms_in):
-        exps = _require(term, "exponents", f"{where} term {k}")
-        if not isinstance(exps, list) or len(exps) != N + 1 \
-                or not all(_is_int(x) and x >= 0 for x in exps):
+        exps, coeff = _fields(term, "term", f"{where} term {k}")
+        if len(exps) != N + 1 or any(x < 0 for x in exps):
             raise ParseError(
                 f"{where} term {k}: exponents must be {N + 1} nonnegative integers")
-        coeff = parse_series(field, _require(term, "coeff", f"{where} term {k}"),
-                             default_prec=prec)
-        terms.append((tuple(exps), coeff))
+        terms.append((tuple(exps), parse_series(field, coeff, default_prec=prec)))
         if degree is None:
             degree = sum(exps)
     if degree is None:
@@ -117,30 +115,31 @@ def _remainder_degree(p: int, e: int) -> int:
     return degree
 
 
-def _parse_map(obj: dict, field: FieldSpec, prec: Optional[int],
+def _square(A_in: list, where: str) -> int:  # N, for an (N+1)x(N+1) A
+    if len(A_in) < 2 or any(len(row) != len(A_in) for row in A_in):
+        raise ParseError(f"{where}: A must be a square matrix of size >= 2")
+    return len(A_in) - 1
+
+
+def _parse_map(values: list, field: FieldSpec, prec: Optional[int],
                label: str) -> AnyMap:
-    if "coordinates" in obj:
-        coords_in = obj["coordinates"]
-        if not isinstance(coords_in, list) or len(coords_in) < 2:
+    """The map given by its SCHEMA values that follow "label" and "field"."""
+    if len(values) == 1:  # a general map: its coordinates
+        coords_in, = values
+        if len(coords_in) < 2:
             raise ParseError("map: coordinates must list at least 2 polynomials")
         N = len(coords_in) - 1
         coords = [_parse_poly(c, field, N, prec, f"map coordinate {i}")
                   for i, c in enumerate(coords_in)]
         return GeneralMap(field, coords, label)
-    p = _require(obj, "p", "map")
-    e = _require(obj, "e", "map")
-    A_in = _require(obj, "A", "map")
-    if not isinstance(A_in, list) or len(A_in) < 2 \
-            or any(not isinstance(r, list) or len(r) != len(A_in) for r in A_in):
-        raise ParseError("map: A must be a square matrix of size >= 2")
-    N = len(A_in) - 1
-    if "N" in obj and (not _is_int(obj["N"]) or obj["N"] != N):
-        raise ParseError(f"map: declared N = {obj['N']} but A is {N + 1}x{N + 1}")
+    p, e, declared, A_in, G_in = values
+    N = _square(A_in, "map")
+    if declared is not None and declared != N:
+        raise ParseError(f"map: declared N = {declared} but A is {N + 1}x{N + 1}")
     A = [[parse_series(field, s, default_prec=prec) for s in row] for row in A_in]
-    G_in = _require(obj, "G", "map")
-    if not isinstance(G_in, list) or len(G_in) != N + 1:
+    if len(G_in) != N + 1:
         raise ParseError(f"map: G must list {N + 1} polynomials")
-    if not _is_int(p) or not _is_int(e) or p < 2 or e < 1:
+    if p < 2 or e < 1:
         raise ParseError("map: p must be a prime >= 2 and e an integer >= 1")
     gdeg = _remainder_degree(p, e)
     G = [_parse_poly(g, field, N, prec, f"map G[{i}]", degree=gdeg)
@@ -151,51 +150,46 @@ def _parse_map(obj: dict, field: FieldSpec, prec: Optional[int],
     return result
 
 
-def _parse_point(obj: dict, field: FieldSpec, N: int, prec: Optional[int],
+def _parse_point(obj, field: FieldSpec, N: int, prec: Optional[int],
                  where: str) -> NamedPoint:
-    if "residue" in _object(obj, where):
-        vals = obj["residue"]
-        if not isinstance(vals, list) or len(vals) != N + 1:
-            raise ParseError(f"{where}: residue needs {N + 1} element strings")
-        return tuple(parse_element(field, s) for s in vals)
-    if "coords" in obj:
-        vals = obj["coords"]
-        if not isinstance(vals, list) or len(vals) != N + 1:
-            raise ParseError(f"{where}: coords needs {N + 1} series strings")
-        return ProjPoint(field, [parse_series(field, s, default_prec=prec)
-                                 for s in vals])
-    raise ParseError(f"{where}: point needs 'residue' or 'coords'")
+    residue, coords = _fields(obj, "point", where)
+    if (residue is None) == (coords is None):
+        raise ParseError(f"{where}: point needs exactly one of 'residue' and 'coords'")
+    if len(coords if residue is None else residue) != N + 1:
+        raise ParseError(f"{where}: point needs {N + 1} coordinates")
+    if coords is None:
+        return tuple(parse_element(field, s) for s in residue)
+    return ProjPoint(field, [parse_series(field, s, default_prec=prec) for s in coords])
 
 
-def _parse_parameters(obj: dict) -> Parameters:
+def _parse_parameters(obj) -> Parameters:
     params = Parameters()
-    for key in ("prec", "H", "tau", "M_max", "R_max"):
-        if key in obj:
-            v = obj[key]
-            if not _is_int(v) or v < 1:
+    for key, v in zip(Parameters.__slots__, _fields(obj, "parameters", "parameters")):
+        if v is not None:
+            if v < 1:
                 raise ParseError(f"parameters: {key} must be a positive integer")
             setattr(params, key, v)
     return params
 
 
 def parse_instance_dict(doc: dict, where: str = "instance") -> Instance:
-    label = _object(doc, f"{where}: top level").get("label", "")
-    map_obj = _object(_require(doc, "map", where), f"{where}: map")
-    # the field block may live at top level or inside the map object
-    field_obj = doc.get("field", map_obj.get("field"))
-    if field_obj is None:
-        raise ParseError(f"{where}: missing required key 'field'")
-    field = _parse_field(field_obj)
-    params = _parse_parameters(_object(doc.get("parameters", {}), "parameters"))
-    fmap = _parse_map(map_obj, field, params.prec, map_obj.get("label", label))
+    label, field_obj, map_obj, points_in, varieties_in, params_in = _fields(doc, "instance", where)
+    kind = "general map" if "coordinates" in map_obj else "structured map"
+    map_label, map_field, *map_values = _fields(map_obj, kind, f"{where}: map")
+    if (field_obj is None) == (map_field is None):
+        raise ParseError(f"{where}: give 'field' once, at top level or in 'map'")
+    field = make_field(*_fields(map_field if field_obj is None else field_obj, "field", "field"))
+    params = _parse_parameters(params_in or {})
+    label = label or ""
+    fmap = _parse_map(map_values, field, params.prec,
+                      label if map_label is None else map_label)
     N = fmap.N
-    points: Dict[str, NamedPoint] = {}
-    for name, pobj in _object(doc.get("points", {}), "points").items():
-        points[name] = _parse_point(pobj, field, N, params.prec, f"point '{name}'")
+    points = {name: _parse_point(pobj, field, N, params.prec, f"point '{name}'")
+              for name, pobj in (points_in or {}).items()}
     varieties: Dict[str, Subvariety] = {}
-    for name, vobj in _object(doc.get("varieties", {}), "varieties").items():
-        gens_in = _require(vobj, "generators", f"variety '{name}'")
-        if not isinstance(gens_in, list) or not gens_in:
+    for name, vobj in (varieties_in or {}).items():
+        gens_in, = _fields(vobj, "variety", f"variety '{name}'")
+        if not gens_in:
             raise ParseError(f"variety '{name}': generators must be a nonempty list")
         gens = [_parse_poly(g, field, N, params.prec, f"variety '{name}' generator {i}")
                 for i, g in enumerate(gens_in)]
@@ -203,10 +197,19 @@ def parse_instance_dict(doc: dict, where: str = "instance") -> Instance:
     return Instance(label, field, fmap, points, varieties, params)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json's object hook: refuse a key given twice in one object."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ParseError(f"duplicate key '{next(k for k in keys if keys.count(k) > 1)}'")
+    return obj
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_int=parse_int)
+            return json.load(fh, parse_int=parse_int, object_pairs_hook=_unique_keys)
     except OSError as ex:
         raise ParseError(f"cannot read {path}: {ex}") from ex
     except json.JSONDecodeError as ex:
@@ -220,16 +223,13 @@ def parse_instance(path: str) -> Instance:
 
 
 def parse_twist_file(path: str) -> Tuple[FieldSpec, List[List[FqElem]], int]:
-    """Matrix file: {"q": int, "field": {...}, "A": [[element strings]]}."""
-    doc = _load_json(path)
-    q = _require(_object(doc, f"{path}: top level"), "q", path)
-    if not _is_int(q) or q < 2:
+    """Matrix file: {"label": str (optional), "q": int, "field": {...},
+    "A": [[element strings]]}."""
+    _, q, field_obj, A_in = _fields(_load_json(path), "matrix file", path)
+    if q < 2:
         raise ParseError(f"{path}: q must be an integer >= 2")
-    field = _parse_field(_require(doc, "field", path))
-    A_in = _require(doc, "A", path)
-    if not isinstance(A_in, list) or len(A_in) < 2 \
-            or any(not isinstance(r, list) or len(r) != len(A_in) for r in A_in):
-        raise ParseError(f"{path}: A must be a square matrix of size >= 2")
+    field = make_field(*_fields(field_obj, "field", "field"))
+    _square(A_in, path)
     A = [[parse_element(field, s) for s in row] for row in A_in]
     return field, A, q
 
@@ -243,9 +243,7 @@ def _render_poly(g: HomogPoly) -> dict:
 def render_instance(inst: Instance) -> dict:
     """Inverse of parse_instance_dict up to canonical form: every series is
     printed with its own O(t^n) marker, so the round trip is prec-exact."""
-    doc: dict = {}
-    if inst.label:
-        doc["label"] = inst.label
+    doc: dict = {"label": inst.label} if inst.label else {}
     doc["field"] = {"p": inst.field.p, "m": inst.field.m,
                     "modulus": list(inst.field.modulus)}
     f = inst.map
@@ -256,19 +254,15 @@ def render_instance(inst: Instance) -> dict:
     else:
         doc["map"] = {"coordinates": [_render_poly(h) for h in f.coords]}
     if inst.points:
-        pts = {}
-        for name, P in inst.points.items():
-            if isinstance(P, ProjPoint):
-                pts[name] = {"coords": [format_series(c) for c in P.coords]}
-            else:
-                pts[name] = {"residue": [format_element(x) for x in P]}
-        doc["points"] = pts
+        doc["points"] = {
+            name: {"coords": [format_series(c) for c in P.coords]}
+            if isinstance(P, ProjPoint) else {"residue": [format_element(x) for x in P]}
+            for name, P in inst.points.items()}
     if inst.varieties:
         doc["varieties"] = {
             name: {"generators": [_render_poly(g) for g in V.generators]}
             for name, V in inst.varieties.items()}
-    params = {k: getattr(inst.parameters, k)
-              for k in ("prec", "H", "tau", "M_max", "R_max")
+    params = {k: getattr(inst.parameters, k) for k in Parameters.__slots__
               if getattr(inst.parameters, k) is not None}
     if params:
         doc["parameters"] = params

@@ -87,12 +87,13 @@ def ap_decompose(rs: ReturnSet, M_max: int) -> APDecomposition:
     """Least period m <= M_max, then least preperiod n0 <= H - 2m, such that
     the hit indicator is m-periodic on [n0, H]; two full periods of window
     are required before claiming exactness.  For each m one backward scan
-    finds the last n with hit(n) != hit(n + m); the least n0 is one past it."""
+    finds the last n with hit(n) != hit(n + m); the least n0 is one past it.
+    No m > H // 2 leaves room for n0 >= 0, so the scan stops there."""
     if M_max < 1:
         raise DegreeMismatch("M_max must be >= 1")
     H = rs.horizon
     hits = set(rs.hits)
-    for m in range(1, M_max + 1):
+    for m in range(1, min(M_max, H // 2) + 1):
         last = next((n for n in range(H - m, -1, -1)
                      if (n in hits) != (n + m in hits)), -1)
         n0 = last + 1

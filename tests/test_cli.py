@@ -11,7 +11,7 @@ import pytest
 
 from frobdml.cli import RETURNS_NOTE, main
 from frobdml.field import PRIME_BOUND
-from frobdml.instances import fixture_path, parse_instance, render_instance
+from frobdml.instances import SCHEMA, fixture_path, parse_instance, render_instance
 
 F1 = fixture_path("f1.json")
 F3 = fixture_path("f3.json")
@@ -621,6 +621,123 @@ def test_json_booleans_are_not_integers(tmp_path):
                     (where, value, err)
                 tried += 1
     assert tried >= 100
+
+
+# keys whose value holds items of one kind, and the kind of those items
+_ITEMS = {"G": "polynomial", "coordinates": "polynomial", "generators": "polynomial",
+          "terms": "term", "points": "point", "varieties": "variety",
+          "integer list": "integer", "string list": "string", "string matrix": "string list"}
+
+
+def _schema_type(kind, path, map_kind):
+    """What SCHEMA asks for at path below an object of kind: an object kind,
+    a JSON type, or a key of _ITEMS."""
+    at = kind
+    for key in path:
+        if at in _ITEMS:
+            at = _ITEMS[at]
+        elif at == "polynomial" and isinstance(key, int):  # its bare term list
+            at = "term"
+        elif key in ("map", "field", "parameters"):
+            at = map_kind if key == "map" else key
+        else:
+            at = key if key in _ITEMS else SCHEMA[at][key].rstrip("?")
+    return at
+
+
+def _admits(at, value):
+    """Whether value is of a JSON type that SCHEMA admits where it asks for at."""
+    admitted = {"integer": [7], "string": ["x"], "points": [{}], "varieties": [{}],
+                "polynomial": [[], {}]}
+    return value in admitted.get(at, [{}] if at in SCHEMA else [[]])
+
+
+def _json_paths(node, path=()):
+    """The path of every value below the root of a parsed document."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield path + (k,)
+        yield from _json_paths(v, path + (k,))
+
+
+def _schema_probe_docs():
+    """(command, top-level kind, map kind, document) for each fixture."""
+    for fixture in (F1, F3, F4, TWIST):
+        with open(fixture, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if fixture == TWIST:
+            yield "twist", "matrix file", None, doc
+        else:
+            yield "validate", "instance", (
+                "general map" if "coordinates" in doc["map"] else "structured map"), doc
+
+
+def _run_on(tmp_path, command, doc):
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return run([command, str(path)])
+
+
+def _is_parse_error(result):
+    code, out, err = result
+    return code == 2 and out == "" and err.startswith("error: ParseError:") \
+        and err.count("\n") == 1
+
+
+def test_wrong_json_types_are_parse_errors(tmp_path):
+    # every leaf and container of every fixture, set in turn to each JSON
+    # type: a ParseError unless SCHEMA admits the type, and never an
+    # internal error
+    tried = admitted = 0
+    for command, kind, map_kind, doc in _schema_probe_docs():
+        for where in _json_paths(doc):
+            at = _schema_type(kind, where, map_kind)
+            for value in ("x", [], {}, None, 1.5, True, 7):
+                bad = json.loads(json.dumps(doc))
+                target = bad
+                for k in where[:-1]:
+                    target = target[k]
+                target[where[-1]] = value
+                tried += 1
+                result = _run_on(tmp_path, command, bad)
+                if _admits(at, value):
+                    admitted += 1
+                    assert result[0] in (0, 1, 2, 3), (where, value, result)
+                else:
+                    assert _is_parse_error(result), (where, value, result)
+    assert tried > 1000 and admitted < tried // 5
+
+
+def test_unknown_keys_are_parse_errors(tmp_path):
+    # an unknown key in every object of every fixture; the names in
+    # "points" and "varieties" are the document's own
+    tried = 0
+    for command, _, _, doc in _schema_probe_docs():
+        for where in [()] + list(_json_paths(doc)):
+            bad = json.loads(json.dumps(doc))
+            target = bad
+            for k in where:
+                target = target[k]
+            if isinstance(target, dict) and where[-1:] not in (("points",), ("varieties",)):
+                target["colour"] = 1
+                assert _is_parse_error(_run_on(tmp_path, command, bad)), where
+                tried += 1
+    assert tried == 35
+
+
+def test_returns_max_period_past_the_horizon_costs_nothing():
+    # no period m > H // 2 fits twice in [0, H], so at H = 2 a huge
+    # --max-period scans what --max-period 1 does
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    outs = []
+    for period in ("1", "1000000000000"):
+        res = subprocess.run([sys.executable, "-m", "frobdml.cli", "returns", F4, "--point",
+                              "Ptilde", "--variety", "orbitpt", "--horizon", "2",
+                              "--max-period", period], capture_output=True, env=env, timeout=10)
+        outs.append((res.returncode, res.stdout, res.stderr))
+    assert outs[0] == outs[1] and outs[0][0] == 1
 
 
 def _invalid_instance(tmp_path):

@@ -182,3 +182,84 @@ def test_format_instance_is_stable_json():
     assert text.endswith("\n")
     assert json.loads(text)["label"] == "f1"
     assert format_instance(inst) == text
+
+
+def _f1_doc():
+    with open(fixture_path("f1.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _misspelled_terms(doc):
+    gen = doc["varieties"]["axis"]["generators"][0]
+    gen["trems"] = gen.pop("terms")
+
+
+def _g_as_term_object(doc):
+    doc["map"]["G"][1] = {"term": doc["map"]["G"][1]}
+
+
+def _residue_and_coords(doc):
+    doc["points"]["P0"]["coords"] = ["1 + O(t^8)", "O(t^8)"]
+
+
+def _field_twice(doc):
+    doc["map"]["field"] = dict(doc["field"])
+
+
+def _list_label(doc):
+    doc["label"] = [1, 2]
+
+
+def _map_object_label(doc):
+    doc["map"]["label"] = {"a": 1}
+
+
+def _null_degree(doc):
+    doc["varieties"]["axis"]["generators"][0]["degree"] = None
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_misspelled_terms, "variety 'axis' generator 0: unknown key 'trems' in a polynomial"),
+    (_g_as_term_object, "map G[1]: unknown key 'term' in a polynomial"),
+    (_residue_and_coords, "point 'P0': point needs exactly one of 'residue' and 'coords'"),
+    (_field_twice, "instance: give 'field' once, at top level or in 'map'"),
+    (_list_label, "instance: 'label' must be a JSON string"),
+    (_map_object_label, "instance: map: 'label' must be a JSON string"),
+    (_null_degree, "variety 'axis' generator 0: 'degree' must be a JSON integer")],
+    ids=["trems", "term", "residue-and-coords", "field-twice", "list-label",
+         "map-label", "null-degree"])
+def test_schema_refuses_what_was_read_as_absent(edit, message):
+    # each of these once parsed, as another document than the one written
+    doc = _f1_doc()
+    edit(doc)
+    with pytest.raises(ParseError) as exc:
+        parse_instance_dict(doc)
+    assert str(exc.value) == message
+
+
+def test_duplicate_keys_are_refused(tmp_path):
+    # json.load keeps the last of two equal keys; a second "map" was parsed
+    # and the first one ignored
+    with open(fixture_path("f1.json"), encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / "twice.json"
+    path.write_text(text.replace('"map": {', '"map": {"p": 2, "e": 1, "A": [], "G": []},\n'
+                                 '  "map": {', 1), encoding="utf-8")
+    with pytest.raises(ParseError, match="duplicate key 'map'"):
+        parse_instance(str(path))
+    path.write_text('{"q": 2, "q": 3, "field": {"p": 2, "m": 1, "modulus": [0, 1]},'
+                    ' "A": [["0", "1"], ["1", "0"]]}', encoding="utf-8")
+    with pytest.raises(ParseError, match="duplicate key 'q'"):
+        parse_twist_file(str(path))
+
+
+def test_readme_instance_example_parses():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## Instance files"):]
+    example = section[section.index("```json") + len("```json"):section.index("```\n\n")]
+    inst = parse_instance_dict(json.loads(example))
+    assert inst.label == "f1" and isinstance(inst.map, DmlMap)
+    assert set(inst.points) == {"P0", "P"} and set(inst.varieties) == {"axis"}
