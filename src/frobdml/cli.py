@@ -7,11 +7,11 @@ validation or parse failure, 3 a configured resource bound was hit, 4 an
 internal error (a fault of the program, reported in one line).
 
 All output is deterministic: identical inputs produce byte-identical stdout.
-The --seed flag is accepted for reproducibility plumbing in batch runs; the
-shipped commands are fully deterministic and do not consume it.  The symbolic
-term bound for compositions can be overridden with FROBDML_TERM_BOUND.
-A command imports twist, lifting or returns itself, so a process loads (and
-compiles) only the modules its command runs.
+The symbolic term bound for compositions can be overridden with
+FROBDML_TERM_BOUND.  COMMANDS declares each command and FLAGS each of its
+arguments, once; a flag that names a Parameters field overrides the
+instance's value of it.  A command imports twist, lifting or returns itself,
+so a process loads (and compiles) only the modules its command runs.
 """
 from __future__ import annotations
 
@@ -25,7 +25,8 @@ from .dynamics import (DmlMap, NotInForm, check_conditions, iterate_map, orbit,
 from .errors import FrobdmlError, ParseError, ValidationFailure
 from .field import p_power_exponent, parse_element
 from .geometry import ProjPoint, Subvariety, format_poly, reduce_point
-from .instances import Instance, parse_instance, parse_twist_file
+from .instances import Instance, Parameters, parse_instance, parse_twist_file
+from .record import Record
 from .series import AtPrecisionZero, TruncSeries, format_series, parse_series
 
 RETURNS_NOTE = ("membership is precision-qualified (generator valuation >= "
@@ -34,15 +35,13 @@ RETURNS_NOTE = ("membership is precision-qualified (generator valuation >= "
 
 
 # ---------------------------------------------------------------------------
-# report plumbing: every command builds one Report, emitted once
+# report plumbing: every command returns one Report, which main emits once
 # ---------------------------------------------------------------------------
 
-class Report:
-    def __init__(self, text: List[str], obj: dict,
-                 csv: Optional[List[List[str]]] = None):
-        self.text = text
-        self.obj = obj
-        self.csv = csv
+class Report(Record):
+    """One command's answer: text lines, JSON object, CSV rows, exit code."""
+    __slots__ = ("text", "obj", "csv", "code")
+    _defaults = {"csv": None, "code": 0}
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
@@ -62,13 +61,9 @@ def _csv_field(x: str) -> str:
 
 
 def _kv_rows(obj: dict) -> List[List[str]]:
-    rows = [["key", "value"]]
-    for k, v in obj.items():
-        if isinstance(v, (str, int, bool)) or v is None:
-            rows.append([k, _scalar(v)])
-        else:
-            rows.append([k, json.dumps(v)])
-    return rows
+    return [["key", "value"]] + [
+        [k, _scalar(v) if isinstance(v, (str, int, bool)) or v is None else json.dumps(v)]
+        for k, v in obj.items()]
 
 
 def _scalar(v) -> str:
@@ -81,10 +76,6 @@ def _scalar(v) -> str:
 
 def _point_strs(P: ProjPoint) -> List[str]:
     return [format_series(c) for c in P.coords]
-
-
-def _fmt_point(P: ProjPoint) -> str:
-    return "[" + ", ".join(_point_strs(P)) + "]"
 
 
 def _fmt_row(row: Sequence[TruncSeries]) -> str:
@@ -148,17 +139,24 @@ def _named_variety(inst: Instance, name: str) -> Subvariety:
     return inst.varieties[name]
 
 
-def _need(value, flag: str, param: str):
+def _param(args, inst: Optional[Instance], flag: str, required: bool = False):
+    """The run parameter that flag overrides: the flag's value when the
+    command has it and it is given, else the instance's (the defaults of
+    Parameters without an instance); a ParseError if required and neither."""
+    field = FLAGS[flag][0]
+    value = getattr(args, flag[2:].replace("-", "_"), None)
     if value is None:
-        raise ParseError(f"missing {flag} (no {param} in the instance parameters)")
+        value = getattr(inst.parameters if inst else Parameters(), field)
+    if value is None and required:
+        raise ParseError(f"missing {flag} (no {field} in the instance parameters)")
     return value
 
 
-def _load(args) -> Instance:
-    path = args.map if getattr(args, "map", None) else args.instance
-    if path is None:
-        raise ParseError("an instance file is required (positional or --map)")
-    return parse_instance(path)
+def _rmax(args, inst: Optional[Instance]) -> int:
+    rmax = _param(args, inst, "--rmax")
+    if rmax < 1:
+        raise ParseError("--rmax must be >= 1")
+    return rmax
 
 
 def _dml_only(f, command: str) -> DmlMap:
@@ -180,67 +178,56 @@ def _conditions(f) -> Tuple[List[str], dict]:
     return [f"{k}: {_scalar(v)}" for k, v in obj.items()], obj
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> Report:
     try:
-        inst = _load(args)
+        inst = parse_instance(args.instance)
     except ValidationFailure as ex:
         lines = ["invalid"] + [str(d) for d in ex.diagnostics]
         obj = {"valid": False, "diagnostics": [str(d) for d in ex.diagnostics]}
-        sys.stdout.write(Report(lines, obj).render(args.format))
-        return 2
+        return Report(lines, obj, code=2)
     text, conditions = _conditions(inst.map)
     label = inst.label or "(unlabeled)"
     lines = [f"valid: {label}", f"map: {inst.map!r}"] + text
     obj = {"valid": True, "label": inst.label, "map": repr(inst.map), **conditions}
-    sys.stdout.write(Report(lines, obj).render(args.format))
-    return 0
+    return Report(lines, obj)
 
 
-def cmd_check_conditions(args) -> int:
-    lines, obj = _conditions(_load(args).map)
-    sys.stdout.write(Report(lines, obj).render(args.format))
-    return 0
+def cmd_check_conditions(args) -> Report:
+    return Report(*_conditions(parse_instance(args.instance).map))
 
 
-def cmd_orbit(args) -> int:
-    inst = _load(args)
-    prec = args.prec if args.prec is not None else inst.parameters.prec
-    P = _proj_point(inst, args.point, prec)
-    H = _need(args.horizon if args.horizon is not None else inst.parameters.H,
-              "--horizon", "H")
+def cmd_orbit(args) -> Report:
+    inst = parse_instance(args.instance)
+    P = _proj_point(inst, args.point, _param(args, inst, "--prec"))
+    H = _param(args, inst, "--horizon", required=True)
     pts = orbit(inst.map, P, H)
-    lines = [f"{n}: {_fmt_point(Q)}" for n, Q in enumerate(pts)]
+    lines = [f"{n}: {_fmt_row(Q.coords)}" for n, Q in enumerate(pts)]
     obj = {"horizon": H, "orbit": [_point_strs(Q) for Q in pts]}
     csv = [["n"] + [f"x{i}" for i in range(P.N + 1)]]
     csv += [[str(n)] + _point_strs(Q) for n, Q in enumerate(pts)]
-    sys.stdout.write(Report(lines, obj, csv).render(args.format))
-    return 0
+    return Report(lines, obj, csv)
 
 
 def _lift(args, command: str):
-    """(f, prec, the sigma-fixed lift of --point0 to prec) for lift, witness
-    and period: the instance is loaded, f checked to be structured, the
-    point read and the precision found, in this order."""
+    """(f, prec, the sigma-fixed lift of --point0 to prec) for lift, witness and
+    period, which check the instance, the map, the point and prec in this order."""
     from .lifting import sigma_fixed_lift
-    inst = _load(args)
+    inst = parse_instance(args.instance)
     f = _dml_only(inst.map, command)
     P0 = _residue_point(inst, args.point0)
-    prec = _need(args.prec if args.prec is not None else inst.parameters.prec,
-                 "--prec", "prec")
+    prec = _param(args, inst, "--prec", required=True)
     return f, prec, sigma_fixed_lift(f, P0, prec)
 
 
-def cmd_lift(args) -> int:
+def cmd_lift(args) -> Report:
     _, prec, L = _lift(args, "lift")
     verification = f"f(P~) - σ(P~) = 0 mod t^{prec}"
-    lines = [f"P~ = {_fmt_point(L.lift)}",
+    lines = [f"P~ = {_fmt_row(L.lift.coords)}",
              verification,
              f"residue_degree: {_scalar(L.residue_degree)}"]
-    obj = {"lift": _point_strs(L.lift), "prec": prec,
-           "verification": verification,
+    obj = {"lift": _point_strs(L.lift), "prec": prec, "verification": verification,
            "residue_degree": L.residue_degree}
-    sys.stdout.write(Report(lines, obj).render(args.format))
-    return 0
+    return Report(lines, obj)
 
 
 def _twist_matrix_strs(rows) -> List[List[str]]:
@@ -248,32 +235,25 @@ def _twist_matrix_strs(rows) -> List[List[str]]:
     return [[str(x) for x in row] for row in rows]
 
 
-def cmd_twist(args) -> int:
+def cmd_twist(args) -> Report:
     from .twist import solve_twist
     field, A, q = parse_twist_file(args.matrix)
-    if args.rmax < 1:
-        raise ParseError("--rmax must be >= 1")
-    sol = solve_twist(A, q, args.rmax)
-    basis = _twist_matrix_strs(sol.basis)
-    B = _twist_matrix_strs(sol.B)
+    sol = solve_twist(A, q, _rmax(args, None))
+    basis, B = _twist_matrix_strs(sol.basis), _twist_matrix_strs(sol.B)
     residue = [[sol.entry_str(x) for x in row] for row in sol.residue()]
     lines = [f"r = {sol.r}"]
     lines += [f"basis[{i}] = [{', '.join(v)}]" for i, v in enumerate(basis)]
     lines += [f"B[{i}] = [{', '.join(row)}]" for i, row in enumerate(B)]
     lines += [f"residue[{i}] = [{', '.join(row)}]" for i, row in enumerate(residue)]
     obj = {"q": q, "r": sol.r, "basis": basis, "B": B, "residue": residue}
-    sys.stdout.write(Report(lines, obj).render(args.format))
-    return 0
+    return Report(lines, obj)
 
 
-def cmd_normalize(args) -> int:
+def cmd_normalize(args) -> Report:
     from .twist import normalize_conjugate
-    inst = _load(args)
+    inst = parse_instance(args.instance)
     f = _dml_only(inst.map, "normalize")
-    if args.rmax is not None and args.rmax < 1:
-        raise ParseError("--rmax must be >= 1")
-    rmax = args.rmax if args.rmax is not None else inst.parameters.R_max
-    sol, fprime = normalize_conjugate(f, rmax)
+    sol, fprime = normalize_conjugate(f, _rmax(args, inst))
     B = _twist_matrix_strs(sol.B)
     lines = [f"r = {sol.r}"]
     lines += [f"B[{i}] = [{', '.join(row)}]" for i, row in enumerate(B)]
@@ -281,23 +261,20 @@ def cmd_normalize(args) -> int:
     gstrs = [format_poly(g, "y") for g in fprime.G]
     lines += [f"G'[{i}] = {s}" for i, s in enumerate(gstrs)]
     obj = {"r": sol.r, "B": B, "A_prime": "identity", "G_prime": gstrs}
-    sys.stdout.write(Report(lines, obj).render(args.format))
-    return 0
+    return Report(lines, obj)
 
 
-def cmd_returns(args) -> int:
+def cmd_returns(args) -> Report:
     from .returns import NO_DECOMPOSITION, ap_decompose, default_threshold, return_set
-    inst = _load(args)
-    P = _proj_point(inst, args.point, inst.parameters.prec)
+    inst = parse_instance(args.instance)
+    P = _proj_point(inst, args.point, _param(args, inst, "--prec"))
     V = _named_variety(inst, args.variety)
-    H = _need(args.horizon if args.horizon is not None else inst.parameters.H,
-              "--horizon", "H")
-    tau = args.threshold if args.threshold is not None else inst.parameters.tau
+    H = _param(args, inst, "--horizon", required=True)
+    tau = _param(args, inst, "--threshold")
     if tau is None:
         tau = default_threshold(P.prec)
-    M = args.max_period if args.max_period is not None else inst.parameters.M_max
     rs = return_set(inst.map, P, V, H, tau)
-    dec = ap_decompose(rs, M)
+    dec = ap_decompose(rs, _param(args, inst, "--max-period"))
     prog_strs = [f"{r} mod {m}" for r, m in dec.progressions]
     lines = [f"horizon: {H}",
              f"threshold: {tau}",
@@ -314,18 +291,16 @@ def cmd_returns(args) -> int:
                              "sporadic": list(dec.sporadic),
                              "progressions": [list(pr) for pr in dec.progressions]},
            "note": RETURNS_NOTE}
-    ngen = len(V.generators)
-    csv = [["n", "member"] + [f"val{i}" for i in range(ngen)]]
+    csv = [["n", "member"] + [f"val{i}" for i in range(len(V.generators))]]
     hitset = set(rs.hits)
     for n, vals in enumerate(rs.valuations):
         csv.append([str(n), "1" if n in hitset else "0"]
                    + [_val_str(v) for v in vals])
-    sys.stdout.write(Report(lines, obj, csv).render(args.format))
-    return 0 if dec.status != NO_DECOMPOSITION else 1
+    return Report(lines, obj, csv, code=int(dec.status == NO_DECOMPOSITION))
 
 
-def cmd_compose(args) -> int:
-    inst = _load(args)
+def cmd_compose(args) -> Report:
+    inst = parse_instance(args.instance)
     if args.times < 1:
         raise ParseError("--times must be >= 1")
     fk = iterate_map(inst.map, args.times)
@@ -357,36 +332,75 @@ def cmd_compose(args) -> int:
                 "q": rec.q,
                 "A": [[format_series(s) for s in row] for row in rec.A],
                 "G": gstrs}
-    sys.stdout.write(Report(lines, obj).render(args.format))
-    return code
+    return Report(lines, obj, code=code)
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args) -> Report:
     from .lifting import critical_witness
     f, _, L = _lift(args, "witness")
     Q = critical_witness(f, L, args.index)
-    lines = [f"Q = σ^(-{args.index})(P~) = {_fmt_point(Q)}",
+    lines = [f"Q = σ^(-{args.index})(P~) = {_fmt_row(Q.coords)}",
              f"f^{args.index}(Q) = P~ (verified exactly)"]
     obj = {"index": args.index, "witness": _point_strs(Q),
            "lift": _point_strs(L.lift), "verified": True}
-    sys.stdout.write(Report(lines, obj).render(args.format))
-    return 0
+    return Report(lines, obj)
 
 
-def cmd_period(args) -> int:
+def cmd_period(args) -> Report:
     from .lifting import minimal_period
     f, _, L = _lift(args, "period")
     d = minimal_period(f, L)
     lines = [f"residue_degree: {_scalar(L.residue_degree)}",
              f"minimal_period: {d}"]
     obj = {"residue_degree": L.residue_degree, "minimal_period": d}
-    sys.stdout.write(Report(lines, obj).render(args.format))
-    return 0
+    return Report(lines, obj)
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one table of arguments, one of commands
 # ---------------------------------------------------------------------------
+
+# argument -> (the Parameters field it overrides, or None; its add_argument
+# keywords).  "instance" and "matrix" are the commands' positional files.
+FLAGS: Dict[str, Tuple[Optional[str], dict]] = {
+    "instance": (None, {"help": "instance file (JSON)"}),
+    "matrix": (None, {"help": "matrix file (JSON: q, field, A)"}),
+    "--point": (None, {"required": True, "help": "point name or coordinate tuple"}),
+    "--point0": (None, {"required": True, "help": "residue point name or tuple, e.g. '(1,a)'"}),
+    "--variety": (None, {"required": True, "help": "variety name"}),
+    "--times": (None, {"type": int, "required": True, "help": "iteration count"}),
+    "--index": (None, {"type": int, "required": True, "help": "iterate index n"}),
+    "--recognize": (None, {"type": int, "metavar": "Q", "help": "recognize f^k at degree Q"}),
+    "--prec": ("prec", {"type": int, "help": "working precision"}),
+    "--horizon": ("H", {"type": int, "help": "largest iterate"}),
+    "--threshold": ("tau", {"type": int, "help": "valuation threshold"}),
+    "--max-period": ("M_max", {"type": int, "help": "largest progression modulus tried"}),
+    "--rmax": ("R_max", {"type": int, "help": "largest extension degree searched"}),
+}
+
+# command -> (function, help, positional argument, flags), all keys of FLAGS
+COMMANDS = {
+    "validate": (cmd_validate, "parse an instance, run structural validation, report "
+                 "conditions", "instance", ()),
+    "check-conditions": (cmd_check_conditions, "report the structural conditions of "
+                         "the map", "instance", ()),
+    "orbit": (cmd_orbit, "print the orbit of a point", "instance",
+              ("--point", "--horizon", "--prec")),
+    "lift": (cmd_lift, "compute the sigma-fixed lift of a residue point", "instance",
+             ("--point0", "--prec")),
+    "twist": (cmd_twist, "solve B^(q) = A*B for a matrix file", "matrix", ("--rmax",)),
+    "normalize": (cmd_normalize, "conjugate the map so its matrix part becomes the "
+                  "identity", "instance", ("--rmax",)),
+    "returns": (cmd_returns, "compute a return set and decompose it into progressions",
+                "instance", ("--point", "--variety", "--horizon", "--threshold", "--max-period")),
+    "compose": (cmd_compose, "iterate the map symbolically", "instance",
+                ("--times", "--recognize")),
+    "witness": (cmd_witness, "produce the n-fold preimage witness sigma^(-n)(P~)",
+                "instance", ("--point0", "--index", "--prec")),
+    "period": (cmd_period, "residue degree and minimal period of the sigma-fixed lift",
+               "instance", ("--point0", "--prec")),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose refusals are ParseErrors, reported by main
@@ -400,10 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "csv", "json"),
                         default="text", help="output format (default text)")
-    common.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="seed for randomized batch operations; shipped "
-                             "commands are deterministic and ignore it")
-
     parser = _Parser(
         prog="frobdml",
         description="Exact arithmetic for Frobenius-lifting self-maps of "
@@ -413,76 +423,20 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Set FROBDML_TERM_BOUND to override the symbolic term bound "
                "used by compose/recognize.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, helptext, instance=True):
+    for name, (fn, helptext, positional, flags) in COMMANDS.items():
         sp = sub.add_parser(name, parents=[common], help=helptext)
-        if instance:
-            sp.add_argument("instance", nargs="?", help="instance file (JSON)")
-            sp.add_argument("--map", metavar="FILE",
-                            help="instance file (alias for the positional)")
+        for arg in (positional,) + flags:
+            sp.add_argument(arg, **FLAGS[arg][1])
         sp.set_defaults(fn=fn)
-        return sp
-
-    sp = add("validate", cmd_validate,
-             "parse an instance, run structural validation, report conditions")
-
-    sp = add("check-conditions", cmd_check_conditions,
-             "report the structural conditions of the map")
-
-    sp = add("orbit", cmd_orbit, "print the orbit of a point")
-    sp.add_argument("--point", required=True, help="point name or coordinate tuple")
-    sp.add_argument("--horizon", type=int, help="number of steps")
-    sp.add_argument("--prec", type=int, help="working precision for literal points")
-
-    sp = add("lift", cmd_lift, "compute the sigma-fixed lift of a residue point")
-    sp.add_argument("--point0", required=True,
-                    help="residue point name or element tuple, e.g. '(1,a)'")
-    sp.add_argument("--prec", type=int, help="target precision")
-
-    sp = add("twist", cmd_twist,
-             "solve B^(q) = A*B for a matrix file", instance=False)
-    sp.add_argument("matrix", help="matrix file (JSON: q, field, A)")
-    sp.add_argument("--rmax", type=int, default=64,
-                    help="largest extension degree searched (default 64)")
-
-    sp = add("normalize", cmd_normalize,
-             "conjugate the map so its matrix part becomes the identity")
-    sp.add_argument("--rmax", type=int, help="largest extension degree searched")
-
-    sp = add("returns", cmd_returns,
-             "compute a return set and decompose it into progressions")
-    sp.add_argument("--point", required=True, help="point name or coordinate tuple")
-    sp.add_argument("--variety", required=True, help="variety name")
-    sp.add_argument("--horizon", type=int, help="largest iterate checked")
-    sp.add_argument("--threshold", type=int, help="valuation threshold")
-    sp.add_argument("--max-period", type=int, dest="max_period",
-                    help="largest progression modulus tried")
-
-    sp = add("compose", cmd_compose, "iterate the map symbolically")
-    sp.add_argument("--times", type=int, required=True, help="iteration count")
-    sp.add_argument("--recognize", type=int, metavar="Q",
-                    help="recognize the result in structured form at degree Q")
-
-    sp = add("witness", cmd_witness,
-             "produce the n-fold preimage witness sigma^(-n)(P~)")
-    sp.add_argument("--point0", required=True,
-                    help="residue point name or element tuple")
-    sp.add_argument("--index", type=int, required=True, help="iterate index n")
-    sp.add_argument("--prec", type=int, help="target precision")
-
-    sp = add("period", cmd_period,
-             "residue degree and minimal period of the sigma-fixed lift")
-    sp.add_argument("--point0", required=True,
-                    help="residue point name or element tuple")
-    sp.add_argument("--prec", type=int, help="target precision")
-
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        report = args.fn(args)
+        sys.stdout.write(report.render(args.format))
+        return report.code
     except FrobdmlError as ex:
         sys.stderr.write(f"error: {type(ex).__name__}: {ex}\n")
         return ex.exit_code

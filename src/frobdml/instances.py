@@ -166,10 +166,20 @@ def _parse_parameters(obj) -> Parameters:
     params = Parameters()
     for key, v in zip(Parameters.__slots__, _fields(obj, "parameters", "parameters")):
         if v is not None:
-            if v < 1:
-                raise ParseError(f"parameters: {key} must be a positive integer")
+            low = 0 if key == "H" else 1  # a horizon of 0 is the point alone
+            if v < low:
+                raise ParseError(f"parameters: {key} must be an integer >= {low}")
             setattr(params, key, v)
     return params
+
+
+def _parse_field(obj) -> FieldSpec:
+    """The field of a field object, its modulus coefficients in [0, p)."""
+    p, m, modulus = _fields(obj, "field", "field")
+    field = make_field(p, m, modulus)
+    if list(field.modulus) != modulus:
+        raise ParseError(f"field: modulus {modulus} has a coefficient outside [0, {p})")
+    return field
 
 
 def parse_instance_dict(doc: dict, where: str = "instance") -> Instance:
@@ -178,7 +188,7 @@ def parse_instance_dict(doc: dict, where: str = "instance") -> Instance:
     map_label, map_field, *map_values = _fields(map_obj, kind, f"{where}: map")
     if (field_obj is None) == (map_field is None):
         raise ParseError(f"{where}: give 'field' once, at top level or in 'map'")
-    field = make_field(*_fields(map_field if field_obj is None else field_obj, "field", "field"))
+    field = _parse_field(map_field if field_obj is None else field_obj)
     params = _parse_parameters(params_in or {})
     label = label or ""
     fmap = _parse_map(map_values, field, params.prec,
@@ -228,7 +238,7 @@ def parse_twist_file(path: str) -> Tuple[FieldSpec, List[List[FqElem]], int]:
     _, q, field_obj, A_in = _fields(_load_json(path), "matrix file", path)
     if q < 2:
         raise ParseError(f"{path}: q must be an integer >= 2")
-    field = make_field(*_fields(field_obj, "field", "field"))
+    field = _parse_field(field_obj)
     _square(A_in, path)
     A = [[parse_element(field, s) for s in row] for row in A_in]
     return field, A, q

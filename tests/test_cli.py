@@ -3,13 +3,14 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 
-from frobdml.cli import RETURNS_NOTE, main
+from frobdml.cli import COMMANDS, RETURNS_NOTE, main
 from frobdml.field import PRIME_BOUND
 from frobdml.instances import SCHEMA, fixture_path, parse_instance, render_instance
 
@@ -206,17 +207,97 @@ def test_scalar_csv_falls_back_to_key_value():
     assert out == "key,value\nresidue_degree,2\nminimal_period,2\n"
 
 
-def test_map_flag_is_alias_for_positional():
-    _, out_pos, _ = run(["validate", F1])
-    _, out_flag, _ = run(["validate", "--map", F1])
-    assert out_pos == out_flag
+@pytest.mark.parametrize("argv", [["validate", F1, "--seed", "7"], ["validate", "--map", F1],
+                                  ["lift", F4, "--point0", "P0", "--prec", "8", "--seed", "7"]],
+                         ids=["seed", "map", "lift-seed"])
+def test_removed_flags_are_parse_errors(argv):
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ParseError: ") and err.count("\n") == 1
 
 
-def test_seed_flag_accepted_and_inert():
-    _, out0, _ = run(["lift", F4, "--point0", "P0", "--prec", "8"])
-    _, out7, _ = run(["lift", F4, "--point0", "P0", "--prec", "8",
-                      "--seed", "7"])
-    assert out0 == out7
+def _with_parameter(tmp_path, fixture, key, value, **map_keys):
+    with open(fixture, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["parameters"][key] = value
+    doc["map"].update(map_keys)
+    path = tmp_path / f"{key}_{value}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+_RETURNS = ["returns", "--point", "Ptilde", "--variety", "orbitpt"]
+# parameters.prec is also the precision of a series written without O(t^n);
+# this f4 map states its own, so that only the run parameter moves
+_F4_MAP = {"A": [["1 + O(t^64)", "O(t^64)"], ["O(t^64)", "1 + O(t^64)"]],
+           "G": [[], [{"exponents": [1, 0], "coeff": "t + O(t^64)"}]]}
+
+
+@pytest.mark.parametrize("flag,key,argv,a,b", [
+    ("--prec", "prec", ["lift", "--point0", "P0"], 8, 12),
+    ("--horizon", "H", _RETURNS, 5, 7),
+    ("--threshold", "tau", _RETURNS, 20, 30),
+    ("--max-period", "M_max", _RETURNS, 1, 2),
+    ("--rmax", "R_max", ["normalize"], 1, 2)], ids=["prec", "H", "tau", "M_max", "R_max"])
+def test_parameter_flag_overrides_the_instance(tmp_path, flag, key, argv, a, b):
+    # f4.json with the parameter at a, then at b: the two runs answer
+    # differently, and the flag wins over the file
+    command, *rest = argv
+    file_a, file_b = (_with_parameter(tmp_path, F4, key, v, **_F4_MAP) for v in (a, b))
+    from_a = run([command, file_a] + rest)
+    from_b = run([command, file_b] + rest)
+    assert from_a != from_b
+    assert run([command, file_a] + rest + [flag, str(b)]) == from_b
+    assert run([command, file_b] + rest + [flag, str(a)]) == from_a
+
+
+def test_parameter_horizon_0_is_the_point_alone(tmp_path):
+    code, out, err = run(["orbit", _with_parameter(tmp_path, F1, "H", 0), "--point", "P"])
+    assert (code, out, err) == run(["orbit", F1, "--point", "P", "--horizon", "0"])
+    assert code == 0 and len(out.splitlines()) == 1
+    code, out, err = run(["orbit", _with_parameter(tmp_path, F1, "H", -1), "--point", "P"])
+    assert (code, out) == (2, "")
+    assert err == "error: ParseError: parameters: H must be an integer >= 0\n"
+
+
+@pytest.mark.parametrize("command,fixture,modulus", [
+    ("validate", F4, [7, -1, 1]), ("twist", TWIST, [2, 3])], ids=["instance", "twist"])
+def test_modulus_coefficients_outside_0_p_are_parse_errors(tmp_path, command, fixture,
+                                                          modulus):
+    with open(fixture, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["field"]["modulus"] = modulus
+    path = tmp_path / "modulus.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run([command, str(path)])
+    assert (code, out) == (2, "")
+    assert err == (f"error: ParseError: field: modulus {modulus} has a coefficient "
+                   "outside [0, 2)\n")
+
+
+def _listed_flags(text):
+    return set(re.findall(r"--[a-z0-9-]+", text))
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_help_lists_its_table_flags(command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as ex:
+        main([command, "--help"])
+    assert ex.value.code == 0
+    assert _listed_flags(out.getvalue()) - {"--help", "--format"} == set(COMMANDS[command][3])
+
+
+def test_readme_command_block_lists_every_flag():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## CLI"):]
+    start = section.index("```\n") + 4
+    block = section[start:section.index("```\n", start)]
+    listed = {line.split()[1]: _listed_flags(line) for line in block.splitlines()}
+    assert listed == {name: set(spec[3]) for name, spec in COMMANDS.items()}
 
 
 def test_unknown_point_is_exit_2():
