@@ -7,12 +7,14 @@ variables y_j standing for x_j^p, every G coefficient in the maximal ideal
 used for symbolic composition and for maps that only acquire the structured
 form after iteration.
 
-Every monomial of a DmlMap is a p-th power, so apply_map evaluates it
-through the p-sections of its coefficients when they are long enough: each
-product runs at ceil(n/p) digits, and one interleave and one Frobenius per
-coordinate give the image at n digits (see apply_map), which keeps only the
-x_j^(q/p) dilations, sections, interleave and Frobenius to itself: the other
-monomials and the bounded sums are geometry's kernels of its one evaluator.
+Every monomial of a DmlMap is a p-th power, f_i(x) = F_i(x_0^p, .., x_N^p)
+for the rows F_i through which this module reads A and G, so apply_map
+evaluates it through the p-sections of its coefficients when they are long
+enough: each product runs at ceil(n/p) digits, and one interleave and one
+Frobenius per coordinate give the image at n digits (see apply_map), which
+keeps only the x_j^(q/p) dilations, sections, interleave and Frobenius to
+itself: the other monomials and the bounded sums are geometry's kernels of
+its one evaluator.
 """
 from __future__ import annotations
 
@@ -152,19 +154,20 @@ class DmlMap:
         return self.p ** self.e
 
     def coefficient_precision(self) -> int:
-        return min([s.prec for row in self.A for s in row] + [g.prec for g in self.G])
+        return min(F.prec for F in self._coefficient_rows())
 
-    def _coefficient_rows(self) -> tuple:
-        """(index, rows): the index of every monomial of G, the x_j^(q/p)
-        first, and per coordinate i, A_i and G_i collected as one form of
-        degree q/p; built on the first call."""
+    def _coefficient_rows(self) -> Tuple[HomogPoly, ...]:
+        """The rows F_i, f_i(x) = F_i(x_0^p, .., x_N^p): A_i at the
+        y_j^(q/p) and G_i collected as one form of degree q/p, known to the
+        least precision of A_i's entries and of G_i, whose prec counts the
+        O(t^k) terms it dropped; built on the first call.  Evaluation,
+        preimages, the general form and the precision read f only here."""
         if self._rows is None:
-            d, n = self.p ** (self.e - 1), self.N + 1
-            units = [tuple(d if k == j else 0 for k in range(n)) for j in range(n)]
-            monos = dict.fromkeys(units + [exps for g in self.G for exps in g.terms])
-            self._rows = ({exps: v for v, exps in enumerate(monos)},
-                          [HomogPoly(self.field, self.N, d, chain(zip(units, row), g.terms.items()))
-                           for row, g in zip(self.A, self.G)])
+            d = self.p ** (self.e - 1)
+            units = _powers(self.N, d)
+            self._rows = tuple(HomogPoly(self.field, self.N, d,
+                                         chain(zip(units, row), g.terms.items()), g.prec)
+                               for row, g in zip(self.A, self.G))
         return self._rows
 
     def _sections(self, n: int) -> tuple:
@@ -210,6 +213,11 @@ class GeneralMap:
 
 
 AnyMap = Union[DmlMap, GeneralMap]
+
+
+def _powers(N: int, d: int) -> List[ExpVec]:
+    """The exponent vectors of y_0^d, .., y_N^d."""
+    return [tuple(d if k == j else 0 for k in range(N + 1)) for j in range(N + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -359,38 +367,31 @@ def validate_map(field: FieldSpec, p: int, e: int,
 # application and orbits
 # ---------------------------------------------------------------------------
 
-def _at_prec(s: TruncSeries, prec: int) -> TruncSeries:
-    if s.prec < prec:
-        raise PrecisionExhausted(
-            f"map coefficient known only to t^{s.prec} < point precision {prec}")
-    return s.change_precision(prec) if s.prec > prec else s
+def _known_to(f: DmlMap, n: int) -> Tuple[HomogPoly, ...]:
+    """f's rows (DmlMap._coefficient_rows) once each is known to n digits;
+    the first row known below n raises."""
+    rows = f._coefficient_rows()
+    for F in rows:
+        if F.prec < n:
+            raise PrecisionExhausted(
+                f"map coefficient known only to t^{F.prec} < point precision {n}")
+    return rows
 
 
 def _build_sections(f: DmlMap, n: int) -> tuple:
-    """(monos, rows, sums) at precision n (see apply_map): G's monomials past
-    the x_j^(q/p), which are monomials 0..N; per coordinate i its nonzero
-    sections k; per (i, k) the terms (D, v) of F_ik, D a nonzero section d_k
-    at r = ceil(n/p) slots in the width of n (when r < SECTION_MIN_R, k = 0
-    and D the coefficient itself), v its monomial's index in
-    f._coefficient_rows().
-
-    Every coefficient must be known to n digits, an entry of A that is
-    exactly 0 or 1 included: A row by row, then each G_i by its prec, which
-    counts the O(t^k) terms it dropped, in that order."""
-    for row in f.A:
-        for s in row:
-            if s.prec < n:
-                raise PrecisionExhausted(
-                    f"map coefficient known only to t^{s.prec} < point precision {n}")
-    for g in f.G:
-        if g.prec < n:
-            raise PrecisionExhausted(
-                f"coefficient known only to t^{g.prec} < evaluation precision {n}")
+    """(monos, rows, sums) at precision n (see apply_map): the rows'
+    monomials past the x_j^(q/p), which are monomials 0..N; per coordinate i
+    its nonzero sections k; per (i, k) the terms (D, v) of F_ik, D a nonzero
+    section d_k at r = ceil(n/p) slots in the width of n (when
+    r < SECTION_MIN_R, k = 0 and D the coefficient itself), v its
+    monomial's index.  Every row must be known to n digits (_known_to)."""
+    forms = _known_to(f, n)
     field, p, m = f.field, f.p, f.field.m
     K = field._kron
     sh = K[n]
     sectioned = -(-n // p) >= SECTION_MIN_R
-    index, forms = f._coefficient_rows()
+    index = {exps: v for v, exps in enumerate(dict.fromkeys(
+        _powers(f.N, p ** (f.e - 1)) + [exps for F in forms for exps in F.terms]))}
     rows, sums = [], []
     for coeffs in forms:
         groups: Dict[int, List[Tuple[int, int]]] = {} if sectioned else {0: []}
@@ -432,8 +433,8 @@ def _raw_image(f: DmlMap, coords: Sequence[TruncSeries]) -> List[TruncSeries]:
     digits.  A dilated monomial has at most r nonzero slots, so both routes
     sum in runs for r-slot products, with one call of geometry._sums.
 
-    The coordinates share one precision n.  A map coefficient known below
-    n raises PrecisionExhausted (_build_sections gives the order)."""
+    The coordinates share one precision n.  A row known below n raises
+    PrecisionExhausted (_known_to)."""
     field, n, p = f.field, coords[0].prec, f.p
     monos, rows, sums = f._sections(n)
     sh = field._kron[n]
@@ -540,14 +541,12 @@ def orbit(f: AnyMap, P: ProjPoint, H: int) -> List[ProjPoint]:
 # ---------------------------------------------------------------------------
 
 def dml_to_general(f: DmlMap) -> GeneralMap:
-    q, p, n = f.q, f.p, f.N + 1
-    coords = []
-    for i in range(n):
-        # a zero A_ij is dropped, but its precision counts
-        terms = [(tuple(q if k == j else 0 for k in range(n)), f.A[i][j]) for j in range(n)]
-        terms += [(tuple(p * x for x in exps), c) for exps, c in f.G[i].terms.items()]
-        coords.append(HomogPoly(f.field, f.N, q, terms, f.G[i].prec))
-    return GeneralMap(f.field, coords, f.label)
+    """f_i(x) = F_i(x^p): the rows with every exponent scaled by p."""
+    p = f.p
+    return GeneralMap(f.field, [
+        HomogPoly(f.field, f.N, f.q, ((tuple(p * x for x in exps), c, None)
+                                      for exps, c in F.terms.items()), F.prec, _trusted=True)
+        for F in f._coefficient_rows()], f.label)
 
 
 def check_conditions(f: AnyMap) -> ConditionsReport:
@@ -703,9 +702,10 @@ def _pure_power_index(exps: ExpVec, q: int) -> Optional[int]:
 
 def preimage_qp(f: DmlMap, P: ProjPoint) -> ProjPoint:
     """Exact preimage when q = p: f factors as M o Frob_p with
-    M = A + Gamma, Gamma the matrix of the linear forms G_i, so the preimage
-    is Frob_p^-1 of the point M^-1 P.  A point is a direction: Cramer's rule
-    gives M^-1 P = adj(M) P / det M with det M a unit, and the coordinates
+    M = A + Gamma, Gamma the matrix of the linear forms G_i, read off the
+    rows F_i (DmlMap._coefficient_rows), so the preimage is Frob_p^-1 of
+    the point M^-1 P.  A point is a direction: Cramer's rule gives
+    M^-1 P = adj(M) P / det M with det M a unit, and the coordinates
     R_i = det(M with column i replaced by P), one series_det each, name the
     same point with no division."""
     if f.q != f.p:
@@ -715,13 +715,10 @@ def preimage_qp(f: DmlMap, P: ProjPoint) -> ProjPoint:
     n = f.N + 1
     prec = P.prec
     field = f.field
-    M = [[_at_prec(f.A[i][j], prec) for j in range(n)] for i in range(n)]
-    e_basis = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            c = f.G[i].terms.get(e_basis[j])
-            if c is not None:
-                M[i][j] = M[i][j] + _at_prec(c, prec)
+    # the degree-1 rows carry M, a coefficient cancelled to 0 dropped
+    zero = TruncSeries.zeros(field, prec)
+    M = [[F.terms[u].change_precision(prec) if u in F.terms else zero
+          for u in _powers(f.N, 1)] for F in _known_to(f, prec)]
     if not _unit_det(M):
         raise NonUnitDivisor("M = A + Gamma is singular mod t; not invertible over O_K")
     R = [series_det([row[:i] + [x] + row[i + 1:] for row, x in zip(M, P.coords)])

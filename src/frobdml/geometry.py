@@ -115,17 +115,17 @@ def normalize(raw: Sequence[TruncSeries]) -> ProjPoint:
     return P
 
 
-def point_galois(P: ProjPoint, e: int, inverse: bool = False,
-                 times: int = 1) -> ProjPoint:
-    """Coefficientwise Frob_{p^e}^(+-times) on every coordinate; canonical
-    form is preserved (the pivot 1 is fixed and valuations do not move).
+def point_galois(P: ProjPoint, e: int, times: int = 1) -> ProjPoint:
+    """Coefficientwise Frob_{p^e}^times on every coordinate, e of either
+    sign; canonical form is preserved (the pivot 1 is fixed and valuations
+    do not move).
 
     The same action moves P.raw (None stays None).  It is a field
     automorphism fixing t, so valuations, units, the pivot index and the
     quotients commute with it: normalize(sigma(R)) = sigma(normalize(R))
     coordinate for coordinate, consumed precision included, and the moved
     point keeps normalize(Q.raw) == Q."""
-    k = -e * times if inverse else e * times
+    k = e * times
     return _point_galois(P, k, None if P.raw is None else tuple(c.galois(k) for c in P.raw))
 
 

@@ -135,11 +135,10 @@ def sigma_fixed_lift(f: DmlMap, P0: Sequence[FqElem], prec: int) -> SigmaFixedLi
         ladder.append(n)
         n = -(-n // f.p)
     for n in reversed(ladder):
-        X = [c.galois(f.e, inverse=True)
-             for c in _raw_image(f, [c.change_precision(n) for c in X])]
+        X = [c.galois(-f.e) for c in _raw_image(f, [c.change_precision(n) for c in X])]
     cur = normalize([c.change_precision(prec) for c in X])
     img = apply_map(f, cur)
-    nxt = point_galois(img, f.e, inverse=True)
+    nxt = point_galois(img, -f.e)
     if nxt.coords != cur.coords:
         raise AssertionError("contraction failed to reach a fixed point")
     cur = nxt   # cur's coordinates, with sigma^{-1} of the raw image f(P~) as raw
@@ -158,7 +157,7 @@ def critical_witness(f: DmlMap, L: SigmaFixedLift, n: int) -> ProjPoint:
     if n > L.lift.prec:
         raise PrecisionTooLow(
             f"witness index {n} exceeds lift precision {L.lift.prec}")
-    Q = point_galois(L.lift, L.sigma_exponent, inverse=True, times=n) if n else L.lift
+    Q = point_galois(L.lift, -L.sigma_exponent, times=n) if n else L.lift
     if not proj_eq(orbit(f, Q, n)[-1], L.lift):
         raise AssertionError("witness fails f^n(Q) = P~")
     return Q

@@ -295,11 +295,9 @@ class TruncSeries:
         X = self.packed >> (k * K[self.prec].L.S)
         return _new(self.field, n, _fit(K, X, self.prec, n))
 
-    def galois(self, e: int, inverse: bool = False) -> "TruncSeries":
-        """The semilinear action sigma = Frob_(p^e) (its inverse with
-        ``inverse``) on every coefficient; t is fixed."""
-        if inverse:
-            e = -e
+    def galois(self, e: int) -> "TruncSeries":
+        """The semilinear action sigma = Frob_(p^e) on every coefficient,
+        e of either sign; t is fixed."""
         field = self.field
         k = e % field.m
         if k == 0:

@@ -368,8 +368,8 @@ def test_orbit_refuses_a_remainder_known_below_the_point(tmp_path, g):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(["orbit", str(path), "--point", "P", "--horizon", "2"])
     assert (code, out) == (2, "")
-    assert err == ("error: PrecisionExhausted: coefficient known only to "
-                   "t^4 < evaluation precision 16\n")
+    assert err == ("error: PrecisionExhausted: map coefficient known only to "
+                   "t^4 < point precision 16\n")
 
 
 def test_orbit_refuses_a_general_coordinate_known_below_the_point(tmp_path):

@@ -4,7 +4,7 @@ import time
 import pytest
 
 import frobdml.dynamics as dynamics
-from frobdml.dynamics import (SECTION_MIN_R, CoefficientFieldTooLarge, _at_prec, _unit_det,
+from frobdml.dynamics import (SECTION_MIN_R, CoefficientFieldTooLarge, _unit_det,
                               coefficient_field_exponent,
                               CoefficientNotInMaximalIdeal, DmlMap, GeneralMap,
                               NonUnitDeterminant, NotInForm, WrongDegree,
@@ -609,18 +609,138 @@ def test_preimage_refuses_m_singular_mod_t():
         preimage_qp(f, ProjPoint(F2, [ser(F2, "1"), ser(F2, "t")]))
 
 
+def test_preimage_refuses_a_remainder_known_below_the_point():
+    # G_1 = O(t^4)*x0 stores no term, yet completing it as t^4*x0 instead of
+    # 0 changes the preimage's t^2 digit: neither answer is determined
+    A = [[ser(F2, "1", 16), ser(F2, "0", 16)], [ser(F2, "0", 16), ser(F2, "1", 16)]]
+    P = ProjPoint(F2, [ser(F2, "1", 16), ser(F2, "t^2 + t^6", 16)])
+
+    def with_g1(c):
+        f = validate_map(F2, 2, 1, A, [HomogPoly.zero(F2, 1, 1),
+                                       HomogPoly(F2, 1, 1, {(1, 0): ser(F2, c, 16)})])
+        assert isinstance(f, DmlMap), f
+        return f
+
+    assert [format_series(c) for c in preimage_qp(with_g1("0"), P).coords] == \
+        ["1 + O(t^8)", "t + t^3 + O(t^8)"]
+    assert [format_series(c) for c in preimage_qp(with_g1("t^4"), P).coords] == \
+        ["1 + O(t^8)", "t + t^2 + t^3 + O(t^8)"]
+    f = with_g1("O(t^4)")
+    for fn in (apply_map, preimage_qp):
+        with pytest.raises(PrecisionExhausted,
+                           match="^map coefficient known only to t\\^4 < point precision 16$"):
+            fn(f, P)
+
+
+def rows_reference(f):
+    """(prec, terms) of each row F_i built from A and G directly: G_i's terms
+    with A_ij added at y_j^(q/p), a sum zero at its precision dropped, known
+    to the least precision of A_i's entries and of G_i."""
+    d, n = f.p ** (f.e - 1), f.N + 1
+    out = []
+    for row, g in zip(f.A, f.G):
+        terms = dict(g.terms)
+        for j, a in enumerate(row):
+            u = tuple(d if k == j else 0 for k in range(n))
+            terms[u] = terms[u] + a if u in terms else a
+        out.append((min([s.prec for s in row] + [g.prec]),
+                    {e: c for e, c in terms.items() if not c.is_zero_at_precision()}))
+    return out
+
+
+def dml_to_general_reference(f):
+    """(prec, terms) of each coordinate of f as a general map: A_ij at
+    x_j^q, G_i's terms at p times their exponents, collected at G_i.prec."""
+    q, p, n = f.q, f.p, f.N + 1
+    out = []
+    for i in range(n):
+        terms = [(tuple(q if k == j else 0 for k in range(n)), f.A[i][j]) for j in range(n)]
+        terms += [(tuple(p * x for x in exps), c) for exps, c in f.G[i].terms.items()]
+        h = HomogPoly(f.field, f.N, q, terms, f.G[i].prec)
+        out.append((h.prec, h.terms))
+    return out
+
+
+def test_rows_match_a_and_g():
+    # the rows carry everything dml_to_general, coefficient_precision and
+    # preimage_qp read: A_ij + Gamma_ij at the y_j^(q/p), one of which
+    # cancels to zero, zero entries of A known to few digits, and G_i's
+    # dropped O(t^k) terms
+    rng = random.Random(3303)
+    seen = {"collision": 0, "cancelled": 0, "short zero": 0, "dropped": 0}
+    for case in range(80):
+        p, e = rng.choice(((2, 1), (3, 1), (5, 1), (2, 2), (3, 2)))
+        F, N, d = field_for(p, 1), rng.randint(1, 2), p ** (e - 1)
+        n = rng.randint(2, 12)
+
+        def prec():
+            return rng.choice((n, n + 1, n + 5, max(1, n - 3)))
+
+        def entry(i, j):
+            if rng.random() < 0.3:   # exactly 1 on the diagonal, else 0 to few digits
+                return (TruncSeries.one(F, prec()) if i == j
+                        else TruncSeries.zeros(F, rng.randint(1, 3)))
+            s = rand_ideal_series(rng, F, prec())
+            return s + TruncSeries.one(F, prec()) if i == j else s
+
+        A = [[entry(i, j) for j in range(N + 1)] for i in range(N + 1)]
+        G = []
+        for i in range(N + 1):
+            terms = {rand_exponents(rng, N + 1, d): rand_ideal_series(rng, F, prec())
+                     for _ in range(rng.randint(0, 2))}
+            for j in range(N + 1):
+                u = tuple(d if k == j else 0 for k in range(N + 1))
+                roll = rng.random()
+                if roll < 0.3:
+                    terms[u] = rand_ideal_series(rng, F, prec())
+                elif roll < 0.5 and i != j and not A[i][j].is_zero_at_precision():
+                    terms[u] = -A[i][j].change_precision(prec())
+            if rng.random() < 0.4:
+                terms[rand_exponents(rng, N + 1, d)] = TruncSeries.zeros(F, rng.randint(1, n))
+            G.append(HomogPoly(F, N, d, terms))
+        f = validate_map(F, p, e, A, G)
+        assert isinstance(f, DmlMap), f
+        ref = rows_reference(f)
+        assert [(F_.prec, F_.terms) for F_ in f._coefficient_rows()] == ref, case
+        assert f.coefficient_precision() == min(
+            [s.prec for row in f.A for s in row] + [g.prec for g in f.G])
+        assert [(h.prec, h.terms) for h in dml_to_general(f).coords] == \
+            dml_to_general_reference(f)
+        for i, (row, g) in enumerate(zip(f.A, f.G)):
+            for j, a in enumerate(row):
+                u = tuple(d if k == j else 0 for k in range(N + 1))
+                if u in g.terms:
+                    seen["collision"] += 1
+                    seen["cancelled"] += u not in ref[i][1]
+                seen["short zero"] += a.is_zero_at_precision() and a.prec < n
+            seen["dropped"] += g.prec < min([c.prec for c in g.terms.values()], default=MAX_PREC)
+    assert min(seen.values()) >= 10, seen
+
+
+def check_rows_known_to(f, n):
+    """Reference precision rule: coordinate i of f is known to the least
+    precision of A_i's entries, exactly 0 or 1 included, and of G_i, whose
+    prec counts the O(t^k) terms it dropped; the first coordinate known
+    below n raises."""
+    for row, g in zip(f.A, f.G):
+        k = min([s.prec for s in row] + [g.prec])
+        if k < n:
+            raise PrecisionExhausted(f"map coefficient known only to t^{k} < point precision {n}")
+
+
 def preimage_qp_reference(f, P):
     """preimage_qp solving by first-row cofactor expansion and reading the
     solved series one coefficient at a time: any t^k with p not dividing k
     refuses, and Q takes every p-th coefficient through the inverse
     Frobenius."""
     n, prec, field, p = f.N + 1, P.prec, f.field, f.p
-    M = [[_at_prec(f.A[i][j], prec) for j in range(n)] for i in range(n)]
+    check_rows_known_to(f, prec)
+    M = [[f.A[i][j].change_precision(prec) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             c = f.G[i].terms.get(tuple(int(k == j) for k in range(n)))
             if c is not None:
-                M[i][j] = M[i][j] + _at_prec(c, prec)
+                M[i][j] = M[i][j] + c.change_precision(prec)
     # Cramer's rule: R = adj(M) P = det(M) M^-1 P, the same point
     R = [cofactor_det([row[:i] + [x] + row[i + 1:] for row, x in zip(M, P.coords)])
          for i in range(n)]
@@ -729,16 +849,10 @@ def eval_at_pth_powers_reference(g, coords):
 
 def apply_map_reference(f, P):
     """apply_map of a DmlMap by the full-precision route: x^q dilated, every
-    product at the point precision, G at the dilated coordinates.  Every
-    entry of A, exactly 0 or 1 included, is checked against the point
-    precision, row by row and before G: the order that fixes the error
-    precedence."""
+    product at the point precision, G at the dilated coordinates, once
+    check_rows_known_to passes at the point precision."""
     prec = P.prec
-    for row in f.A:
-        for s in row:
-            if s.prec < prec:
-                raise PrecisionExhausted(
-                    f"map coefficient known only to t^{s.prec} < point precision {prec}")
+    check_rows_known_to(f, prec)
     xq = [c.frobenius_power(f.e) for c in P.coords]
     imgs = []
     for row, g in zip(f.A, f.G):
