@@ -14,8 +14,8 @@ The package is organized bottom-up:
               determinants over O_K
     twist     the semilinear equation B^(q) = A*B and map normalization;
               inverses over k
-    lifting   sigma-fixed lifts, witnesses, periods
     returns   return sets and arithmetic-progression decompositions
+    lifting   sigma-fixed lifts, witnesses, periods, invariance evidence
     instances JSON instance files and shipped fixtures
     cli       the frobdml command
 

@@ -34,21 +34,22 @@ from .errors import (
     UnsupportedQ,
 )
 from . import poly
-from .field import (FieldSpec, FqElem, FqStructure, _echelon, _fit, _galois, _reduce,
-                    _run_cap, p_power_exponent)
+from .field import (FieldSpec, FqElem, FqStructure, _dilate, _echelon, _fit, _galois,
+                    _gather, _reduce, _run_cap, _scatter, p_power_exponent)
 from .geometry import (
     ExpVec,
     HomogPoly,
     ProjPoint,
     _monomials,
     _point_galois,
+    _powers,
     _sums,
     eval_hom_coords,
     normalize,
     poly_mul,
 )
 from .record import Record
-from .series import AtPrecisionZero, TruncSeries, _dilate, _gather, _new, _scatter
+from .series import AtPrecisionZero, TruncSeries, _new
 
 DEFAULT_TERM_BOUND = 10 ** 6
 # precisions whose coefficient sections a DmlMap keeps: a lift meets about
@@ -213,11 +214,6 @@ class GeneralMap:
 
 
 AnyMap = Union[DmlMap, GeneralMap]
-
-
-def _powers(N: int, d: int) -> List[ExpVec]:
-    """The exponent vectors of y_0^d, .., y_N^d."""
-    return [tuple(d if k == j else 0 for k in range(N + 1)) for j in range(N + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +559,8 @@ def check_conditions(f: AnyMap) -> ConditionsReport:
 
     scalar: Optional[FqElem] = None
     fiber = True
-    n = F.N + 1
-    for i, h in enumerate(F.coords):
+    for h, want in zip(F.coords, _powers(F.N, d)):
         res = h.reduce()
-        want = tuple(d if j == i else 0 for j in range(n))
         if set(res.keys()) != {want}:
             fiber = False
             break

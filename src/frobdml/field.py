@@ -30,9 +30,13 @@ which is that precondition; solved for the number of products, it is how
 many a sum may add before one reduction (``_run_cap``).  Each field has a
 _Layout per width it meets (the rows and Frobenius columns in that width)
 and one table of _Shapes, the masks per precision, each pointing at the
-layout of its width.  One codec serves them all: ``_Layout.pack`` and its
-inverse ``_Layout.digits`` write and read one slot's digits, and ``_fit``
-moves slots between widths.  The spare top bit serves addition: digits are
+layout of its width.  One codec serves them all, and this module is the
+only one that marshals packings: ``_Layout.pack`` and its inverse
+``_Layout.digits`` write and read one slot's digits, ``_fit`` moves slots
+between widths, ``_pack`` and its inverse ``_unpack`` join and split the
+FqElem slots of a packing, and the strided moves ``_scatter``, ``_gather``
+and ``_dilate`` restride slots within one width: interleaves, p-sections
+and x -> x^(p^k).  The spare top bit serves addition: digits are
 added, then p is subtracted from exactly the digits that reached p, read
 off as bit w-1 after adding 2^(w-1)-p to every digit.  Over F_2 addition is
 XOR and a digit mod 2 is its low bit.
@@ -66,6 +70,7 @@ from __future__ import annotations
 
 import re
 from bisect import insort
+from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import poly
@@ -352,6 +357,74 @@ def _fit(K: _Kron, X: int, a: int, b: int, n: Optional[int] = None,
     for i in range(min(ab, bb)):
         out[i::step] = src[i::ab]
     return int.from_bytes(out, "little")
+
+
+def _pack(field: FieldSpec, elems: Iterable[FqElem], n: int) -> int:
+    """The packing of precision n whose slot j holds elems[j]: the first n
+    elements' slots joined in the width of precision 1, then one ``_fit``;
+    the slots past the last element are zero."""
+    sb = field._L.S // 8
+    X = int.from_bytes(b"".join([c.packed.to_bytes(sb, "little")
+                                 for c in islice(elems, n)]), "little")
+    return _fit(field._kron, X, 1, n)
+
+
+def _unpack(field: FieldSpec, X: int, n: int) -> Tuple[FqElem, ...]:
+    """The n coefficients of the canonical packing X of precision n, inverse
+    to ``_pack``: X fitted to the width of precision 1, cut up."""
+    sb = field._L.S // 8
+    src = _fit(field._kron, X, n, 1, n).to_bytes(n * sb, "little")
+    return tuple(FqElem(field, int.from_bytes(src[o:o + sb], "little"))
+                 for o in range(0, len(src), sb))
+
+
+def _scatter(L: _Layout, n: int, step: int, parts) -> int:
+    """The n-slot packing whose slot k + step*j is slot j of F, for every
+    (k, F) of ``parts`` and k + step*j < n, and zero elsewhere.  Each F has
+    at most ceil(n/step) slots (canonical or not: whole slots move), and
+    each k is below step, so no two slots meet.  One strided memoryview
+    assignment per item of a slot and per part."""
+    U, sb = L.U, L.S // 8
+    out = bytearray(n * sb)
+    dst = memoryview(out).cast(L.unit)
+    r = -(-n // step)
+    for k, F in parts:
+        cnt = (n - k - 1) // step + 1
+        src = memoryview(F.to_bytes(r * sb, "little")).cast(L.unit)
+        for i in range(U):
+            dst[k * U + i::step * U] = src[i:cnt * U:U]
+    return int.from_bytes(out, "little")
+
+
+def _gather(L: _Layout, X: int, n: int, p: int) -> List[int]:
+    """The p-sections of the n-slot packing X: for k < min(p, n), the
+    packing of ceil(n/p) slots whose slot j is slot k + p*j of X."""
+    U, sb = L.U, L.S // 8
+    r = -(-n // p)
+    src = memoryview(X.to_bytes(n * sb, "little")).cast(L.unit)
+    out = []
+    for k in range(min(p, n)):
+        cnt = (n - k - 1) // p + 1
+        buf = bytearray(r * sb)
+        dst = memoryview(buf).cast(L.unit)
+        for i in range(U):
+            dst[i:cnt * U:U] = src[k * U + i::p * U]
+        out.append(int.from_bytes(buf, "little"))
+    return out
+
+
+def _dilate(sh: _Shape, field: FieldSpec, X: int, n: int, k: int) -> int:
+    """X^(p^k) mod t^n, n slots in the width of sh, for a canonical packing
+    X, by (sum c_j t^j)^(p^k) = sum c_j^(p^k) t^(j*p^k): slot j moves to
+    slot j*p^k, then Frob_(p^k) acts on every coefficient.  Only the slots
+    j < ceil(n/p^k) of X are read."""
+    pk = field.p ** k
+    X &= (1 << (-(-n // pk) * sh.L.S)) - 1
+    if k == 0:
+        return X
+    X = _scatter(sh.L, n, pk, [(0, X)])
+    k %= field.m
+    return _galois(sh, X, k) if k else X
 
 
 def _barrett(sh: _Shape, X: int) -> int:

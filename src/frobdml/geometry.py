@@ -218,6 +218,11 @@ class HomogPoly:
         return HomogPoly(field, N, degree, {})
 
 
+def _powers(N: int, d: int) -> List[ExpVec]:
+    """The exponent vectors of y_0^d, .., y_N^d; for d = 1 the unit vectors."""
+    return [tuple(d if k == j else 0 for k in range(N + 1)) for j in range(N + 1)]
+
+
 def _checked(field: FieldSpec, N: int, degree: int, terms: Terms) -> Iterable[tuple]:
     for exps, coeff in terms.items() if isinstance(terms, Mapping) else terms:
         e = tuple(map(int, exps))
@@ -392,12 +397,10 @@ def _meets(v: Union[int, AtPrecisionZero], tau: int) -> bool:
 def point_variety(P: ProjPoint) -> Subvariety:
     """The single point P as a subvariety: cross-product equations
     c_j*x_i - c_i*x_j over all i < j."""
-    n = P.N + 1
+    units = _powers(P.N, 1)
     gens = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            e_i = tuple(1 if k == i else 0 for k in range(n))
-            e_j = tuple(1 if k == j else 0 for k in range(n))
+    for i, e_i in enumerate(units):
+        for j, e_j in enumerate(units[i + 1:], i + 1):
             g = HomogPoly(P.field, P.N, 1,
                           {e_i: P.coords[j], e_j: -P.coords[i]})
             if not g.is_zero():

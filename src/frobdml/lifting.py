@@ -58,13 +58,11 @@ from .errors import (
     DimensionMismatch,
     FieldMismatch,
     NonCanonicalBasePoint,
-    PrecisionBelowThreshold,
     PrecisionTooLow,
     PreconditionMatrixNotIdentityModT,
 )
 from .field import FqElem
-from .geometry import (ProjPoint, Subvariety, _meets, eval_hom_coords, normalize, point_galois,
-                       proj_eq, reduce_point)
+from .geometry import ProjPoint, Subvariety, normalize, point_galois, proj_eq, reduce_point
 from .record import MutableRecord
 from .series import TruncSeries
 
@@ -191,23 +189,21 @@ class InvarianceReport(MutableRecord):
         return self.checked > 0 and self.stable == self.checked
 
 
-def _on_variety(V: Subvariety, P: ProjPoint, tau: int) -> bool:
-    if tau > P.prec:
-        raise PrecisionBelowThreshold(
-            f"threshold {tau} exceeds point precision {P.prec}")
-    return all(_meets(s.valuation(), tau) for s in eval_hom_coords(V.generators, P.coords))
-
-
 def invariance_evidence(f: DmlMap, V: Subvariety,
                         lifts: Sequence[SigmaFixedLift],
                         tau: int) -> InvarianceReport:
+    """Each lift P~ and its image f(P~) tested against V by the return set
+    of horizon 1: 0 is a hit when P~ is on V, 1 when f(P~) is.  A threshold
+    below 1 or above the lift's precision raises PrecisionBelowThreshold."""
+    from .returns import return_set
     entries: List[InvarianceEntry] = []
     checked = stable = 0
     for L in lifts:
-        if not _on_variety(V, L.lift, tau):
+        hits = return_set(f, L.lift, V, 1, tau).hits
+        if 0 not in hits:
             entries.append(InvarianceEntry(False, None))
             continue
-        ok = _on_variety(V, apply_map(f, L.lift), tau)
+        ok = 1 in hits
         entries.append(InvarianceEntry(True, ok))
         checked += 1
         stable += ok

@@ -19,9 +19,10 @@ new precision has another width: an operation whose operands differ in
 precision cuts the longer one to the common precision, and change_precision,
 shift_down and eq_at_precision pass through _fit.  A coefficient is an
 FqElem holding its slot in the width of precision 1, so it is a packing of
-precision 1: ``coeffs`` and ``constant_term`` fit slots to precision 1 on
-every call, and the list constructor, ``from_constant`` and ``scale`` fit
-FqElems to the series' precision.
+precision 1.  This module moves no slot of its own: the list constructor
+and ``coeffs`` join and split the FqElems by ``field._pack`` and
+``field._unpack`` on every call, ``constant_term``, ``from_constant`` and
+``scale`` fit one slot, and ``frobenius_power`` is ``field._dilate``.
 
 Precision is absolute: arithmetic results carry min(prec_a, prec_b);
 division by a unit preserves precision; truncation is exact, and padding
@@ -38,7 +39,6 @@ the precision marker O(t^n) (see "text syntax" below).
 from __future__ import annotations
 
 import re
-from itertools import islice
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -48,9 +48,9 @@ from .errors import (
     NonUnitDivisor,
     ParseError,
 )
-from .field import (ELEMENT, TERM, FieldSpec, FqElem, _Layout, _Shape, _add, _element_value,
-                    _fit, _galois, _inv, _reduce, _sub, _unspaced,
-                    format_element, parse_int)
+from .field import (ELEMENT, TERM, FieldSpec, FqElem, _add, _dilate, _element_value, _fit,
+                    _galois, _inv, _pack, _reduce, _sub, _unpack, _unspaced, format_element,
+                    parse_int)
 from .record import Record
 
 MAX_PREC = 1 << 16
@@ -59,69 +59,6 @@ MAX_PREC = 1 << 16
 class AtPrecisionZero(Record):
     """Valuation sentinel: every stored coefficient vanishes below t^prec."""
     __slots__ = ("prec",)
-
-
-# ---------------------------------------------------------------------------
-# slot moves
-# ---------------------------------------------------------------------------
-
-def _scatter(L: _Layout, n: int, step: int, parts) -> int:
-    """The n-slot packing whose slot k + step*j is slot j of F, for every
-    (k, F) of ``parts`` and k + step*j < n, and zero elsewhere.  Each F has
-    at most ceil(n/step) slots (canonical or not: whole slots move), and
-    each k is below step, so no two slots meet.  One strided memoryview
-    assignment per item of a slot and per part."""
-    U, sb = L.U, L.S // 8
-    out = bytearray(n * sb)
-    dst = memoryview(out).cast(L.unit)
-    r = -(-n // step)
-    for k, F in parts:
-        cnt = (n - k - 1) // step + 1
-        src = memoryview(F.to_bytes(r * sb, "little")).cast(L.unit)
-        for i in range(U):
-            dst[k * U + i::step * U] = src[i:cnt * U:U]
-    return int.from_bytes(out, "little")
-
-
-def _gather(L: _Layout, X: int, n: int, p: int) -> List[int]:
-    """The p-sections of the n-slot packing X: for k < min(p, n), the
-    packing of ceil(n/p) slots whose slot j is slot k + p*j of X."""
-    U, sb = L.U, L.S // 8
-    r = -(-n // p)
-    src = memoryview(X.to_bytes(n * sb, "little")).cast(L.unit)
-    out = []
-    for k in range(min(p, n)):
-        cnt = (n - k - 1) // p + 1
-        buf = bytearray(r * sb)
-        dst = memoryview(buf).cast(L.unit)
-        for i in range(U):
-            dst[i:cnt * U:U] = src[k * U + i::p * U]
-        out.append(int.from_bytes(buf, "little"))
-    return out
-
-
-def _dilate(sh: _Shape, field: FieldSpec, X: int, n: int, k: int) -> int:
-    """X^(p^k) mod t^n, n slots in the width of sh, for a canonical packing
-    X, by (sum c_j t^j)^(p^k) = sum c_j^(p^k) t^(j*p^k): slot j moves to
-    slot j*p^k, then Frob_(p^k) acts on every coefficient.  Only the slots
-    j < ceil(n/p^k) of X are read."""
-    pk = field.p ** k
-    X &= (1 << (-(-n // pk) * sh.L.S)) - 1
-    if k == 0:
-        return X
-    X = _scatter(sh.L, n, pk, [(0, X)])
-    k %= field.m
-    return _galois(sh, X, k) if k else X
-
-
-def _unpack(field: FieldSpec, sh: _Shape, X: int) -> Tuple[FqElem, ...]:
-    """The coefficients of the canonical packing X with the n slots of sh,
-    the shape of precision n: X fitted to the width of precision 1, cut up."""
-    n = sh.mask.bit_length() // sh.L.S
-    sb = field._L.S // 8
-    src = _fit(field._kron, X, n, 1, n).to_bytes(n * sb, "little")
-    return tuple(FqElem(field, int.from_bytes(src[o:o + sb], "little"))
-                 for o in range(0, len(src), sb))
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +73,9 @@ class TruncSeries:
 
     def __init__(self, field: FieldSpec, prec: int, coeffs: Sequence[FqElem]):
         _check_prec(prec)
-        sb = field._L.S // 8
-        X = int.from_bytes(b"".join([c.packed.to_bytes(sb, "little")
-                                     for c in islice(coeffs, prec)]), "little")
         self.field = field
         self.prec = prec
-        self.packed = _fit(field._kron, X, 1, prec)
+        self.packed = _pack(field, coeffs, prec)
 
     # -- constructors ----------------------------------------------------
 
@@ -165,7 +99,7 @@ class TruncSeries:
     @property
     def coeffs(self) -> Tuple[FqElem, ...]:
         """The prec coefficients, decoded afresh on every access."""
-        return _unpack(self.field, self.field._kron[self.prec], self.packed)
+        return _unpack(self.field, self.packed, self.prec)
 
     def is_zero_at_precision(self) -> bool:
         return not self.packed

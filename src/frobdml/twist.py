@@ -32,7 +32,8 @@ canonical for the solution space and so independent of search order.
 
 Everything is packed in ``field``'s digit layout over Fbase: an element of
 E as its d coefficients, a matrix row as its n entries, a vector of E^n as
-its n*d coefficients.  A product is one bignum multiply and ``_reduce``: E
+its n*d coefficients, joined and split by ``field._pack`` and ``_unpack``.
+A product is one bignum multiply and ``_reduce``: E
 folds the high slots back through the packed rows Y^(d+k) mod h, and row i
 of X*Y is the sum over k of X_ik times row k of Y, reduced once.  Row
 reduction over F_q is ``field._echelon``, which ``_mat_inv`` and the
@@ -43,7 +44,7 @@ inverse Itoh-Tsujii's, with no tables, so its order is not bounded.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import poly
 from .errors import (
@@ -55,10 +56,10 @@ from .errors import (
     NotInvertible,
     SearchExhausted,
 )
-from .field import (FieldSpec, FqElem, FqStructure, _Layout, _Shape, _add, _echelon, _fit,
-                    _galois, _inv, _poly_str, _reduce, _sub, p_power_exponent)
-from .geometry import HomogPoly
-from .series import TruncSeries, _new, _unpack
+from .field import (FieldSpec, FqElem, FqStructure, _Shape, _add, _echelon, _fit, _galois,
+                    _inv, _pack, _poly_str, _reduce, _sub, _unpack, p_power_exponent)
+from .geometry import HomogPoly, _powers
+from .series import TruncSeries, _new
 from . import dynamics
 from .dynamics import DmlMap, compose_maps
 
@@ -67,22 +68,13 @@ ExtVec = Tuple[Vec, ...]       # element of E^(N+1)
 Mat = Tuple[int, ...]          # Fbase matrix, one packed row per row
 
 
-def _slot(L: _Layout, c: int) -> int:
-    """The Fbase element of index c (base-p digits) as a packed coefficient."""
-    return L.pack(poly.digits(c, L.p, L.m))
-
-
-def _join(L: _Layout, slots: Sequence[int]) -> int:
-    """Packed coefficients side by side, the first in slot 0."""
-    return sum(c << (j * L.S) for j, c in enumerate(slots))
-
-
-def _base_ring(field: FieldSpec, L: _Layout) -> poly.Ring:
-    """Fbase on the packed coefficients of L: ``field._fp`` for a prime field,
-    whose coefficients are their own values, else the field's own kernels
-    on one coefficient, the inverse by Itoh-Tsujii."""
+def _base_ring(field: FieldSpec) -> poly.Ring:
+    """Fbase on its elements' packed slots (``FqElem.packed``): ``field._fp``
+    for a prime field, whose slots are their own values, else the field's
+    own kernels on one coefficient, the inverse by Itoh-Tsujii."""
     if field.m == 1:
         return field._fp
+    L = field._L
     sh = L.single
     return poly.Ring(field.order, lambda a, b: _add(sh, a, b), lambda a, b: _sub(sh, a, b),
                      L.mul, lambda a: _inv(L, a))
@@ -96,8 +88,7 @@ def first_irreducible(field: FieldSpec, d: int
     prime Fbase, whose packed indices are the digits of h."""
     if d == 1:
         return (0, 1), field
-    L = field._L
-    R = _base_ring(field, L)
+    R = _base_ring(field)
     Q = field.order
     # the candidates 1..Q-1 are the Y^d + c; one of them is irreducible
     # exactly when every prime factor of d divides Q - 1 (d | (Q-1)^d) and
@@ -108,7 +99,7 @@ def first_irreducible(field: FieldSpec, d: int
         if idx % Q == 0:
             continue  # constant term zero: divisible by Y
         h = poly.digits(idx, Q, d) + [1]  # monic; idx orders the candidates
-        if poly.least_factor_degree(R, [_slot(L, c) for c in h]) is None:
+        if poly.least_factor_degree(R, [field.from_int(c).packed for c in h]) is None:
             return tuple(h), FieldSpec(field.p, d, h) if field.m == 1 else None
     raise SearchExhausted(f"no irreducible polynomial of degree {d} found")  # pragma: no cover
 
@@ -126,16 +117,18 @@ class ExtContext:
         self.sh = sh = field._kron[d]
         self.L = L = sh.L
         self.wide = L.shape(2 * d - 1)
-        R = _base_ring(field, L)
-        hs = [_slot(L, c) for c in h]
+        R = _base_ring(field)
+        hs = [field.from_int(c).packed for c in h]
         self.zero: Vec = 0
         self.one: Vec = 1
-        self.gen: Vec = _join(L, poly.divmod(R, [0, 1], hs)[1])  # Y mod h
-        self.red = [_join(L, row) for row in poly.reduction_rows(R, hs)]  # Y^(d+k) mod h
+        self.gen: Vec = self.encode(FqElem(field, c)  # Y mod h
+                                    for c in poly.divmod(R, [0, 1], hs)[1])
+        self.red = [self.encode(FqElem(field, c) for c in row)  # Y^(d+k) mod h
+                    for row in poly.reduction_rows(R, hs)]
 
-    def encode(self, coeffs: Sequence[FqElem]) -> Vec:
-        """The element sum_j coeffs[j] Y^j."""
-        return _join(self.L, [self.fit(c) for c in coeffs])
+    def encode(self, coeffs: Iterable[FqElem]) -> Vec:
+        """The element sum_j coeffs[j] Y^j, j < d."""
+        return _pack(self.field, coeffs, self.d)
 
     def fit(self, x: FqElem) -> int:
         """The Fbase element x as a packed coefficient of E's layout."""
@@ -143,7 +136,7 @@ class ExtContext:
 
     def coeffs(self, u: Vec) -> Tuple[FqElem, ...]:
         """The d coefficients of u, inverse to ``encode``."""
-        return _unpack(self.field, self.sh, u)
+        return _unpack(self.field, u, self.d)
 
     def add(self, u: Vec, v: Vec) -> Vec:
         return _add(self.sh, u, v)
@@ -153,7 +146,7 @@ class ExtContext:
 
     def scalar(self, c: int, u: Vec) -> Vec:
         """u times the Fbase element of index c."""
-        return _reduce(self.sh, _slot(self.L, c) * u)
+        return _reduce(self.sh, self.fit(self.field.from_int(c)) * u)
 
     def mul(self, u: Vec, v: Vec) -> Vec:
         P = _reduce(self.wide, u * v)
@@ -185,8 +178,7 @@ _TOWERS: Dict[Tuple[FieldSpec, int], Tuple[ExtContext, Optional[FieldSpec]]] = {
 # ---------------------------------------------------------------------------
 
 def _mat_pack(A: Sequence[Sequence[FqElem]], n: int) -> Mat:
-    K = A[0][0].field._kron
-    return tuple(_join(K[n].L, [_fit(K, x.packed, 1, n) for x in row]) for row in A)
+    return tuple(_pack(A[0][0].field, row, n) for row in A)
 
 
 def _mat_mul(sh: _Shape, X: Mat, Y: Mat) -> Mat:
@@ -217,7 +209,7 @@ def _mat_inv(A: Sequence[Sequence[FqElem]]) -> Optional[List[List[FqElem]]]:
     out = _echelon(FqStructure(field, field.m), sh.L.shape(2 * n), rows, [])
     if out[-1][0][0] >= n:
         return None
-    return [list(_unpack(field, sh, v >> (n * S))) for _, v in out]
+    return [list(_unpack(field, v >> (n * S), n)) for _, v in out]
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +457,7 @@ def normalize_conjugate(f: DmlMap, R_max: int = 64) -> Tuple[TwistSolution, DmlM
     B = sol.B
     Binv = [[TruncSeries.from_constant(x, prec) for x in row] for row in _mat_inv(B)]
 
-    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    units = _powers(f.N, 1)
 
     def linear_map(M: Sequence[Sequence[TruncSeries]]) -> dynamics.GeneralMap:
         return dynamics.GeneralMap(target, [HomogPoly(target, f.N, 1, dict(zip(units, row)))

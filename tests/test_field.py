@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from frobdml import poly
 from frobdml.errors import (DegreeMismatch, DegreeOverflow, DivisionByZero,
                             FieldMismatch, NonPrimeP, ParseError, ReducibleModulus)
-from frobdml.field import (MAX_INT_DIGITS, PRIME_BOUND, _is_prime, _poly_str,
-                           format_element, make_field, parse_element, parse_int)
+from frobdml.field import (MAX_INT_DIGITS, PRIME_BOUND, _fit, _is_prime, _pack, _poly_str,
+                           _unpack, format_element, make_field, parse_element, parse_int)
 
-from conftest import field_for, fq_reference, frobenius_pow
+from conftest import field_for, fq_reference, frobenius_pow, width_changes
 
 F2 = field_for(2, 1)
 F4 = field_for(2, 2)
@@ -345,3 +345,31 @@ def test_packed_element_ops_match_reference(p, m):
         F.zero().inv()
     with pytest.raises(DivisionByZero):
         F.one() / twin.zero()
+
+
+CODEC_FIELDS = [(p, m) for p in (2, 3, 5, 257, 65537, 2 ** 31 - 1) for m in (1, 2, 3)]
+
+
+def pack_reference(F, elems, n):
+    """The per-slot join: each element's slot fitted to precision n on its
+    own, shifted to its slot and summed."""
+    K = F._kron
+    return sum(_fit(K, x.packed, 1, n) << (j * K[n].L.S) for j, x in enumerate(elems))
+
+
+@pytest.mark.parametrize("p,m", CODEC_FIELDS, ids=[f"p{p}m{m}" for p, m in CODEC_FIELDS])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_pack_is_the_per_slot_join_and_unpack_inverts_it(p, m, data):
+    # at every precision where the digit width changes, and the one on each
+    # side: n elements and fewer, the largest digits among them
+    F = field_for(p, m)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    top = F.el([F.p - 1] * F.m)
+    for n in width_changes(F):
+        for k in (data.draw(st.integers(0, n - 1), label=f"short length at {n}"), n):
+            elems = [rng.choice((top, F.from_int(rng.randrange(F.order)))) for _ in range(k)]
+            X = _pack(F, elems, n)
+            assert X == pack_reference(F, elems, n)
+            assert _pack(F, iter(elems + [top]), n) == pack_reference(F, (elems + [top])[:n], n)
+            assert _unpack(F, X, n) == tuple(elems) + (F.zero(),) * (n - k)

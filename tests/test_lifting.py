@@ -5,8 +5,9 @@ import pytest
 
 from frobdml import dynamics, geometry, lifting, twist
 from frobdml.dynamics import DmlMap, apply_map
-from frobdml.errors import (NonCanonicalBasePoint, PrecisionExhausted,
-                            PrecisionTooLow, PreconditionMatrixNotIdentityModT)
+from frobdml.errors import (NonCanonicalBasePoint, PrecisionBelowThreshold,
+                            PrecisionExhausted, PrecisionTooLow,
+                            PreconditionMatrixNotIdentityModT)
 from frobdml.field import make_field
 from frobdml.geometry import (HomogPoly, ProjPoint, normalize, point_variety, proj_eq,
                               reduce_point)
@@ -447,3 +448,13 @@ def test_invariance_evidence_on_orbit_point():
     assert rep2.entries[0].image_on_variety is False
     assert rep2.checked == 1 and rep2.stable == 0
     assert rep2.aggregate is False
+
+
+@pytest.mark.parametrize("tau", [0, -5])
+def test_invariance_evidence_refuses_a_threshold_below_1(tau):
+    # every valuation is >= tau <= 0, so such a threshold would put every
+    # point on V: P~ over P0, off V at tau = 30, would count as checked and
+    # stable.  The rule is return_set's, which refuses it
+    L = sigma_fixed_lift(FF4, INST4.points["P0"], 40)
+    with pytest.raises(PrecisionBelowThreshold, match="threshold must be >= 1"):
+        invariance_evidence(FF4, INST4.varieties["orbitpt"], [L], tau)

@@ -76,6 +76,17 @@ def test_unit_determinant_commands_load_no_twist(argv):
     assert "frobdml.twist" not in imported_by_command(*argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ("lift", f"{FIX}/f4.json", "--point0", "P0", "--prec", "40"),
+    ("witness", f"{FIX}/f4.json", "--point0", "P0", "--index", "2", "--prec", "40"),
+    ("period", f"{FIX}/f4.json", "--point0", "P0", "--prec", "40"),
+])
+def test_lift_commands_load_no_returns(argv):
+    # lifting imports returns only inside invariance_evidence
+    loaded = imported_by_command(*argv)
+    assert "frobdml.lifting" in loaded and "frobdml.returns" not in loaded
+
+
 def test_module_run_writes_nothing_to_stderr():
     # runpy warns on stderr when the package has already imported frobdml.cli
     res = python("-m", "frobdml.cli", "validate", f"{FIX}/f1.json")
@@ -101,6 +112,18 @@ def test_no_assert_statement_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert paths and found == []
+
+
+def test_only_field_marshals_packings():
+    # field is the one codec of the packed layout: no other module turns a
+    # packing into bytes or back, or moves its slots through a buffer
+    marshal = re.compile(r"\b(?:to_bytes|from_bytes|memoryview|bytearray)\b")
+    paths = sorted((ROOT / "src" / "frobdml").glob("*.py"))
+    found = [f"{path.name}:{i}" for path in paths
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if marshal.search(line)]
+    assert any(at.startswith("field.py:") for at in found)
+    assert [at for at in found if not at.startswith("field.py:")] == []
 
 
 def test_every_module_imports_only_layers_below_it():

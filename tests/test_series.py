@@ -675,7 +675,7 @@ def test_interleaving_the_sections_gives_back_the_series(s):
     # k + p*j of c: the sections have ceil(n/p) slots in the width of n
     F, n, p = s.field, s.prec, s.field.p
     L, r = F._kron[n].L, -(-n // p)
-    ds = series._gather(L, s.galois(-1).packed, n, p)
+    ds = layout._gather(L, s.galois(-1).packed, n, p)
     assert len(ds) == min(p, n)
     cs, zero = s.coeffs, F.zero()
     for k, D in enumerate(ds):
@@ -683,7 +683,7 @@ def test_interleaving_the_sections_gives_back_the_series(s):
         d = series._new(F, n, D)
         assert d.coeffs == tuple(cs[k + p * j].frobenius(-1) if k + p * j < n else zero
                                  for j in range(r)) + (zero,) * (n - r)
-    assert series._new(F, n, series._scatter(L, n, p, list(enumerate(ds)))).galois(1) == s
+    assert series._new(F, n, layout._scatter(L, n, p, list(enumerate(ds)))).galois(1) == s
     # the identity itself, by public operations at n digits
     total = TruncSeries.zeros(F, n)
     for k, D in enumerate(ds):

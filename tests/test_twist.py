@@ -12,10 +12,9 @@ from frobdml.dynamics import DmlMap, recognize_dml_form, validate_map
 from frobdml.errors import (DegreeMismatch, FrobdmlError, NonConstantMatrix,
                             NonFlattenableExtension, NotInvertible,
                             SearchExhausted)
-from frobdml.field import FqElem, _Shape, _fit, format_element, make_field
+from frobdml.field import FqElem, _Shape, _fit, _unpack, format_element, make_field
 from frobdml.geometry import HomogPoly
 from frobdml.instances import fixture_path, parse_twist_file
-from frobdml import series
 from frobdml.series import TruncSeries, format_series, parse_series
 from frobdml import twist
 from frobdml.twist import (count_solutions_exhaustive, normalize_conjugate,
@@ -453,11 +452,11 @@ def test_first_irreducible_skips_only_reducible_binomials():
 
 def first_irreducible_scan(F, d):
     """Reference: every monic degree-d candidate in index order."""
-    L, Q = F._L, F.order
-    R = twist._base_ring(F, L)
+    Q = F.order
+    R = twist._base_ring(F)
     for idx in range(Q ** d):
         h = poly.digits(idx, Q, d) + [1]
-        if idx % Q and poly.least_factor_degree(R, [twist._slot(L, c) for c in h]) is None:
+        if idx % Q and poly.least_factor_degree(R, [F.from_int(c).packed for c in h]) is None:
             return tuple(h)
 
 
@@ -482,7 +481,7 @@ def test_echelon_is_canonical_and_incremental():
         one = F._kron[1]
         powers = [F.one()] + [F.gen() ** t for t in range(1, fq.s)]
         for x in F.elements():  # x = sum_i c_i a^i with every c_i in F_q
-            cs = [series._unpack(F, one, c)[0] for c in fq.coords(one.L, one.L.pack(x.coeffs))]
+            cs = [_unpack(F, c, 1)[0] for c in fq.coords(one.L, one.L.pack(x.coeffs))]
             assert all(c.frobenius(e) == c for c in cs)
             assert sum((c * w for c, w in zip(cs, powers)), F.zero()) == x
         for _ in range(60):
